@@ -1,4 +1,4 @@
-"""Parallel-engine bench: serial vs thread/process fan-out vs the
+"""Parallel-engine bench: serial vs process fan-out vs the
 batched *vectorized* kernel, with equivalence and geometry-cache
 acceptance baked in.
 
@@ -8,7 +8,7 @@ records per-cycle wall times into a schema-versioned
 ``BENCH_parallel.json`` (location overridable with the
 ``BENCH_PARALLEL_PATH`` env var).  Acceptance, asserted on every run:
 
-* thread/process analyses are **bit-identical** to the serial engine's,
+* process analyses are **bit-identical** to the serial engine's,
   every cycle; the vectorized analysis matches to ``rtol <= 1e-10``
   (different linalg route, same mathematics — see
   ``docs/PERFORMANCE.md``);
@@ -18,7 +18,7 @@ records per-cycle wall times into a schema-versioned
   **regardless of core count** — batching collapses the per-piece
   Python loop, so the win does not depend on having cores to fan onto
   and is asserted even on a 1-CPU smoke box;
-* on a machine with >= 4 cores, the best warm-cycle thread/process time
+* on a machine with >= 4 cores, the warm-cycle process time
   additionally beats serial by >= 2x (skipped — and recorded as
   skipped — on smaller boxes, where the fan-out has nothing to fan
   onto).
@@ -50,6 +50,7 @@ from repro.core.grid import Grid
 from repro.core.observations import ObservationNetwork
 from repro.filters.distributed import DistributedEnKF
 from repro.parallel import AnalysisExecutor, GeometryCache
+from repro.parallel.executor import STRATEGIES as EXECUTOR_STRATEGIES
 
 SEED = 2019  # PPoPP'19
 
@@ -61,10 +62,10 @@ BENCH_PARALLEL_SCHEMA = "senkf-bench-parallel/2"
 
 _DEFAULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
 
-STRATEGIES = ("serial", "thread", "process", "vectorized")
-#: strategies held to the bit-identity contract (vectorized is
-#: tolerance-checked instead — batched LU vs per-piece Cholesky).
-FANOUT_STRATEGIES = ("thread", "process")
+#: every concrete strategy the executor offers, serial (the reference)
+#: first.  Process is held to bit-identity with it; vectorized is
+#: tolerance-checked instead (batched LU vs per-piece Cholesky).
+STRATEGIES = tuple(s for s in EXECUTOR_STRATEGIES if s != "auto")
 
 #: vectorized-vs-serial warm speedup floor, asserted on EVERY run.
 VECTORIZED_SPEEDUP_FLOOR = 1.5
@@ -190,8 +191,7 @@ def run_parallel_bench(smoke: bool = False, cycles: int = 3,
 
     # Warm-cycle comparison: skip cycle 0 (pool spin-up + geometry build).
     warm = {s: min(t[1:]) if len(t) > 1 else t[0] for s, t in timings.items()}
-    best_parallel = min(warm["thread"], warm["process"])
-    best_speedup = warm["serial"] / best_parallel
+    best_speedup = warm["serial"] / warm["process"]
     vectorized_speedup = warm["serial"] / warm["vectorized"]
     cpu_count = os.cpu_count() or 1
     # The fan-out 2x floor needs cores and a non-trivial problem; the

@@ -40,7 +40,6 @@ from repro.core.cholesky import (
 )
 from repro.core.analysis import (
     analysis_gain_form,
-    analysis_gain_form_batched,
     analysis_precision_form,
     analysis_precision_form_batched,
     local_analysis,
@@ -66,7 +65,6 @@ __all__ = [
     "analysis_etkf",
     "analysis_etkf_batched",
     "analysis_gain_form",
-    "analysis_gain_form_batched",
     "analysis_precision_form",
     "analysis_precision_form_batched",
     "anomalies",

@@ -168,60 +168,6 @@ def _check_batched_shapes(xb, h, r_diag, y) -> None:
         )
 
 
-def analysis_gain_form_batched(
-    backgrounds,
-    h_operators,
-    r_diags,
-    y_perturbed,
-    b_matrices=None,
-    backend: ArrayBackend | None = None,
-):
-    """Eq. (3) over a stack of same-shaped local problems.
-
-    All operands carry a leading batch axis: ``backgrounds`` is
-    ``(B, n, N)``, ``h_operators`` is dense ``(B, m, n)``, ``r_diags``
-    is ``(B, m)``, ``y_perturbed`` is ``(B, m, N)`` and the optional
-    explicit ``b_matrices`` is ``(B, n, n)``.  One batched
-    observation-space solve replaces ``B`` per-piece calls.  Padded
-    observation slots (zero ``H`` rows, unit ``R``, zero ``Yˢ``) are
-    exact no-ops: they contribute zero rows to the innovation and zero
-    columns to ``B Hᵀ``.
-
-    Returns the ``(B, n, N)`` analysis stack as a backend array.
-    Per-slice results match :func:`analysis_gain_form` to reduction
-    order (the per-piece path solves with Cholesky ``posv``, the
-    batched path with LU), hence the rtol ≤ 1e-10 equivalence contract.
-    """
-    bk = backend if backend is not None else get_backend()
-    xb = bk.asarray(backgrounds, dtype=float)
-    h = bk.asarray(h_operators, dtype=float)
-    r_diag = bk.asarray(r_diags, dtype=float)
-    ys = bk.asarray(y_perturbed, dtype=float)
-    _check_batched_shapes(xb, h, r_diag, ys)
-    n_members = xb.shape[2]
-    hx = h @ xb  # (B, m, N)
-    innov = ys - hx
-
-    if b_matrices is not None:
-        b = bk.asarray(b_matrices, dtype=float)
-        bht = b @ h.transpose(0, 2, 1)  # (B, n, m)
-        s = h @ bht  # (B, m, m)
-    else:
-        if n_members < 2:
-            raise ValueError("sample-covariance gain form needs N >= 2")
-        u = xb - xb.mean(axis=2, keepdims=True)
-        hu = h @ u  # (B, m, N)
-        bht = u @ hu.transpose(0, 2, 1) / (n_members - 1)  # (B, n, m)
-        s = hu @ hu.transpose(0, 2, 1) / (n_members - 1)  # (B, m, m)
-    m = h.shape[1]
-    eye = bk.xp.arange(m)
-    s = bk.index_update(
-        s, (slice(None), eye, eye), s[:, eye, eye] + r_diag
-    )
-    z = bk.solve(s, innov)  # (B, m, N)
-    return xb + bht @ z
-
-
 def analysis_precision_form_batched(
     backgrounds,
     h_operators,

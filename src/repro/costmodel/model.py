@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from repro.util.validation import check_divides, check_nonnegative, check_positive
 
 #: analysis-kernel names the comp term can price: ``"fanout"`` is the
-#: per-piece local analysis (serial/thread/process strategies, priced by
+#: per-piece local analysis (serial/process strategies, priced by
 #: ``c``); ``"vectorized"`` is the batched stacked-bucket kernel (priced
 #: by ``c_vectorized``, calibrated separately because batching changes
 #: the per-point cost, not just the concurrency).

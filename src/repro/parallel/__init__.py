@@ -1,14 +1,15 @@
 """Parallel execution engine for the inline analysis filters.
 
-Three layers, composable and individually testable:
+Five modules, composable and individually testable:
 
 * :mod:`repro.parallel.shared` — zero-copy ``(n, N)`` ensembles in
   POSIX shared memory with an explicit create/close/unlink lifecycle;
 * :mod:`repro.parallel.geometry` — memoised cycle-invariant per-piece
   geometry (observation restriction, index arrays, Cholesky stencil);
 * :mod:`repro.parallel.executor` — the strategy-selected fan-out
-  (serial / thread / process / vectorized / auto) with the S-EnKF-style
-  prefetch pipeline preparing piece ``l+1`` while piece ``l`` computes;
+  (serial / process / vectorized / auto); the process loop submits
+  chunks as they are prepared, so piece ``l+1``'s geometry is resolved
+  while piece ``l`` computes (the S-EnKF helper-thread overlap);
 * :mod:`repro.parallel.vectorized` — the batched-kernel strategy:
   structurally equal pieces stacked into ``(B, ...)`` operands and
   solved in one batched linalg call per shape bucket (pad-or-split),
@@ -18,7 +19,7 @@ Three layers, composable and individually testable:
   makes the process strategy self-healing under crashed or wedged
   workers.
 
-The fan-out strategies (serial/thread/process) are bit-identical to the
+The per-piece strategies (serial/process) are bit-identical to the
 classic serial loop by construction: one numerical entry point
 (:func:`repro.parallel.worker.compute_piece`), randomness consumed
 before fan-out, disjoint interior writes.  The vectorized strategy

@@ -1,37 +1,39 @@
-"""The parallel analysis engine: strategy-selected fan-out with prefetch.
+"""The parallel analysis engine: strategy-selected fan-out.
 
 :class:`AnalysisExecutor` runs the per-piece local analyses of an
-:class:`AnalysisPlan` under one of four strategies:
+:class:`AnalysisPlan` under one of three strategies:
 
 ``serial``
     The in-process loop — exactly the classic engine, and the reference
-    every other strategy must match bit-for-bit.
-``thread``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`; wins
-    when the pieces are BLAS-dominated (the solves release the GIL).
+    every other strategy is checked against.
 ``process``
     A persistent :class:`~concurrent.futures.ProcessPoolExecutor` over
     shared-memory ensembles (:mod:`repro.parallel.shared`): workers map
     the background/observation/analysis arrays zero-copy, receive only
     piece descriptors + cached geometry, and write disjoint interior
     rows of the shared analysis array.
+``vectorized``
+    In-process batched kernels over structurally equal pieces
+    (:mod:`repro.parallel.vectorized`).
 ``auto``
-    Picks one of the above from the plan's size (see :meth:`resolve`).
+    Picks one of the above from the plan's shape (see :meth:`resolve`).
 
-Orthogonally, a *prefetch pipeline* (``prefetch_depth``) re-creates the
-paper's helper-thread overlap in-process: a feeder thread walks the plan
-in order, computing each upcoming piece's geometry — observation
-restriction, index arrays, modified-Cholesky stencil — through the
-:class:`~repro.parallel.geometry.GeometryCache` while the strategy
-computes the pieces already prepared.  With S-EnKF's layer-major piece
-order this is literally "stage ``l+1``'s restriction prepared while
-stage ``l`` computes".
+The paper's helper-thread overlap (Sec. 4.2) lives in the process
+strategy's *submit-as-prepared* loop: the parent resolves each piece's
+geometry — observation restriction, index arrays, modified-Cholesky
+stencil — through the :class:`~repro.parallel.geometry.GeometryCache`
+and submits a chunk the moment it fills, so workers compute chunk ``k``
+while the parent prepares chunk ``k+1``.  With S-EnKF's layer-major
+piece order this is "stage ``l+1``'s restriction prepared while stage
+``l`` computes".  The executor starts no Python thread of its own, so
+no thread of its making is alive when the pool forks its workers.
 
-Determinism: every strategy calls the same
+Determinism: serial and process call the same
 :func:`~repro.parallel.worker.compute_piece` on the same inputs, pieces
 own disjoint interior rows, and all randomness (observation
-perturbation) is consumed *before* the plan is built — so serial, thread
-and process results are bit-identical.
+perturbation) is consumed *before* the plan is built — so their results
+are bit-identical.  The vectorized strategy reorders BLAS reductions
+and is held to rtol 1e-10 instead.
 
 Supervision (``supervision=``): the process strategy can run under a
 :class:`~repro.parallel.supervise.SupervisionPolicy`, which arms it
@@ -44,7 +46,10 @@ exponential backoff; pieces that exhaust their
 is spent, the whole remaining plan — fall back to the in-process serial
 path.  Because recovery only ever *recomputes the same pieces on the
 same inputs*, a supervised analysis completes bit-identically to the
-serial reference whenever any single process can run it.
+serial reference whenever any single process can run it.  Without a
+policy the same loop runs with no deadline and no recovery budget: the
+first dead worker tears the pool down the same way and the
+``BrokenProcessPool`` propagates.
 """
 
 from __future__ import annotations
@@ -53,15 +58,9 @@ import itertools
 import math
 import os
 import pickle
-import queue
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
@@ -71,7 +70,7 @@ from repro.core.backend import ArrayBackend, get_backend
 from repro.parallel.geometry import GeometryCache, PieceGeometry
 from repro.parallel.shared import SharedEnsemble
 from repro.parallel.supervise import SupervisionPolicy, SupervisionStats
-from repro.parallel.vectorized import VectorizedPolicy, run_vectorized
+from repro.parallel.vectorized import run_vectorized
 from repro.parallel.worker import KIND_ENKF, KIND_ETKF, compute_piece, run_chunk
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.profiler import get_profiler
@@ -79,24 +78,20 @@ from repro.telemetry.tracer import get_tracer
 
 __all__ = ["AnalysisExecutor", "AnalysisPlan", "serial_executor"]
 
-STRATEGIES = ("auto", "serial", "thread", "process", "vectorized")
+STRATEGIES = ("auto", "serial", "process", "vectorized")
 
-#: how long the consumer waits for the geometry-prefetch feeder thread to
-#: stop before declaring it wedged (module-level so tests can shrink it)
-_FEEDER_JOIN_TIMEOUT = 5.0
+#: auto-strategy ceiling on the plan's total expansion points: below it
+#: pool dispatch + shared-memory setup cost more than fan-out wins back.
+_SERIAL_POINTS_CEILING = 8_192
 
-#: auto-strategy ceilings on the plan's total expansion points: below the
-#: first the pool dispatch overhead beats any win (stay serial); between
-#: them the BLAS-released GIL makes threads worthwhile; above the second
-#: the Python-level modified-Cholesky loops dominate and only processes
-#: buy real concurrency.
-_SERIAL_POINTS_CEILING = 2_048
-_THREAD_POINTS_CEILING = 8_192
+#: process-strategy load balance: pieces go out in ``workers x this``
+#: chunks so a straggler chunk cannot serialise the tail.
+_CHUNKS_PER_WORKER = 2
 
 #: auto-strategy thresholds for the vectorized (batched-kernel) path: it
 #: needs enough pieces for stacking to amortise, and small-enough mean
 #: expansions that per-piece Python/BLAS-dispatch overhead — not the
-#: solves themselves — dominates the fan-out strategies.  The win is
+#: solves themselves — dominates the fan-out strategy.  The win is
 #: core-count independent, so this check runs before the worker check.
 _VECTORIZED_MIN_PIECES = 16
 _VECTORIZED_MEAN_POINTS_CEILING = 512
@@ -127,7 +122,7 @@ class AnalysisPlan:
         return self.params.get("radius_km") if self.kind == KIND_ENKF else None
 
     def prepare(self, index: int) -> tuple[int, object, PieceGeometry]:
-        """Resolve one piece's geometry (cached); the prefetch unit."""
+        """Resolve one piece's geometry (cached)."""
         piece = self.pieces[index]
         tracer = get_tracer()
         if tracer.enabled:
@@ -149,23 +144,15 @@ class AnalysisExecutor:
     Parameters
     ----------
     strategy:
-        ``auto`` (default), ``serial``, ``thread`` or ``process``.
+        ``auto`` (default), ``serial``, ``process`` or ``vectorized``.
     workers:
         Pool width; ``None`` uses ``os.cpu_count()``.  Capped by the
         plan's piece count at run time.
-    prefetch_depth:
-        Bound on pieces prepared ahead of computation by the pipeline
-        thread; ``None`` disables the pipeline (geometry is then
-        resolved inline, still through the cache).
-    chunks_per_worker:
-        Process-strategy load-balance knob: pieces are submitted in
-        ``workers * chunks_per_worker`` chunks so a straggler chunk
-        cannot serialise the tail.
     supervision:
         A :class:`~repro.parallel.supervise.SupervisionPolicy` arming the
         process strategy against worker crashes and hangs (see module
-        docstring); ``None`` (default) keeps the unsupervised fast path,
-        where a dead worker aborts the analysis.
+        docstring); ``None`` (default) runs without deadline or recovery
+        budget, so a dead worker aborts the analysis.
     faults:
         Optional :class:`~repro.faults.schedule.FaultSchedule` whose
         *worker* knobs (``worker_crash_rate`` / ``worker_hang_rate``)
@@ -180,21 +167,15 @@ class AnalysisExecutor:
         the default resolution (``SENKF_BACKEND`` env var, else NumPy).
         Resolved lazily on the first vectorized run, so constructing an
         executor never imports an optional package.
-    bucket_policy:
-        :class:`~repro.parallel.vectorized.VectorizedPolicy` pad-or-split
-        knobs for the vectorized strategy's shape bucketer.
     """
 
     def __init__(
         self,
         strategy: str = "auto",
         workers: int | None = None,
-        prefetch_depth: int | None = 2,
-        chunks_per_worker: int = 2,
         supervision: SupervisionPolicy | None = None,
         faults=None,
         backend: str | ArrayBackend | None = None,
-        bucket_policy: VectorizedPolicy | None = None,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -202,29 +183,16 @@ class AnalysisExecutor:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if prefetch_depth is not None and prefetch_depth < 1:
-            raise ValueError(
-                f"prefetch_depth must be >= 1 or None, got {prefetch_depth}"
-            )
-        if chunks_per_worker < 1:
-            raise ValueError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
         self.strategy = strategy
         self.workers = workers
-        self.prefetch_depth = prefetch_depth
-        self.chunks_per_worker = int(chunks_per_worker)
         self.supervision = supervision
         self.faults = faults
         self.backend = backend
-        self.bucket_policy = bucket_policy
         self._backend_obj: ArrayBackend | None = (
             backend if isinstance(backend, ArrayBackend) else None
         )
         self.supervision_stats = SupervisionStats()
         self._lock = threading.Lock()
-        self._thread_pool: ThreadPoolExecutor | None = None
-        self._thread_pool_size = 0
         self._process_pool: ProcessPoolExecutor | None = None
         self._process_pool_size = 0
         self._call_counter = itertools.count()
@@ -254,8 +222,6 @@ class AnalysisExecutor:
             return "serial"
         if points < _SERIAL_POINTS_CEILING:
             return "serial"
-        if points < _THREAD_POINTS_CEILING:
-            return "thread"
         return "process"
 
     def _resolve_backend(self) -> ArrayBackend:
@@ -273,162 +239,47 @@ class AnalysisExecutor:
             raise ValueError("executor is closed")
         strategy = self.resolve(plan)
         n_pieces = len(plan.pieces)
-        workers = self.effective_workers(n_pieces)
+        workers = self.effective_workers(n_pieces) if strategy == "process" else 1
         tracer = get_tracer()
         with tracer.span(
             "parallel.run",
             category="parallel",
             strategy=strategy,
             n_pieces=n_pieces,
-            workers=workers if strategy != "serial" else 1,
+            workers=workers,
         ):
             if strategy == "serial":
-                self._run_serial(plan)
-            elif strategy == "thread":
-                self._run_thread(plan, workers)
+                for i in range(n_pieces):
+                    self._compute_into(plan, plan.prepare(i), plan.out)
             elif strategy == "vectorized":
-                self._run_vectorized(plan)
+                # No workers to crash: supervision and a fault schedule's
+                # worker knobs are inert under this strategy.
+                run_vectorized(plan, backend=self._resolve_backend())
             else:
                 self._run_process(plan, workers)
         if tracer.enabled:
             metrics = get_metrics()
             metrics.counter("parallel.runs").inc()
             metrics.counter("parallel.pieces").inc(n_pieces)
-            metrics.gauge("parallel.workers").set(
-                workers if strategy not in ("serial", "vectorized") else 1
-            )
+            metrics.gauge("parallel.workers").set(workers)
             if plan.cache is not None:
                 metrics.gauge("geometry.cache_bytes").set(
                     float(plan.cache.nbytes())
                 )
         return n_pieces
 
-    # -- prepared-piece pipeline ----------------------------------------------
-    def _iter_prepared(self, plan: AnalysisPlan):
-        """Yield prepared pieces in plan order, prefetched when configured."""
-        n = len(plan.pieces)
-        if self.prefetch_depth is None or n <= 1:
-            for i in range(n):
-                yield plan.prepare(i)
-            return
-        out: queue.Queue = queue.Queue(maxsize=self.prefetch_depth)
-        stop = threading.Event()
-        sentinel = object()
-        failure: list[BaseException] = []
-
-        def put_until_stopped(item) -> None:
-            # A plain blocking put could deadlock against a consumer that
-            # aborted with the queue full; poll the stop flag instead.
-            while not stop.is_set():
-                try:
-                    out.put(item, timeout=0.05)
-                    return
-                except queue.Full:
-                    continue
-
-        def feeder() -> None:
-            try:
-                for i in range(n):
-                    if stop.is_set():
-                        return
-                    put_until_stopped(plan.prepare(i))
-            except BaseException as exc:  # surfaced to the consumer
-                failure.append(exc)
-            finally:
-                put_until_stopped(sentinel)
-
-        thread = threading.Thread(
-            target=feeder, name="geometry-prefetch", daemon=True
-        )
-        thread.start()
-        try:
-            while True:
-                item = out.get()
-                if item is sentinel:
-                    break
-                yield item
-            if failure:
-                raise failure[0]
-        finally:
-            stop.set()
-            while True:
-                try:
-                    out.get_nowait()
-                except queue.Empty:
-                    break
-            thread.join(timeout=_FEEDER_JOIN_TIMEOUT)
-            if thread.is_alive():
-                # The feeder ignored the stop flag — plan.prepare is
-                # wedged (a hung geometry resolution).  Silently leaking
-                # the thread here means an unexplained hang at interpreter
-                # exit or the *next* run; fail loudly instead.
-                self.supervision_stats.feeder_stuck += 1
-                get_metrics().counter("parallel.feeder_stuck").inc()
-                raise RuntimeError(
-                    "geometry prefetch feeder failed to stop within "
-                    f"{_FEEDER_JOIN_TIMEOUT}s; a plan.prepare call is "
-                    "wedged (hung geometry resolution) and the thread "
-                    "would leak"
-                )
-
-    # -- serial ----------------------------------------------------------------
-    def _compute_one(self, plan: AnalysisPlan, prepared) -> None:
+    @staticmethod
+    def _compute_into(plan: AnalysisPlan, prepared, out) -> None:
+        """One piece analysed in-process into ``out``: the serial loop's
+        body and the supervised fallback (same inputs, same rows)."""
         index, piece, geometry = prepared
-        xb = plan.states[geometry.expansion_flat]
-        result = compute_piece(
-            plan.kind, piece, xb, plan.obs, geometry, plan.params
-        )
-        plan.out[geometry.interior_flat] = result
-
-    def _compute_one_traced(self, plan: AnalysisPlan, prepared) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "parallel.local_analysis", category="parallel",
-                piece=prepared[0],
-            ):
-                self._compute_one(plan, prepared)
-        else:
-            self._compute_one(plan, prepared)
-
-    def _run_serial(self, plan: AnalysisPlan) -> None:
-        for prepared in self._iter_prepared(plan):
-            self._compute_one_traced(plan, prepared)
-
-    # -- vectorized (batched kernels) ------------------------------------------
-    def _run_vectorized(self, plan: AnalysisPlan) -> None:
-        """In-process batched execution; see :mod:`repro.parallel.vectorized`.
-
-        Supervision and worker-fault injection do not apply (there are
-        no workers to crash); a fault schedule's worker knobs are simply
-        inert under this strategy.
-        """
-        run_vectorized(
-            plan,
-            policy=self.bucket_policy,
-            backend=self._resolve_backend(),
-        )
-
-    # -- thread pool -----------------------------------------------------------
-    def _ensure_thread_pool(self, workers: int) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._thread_pool is None or self._thread_pool_size < workers:
-                if self._thread_pool is not None:
-                    self._thread_pool.shutdown(wait=True)
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="analysis-worker"
-                )
-                self._thread_pool_size = workers
-            return self._thread_pool
-
-    def _run_thread(self, plan: AnalysisPlan, workers: int) -> None:
-        pool = self._ensure_thread_pool(workers)
-        futures = [
-            pool.submit(self._compute_one_traced, plan, prepared)
-            for prepared in self._iter_prepared(plan)
-        ]
-        for future in futures:
-            future.result()
+        with get_tracer().span(
+            "parallel.local_analysis", category="parallel", piece=index
+        ):
+            out[geometry.interior_flat] = compute_piece(
+                plan.kind, piece, plan.states[geometry.expansion_flat],
+                plan.obs, geometry, plan.params,
+            )
 
     # -- process pool ----------------------------------------------------------
     def _ensure_process_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -439,6 +290,27 @@ class AnalysisExecutor:
                 self._process_pool = ProcessPoolExecutor(max_workers=workers)
                 self._process_pool_size = workers
             return self._process_pool
+
+    def _teardown_process_pool(self, kill: bool = False) -> None:
+        """Drop the persistent pool; ``kill`` SIGKILLs its workers first.
+
+        ``shutdown(wait=True)`` on a pool with a hung worker would block
+        forever, so every failure path kills the worker processes before
+        joining — the management thread then observes the deaths, marks
+        the pool broken and exits promptly.
+        """
+        with self._lock:
+            pool, self._process_pool = self._process_pool, None
+            self._process_pool_size = 0
+        if pool is None:
+            return
+        if kill:
+            for proc in list((getattr(pool, "_processes", None) or {}).values()):
+                try:
+                    proc.kill()
+                except Exception:  # already dead / not a Process
+                    pass
+        pool.shutdown(wait=True, cancel_futures=True)
 
     def _worker_faults_dict(self) -> dict | None:
         """The serialized schedule shipped to workers, or None when clean."""
@@ -471,176 +343,101 @@ class AnalysisExecutor:
         )
 
     def _run_process(self, plan: AnalysisPlan, workers: int) -> None:
-        if self.supervision is not None:
-            self._run_process_supervised(plan, workers)
-            return
-        pool = self._ensure_process_pool(workers)
-        token = (id(self), next(self._call_counter))
-        n = len(plan.pieces)
-        chunk_size = max(1, math.ceil(n / (workers * self.chunks_per_worker)))
-        tracer = get_tracer()
-        shm_states = SharedEnsemble.from_array(plan.states)
-        shm_obs = SharedEnsemble.from_array(plan.obs)
-        shm_out = SharedEnsemble.create(plan.out.shape)
-        futures = []
-        try:
-            ctx_bytes = self._ctx_bytes(plan, shm_states, shm_obs, shm_out, tracer)
-            # Prepare inline on this thread, submitting each chunk as it
-            # fills: workers compute chunk k while the parent prepares
-            # chunk k+1 — the same prepare/compute overlap the prefetch
-            # thread gives the other strategies, but with no extra Python
-            # thread alive while the pool forks its workers (forking a
-            # process whose threads are mid-BLAS can deadlock the child).
-            chunk: list = []
-            for i in range(n):
-                chunk.append(plan.prepare(i))
-                if len(chunk) >= chunk_size:
-                    futures.append(pool.submit(run_chunk, token, ctx_bytes, chunk))
-                    chunk = []
-            if chunk:
-                futures.append(pool.submit(run_chunk, token, ctx_bytes, chunk))
-            for future in futures:
-                pid, spans, samples = future.result()
-                self._merge_worker_spans(tracer, pid, spans)
-                self._merge_worker_profile(pid, samples)
-            np.copyto(plan.out, shm_out.array)
-            if tracer.enabled:
-                get_metrics().counter("parallel.chunks").inc(len(futures))
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            with self._lock:
-                if self._process_pool is pool:
-                    self._process_pool = None
-                    self._process_pool_size = 0
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-        finally:
-            shm_states.dispose()
-            shm_obs.dispose()
-            shm_out.dispose()
+        """Process fan-out in rounds; survives worker failures when supervised.
 
-    # -- supervised process pool ----------------------------------------------
-    def _teardown_process_pool(self, kill: bool = False) -> None:
-        """Drop the persistent pool; ``kill`` SIGKILLs wedged workers first.
-
-        ``shutdown(wait=True)`` on a pool with a hung worker would block
-        forever, so the supervisor kills the worker processes before
-        joining — the management thread then observes the deaths, marks
-        the pool broken and exits promptly.
-        """
-        with self._lock:
-            pool, self._process_pool = self._process_pool, None
-            self._process_pool_size = 0
-        if pool is None:
-            return
-        if kill:
-            for proc in list((getattr(pool, "_processes", None) or {}).values()):
-                try:
-                    proc.kill()
-                except Exception:  # already dead / not a Process
-                    pass
-        pool.shutdown(wait=True, cancel_futures=True)
-
-    def _compute_serial_into(self, plan: AnalysisPlan, prepared, out) -> None:
-        """The per-piece serial fallback: same inputs, same rows, any array."""
-        index, piece, geometry = prepared
-        xb = plan.states[geometry.expansion_flat]
-        result = compute_piece(
-            plan.kind, piece, xb, plan.obs, geometry, plan.params
-        )
-        out[geometry.interior_flat] = result
-
-    def _run_process_supervised(self, plan: AnalysisPlan, workers: int) -> None:
-        """Process fan-out that survives crashed and wedged workers.
-
-        Round-based: submit every unfinished piece, wait under a
-        deadline, harvest completions.  A ``BrokenProcessPool`` or a
-        blown deadline fails the round — the pool is torn down (hung
-        workers killed) and respawned within ``max_respawns``, unfinished
-        pieces are resubmitted with their attempt count bumped (which
-        re-keys the fault-injection draws), and pieces that exhaust the
-        retry policy — or every piece, once the respawn budget is spent —
-        are recovered on the in-process serial path.  All recovery paths
-        recompute identical inputs into identical rows, so the result is
-        bit-identical to the serial reference.
+        Each round submits every unfinished piece in chunks and harvests
+        completions.  Round one prepares as it submits — workers compute
+        chunk ``k`` while the parent resolves chunk ``k+1``'s geometry —
+        and later rounds resubmit from the prepared list.  Under a
+        :class:`~repro.parallel.supervise.SupervisionPolicy` a
+        ``BrokenProcessPool`` or a blown deadline fails the round: the
+        pool is torn down (workers killed) and respawned within
+        ``max_respawns``, unfinished pieces are resubmitted with their
+        attempt count bumped (which re-keys the fault-injection draws),
+        and pieces that exhaust the retry policy — or every piece, once
+        the respawn budget is spent — are recovered on the in-process
+        serial path.  All recovery paths recompute identical inputs into
+        identical rows, so the result is bit-identical to the serial
+        reference.  Unsupervised, rounds have no deadline and the first
+        ``BrokenProcessPool`` tears the pool down and propagates.
         """
         policy = self.supervision
-        stats = self.supervision_stats
-        metrics = get_metrics()
         tracer = get_tracer()
         n = len(plan.pieces)
-        chunk_size = max(1, math.ceil(n / (workers * self.chunks_per_worker)))
-        # Prepare everything up front (cached geometry): retry rounds may
-        # resubmit any subset, and the prepare/compute overlap matters
-        # less than recovery simplicity on the supervised path.
-        prepared = [plan.prepare(i) for i in range(n)]
+        chunk_size = max(1, math.ceil(n / (workers * _CHUNKS_PER_WORKER)))
         shm_states = SharedEnsemble.from_array(plan.states)
         shm_obs = SharedEnsemble.from_array(plan.obs)
         shm_out = SharedEnsemble.create(plan.out.shape)
         try:
             ctx_bytes = self._ctx_bytes(plan, shm_states, shm_obs, shm_out, tracer)
+            prepared: list = []
             pending = set(range(n))
             attempts = [0] * n
-            respawns_left = policy.max_respawns
+            respawns_left = policy.max_respawns if policy is not None else 0
             piece_seconds: float | None = None  # observed EWMA, overestimate
-            futures: dict = {}
+            n_chunks = 0
             while pending:
                 pool = self._ensure_process_pool(workers)
                 token = (id(self), next(self._call_counter))
                 order = sorted(pending)
                 round_t0 = time.perf_counter()
-                futures: dict = {}
-                for start in range(0, len(order), chunk_size):
-                    idx = order[start:start + chunk_size]
-                    futures[pool.submit(
-                        run_chunk, token, ctx_bytes,
-                        [prepared[i] for i in idx], attempts[idx[0]],
-                    )] = idx
-                deadline = policy.deadline.deadline(len(order), piece_seconds)
-                end_by = round_t0 + deadline
+                remaining: dict = {}
                 failure: str | None = None
-                remaining = dict(futures)
-                while remaining and failure is None:
-                    timeout = end_by - time.perf_counter()
-                    if timeout <= 0.0:
-                        failure = "deadline"
-                        break
-                    done, _ = wait(
-                        list(remaining), timeout=timeout,
-                        return_when=FIRST_COMPLETED,
+                try:
+                    for start in range(0, len(order), chunk_size):
+                        idx = order[start:start + chunk_size]
+                        while len(prepared) <= idx[-1]:
+                            prepared.append(plan.prepare(len(prepared)))
+                        remaining[pool.submit(
+                            run_chunk, token, ctx_bytes,
+                            [prepared[i] for i in idx], attempts[idx[0]],
+                        )] = idx
+                    n_chunks += len(remaining)
+                    # The deadline clock starts once the round is fully
+                    # submitted: round one's parent-side geometry
+                    # preparation is not the workers' time to lose.
+                    end_by = None if policy is None else (
+                        time.perf_counter()
+                        + policy.deadline.deadline(len(order), piece_seconds)
                     )
-                    if not done:
-                        failure = "deadline"
-                        break
-                    for future in done:
-                        idx = remaining.pop(future)
-                        try:
-                            pid, spans, samples = future.result()
-                        except BrokenProcessPool:
-                            failure = "crash"
+                    while remaining:
+                        done, _ = wait(
+                            list(remaining),
+                            timeout=None if end_by is None else max(
+                                0.0, end_by - time.perf_counter()
+                            ),
+                            return_when=FIRST_COMPLETED,
+                        )
+                        if not done:
+                            failure = "deadline"
                             break
-                        self._merge_worker_spans(tracer, pid, spans)
-                        self._merge_worker_profile(pid, samples)
-                        pending.difference_update(idx)
-                        observed = (
-                            (time.perf_counter() - round_t0) / len(idx)
-                        )
-                        piece_seconds = (
-                            observed if piece_seconds is None
-                            else 0.5 * (piece_seconds + observed)
-                        )
-                if failure is None:
-                    break  # every piece confirmed done
-                self._recover_round(
-                    plan, prepared, shm_out.array, pending, attempts,
-                    failure, respawns_left, policy, stats, metrics, tracer,
-                )
-                if pending:  # a fresh pool will serve the next round
-                    respawns_left -= 1
+                        for future in done:
+                            pid, spans, samples = future.result()
+                            idx = remaining.pop(future)
+                            self._merge_worker_spans(tracer, pid, spans)
+                            self._merge_worker_profile(pid, samples)
+                            pending.difference_update(idx)
+                            observed = (
+                                (time.perf_counter() - round_t0) / len(idx)
+                            )
+                            piece_seconds = (
+                                observed if piece_seconds is None
+                                else 0.5 * (piece_seconds + observed)
+                            )
+                except BrokenProcessPool:
+                    if policy is None:
+                        raise
+                    failure = "crash"
+                if failure is not None:
+                    self._recover_round(
+                        plan, shm_out.array, pending, attempts,
+                        failure, respawns_left,
+                    )
+                    if pending:  # a fresh pool will serve the next round
+                        respawns_left -= 1
             np.copyto(plan.out, shm_out.array)
             if tracer.enabled:
-                metrics.counter("parallel.chunks").inc(len(futures))
+                get_metrics().counter("parallel.chunks").inc(n_chunks)
         except BaseException:
             self._teardown_process_pool(kill=True)
             raise
@@ -650,8 +447,7 @@ class AnalysisExecutor:
             shm_out.dispose()
 
     def _recover_round(
-        self, plan, prepared, out, pending, attempts,
-        failure, respawns_left, policy, stats, metrics, tracer,
+        self, plan, out, pending, attempts, failure, respawns_left,
     ) -> None:
         """One failed round's recovery: teardown, triage, serial fallback.
 
@@ -659,8 +455,11 @@ class AnalysisExecutor:
         serially are computed into ``out`` immediately and removed from
         ``pending``.
         """
+        policy = self.supervision
+        stats = self.supervision_stats
+        metrics = get_metrics()
         recovery_t0 = time.perf_counter()
-        with tracer.span(
+        with get_tracer().span(
             "parallel.recovery", category="recovery",
             cause=failure, n_pending=len(pending),
         ):
@@ -699,7 +498,9 @@ class AnalysisExecutor:
                 if backoff > 0.0:
                     time.sleep(backoff)
             for i in exhausted:
-                self._compute_serial_into(plan, prepared[i], out)
+                # A round-one failure can land before piece i was ever
+                # prepared; the cache makes asking again free otherwise.
+                self._compute_into(plan, plan.prepare(i), out)
                 pending.discard(i)
             if exhausted:
                 stats.serial_fallback_pieces += len(exhausted)
@@ -740,17 +541,9 @@ class AnalysisExecutor:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the persistent pools (idempotent)."""
+        """Shut down the persistent pool (idempotent)."""
         self._closed = True
-        with self._lock:
-            if self._thread_pool is not None:
-                self._thread_pool.shutdown(wait=True)
-                self._thread_pool = None
-                self._thread_pool_size = 0
-            if self._process_pool is not None:
-                self._process_pool.shutdown(wait=True)
-                self._process_pool = None
-                self._process_pool_size = 0
+        self._teardown_process_pool()
 
     def __enter__(self) -> "AnalysisExecutor":
         return self
@@ -767,7 +560,5 @@ def serial_executor() -> AnalysisExecutor:
     """The shared pool-free executor backing the filters' default path."""
     global _serial_singleton
     if _serial_singleton is None:
-        _serial_singleton = AnalysisExecutor(
-            strategy="serial", prefetch_depth=None
-        )
+        _serial_singleton = AnalysisExecutor(strategy="serial")
     return _serial_singleton

@@ -25,7 +25,8 @@ keyed *by object identity* (they are frozen dataclasses — treat them as
 immutable); pieces are keyed *structurally* (S-EnKF rebuilds equal layer
 sub-domains every call and must still hit).  A new network/grid object
 starts a fresh key family; ``clear()`` empties the cache; ``maxsize``
-bounds the entry count with oldest-first eviction.
+bounds the entry count with oldest-first eviction, and a network/grid
+stays referenced only as long as an entry keyed on it does.
 """
 
 from __future__ import annotations
@@ -176,22 +177,13 @@ class GeometryCache:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, PieceGeometry] = OrderedDict()
-        #: id() -> (token, strong ref) — the ref pins the object so its id
-        #: cannot be recycled while the cache holds entries keyed on it
-        self._tokens: dict[int, tuple[int, object]] = {}
-        self._next_token = 0
+        #: key -> (geometry, (network, grid)).  Keys carry the network's
+        #: and grid's ``id()``; each entry pins its own two objects, so an
+        #: id cannot be recycled while an entry is keyed on it and the
+        #: pin goes when the last such entry is evicted.
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
 
     # -- keys ------------------------------------------------------------------
-    def _token(self, obj: object) -> int:
-        key = id(obj)
-        entry = self._tokens.get(key)
-        if entry is None or entry[1] is not obj:
-            entry = (self._next_token, obj)
-            self._next_token += 1
-            self._tokens[key] = entry
-        return entry[0]
-
     @staticmethod
     def _piece_key(piece: SubDomain) -> tuple:
         return (
@@ -212,30 +204,40 @@ class GeometryCache:
         path, which has no precision estimate).
         """
         key = (
-            self._token(network),
-            self._token(piece.grid),
+            id(network),
+            id(piece.grid),
             self._piece_key(piece),
             float(radius_km) if radius_km is not None else None,
         )
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
+        cached = self._lookup(key)
         if cached is not None:
-            if get_tracer().enabled:
-                get_metrics().counter("geometry.cache_hits").inc()
             return cached, True
         geometry = self._build(network, piece, radius_km)
+        self._store(key, geometry, (network, piece.grid))
+        return geometry, False
+
+    def _lookup(self, key: tuple):
+        """The entry under ``key`` (counted as a hit), or ``None``."""
+        with self._lock:
+            cached = self._entries.get(key)
+            if cached is None:
+                return None
+            self.hits += 1
+            self._entries.move_to_end(key)
+        if get_tracer().enabled:
+            get_metrics().counter("geometry.cache_hits").inc()
+        return cached[0]
+
+    def _store(self, key: tuple, entry, pins: tuple) -> None:
+        """Insert a freshly built entry (a miss), evicting oldest-first."""
         with self._lock:
             self.misses += 1
-            self._entries[key] = geometry
+            self._entries[key] = (entry, pins)
             if self.maxsize is not None:
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
         if get_tracer().enabled:
             get_metrics().counter("geometry.cache_misses").inc()
-        return geometry, False
 
     def local_geometry(
         self, network, piece: SubDomain, radius_km: float | None = None
@@ -307,21 +309,16 @@ class GeometryCache:
                 raise ValueError(
                     "bucketed pieces must share structural signatures"
                 )
+        grid = items[0][1].grid
         key = (
             "bucket",
-            self._token(network),
-            self._token(items[0][1].grid),
+            id(network),
+            id(grid),
             tuple(self._piece_key(piece) for _, piece, _ in items),
             float(radius_km) if radius_km is not None else None,
         )
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
+        cached = self._lookup(key)
         if cached is not None:
-            if get_tracer().enabled:
-                get_metrics().counter("geometry.cache_hits").inc()
             # plan indices are call-specific; rebind them on the hit
             if cached.plan_indices != tuple(i for i, _, _ in items):
                 from dataclasses import replace
@@ -331,14 +328,7 @@ class GeometryCache:
                 )
             return cached, True
         bucket = self._build_bucket(items)
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = bucket
-            if self.maxsize is not None:
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-        if get_tracer().enabled:
-            get_metrics().counter("geometry.cache_misses").inc()
+        self._store(key, bucket, (network, grid))
         return bucket, False
 
     @staticmethod
@@ -395,7 +385,7 @@ class GeometryCache:
         are noise next to the arrays.
         """
         with self._lock:
-            entries = list(self._entries.values())
+            entries = [entry for entry, _ in self._entries.values()]
         return sum(_geometry_nbytes(entry) for entry in entries)
 
     @property
@@ -410,9 +400,8 @@ class GeometryCache:
         return stats
 
     def clear(self) -> None:
-        """Drop every entry (and the object pins backing the keys)."""
+        """Drop every entry (and with them the pinned networks/grids)."""
         with self._lock:
             self._entries.clear()
-            self._tokens.clear()
             self.hits = 0
             self.misses = 0

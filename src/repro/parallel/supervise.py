@@ -136,14 +136,12 @@ class SupervisionStats:
     pool_respawns: int = 0
     serial_fallback_pieces: int = 0
     plan_degrades: int = 0
-    feeder_stuck: int = 0
     recovery_seconds: float = 0.0
 
     def reset(self) -> None:
         for name in (
             "worker_crashes", "deadline_hits", "piece_retries",
             "pool_respawns", "serial_fallback_pieces", "plan_degrades",
-            "feeder_stuck",
         ):
             setattr(self, name, 0)
         self.recovery_seconds = 0.0
@@ -156,7 +154,6 @@ class SupervisionStats:
             "pool_respawns": self.pool_respawns,
             "serial_fallback_pieces": self.serial_fallback_pieces,
             "plan_degrades": self.plan_degrades,
-            "feeder_stuck": self.feeder_stuck,
             "recovery_seconds": self.recovery_seconds,
         }
 
@@ -172,7 +169,6 @@ SUPERVISION_COUNTERS = (
     "parallel.pool_respawn",
     "parallel.serial_fallback",
     "parallel.degraded_serial",
-    "parallel.feeder_stuck",
     "supervise.restart",
 )
 

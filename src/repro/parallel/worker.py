@@ -1,7 +1,7 @@
 """Pure piece-level compute functions + the process-pool entry point.
 
-Every execution strategy — the in-process serial loop, the thread pool
-and the process pool — funnels through :func:`compute_piece`, so the
+Both per-piece execution strategies — the in-process serial loop and
+the process pool — funnel through :func:`compute_piece`, so the
 numerics are *one* code path and the bit-identical guarantee of the
 parallel engine reduces to "same inputs, same function".
 

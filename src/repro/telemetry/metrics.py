@@ -294,8 +294,7 @@ def use_thread_metrics(
     accounting to its worker thread; it wins over the global in
     :func:`get_metrics` and nests (the previous override is restored on
     exit).  ``None`` is a no-op pass-through to whatever was ambient.
-    Threads the job spawns itself (e.g. a thread-strategy executor pool)
-    do not inherit the override and fall through to the global registry.
+    Threads the job spawns itself do not inherit the override and fall through to the global registry.
     """
     if registry is None:
         yield get_metrics()

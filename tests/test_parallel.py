@@ -1,7 +1,7 @@
 """Tests for the parallel analysis engine (:mod:`repro.parallel`).
 
-The load-bearing guarantee is *bit-identity*: every execution strategy —
-serial loop, thread pool, process pool over shared memory — must produce
+The load-bearing guarantee is *bit-identity*: both per-piece execution
+strategies — serial loop, process pool over shared memory — must produce
 byte-for-byte the same analysis as the classic serial engine, for every
 filter kind (DistributedEnKF, layered S-EnKF, LETKF), including the
 degenerate configurations (one worker, more workers than pieces,
@@ -11,13 +11,20 @@ campaign must never re-derive cycle-invariant geometry), and the
 telemetry flow from pool workers back into the parent tracer.
 """
 
+import gc
 import pickle
+import time
+import weakref
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import Decomposition, Grid, ObservationNetwork
 from repro.core.domain import SubDomain
+from repro.faults import FaultSchedule
 from repro.filters import LETKF, SEnKF
 from repro.filters.distributed import DistributedEnKF
 from repro.models import correlated_ensemble
@@ -28,11 +35,17 @@ from repro.parallel import (
     KIND_ENKF,
     SharedArraySpec,
     SharedEnsemble,
+    SupervisionPolicy,
     attach_array,
 )
+from repro.parallel.executor import STRATEGIES
 from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.telemetry.memprof import shared_segment_registry
 
-STRATEGIES = ("serial", "thread", "process")
+#: the strategies held to bit-identity with the classic serial engine
+#: (``auto`` only picks among the others; ``vectorized`` is held to
+#: rtol 1e-10 in tests/test_vectorized.py)
+BIT_IDENTICAL = tuple(s for s in STRATEGIES if s not in ("auto", "vectorized"))
 
 
 def problem(n_x=16, n_y=8, n_members=12, m=40, seed=0):
@@ -45,6 +58,28 @@ def problem(n_x=16, n_y=8, n_members=12, m=40, seed=0):
     net = ObservationNetwork.random(grid, m=m, obs_error_std=0.3, rng=rng)
     y = net.observe(truth, rng=rng)
     return grid, truth, states, net, y
+
+
+def enkf_plan(n_sdx=2, n_sdy=2, xi=1, eta=1):
+    """A small real EnKF plan over ``n_sdx x n_sdy`` sub-domains."""
+    grid, truth, states, net, y = problem()
+    decomp = Decomposition(grid, n_sdx=n_sdx, n_sdy=n_sdy, xi=xi, eta=eta)
+    return AnalysisPlan(
+        kind=KIND_ENKF, pieces=list(decomp), states=states,
+        obs=np.repeat(y[:, None], states.shape[1], axis=1),
+        out=np.zeros_like(states), network=net,
+        params={"radius_km": 2.0, "ridge": 1e-8, "sparse_solver": False},
+    )
+
+
+def shape_only_plan(n_pieces, points_per_piece):
+    """A plan carrying only what ``resolve()`` reads: kind, piece count
+    and expansion sizes."""
+    pieces = [SimpleNamespace(exp_size=points_per_piece)] * n_pieces
+    return AnalysisPlan(
+        kind=KIND_ENKF, pieces=pieces, states=None, obs=None, out=None,
+        network=None, params={},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +177,30 @@ class TestGeometryCache:
         assert len(cache) == 2
         assert not cache.get(net, pieces[0], radius_km=2.0)[1]  # evicted
 
+    def test_eviction_unpins_the_network(self):
+        """A bounded cache fed a new network per cycle must not keep every
+        network it ever saw alive: the pin goes with the last entry."""
+        decomp, net = self._setup()
+        cache = GeometryCache(maxsize=4)
+        pieces = list(decomp)[:2]
+        refs = []
+        for seed in range(50):
+            throwaway = ObservationNetwork.random(
+                decomp.grid, m=10, rng=np.random.default_rng(seed)
+            )
+            refs.append(weakref.ref(throwaway))
+            items = [
+                (i, sd, cache.get(throwaway, sd, radius_km=2.0)[0])
+                for i, sd in enumerate(pieces)
+            ]
+            cache.get_bucket(throwaway, items[:1], radius_km=2.0)
+            del throwaway, items
+        gc.collect()
+        assert len(cache) == 4
+        alive = [r for r in refs if r() is not None]
+        assert len(alive) <= 4  # at most one pinned network per entry
+        assert refs[0]() is None  # long evicted: collectable
+
     def test_geometry_matches_direct_derivation(self):
         decomp, net = self._setup()
         sd = next(iter(decomp))
@@ -201,36 +260,37 @@ class TestExecutorConfig:
             AnalysisExecutor(strategy="gpu")
         with pytest.raises(ValueError):
             AnalysisExecutor(workers=0)
-        with pytest.raises(ValueError):
-            AnalysisExecutor(prefetch_depth=0)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            AnalysisExecutor(strategy="thread")  # deleted, no alias
 
     def test_closed_executor_refuses_work(self):
         ex = AnalysisExecutor(strategy="serial")
         ex.close()
-        grid, truth, states, net, y = problem()
-        decomp = Decomposition(grid, n_sdx=2, n_sdy=2, xi=1, eta=1)
-        plan = AnalysisPlan(
-            kind=KIND_ENKF, pieces=list(decomp), states=states,
-            obs=np.zeros((net.m, states.shape[1])), out=np.empty_like(states),
-            network=net, params={"radius_km": 2.0, "ridge": 1e-8,
-                                 "sparse_solver": False},
-        )
         with pytest.raises(ValueError):
-            ex.run(plan)
+            ex.run(enkf_plan())
 
     def test_auto_resolves_serial_for_tiny_plans(self):
-        grid, truth, states, net, y = problem()
-        decomp = Decomposition(grid, n_sdx=2, n_sdy=2, xi=1, eta=1)
-        plan = AnalysisPlan(
-            kind=KIND_ENKF, pieces=list(decomp), states=states,
-            obs=np.zeros((net.m, states.shape[1])), out=np.empty_like(states),
-            network=net, params={"radius_km": 2.0, "ridge": 1e-8,
-                                 "sparse_solver": False},
-        )
+        plan = enkf_plan()
         with AnalysisExecutor(strategy="auto", workers=4) as ex:
             assert ex.resolve(plan) == "serial"
         with AnalysisExecutor(strategy="auto", workers=1) as ex:
             assert ex.resolve(plan) == "serial"
+
+    @pytest.mark.parametrize("n_pieces,points,expected", [
+        (256, 120, "vectorized"),  # small_pieces_static
+        (16, 880, "process"),      # large_pieces_moving
+        (200, 1156, "process"),    # io_bar / io_block
+        (4, 1000, "serial"),       # the deleted thread band (2 048-8 192)
+        (4, 2048, "process"),      # first plan at the serial ceiling
+    ])
+    def test_auto_pinned_on_the_benchmark_plan_shapes(
+        self, n_pieces, points, expected
+    ):
+        """What ``auto`` picks on BENCHMARK.json's four workloads with
+        two workers.  A PR that retunes ``resolve()`` must change this
+        table on purpose."""
+        with AnalysisExecutor(strategy="auto", workers=2) as ex:
+            assert ex.resolve(shape_only_plan(n_pieces, points)) == expected
 
     def test_effective_workers_capped_by_pieces(self):
         ex = AnalysisExecutor(workers=16)
@@ -262,7 +322,7 @@ def _enkf_pair(executor):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", BIT_IDENTICAL)
     def test_distributed_enkf(self, strategy):
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
@@ -272,7 +332,7 @@ class TestBitIdentity:
             out = parallel.assimilate(decomp, states, net, y, rng=7)
         assert np.array_equal(ref, out)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", BIT_IDENTICAL)
     def test_senkf_layered(self, strategy):
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=1, eta=1)
@@ -284,7 +344,7 @@ class TestBitIdentity:
             out = parallel.assimilate(decomp, states, net, y, rng=5)
         assert np.array_equal(ref, out)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", BIT_IDENTICAL)
     def test_letkf(self, strategy):
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
@@ -391,6 +451,69 @@ class TestBitIdentity:
             inflation=1.05 * result.compensation,
         )
         assert np.array_equal(analysed, expected)
+
+
+# ---------------------------------------------------------------------------
+# The process round loop
+# ---------------------------------------------------------------------------
+class TestProcessLoop:
+    @pytest.mark.parametrize(
+        "policy", [None, SupervisionPolicy()],
+        ids=["unsupervised", "supervised"],
+    )
+    def test_round_one_submits_as_prepared(self, monkeypatch, policy):
+        """Chunk k goes to the pool before chunk k+1's geometry is
+        resolved — the prepare/compute overlap — with or without
+        supervision."""
+        plan = enkf_plan(n_sdx=4, n_sdy=2)
+        prepared_at_submit = []
+        n_prepared = 0
+        real_prepare = AnalysisPlan.prepare
+        real_submit = ProcessPoolExecutor.submit
+
+        def counting_prepare(self, index):
+            nonlocal n_prepared
+            n_prepared += 1
+            return real_prepare(self, index)
+
+        def recording_submit(self, fn, *args, **kwargs):
+            prepared_at_submit.append(n_prepared)
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisPlan, "prepare", counting_prepare)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        with AnalysisExecutor(
+            strategy="process", workers=2, supervision=policy
+        ) as ex:
+            ex.run(plan)
+        # 8 pieces, 2 workers x 2 chunks: four chunks of two pieces.
+        assert prepared_at_submit == [2, 4, 6, 8]
+        assert n_prepared == len(plan.pieces)
+
+    def test_unsupervised_crash_raises_promptly_and_pool_recovers(self):
+        """No supervision: a dead worker raises BrokenProcessPool within
+        seconds (workers are killed before the pool is joined), leaves no
+        shared segment behind, and the executor serves the next run."""
+        grid, truth, states, net, y = problem()
+        decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
+        ref = DistributedEnKF(radius_km=2.0, inflation=1.05).assimilate(
+            decomp, states, net, y, rng=13
+        )
+        registry = shared_segment_registry()
+        live_before = set(registry.live_segments())
+        with AnalysisExecutor(
+            strategy="process", workers=2,
+            faults=FaultSchedule(3, worker_crash_rate=1.0),
+        ) as ex:
+            filt = DistributedEnKF(radius_km=2.0, inflation=1.05, executor=ex)
+            t0 = time.perf_counter()
+            with pytest.raises(BrokenProcessPool):
+                filt.assimilate(decomp, states, net, y, rng=13)
+            assert time.perf_counter() - t0 < 10.0
+            assert set(registry.live_segments()) == live_before
+            ex.faults = None  # clean schedule from here on
+            out = filt.assimilate(decomp, states, net, y, rng=13)
+        assert np.array_equal(ref, out)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def chaos_problem(tmp_path):
     return store, states, net, y, decomp
 
 
-@pytest.mark.parametrize("strategy", ["thread", "process"])
+@pytest.mark.parametrize("strategy", ["process"])
 def test_chaos_run_through_parallel_engine(chaos_problem, strategy):
     """FaultyStore read -> degraded analysis, fanned out: bit-identical
     to the serial engine and the filter's state untouched."""

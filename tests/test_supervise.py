@@ -10,7 +10,6 @@ retry and serial-fallback machinery, not simulations of it.
 """
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from repro.parallel import (
     SupervisionPolicy,
     piece_seconds_from_cost_model,
 )
-from repro.parallel import executor as executor_mod
 from repro.telemetry import RunReport, get_metrics, validate_run_report
 
 N_PIECES = 8  # 4x2 decomposition below
@@ -207,46 +205,6 @@ class TestWorkerHangRecovery:
         assert stats.deadline_hits >= 1
         assert stats.pool_respawns >= 1
         assert stats.worker_crashes == 0
-
-
-class _WedgedPlan:
-    """Fake plan whose second prepare blocks until released."""
-
-    def __init__(self):
-        self.pieces = [0, 1, 2]
-        self.release = threading.Event()
-
-    def prepare(self, i):
-        if i >= 1:
-            self.release.wait()
-        return (i, None, None)
-
-
-class TestFeederSupervision:
-    def test_wedged_feeder_raises_instead_of_leaking(self, monkeypatch):
-        """A hung plan.prepare must surface as an error, not a leaked
-        thread: the consumer abandons the iterator, the join times out,
-        and the executor raises with the feeder_stuck metric bumped."""
-        monkeypatch.setattr(executor_mod, "_FEEDER_JOIN_TIMEOUT", 0.05)
-        before = get_metrics().counter("parallel.feeder_stuck").value
-        plan = _WedgedPlan()
-        with AnalysisExecutor(strategy="serial", prefetch_depth=2) as ex:
-            gen = ex._iter_prepared(plan)
-            assert next(gen)[0] == 0
-            with pytest.raises(RuntimeError, match="wedged"):
-                gen.close()
-            assert ex.supervision_stats.feeder_stuck == 1
-        after = get_metrics().counter("parallel.feeder_stuck").value
-        assert after == before + 1
-        plan.release.set()  # let the parked thread exit
-
-    def test_healthy_feeder_joins_quietly(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "_FEEDER_JOIN_TIMEOUT", 5.0)
-        plan = _WedgedPlan()
-        plan.release.set()  # never blocks
-        with AnalysisExecutor(strategy="serial", prefetch_depth=2) as ex:
-            assert [p[0] for p in ex._iter_prepared(plan)] == [0, 1, 2]
-            assert ex.supervision_stats.feeder_stuck == 0
 
 
 def _campaign(tmp_path, name, executor=None):

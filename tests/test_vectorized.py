@@ -24,8 +24,6 @@ from hypothesis import strategies as st
 
 from repro.core import Decomposition, Grid, ObservationNetwork
 from repro.core.analysis import (
-    analysis_gain_form,
-    analysis_gain_form_batched,
     analysis_precision_form,
     analysis_precision_form_batched,
 )
@@ -132,24 +130,6 @@ class TestBatchedKernels:
         ys = rng.standard_normal((n_batch, m, n_members))
         return xb, h, r, ys
 
-    def test_gain_form_matches_per_piece(self):
-        xb, h, r, ys = self._stack()
-        out = analysis_gain_form_batched(xb, h, r, ys)
-        for b in range(xb.shape[0]):
-            ref = analysis_gain_form(xb[b], h[b], r[b], ys[b])
-            assert np.allclose(out[b], ref, rtol=RTOL, atol=ATOL)
-
-    def test_gain_form_explicit_b_matches(self):
-        xb, h, r, ys = self._stack(seed=1)
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((xb.shape[0], xb.shape[1], xb.shape[1]))
-        b_mats = a @ a.transpose(0, 2, 1) + 2 * np.eye(xb.shape[1])
-        out = analysis_gain_form_batched(xb, h, r, ys, b_matrices=b_mats)
-        for b in range(xb.shape[0]):
-            ref = analysis_gain_form(xb[b], h[b], r[b], ys[b],
-                                     b_matrix=b_mats[b])
-            assert np.allclose(out[b], ref, rtol=RTOL, atol=ATOL)
-
     def test_precision_form_matches_per_piece(self):
         xb, h, r, ys = self._stack(seed=3)
         rng = np.random.default_rng(4)
@@ -217,10 +197,13 @@ class TestBatchedKernels:
 
     def test_shape_mismatch_raises(self):
         xb, h, r, ys = self._stack()
+        b_invs = np.broadcast_to(
+            np.eye(xb.shape[1]), (xb.shape[0], xb.shape[1], xb.shape[1])
+        )
         with pytest.raises(ValueError):
-            analysis_gain_form_batched(xb, h[:-1], r, ys)
+            analysis_precision_form_batched(xb, h[:-1], r, ys, b_invs)
         with pytest.raises(ValueError):
-            analysis_gain_form_batched(xb, h, r[:, :-1], ys)
+            analysis_precision_form_batched(xb, h, r[:, :-1], ys, b_invs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +273,7 @@ class TestFilterEquivalence:
         ref = DistributedEnKF(radius_km=2.0).assimilate(
             decomp, states, net, y, rng=7
         )
-        for strategy in ("serial", "thread", "process"):
+        for strategy in ("serial", "process"):
             with AnalysisExecutor(strategy=strategy, workers=2) as ex:
                 out = DistributedEnKF(radius_km=2.0, executor=ex).assimilate(
                     decomp, states, net, y, rng=7
