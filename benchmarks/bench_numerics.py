@@ -15,7 +15,11 @@ from repro.core import (
     local_analysis,
     perturb_observations,
 )
-from repro.core.cholesky import modified_cholesky_inverse
+from repro.core.cholesky import (
+    modified_cholesky_inverse,
+    modified_cholesky_inverse_batched,
+    neighbour_predecessors,
+)
 from repro.models import correlated_ensemble
 from repro.sim import Environment
 from repro.tuning import autotune
@@ -47,6 +51,32 @@ def test_modified_cholesky(benchmark):
     exp = states[sd.expansion_flat]
     ix, iy = sd.expansion_coords
     benchmark(modified_cholesky_inverse, exp, grid, ix, iy, 2.0)
+
+
+def _benchmark_piece(n_cols, n_rows, n_members=24, seed=0):
+    """One expansion box of the e2e benchmark: 25 km mesh, 60 km radius."""
+    grid = Grid(n_x=144, n_y=72, dx_km=25.0, dy_km=25.0)
+    ix = np.tile(np.arange(n_cols), n_rows)
+    iy = np.repeat(np.arange(n_rows), n_cols)
+    preds = neighbour_predecessors(grid, ix, iy, 60.0)
+    rng = np.random.default_rng(seed)
+    return grid, ix, iy, preds, rng.standard_normal((n_cols * n_rows, n_members))
+
+
+def test_modified_cholesky_batched(benchmark):
+    """B̂⁻¹ of a B=64 stack of 120-point pieces (`small_pieces_static`)."""
+    _, _, _, preds, states = _benchmark_piece(20, 6)
+    stack = np.random.default_rng(1).standard_normal((64,) + states.shape)
+    benchmark(modified_cholesky_inverse_batched, stack, preds, 1e-2)
+
+
+def test_modified_cholesky_880_points(benchmark):
+    """Per-piece B̂⁻¹ of one 880-point piece (`large_pieces_moving`)."""
+    grid, ix, iy, preds, states = _benchmark_piece(40, 22)
+    benchmark(
+        modified_cholesky_inverse, states, grid, ix, iy, 60.0, 1e-2,
+        predecessors=preds,
+    )
 
 
 def test_global_gain_form(benchmark):

@@ -38,21 +38,139 @@ def neighbour_predecessors(
 
     The ordering is the components' storage order (row-major over the
     expansion), matching the column-major "previous rows" conditioning in
-    the modified-Cholesky literature.
+    the modified-Cholesky literature.  Coordinates are grid indices
+    (integer-valued); they may repeat and come in any order.
+
+    Cost is ``O(n · stencil)``: the offsets that pass the radius test are
+    tabulated once over the coordinates' bounding box, and each
+    component looks its neighbours up by cell — no ``n × n`` distance
+    matrix is ever formed.
     """
     check_positive("radius_km", radius_km)
-    ix = np.asarray(ix)
-    iy = np.asarray(iy)
-    n = ix.size
-    preds: list[np.ndarray] = []
-    for i in range(n):
-        dx = np.abs(ix[:i] - ix[i])
-        if grid.periodic_x:
-            dx = np.minimum(dx, grid.n_x - dx)
-        dy = np.abs(iy[:i] - iy[i])
-        dist = np.hypot(dx * grid.dx_km, dy * grid.dy_km)
-        preds.append(np.nonzero(dist <= radius_km)[0])
-    return preds
+    x, y = _integer_coords(ix), _integer_coords(iy)
+    n = x.size
+    if n == 0:
+        return []
+    x = x - x.min()
+    y = y - y.min()
+    width, height = int(x.max()) + 1, int(y.max()) + 1
+
+    # Offset table: every (ox, oy) between two cells of the box that the
+    # radius test admits, by the same arithmetic as a pairwise test.
+    reach_y = min(height - 1, int(radius_km // grid.dy_km) + 1)
+    ox, oy = np.meshgrid(
+        np.arange(1 - width, width), np.arange(-reach_y, reach_y + 1)
+    )
+    dx = np.abs(ox)
+    if grid.periodic_x:
+        dx = np.minimum(dx, grid.n_x - dx)
+    near = np.hypot(dx * grid.dx_km, np.abs(oy) * grid.dy_km) <= radius_km
+    ox, oy = ox[near], oy[near]
+
+    # Components sorted by cell, so one cell's occupants (several when
+    # coordinates repeat) are a contiguous run found by bisection.
+    cell = y * width + x
+    by_cell = np.argsort(cell, kind="stable")
+    cell_sorted = cell[by_cell]
+    tx = x[:, None] + ox
+    ty = y[:, None] + oy
+    inside = (tx >= 0) & (tx < width) & (ty >= 0) & (ty < height)
+    row = np.nonzero(inside)[0]
+    target = (ty * width + tx)[inside]
+    lo = np.searchsorted(cell_sorted, target, side="left")
+    count = np.searchsorted(cell_sorted, target, side="right") - lo
+    first = np.cumsum(count) - count
+    run = np.arange(int(count.sum())) - np.repeat(first, count)
+    row = np.repeat(row, count)
+    col = by_cell[np.repeat(lo, count) + run]
+
+    earlier = col < row
+    row, col = row[earlier], col[earlier]
+    col = col[np.lexsort((col, row))]
+    ends = np.cumsum(np.bincount(row, minlength=n)).tolist()
+    return [col[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _integer_coords(coords) -> np.ndarray:
+    """Grid coordinates as an integer array (integral floats accepted)."""
+    coords = np.asarray(coords)
+    if coords.dtype.kind in "iu":
+        return coords.astype(np.int64, copy=False)
+    as_int = coords.astype(np.int64)
+    if not np.array_equal(as_int, coords):
+        raise ValueError("grid coordinates must be integer-valued")
+    return as_int
+
+
+def _row_groups(
+    predecessors: list[np.ndarray], n: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows of a stencil grouped by predecessor count.
+
+    Returns ``(rows, cols)`` pairs, one per distinct non-zero count
+    ``s``: ``rows`` is the ``(G,)`` array of row indices with ``s``
+    predecessors and ``cols`` their ``(G, s)`` predecessor table.  Rows
+    without predecessors appear in no group.  Every row's regression is
+    independent of every other's, so a group is solved as one stack.
+
+    The stencil is validated here: it must have one entry per row and
+    name only true predecessors (``0 <= j < i``), otherwise ``L`` would
+    not be unit lower-triangular.
+    """
+    if len(predecessors) != n:
+        raise ValueError(
+            f"predecessors has {len(predecessors)} entries for n={n}"
+        )
+    sizes = np.fromiter((len(p) for p in predecessors), dtype=np.intp, count=n)
+    if not sizes.any():
+        return []
+    flat = np.concatenate(predecessors).astype(np.intp, copy=False)
+    row_of = np.repeat(np.arange(n), sizes)
+    bad = (flat < 0) | (flat >= row_of)
+    if bad.any():
+        i = int(row_of[bad][0])
+        raise ValueError(
+            f"predecessors[{i}] names {int(flat[bad][0])}, which is not a "
+            f"predecessor of row {i} (need 0 <= j < {i})"
+        )
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for s in np.unique(sizes[sizes > 0]):
+        rows = np.nonzero(sizes == s)[0]
+        groups.append((rows, flat[starts[rows, None] + np.arange(s)]))
+    return groups
+
+
+def _regress_rows(u, groups, ridge: float, min_variance: float, bk: ArrayBackend):
+    """The modified-Cholesky regressions of a ``(B, n, N)`` anomaly stack.
+
+    Row ``i`` regresses ``u[:, i]`` on the raw anomalies of its
+    predecessors; each ``(rows, cols)`` group of :func:`_row_groups` is
+    one ``(B, G, s, s)`` Gram stack and one batched ``solve``.
+
+    Returns ``(betas, d)``: per group the ``(B, G, s)`` regression
+    coefficients (``L[i, cols] = -beta``), and the ``(B, n)`` floored
+    residual variances.
+    """
+    xp = bk.xp
+    dof = max(u.shape[2] - 1, 1)
+    # Rows without predecessors keep their own anomaly as the residual.
+    var = xp.sum(u * u, axis=2) / dof
+    betas = []
+    for rows, cols in groups:
+        s = cols.shape[1]
+        x_pred = u[:, cols, :]  # (B, G, s, N)
+        x_row = u[:, rows, :]  # (B, G, N)
+        gram = x_pred @ x_pred.transpose(0, 1, 3, 2)  # (B, G, s, s)
+        lam = ridge * (bk.einsum("bgii->bg", gram) / s + 1.0)
+        gram = gram + lam[:, :, None, None] * xp.eye(s)
+        beta = bk.solve(gram, x_pred @ x_row[:, :, :, None])[:, :, :, 0]
+        resid = x_row - (beta[:, :, None, :] @ x_pred)[:, :, 0, :]
+        var = bk.index_update(
+            var, (slice(None), rows), xp.sum(resid * resid, axis=2) / dof
+        )
+        betas.append(beta)
+    return betas, xp.maximum(var, min_variance)
 
 
 def modified_cholesky_inverse(
@@ -92,12 +210,19 @@ def modified_cholesky_inverse(
         Pre-computed :func:`neighbour_predecessors` stencil.  The stencil
         depends only on the coordinates and the radius — never on the
         ensemble — so callers that analyse the same sub-domain every cycle
-        (the geometry cache) pass it in and skip the O(n²) rebuild.
+        (the geometry cache) pass it in and skip the rebuild.  Every
+        entry must name true predecessors only (``0 <= j < i``).
 
     Returns
     -------
     (n_local, n_local) SPD matrix ``B̂⁻¹ = Lᵀ D⁻¹ L`` (dense ndarray, or
     CSR when ``sparse=True``).
+
+    A piece is the ``B = 1`` stack of
+    :func:`modified_cholesky_inverse_batched`: the regressions are the
+    same :func:`_regress_rows` body, always on the NumPy backend (so the
+    serial ≡ process bit-identity cannot depend on ``SENKF_BACKEND``);
+    only the final product differs — ``L`` stays sparse here.
     """
     u = np.asarray(states, dtype=float)
     if u.ndim != 2:
@@ -109,43 +234,22 @@ def modified_cholesky_inverse(
         raise ValueError("coordinate arrays must match the state dimension")
     u = u - u.mean(axis=1, keepdims=True)
 
-    if predecessors is not None:
-        if len(predecessors) != n:
-            raise ValueError(
-                f"predecessors has {len(predecessors)} entries for n={n}"
-            )
-        preds = predecessors
-    else:
-        preds = neighbour_predecessors(grid, ix, iy, radius_km)
-    d = np.empty(n)
-    dof = max(n_members - 1, 1)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    if predecessors is None:
+        predecessors = neighbour_predecessors(grid, ix, iy, radius_km)
+    groups = _row_groups(predecessors, n)
+    betas, d = _regress_rows(
+        u[None], groups, ridge, min_variance, get_backend("numpy")
+    )
 
-    for i in range(n):
-        p = preds[i]
-        xi = u[i]
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.0)
-        if p.size == 0:
-            resid = xi
-        else:
-            xp = u[p]  # (|p|, N)
-            gram = xp @ xp.T
-            lam = ridge * (np.trace(gram) / max(p.size, 1) + 1.0)
-            gram[np.diag_indices_from(gram)] += lam
-            beta = np.linalg.solve(gram, xp @ xi)
-            rows.extend([i] * p.size)
-            cols.extend(int(j) for j in p)
-            vals.extend(float(-b) for b in beta)
-            resid = xi - beta @ xp
-        d[i] = max(float(resid @ resid) / dof, min_variance)
-
-    lower = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    d_inv = sp.diags(1.0 / d)
-    b_inv = (lower.T @ d_inv @ lower).tocsr()
+    diag = np.arange(n)
+    rows = [diag] + [np.repeat(r, c.shape[1]) for r, c in groups]
+    cols = [diag] + [c.ravel() for _, c in groups]
+    vals = [np.ones(n)] + [-beta[0].ravel() for beta in betas]
+    lower = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+    b_inv = (lower.T @ sp.diags(1.0 / d[0]) @ lower).tocsr()
     if sparse:
         return b_inv
     return np.asarray(b_inv.todense())
@@ -160,20 +264,20 @@ def modified_cholesky_inverse_batched(
 ):
     """Batched ``B̂⁻¹ = Lᵀ D⁻¹ L`` over a stack of same-stencil ensembles.
 
-    The per-piece estimator above spends its time in a Python loop over
-    the ``n`` components, each iteration doing a tiny ``(|p|, |p|)``
-    solve.  When ``B`` sub-domain pieces share one predecessor stencil
+    When ``B`` sub-domain pieces share one predecessor stencil
     (translation-equivalent expansions — verified structurally by the
-    bucketing layer, never assumed), the loop can run *once* with every
-    per-row operation batched over the stack: ``B·n`` Python iterations
-    collapse to ``n``, and each solve becomes one batched LAPACK call.
+    bucketing layer, never assumed), every regression of every piece
+    with the same predecessor count is one slice of one batched LAPACK
+    call (:func:`_regress_rows`): one Python iteration per distinct
+    stencil size, however many rows or pieces there are.
 
     Parameters
     ----------
     states:
         ``(B, n, N)`` stack of local ensembles (all sharing the stencil).
     predecessors:
-        The shared :func:`neighbour_predecessors` stencil (length ``n``).
+        The shared :func:`neighbour_predecessors` stencil (length ``n``,
+        true predecessors only).
     ridge, min_variance:
         Same regularisation knobs as :func:`modified_cholesky_inverse`.
     backend:
@@ -185,7 +289,7 @@ def modified_cholesky_inverse_batched(
     a backend array (callers keep it on-device for the batched solve).
     Per-slice results match :func:`modified_cholesky_inverse` to
     floating-point reduction order (rtol ≲ 1e-12), not bit-identically —
-    batched BLAS may reduce in a different order.
+    the dense product reduces in a different order from the CSR one.
     """
     bk = backend if backend is not None else get_backend()
     xp = bk.xp
@@ -195,39 +299,16 @@ def modified_cholesky_inverse_batched(
     n_batch, n, n_members = u.shape
     if n_members < 2:
         raise ValueError("modified Cholesky needs at least 2 members")
-    if len(predecessors) != n:
-        raise ValueError(
-            f"predecessors has {len(predecessors)} entries for n={n}"
-        )
+    groups = _row_groups(predecessors, n)
     u = u - u.mean(axis=2, keepdims=True)
-    dof = max(n_members - 1, 1)
+    betas, d = _regress_rows(u, groups, ridge, min_variance, bk)
 
-    d = xp.ones((n_batch, n))
     l_mat = xp.zeros((n_batch, n, n))
     diag = xp.arange(n)
     l_mat = bk.index_update(l_mat, (slice(None), diag, diag), 1.0)
-    for i in range(n):
-        p = predecessors[i]
-        xi = u[:, i, :]  # (B, N)
-        if p.size == 0:
-            resid = xi
-        else:
-            xp_ = u[:, p, :]  # (B, |p|, N)
-            gram = xp_ @ xp_.transpose(0, 2, 1)  # (B, |p|, |p|)
-            trace = bk.einsum("bii->b", gram)
-            lam = ridge * (trace / p.size + 1.0)
-            eye = xp.arange(p.size)
-            gram = bk.index_update(
-                gram, (slice(None), eye, eye), gram[:, eye, eye] + lam[:, None]
-            )
-            beta = bk.solve(gram, xp_ @ xi[:, :, None])  # (B, |p|, 1)
-            l_mat = bk.index_update(
-                l_mat, (slice(None), i, p), -beta[:, :, 0]
-            )
-            resid = xi - bk.einsum("bp,bpk->bk", beta[:, :, 0], xp_)
-        var = xp.sum(resid * resid, axis=1) / dof
-        d = bk.index_update(
-            d, (slice(None), i), xp.maximum(var, min_variance)
+    for (rows, cols), beta in zip(groups, betas):
+        l_mat = bk.index_update(
+            l_mat, (slice(None), rows[:, None], cols), -beta
         )
-    # B̂⁻¹ = Lᵀ D⁻¹ L, batched.
-    return bk.einsum("bki,bk,bkj->bij", l_mat, 1.0 / d, l_mat)
+    # B̂⁻¹ = Lᵀ D⁻¹ L as one batched matmul.
+    return (l_mat.transpose(0, 2, 1) * (1.0 / d)[:, None, :]) @ l_mat

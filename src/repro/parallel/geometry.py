@@ -11,8 +11,8 @@ recomputed for nothing:
   inside the expansion (the projection ``P_ij`` of Eq. 6);
 * the expansion's (ix, iy) coordinate arrays;
 * the modified-Cholesky conditional-dependence stencil
-  (:func:`~repro.core.cholesky.neighbour_predecessors` — the O(n̄²)
-  sparsity pattern of ``B̂⁻¹``, which depends only on coordinates and the
+  (:func:`~repro.core.cholesky.neighbour_predecessors` — the sparsity
+  pattern of ``B̂⁻¹``, which depends only on coordinates and the
   localization radius).
 
 :class:`GeometryCache` memoises all of it per ``(network, grid, piece,

@@ -7,8 +7,8 @@ projection and (for the EnKF kind) the same modified-Cholesky stencil,
 compared by digest, never assumed from translation symmetry — are
 stacked into ``(B, ...)`` operands and updated by the batched kernels in
 :mod:`repro.core` (one batched LAPACK call per step instead of ``B``
-small ones; the per-row modified-Cholesky loop collapses from ``B·n̄``
-Python iterations to ``n̄``).  The win is therefore independent of core
+small ones; the modified-Cholesky regressions of the whole stack are one
+call per distinct stencil size).  The win is therefore independent of core
 count, which is what lets the parallel bench assert its speedup on a
 1-CPU CI runner.
 
