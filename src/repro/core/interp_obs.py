@@ -8,7 +8,8 @@ row bilinearly interpolates the four surrounding grid points (longitude
 wraps, latitude clamps).
 
 The class duck-types :class:`~repro.core.observations.ObservationNetwork`
-(``m``, ``operator``, ``obs_error_std``, ``restrict_to_box``, ``observe``)
+(``m``, ``operator``, ``obs_error_std``, ``restrict_to_box``,
+``any_in_box``, ``observe``)
 so the local analysis and the filters accept either.
 """
 
@@ -100,6 +101,21 @@ class InterpolatingObservationNetwork:
     def r_inv_diag(self) -> np.ndarray:
         return np.full(self.m, 1.0 / self.obs_error_std**2)
 
+    def _inside_box(self, x_pos, y_pos):
+        """``(k, stencil)`` of each observation whose *entire stencil*
+        lies on the box's grid columns ``x_pos`` and rows ``y_pos``."""
+        for k in range(self.m):
+            stencil = self._stencil(k)
+            if all(ix in x_pos and iy in y_pos for ix, iy, _ in stencil):
+                yield k, stencil
+
+    def any_in_box(self, x_indices: np.ndarray, y_indices: np.ndarray) -> bool:
+        """Whether :meth:`restrict_to_box` would keep any observation —
+        stops at the first one kept, builds no operator."""
+        x_pos = {int(v) for v in np.asarray(x_indices)}
+        y_pos = {int(v) for v in np.asarray(y_indices)}
+        return next(self._inside_box(x_pos, y_pos), None) is not None
+
     def restrict_to_box(
         self, x_indices: np.ndarray, y_indices: np.ndarray
     ) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -115,19 +131,14 @@ class InterpolatingObservationNetwork:
         y_pos = {int(v): p for p, v in enumerate(np.asarray(y_indices))}
         n_cols = len(x_pos)
         rows, cols, vals, keep = [], [], [], []
-        local_row = 0
-        for k in range(self.m):
-            stencil = self._stencil(k)
-            if not all(ix in x_pos and iy in y_pos for ix, iy, _ in stencil):
-                continue
+        for local_row, (k, stencil) in enumerate(self._inside_box(x_pos, y_pos)):
             keep.append(k)
             for ix, iy, w in stencil:
                 rows.append(local_row)
                 cols.append(y_pos[iy] * n_cols + x_pos[ix])
                 vals.append(w)
-            local_row += 1
         h_local = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(local_row, n_cols * len(y_pos))
+            (vals, (rows, cols)), shape=(len(keep), n_cols * len(y_pos))
         )
         return np.asarray(keep, dtype=int), h_local
 

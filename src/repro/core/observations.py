@@ -84,6 +84,27 @@ class ObservationNetwork:
         return np.full(self.m, 1.0 / self.obs_error_std**2)
 
     # -- restriction to a local expansion -----------------------------------------
+    def _box_local(
+        self, x_indices: np.ndarray, y_indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Box-local ``(px, py)`` position of every observation, ``-1``
+        on an axis where it lies outside the (x_indices × y_indices) box."""
+        # Inverse maps grid coordinate -> box-local position (-1 = outside);
+        # one vectorised gather per axis instead of a python loop over m.
+        x_map = np.full(self.grid.n_x, -1)
+        x_map[x_indices] = np.arange(x_indices.size)
+        y_map = np.full(self.grid.n_y, -1)
+        y_map[y_indices] = np.arange(y_indices.size)
+        return x_map[self.ix], y_map[self.iy]
+
+    def any_in_box(self, x_indices: np.ndarray, y_indices: np.ndarray) -> bool:
+        """Whether :meth:`restrict_to_box` would keep any observation —
+        the membership test alone, no operator built."""
+        px, py = self._box_local(
+            np.asarray(x_indices, dtype=int), np.asarray(y_indices, dtype=int)
+        )
+        return bool(np.any((px >= 0) & (py >= 0)))
+
     def restrict_to_box(
         self, x_indices: np.ndarray, y_indices: np.ndarray
     ) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -97,14 +118,7 @@ class ObservationNetwork:
         """
         x_indices = np.asarray(x_indices, dtype=int)
         y_indices = np.asarray(y_indices, dtype=int)
-        # Inverse maps grid coordinate -> box-local position (-1 = outside);
-        # one vectorised gather per axis instead of a python loop over m.
-        x_map = np.full(self.grid.n_x, -1)
-        x_map[x_indices] = np.arange(x_indices.size)
-        y_map = np.full(self.grid.n_y, -1)
-        y_map[y_indices] = np.arange(y_indices.size)
-        px = x_map[self.ix]
-        py = y_map[self.iy]
+        px, py = self._box_local(x_indices, y_indices)
         inside = (px >= 0) & (py >= 0)
         positions = np.nonzero(inside)[0]
         cols = py[inside] * x_indices.size + px[inside]

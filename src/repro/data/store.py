@@ -79,7 +79,8 @@ class EnsembleStore:
         path = self.member_path(k)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "wb") as fh:
-            fh.write(state.astype(_DTYPE).tobytes())
+            # one copy at most: the buffer itself is written, not a bytes twin
+            fh.write(np.ascontiguousarray(state, dtype=_DTYPE).data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -16,7 +16,14 @@
     In-process batched kernels over structurally equal pieces
     (:mod:`repro.parallel.vectorized`).
 ``auto``
-    Picks one of the above from the plan's shape (see :meth:`resolve`).
+    Picks one of the above from the shape of the plan's *observed* work
+    (see :meth:`resolve`).
+
+Only observed pieces are work.  A piece whose expansion holds no
+observation has the (inflated) background as its analysis, so
+:meth:`AnalysisPlan.fill_unobserved` writes all of them in one bulk pass
+and every strategy prepares, chunks, ships and counts the observed
+pieces alone — by their plan indices, never re-numbered.
 
 The paper's helper-thread overlap (Sec. 4.2) lives in the process
 strategy's *submit-as-prepared* loop: the parent resolves each piece's
@@ -63,10 +70,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.backend import ArrayBackend, get_backend
+from repro.core.inflation import inflate
 from repro.parallel.geometry import GeometryCache, PieceGeometry
 from repro.parallel.shared import SharedEnsemble
 from repro.parallel.supervise import SupervisionPolicy, SupervisionStats
@@ -121,6 +130,30 @@ class AnalysisPlan:
         """Radius to key geometry on (the EnKF kinds cache the stencil)."""
         return self.params.get("radius_km") if self.kind == KIND_ENKF else None
 
+    @cached_property
+    def observed(self) -> tuple[int, ...]:
+        """Plan indices of the pieces that see at least one observation
+        (asked of the cache once per plan; no geometry is built)."""
+        return self.cache.observed(self.network, self.pieces)
+
+    def fill_unobserved(self) -> None:
+        """Fill every observation-free piece at once.
+
+        With no local observation the analysis is the background — as
+        given for the EnKF kinds (``states`` already carries the
+        inflation), inflated row-wise for the ETKF — so one contiguous
+        pass writes all of ``out`` and the observed pieces then overwrite
+        their interiors.  A plan with no unobserved piece fills nothing.
+        """
+        if len(self.observed) < len(self.pieces):
+            inflation = (
+                self.params["inflation"] if self.kind == KIND_ETKF else 1.0
+            )
+            if inflation != 1.0:
+                inflate(self.states, inflation, out=self.out)
+            else:
+                np.copyto(self.out, self.states)
+
     def prepare(self, index: int) -> tuple[int, object, PieceGeometry]:
         """Resolve one piece's geometry (cached)."""
         piece = self.pieces[index]
@@ -147,7 +180,7 @@ class AnalysisExecutor:
         ``auto`` (default), ``serial``, ``process`` or ``vectorized``.
     workers:
         Pool width; ``None`` uses ``os.cpu_count()``.  Capped by the
-        plan's piece count at run time.
+        plan's observed piece count at run time.
     supervision:
         A :class:`~repro.parallel.supervise.SupervisionPolicy` arming the
         process strategy against worker crashes and hangs (see module
@@ -204,11 +237,19 @@ class AnalysisExecutor:
         return max(1, min(int(requested), max(n_pieces, 1)))
 
     def resolve(self, plan: AnalysisPlan) -> str:
-        """The concrete strategy this plan will run under."""
+        """The concrete strategy this plan will run under.
+
+        ``auto`` sizes the plan by its observed pieces — their count and
+        their expansion points — since the rest is one bulk fill under
+        any strategy: many small observed pieces batch (``vectorized``),
+        fewer than two observed pieces or under ``8 192`` observed points
+        stay in-process (``serial``), anything larger fans out
+        (``process``).
+        """
         if self.strategy != "auto":
             return self.strategy
-        n_pieces = len(plan.pieces)
-        points = sum(p.exp_size for p in plan.pieces)
+        n_pieces = len(plan.observed)
+        points = sum(plan.pieces[i].exp_size for i in plan.observed)
         # Batched kernels beat fan-out when many small pieces make the
         # per-piece dispatch overhead dominate — a core-count-independent
         # win, so it is tested before the worker-availability checks.
@@ -239,28 +280,37 @@ class AnalysisExecutor:
             raise ValueError("executor is closed")
         strategy = self.resolve(plan)
         n_pieces = len(plan.pieces)
-        workers = self.effective_workers(n_pieces) if strategy == "process" else 1
+        n_observed = len(plan.observed)
+        workers = (
+            self.effective_workers(n_observed) if strategy == "process" else 1
+        )
         tracer = get_tracer()
         with tracer.span(
             "parallel.run",
             category="parallel",
             strategy=strategy,
             n_pieces=n_pieces,
+            n_observed=n_observed,
             workers=workers,
         ):
-            if strategy == "serial":
-                for i in range(n_pieces):
-                    self._compute_into(plan, plan.prepare(i), plan.out)
-            elif strategy == "vectorized":
+            if strategy == "vectorized":
                 # No workers to crash: supervision and a fault schedule's
                 # worker knobs are inert under this strategy.
                 run_vectorized(plan, backend=self._resolve_backend())
             else:
-                self._run_process(plan, workers)
+                plan.fill_unobserved()
+                if strategy == "serial":
+                    for i in plan.observed:
+                        self._compute_into(plan, plan.prepare(i), plan.out)
+                elif n_observed:  # nothing observed: no pool, no segment
+                    self._run_process(plan, workers)
         if tracer.enabled:
             metrics = get_metrics()
             metrics.counter("parallel.runs").inc()
             metrics.counter("parallel.pieces").inc(n_pieces)
+            metrics.counter("parallel.unobserved_pieces").inc(
+                n_pieces - n_observed
+            )
             metrics.gauge("parallel.workers").set(workers)
             if plan.cache is not None:
                 metrics.gauge("geometry.cache_bytes").set(
@@ -345,10 +395,10 @@ class AnalysisExecutor:
     def _run_process(self, plan: AnalysisPlan, workers: int) -> None:
         """Process fan-out in rounds; survives worker failures when supervised.
 
-        Each round submits every unfinished piece in chunks and harvests
-        completions.  Round one prepares as it submits — workers compute
-        chunk ``k`` while the parent resolves chunk ``k+1``'s geometry —
-        and later rounds resubmit from the prepared list.  Under a
+        Each round submits every unfinished observed piece in chunks and
+        harvests completions.  Round one prepares as it submits — workers
+        compute chunk ``k`` while the parent resolves chunk ``k+1``'s
+        geometry — and later rounds resubmit what is prepared.  Under a
         :class:`~repro.parallel.supervise.SupervisionPolicy` a
         ``BrokenProcessPool`` or a blown deadline fails the round: the
         pool is torn down (workers killed) and respawned within
@@ -363,16 +413,18 @@ class AnalysisExecutor:
         """
         policy = self.supervision
         tracer = get_tracer()
-        n = len(plan.pieces)
-        chunk_size = max(1, math.ceil(n / (workers * _CHUNKS_PER_WORKER)))
+        n_observed = len(plan.observed)
+        chunk_size = max(
+            1, math.ceil(n_observed / (workers * _CHUNKS_PER_WORKER))
+        )
         shm_states = SharedEnsemble.from_array(plan.states)
         shm_obs = SharedEnsemble.from_array(plan.obs)
         shm_out = SharedEnsemble.create(plan.out.shape)
         try:
             ctx_bytes = self._ctx_bytes(plan, shm_states, shm_obs, shm_out, tracer)
-            prepared: list = []
-            pending = set(range(n))
-            attempts = [0] * n
+            prepared: dict = {}  # plan index -> prepared piece
+            pending = set(plan.observed)
+            attempts = [0] * len(plan.pieces)  # by plan index
             respawns_left = policy.max_respawns if policy is not None else 0
             piece_seconds: float | None = None  # observed EWMA, overestimate
             n_chunks = 0
@@ -386,8 +438,9 @@ class AnalysisExecutor:
                 try:
                     for start in range(0, len(order), chunk_size):
                         idx = order[start:start + chunk_size]
-                        while len(prepared) <= idx[-1]:
-                            prepared.append(plan.prepare(len(prepared)))
+                        for i in idx:
+                            if i not in prepared:
+                                prepared[i] = plan.prepare(i)
                         remaining[pool.submit(
                             run_chunk, token, ctx_bytes,
                             [prepared[i] for i in idx], attempts[idx[0]],
@@ -435,7 +488,15 @@ class AnalysisExecutor:
                     )
                     if pending:  # a fresh pool will serve the next round
                         respawns_left -= 1
-            np.copyto(plan.out, shm_out.array)
+            if n_observed == len(plan.pieces):
+                np.copyto(plan.out, shm_out.array)
+            else:
+                # Publish only the rows workers (or the serial fallback)
+                # wrote: the rest of ``plan.out`` is the bulk fill.
+                rows = np.concatenate(
+                    [plan.pieces[i].interior_flat for i in plan.observed]
+                )
+                plan.out[rows] = shm_out.array[rows]
             if tracer.enabled:
                 get_metrics().counter("parallel.chunks").inc(n_chunks)
         except BaseException:

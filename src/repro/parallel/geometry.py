@@ -182,6 +182,9 @@ class GeometryCache:
         #: id cannot be recycled while an entry is keyed on it and the
         #: pin goes when the last such entry is evicted.
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        #: the last :meth:`observed` answer as (key, answer, (network,
+        #: grid)) — one slot outside the LRU, pinned the same way
+        self._observed: tuple | None = None
 
     # -- keys ------------------------------------------------------------------
     @staticmethod
@@ -244,6 +247,35 @@ class GeometryCache:
     ) -> PieceGeometry:
         """Like :meth:`get` without the cache-status flag."""
         return self.get(network, piece, radius_km)[0]
+
+    def observed(self, network, pieces) -> tuple[int, ...]:
+        """Indices into ``pieces`` of those that see at least one observation.
+
+        The cheap answer for a whole work-list: the network's own
+        ``any_in_box`` membership test on each expansion box, with no
+        operator, index array or stencil built, so an observation-free
+        piece never costs a :class:`PieceGeometry`.  The last answer is
+        remembered (a campaign asks the same question every cycle) in
+        one slot of its own: it takes no ``maxsize`` entry and is not a
+        geometry derivation, so ``hits``/``misses`` leave it out.
+        """
+        if not pieces:
+            return ()
+        grid = pieces[0].grid
+        key = (
+            id(network),
+            id(grid),
+            tuple(self._piece_key(piece) for piece in pieces),
+        )
+        remembered = self._observed
+        if remembered is not None and remembered[0] == key:
+            return remembered[1]
+        answer = tuple(
+            i for i, piece in enumerate(pieces)
+            if network.any_in_box(piece.exp_x_indices, piece.exp_y_indices)
+        )
+        self._observed = (key, answer, (network, grid))
+        return answer
 
     @staticmethod
     def _build(network, piece: SubDomain, radius_km: float | None) -> PieceGeometry:
@@ -403,5 +435,6 @@ class GeometryCache:
         """Drop every entry (and with them the pinned networks/grids)."""
         with self._lock:
             self._entries.clear()
+            self._observed = None
             self.hits = 0
             self.misses = 0

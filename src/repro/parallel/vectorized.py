@@ -21,9 +21,9 @@ padded-slot fraction would exceed ``max_pad_waste``.  The realised
 waste is recorded (``vectorized.pad_slots`` / ``vectorized.obs_slots``
 counters, ``vectorized.pad_waste`` gauge) so the policy is observable.
 
-Pieces with no observations bypass batching entirely and run through
-:func:`~repro.parallel.worker.compute_piece` — their "analysis" is a
-copy (plus ETKF inflation), already exact.
+Pieces with no observations are never prepared or batched: their
+"analysis" is a copy (plus ETKF inflation), written for all of them at
+once by :meth:`~repro.parallel.executor.AnalysisPlan.fill_unobserved`.
 
 Numerics: batched BLAS reorders reductions, so results match the serial
 reference to rtol ≤ 1e-10, not bit-for-bit — the tolerance-checked
@@ -42,7 +42,7 @@ from repro.core.analysis import analysis_precision_form_batched
 from repro.core.backend import ArrayBackend, get_backend
 from repro.core.cholesky import modified_cholesky_inverse_batched
 from repro.core.etkf import analysis_etkf_batched
-from repro.parallel.worker import KIND_ENKF, KIND_ETKF, compute_piece
+from repro.parallel.worker import KIND_ENKF, KIND_ETKF
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
 
@@ -137,11 +137,11 @@ def run_vectorized(
 ) -> dict:
     """Run one plan under the vectorized strategy; returns bucket stats.
 
-    The plan's pieces are prepared through the :class:`GeometryCache`
-    (per-piece entries carry the structural digests), grouped, padded or
-    split per ``policy``, stacked via cached
+    The plan's observed pieces are prepared through the
+    :class:`GeometryCache` (per-piece entries carry the structural
+    digests), grouped, padded or split per ``policy``, stacked via cached
     :class:`~repro.parallel.geometry.BucketGeometry` entries and updated
-    by the batched kernels.  Empty-observation pieces run per-piece
+    by the batched kernels.  Empty-observation pieces are one bulk fill
     (exact).  Writes land in ``plan.out`` exactly like every other
     strategy.
     """
@@ -152,25 +152,15 @@ def run_vectorized(
     policy = policy if policy is not None else VectorizedPolicy()
     bk = backend if backend is not None else get_backend()
     tracer = get_tracer()
-    prepared = [plan.prepare(i) for i in range(len(plan.pieces))]
+    plan.fill_unobserved()
+    prepared = [plan.prepare(i) for i in plan.observed]
+    n_empty = len(plan.pieces) - len(prepared)
 
     groups: dict[tuple, list] = {}
-    empty: list = []
     for item in prepared:
         geo = item[2]
-        if geo.obs_positions.size == 0:
-            empty.append(item)
-            continue
         key = (geo.expansion_flat.size, geo.interior_sig, geo.stencil_sig)
         groups.setdefault(key, []).append(item)
-
-    # Empty pieces: the analysis is the (inflated) background — run the
-    # exact per-piece path, no batching needed.
-    for index, piece, geometry in empty:
-        xb = plan.states[geometry.expansion_flat]
-        plan.out[geometry.interior_flat] = compute_piece(
-            plan.kind, piece, xb, plan.obs, geometry, plan.params
-        )
 
     n_buckets = 0
     pad_slots = 0
@@ -199,8 +189,8 @@ def run_vectorized(
     stats = {
         "backend": bk.name,
         "n_buckets": n_buckets,
-        "batched_pieces": len(prepared) - len(empty),
-        "empty_pieces": len(empty),
+        "batched_pieces": len(prepared),
+        "empty_pieces": n_empty,
         "pad_slots": pad_slots,
         "obs_slots": total_slots,
         "pad_waste": pad_slots / total_slots if total_slots else 0.0,
@@ -211,7 +201,7 @@ def run_vectorized(
         metrics.counter("vectorized.batched_pieces").inc(
             stats["batched_pieces"]
         )
-        metrics.counter("vectorized.empty_pieces").inc(len(empty))
+        metrics.counter("vectorized.empty_pieces").inc(n_empty)
         metrics.counter("vectorized.pad_slots").inc(pad_slots)
         metrics.counter("vectorized.obs_slots").inc(total_slots)
         metrics.gauge("vectorized.pad_waste").set(stats["pad_waste"])

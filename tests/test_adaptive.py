@@ -140,3 +140,31 @@ class TestAdaptiveCycling:
         assert with_rtps.mean_analysis_rmse(skip=15) < 1.0
         # RTPS visibly sustains the spread.
         assert np.mean(with_rtps.spread[15:]) > np.mean(without.spread[15:])
+
+
+class TestMultiplicativeInflation:
+    """``inflate`` builds its result in one buffer; the arithmetic is
+    the textbook expression's, bit for bit."""
+
+    @staticmethod
+    def textbook(states, factor):
+        mean = states.mean(axis=1, keepdims=True)
+        return mean + factor * (states - mean)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.05, 0.3, 7.0])
+    def test_bit_identical_to_the_textbook_expression(self, factor):
+        rng = np.random.default_rng(20)
+        states = rng.normal(3.0, 50.0, size=(200, 24))
+        states[::7] = rng.normal(size=(len(states[::7]), 1))  # constant rows
+        assert np.array_equal(
+            inflate(states, factor), self.textbook(states, factor)
+        )
+
+    def test_out_buffer_is_filled_and_input_untouched(self):
+        rng = np.random.default_rng(21)
+        states = rng.normal(size=(50, 8))
+        before = states.copy()
+        out = np.empty_like(states)
+        assert inflate(states, 1.1, out=out) is out
+        assert np.array_equal(out, self.textbook(before, 1.1))
+        assert np.array_equal(states, before)

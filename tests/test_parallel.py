@@ -60,9 +60,16 @@ def problem(n_x=16, n_y=8, n_members=12, m=40, seed=0):
     return grid, truth, states, net, y
 
 
-def enkf_plan(n_sdx=2, n_sdy=2, xi=1, eta=1):
-    """A small real EnKF plan over ``n_sdx x n_sdy`` sub-domains."""
+def enkf_plan(n_sdx=2, n_sdy=2, xi=1, eta=1, obs_columns=None):
+    """A small real EnKF plan over ``n_sdx x n_sdy`` sub-domains;
+    ``obs_columns`` keeps only the observations in those grid columns."""
     grid, truth, states, net, y = problem()
+    if obs_columns is not None:
+        keep = np.isin(net.ix, obs_columns)
+        net = ObservationNetwork(
+            grid, ix=net.ix[keep], iy=net.iy[keep], obs_error_std=0.3
+        )
+        y = y[keep]
     decomp = Decomposition(grid, n_sdx=n_sdx, n_sdy=n_sdy, xi=xi, eta=eta)
     return AnalysisPlan(
         kind=KIND_ENKF, pieces=list(decomp), states=states,
@@ -72,14 +79,16 @@ def enkf_plan(n_sdx=2, n_sdy=2, xi=1, eta=1):
     )
 
 
-def shape_only_plan(n_pieces, points_per_piece):
-    """A plan carrying only what ``resolve()`` reads: kind, piece count
-    and expansion sizes."""
+def shape_only_plan(n_pieces, points_per_piece, n_observed):
+    """A plan carrying only what ``resolve()`` reads: kind, expansion
+    sizes and which pieces are observed (the first ``n_observed``)."""
     pieces = [SimpleNamespace(exp_size=points_per_piece)] * n_pieces
-    return AnalysisPlan(
+    plan = AnalysisPlan(
         kind=KIND_ENKF, pieces=pieces, states=None, obs=None, out=None,
         network=None, params={},
     )
+    plan.observed = tuple(range(n_observed))
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +285,56 @@ class TestExecutorConfig:
         with AnalysisExecutor(strategy="auto", workers=1) as ex:
             assert ex.resolve(plan) == "serial"
 
-    @pytest.mark.parametrize("n_pieces,points,expected", [
-        (256, 120, "vectorized"),  # small_pieces_static
-        (16, 880, "process"),      # large_pieces_moving
-        (200, 1156, "process"),    # io_bar / io_block
-        (4, 1000, "serial"),       # the deleted thread band (2 048-8 192)
-        (4, 2048, "process"),      # first plan at the serial ceiling
+    @pytest.mark.parametrize("n_pieces,points,n_observed,expected", [
+        (256, 120, 256, "vectorized"),  # small_pieces_static
+        (16, 880, 16, "process"),       # large_pieces_moving
+        (200, 1156, 200, "process"),    # the io_* grid, observed everywhere
+        (200, 1156, 1, "serial"),       # io_bar / io_block: one observed
+        (4, 1000, 4, "serial"),     # the deleted thread band (2 048-8 192)
+        (4, 2048, 4, "process"),    # first plan at the serial ceiling
+    ], ids=[
+        "256-120-vectorized", "16-880-process", "200-1156-process",
+        "200-1156-one-observed-serial", "4-1000-serial", "4-2048-process",
     ])
     def test_auto_pinned_on_the_benchmark_plan_shapes(
-        self, n_pieces, points, expected
+        self, n_pieces, points, n_observed, expected
     ):
         """What ``auto`` picks on BENCHMARK.json's four workloads with
-        two workers.  A PR that retunes ``resolve()`` must change this
-        table on purpose."""
+        two workers, sized by the observed pieces.  A PR that retunes
+        ``resolve()`` must change this table on purpose."""
         with AnalysisExecutor(strategy="auto", workers=2) as ex:
-            assert ex.resolve(shape_only_plan(n_pieces, points)) == expected
+            plan = shape_only_plan(n_pieces, points, n_observed)
+            assert ex.resolve(plan) == expected
+
+    def test_auto_on_the_io_shape_starts_no_pool_and_no_segment(self):
+        """200 pieces of 34 x 34 points with one observed cluster (the
+        ``io_*`` workloads' plan): ``auto`` runs it in-process — no
+        shared-memory segment is created and no pool is started."""
+        grid = Grid(n_x=600, n_y=300, dx_km=25.0, dy_km=25.0)
+        decomp = Decomposition(grid, n_sdx=20, n_sdy=10, xi=2, eta=2)
+        rng = np.random.default_rng(15)
+        states = rng.standard_normal((grid.n, 4))
+        box = np.arange(6)
+        net = ObservationNetwork(
+            grid, ix=np.tile(312 + box, 6), iy=np.repeat(162 + box, 6),
+            obs_error_std=0.5,
+        )
+        y = rng.standard_normal(net.m)
+        registry = shared_segment_registry()
+        created_before = registry.created_count
+        filt = DistributedEnKF(
+            radius_km=60.0, inflation=1.05, ridge=1e-2, workers=2
+        )
+        try:
+            out = filt.assimilate(decomp, states, net, y, rng=1)
+            assert filt.executor._process_pool is None
+        finally:
+            filt.close()
+        assert registry.created_count == created_before
+        ref = DistributedEnKF(
+            radius_km=60.0, inflation=1.05, ridge=1e-2
+        ).assimilate(decomp, states, net, y, rng=1)
+        assert np.array_equal(out, ref)
 
     def test_effective_workers_capped_by_pieces(self):
         ex = AnalysisExecutor(workers=16)
@@ -464,31 +508,44 @@ class TestProcessLoop:
     def test_round_one_submits_as_prepared(self, monkeypatch, policy):
         """Chunk k goes to the pool before chunk k+1's geometry is
         resolved — the prepare/compute overlap — with or without
-        supervision."""
-        plan = enkf_plan(n_sdx=4, n_sdy=2)
+        supervision.
+
+        Restated over *observed* pieces on purpose: observation-free
+        pieces are one bulk fill, so they are neither prepared nor
+        chunked, and the chunk size follows the observed count.  Before
+        the split the pin was ``[2, 4, 6, 8]`` and ``n_prepared ==
+        len(plan.pieces)`` whatever the network."""
         prepared_at_submit = []
-        n_prepared = 0
         real_prepare = AnalysisPlan.prepare
         real_submit = ProcessPoolExecutor.submit
 
         def counting_prepare(self, index):
-            nonlocal n_prepared
-            n_prepared += 1
+            prepared_so_far.append(index)
             return real_prepare(self, index)
 
         def recording_submit(self, fn, *args, **kwargs):
-            prepared_at_submit.append(n_prepared)
+            prepared_at_submit.append(len(prepared_so_far))
             return real_submit(self, fn, *args, **kwargs)
 
         monkeypatch.setattr(AnalysisPlan, "prepare", counting_prepare)
         monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
-        with AnalysisExecutor(
-            strategy="process", workers=2, supervision=policy
-        ) as ex:
-            ex.run(plan)
-        # 8 pieces, 2 workers x 2 chunks: four chunks of two pieces.
-        assert prepared_at_submit == [2, 4, 6, 8]
-        assert n_prepared == len(plan.pieces)
+        for obs_columns, observed, at_submit in [
+            # every piece observed — 8 pieces, 2 workers x 2 chunks:
+            # four chunks of two pieces
+            (None, list(range(8)), [2, 4, 6, 8]),
+            # columns 9-10 lie in sub-domain column 2 alone (one-cell
+            # halos): plan indices 2 and 6, two chunks of one piece
+            ([9, 10], [2, 6], [1, 2]),
+        ]:
+            plan = enkf_plan(n_sdx=4, n_sdy=2, obs_columns=obs_columns)
+            prepared_so_far = []
+            prepared_at_submit.clear()
+            with AnalysisExecutor(
+                strategy="process", workers=2, supervision=policy
+            ) as ex:
+                ex.run(plan)
+            assert prepared_at_submit == at_submit
+            assert prepared_so_far == list(plan.observed) == observed
 
     def test_unsupervised_crash_raises_promptly_and_pool_recovers(self):
         """No supervision: a dead worker raises BrokenProcessPool within
@@ -533,16 +590,25 @@ class TestParallelTelemetry:
         return tracer, metrics, decomp
 
     def test_run_and_prepare_spans_recorded(self):
+        """One ``parallel.prepare`` and one ``parallel.local_analysis``
+        per *observed* piece — restated on purpose: an observation-free
+        piece is filled in bulk and never prepared (before the split the
+        count was ``decomp.n_subdomains``; this network observes every
+        piece, so the number is the same and ``parallel.pieces`` still
+        counts them all)."""
         tracer, metrics, decomp = self._run("serial")
         names = [s.name for s in tracer.spans]
         assert names.count("parallel.run") == 1
-        assert names.count("parallel.prepare") == decomp.n_subdomains
-        assert names.count("parallel.local_analysis") == decomp.n_subdomains
         run_span = next(s for s in tracer.spans if s.name == "parallel.run")
         assert run_span.attrs["strategy"] == "serial"
+        n_observed = run_span.attrs["n_observed"]
+        assert n_observed == run_span.attrs["n_pieces"] == decomp.n_subdomains
+        assert names.count("parallel.prepare") == n_observed
+        assert names.count("parallel.local_analysis") == n_observed
         snap = metrics.snapshot()
         assert snap["counters"]["parallel.pieces"] == decomp.n_subdomains
-        assert snap["counters"]["geometry.cache_misses"] == decomp.n_subdomains
+        assert snap["counters"]["parallel.unobserved_pieces"] == 0
+        assert snap["counters"]["geometry.cache_misses"] == n_observed
 
     def test_worker_spans_flow_to_parent_tracer(self):
         tracer, metrics, decomp = self._run("process")
@@ -587,10 +653,16 @@ class TestParallelTelemetry:
 
     def test_cycling_prepare_spans_turn_cached(self):
         """The telemetry view of the geometry cache: cycle 1 prepares are
-        cache misses, every later cycle's are hits."""
+        cache misses, every later cycle's are hits.
+
+        Counted over *observed* pieces on purpose (``n`` was
+        ``decomp.n_subdomains`` before the split): only they are
+        prepared, so only they reach the cache."""
         tracer, metrics, decomp = self._run("serial", cycles=3)
         prepares = [s for s in tracer.spans if s.name == "parallel.prepare"]
-        n = decomp.n_subdomains
+        runs = [s for s in tracer.spans if s.name == "parallel.run"]
+        n = runs[0].attrs["n_observed"]
+        assert [s.attrs["n_observed"] for s in runs] == [n] * 3
         assert len(prepares) == 3 * n
         ordered = sorted(prepares, key=lambda s: s.start)
         assert all(not s.attrs["cached"] for s in ordered[:n])

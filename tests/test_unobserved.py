@@ -1,0 +1,399 @@
+"""Observation-free pieces: one bulk fill, and work sized by the rest.
+
+A piece whose expansion holds no observation has the (inflated)
+background as its analysis.  The executor fills all such pieces in one
+pass (:meth:`AnalysisPlan.fill_unobserved`) and prepares, ships and
+counts only the observed ones, by their plan indices.  The contract
+pinned here: whatever the observation placement, every filter under
+every strategy equals an oracle that loops
+:func:`~repro.parallel.worker.compute_piece` over **all** pieces —
+bit for bit on the per-piece strategies, to the vectorized tolerance
+tier otherwise.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.parallel.executor as executor_mod
+from repro.core import (
+    Decomposition,
+    Grid,
+    InterpolatingObservationNetwork,
+    ObservationNetwork,
+)
+from repro.core.inflation import inflate
+from repro.core.observations import perturb_observations
+from repro.faults import FaultSchedule
+from repro.filters import LETKF, SEnKF
+from repro.filters.distributed import DistributedEnKF
+from repro.parallel import (
+    KIND_ENKF,
+    KIND_ETKF,
+    AnalysisExecutor,
+    AnalysisPlan,
+    GeometryCache,
+    SupervisionPolicy,
+    compute_piece,
+    run_vectorized,
+)
+from repro.parallel.executor import STRATEGIES
+from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.telemetry.memprof import shared_segment_registry
+from repro.util.seeding import spawn_rng
+from tests.test_supervise import FAST_RETRY, _crash_seed_for_piece
+
+#: the vectorized strategy's equivalence contract (tests/test_vectorized.py)
+RTOL, ATOL = 1e-10, 1e-11
+
+GRID = Grid(n_x=16, n_y=8, dx_km=1.0, dy_km=1.0)
+#: 4 x 2 sub-domains of 4 x 4 points, one-cell halos: the expansion of
+#: sub-domain ``i`` reaches one column into sub-domains ``i - 1``, ``i + 1``
+DECOMP = Decomposition(GRID, n_sdx=4, n_sdy=2, xi=1, eta=1)
+N_MEMBERS = 10
+STATES = np.random.default_rng(0).standard_normal((GRID.n, N_MEMBERS))
+ENKF = dict(radius_km=2.0, inflation=1.05, ridge=1e-2)
+
+FILTERS = {
+    "enkf": lambda ex: DistributedEnKF(executor=ex, **ENKF),
+    "senkf": lambda ex: SEnKF(n_layers=2, executor=ex, **ENKF),
+    "letkf": lambda ex: LETKF(inflation=1.1, executor=ex),
+}
+
+
+def network(ix, iy):
+    return ObservationNetwork(
+        GRID, ix=np.asarray(ix), iy=np.asarray(iy), obs_error_std=0.4
+    )
+
+
+def box_observed(net, piece):
+    """The definition the cheap answer must agree with."""
+    return net.restrict_to_box(
+        piece.exp_x_indices, piece.exp_y_indices
+    )[0].size > 0
+
+
+def oracle(name, net, y, seed):
+    """The analysis by ``compute_piece`` over every piece, no shortcut."""
+    if name == "letkf":
+        kind, states, obs = KIND_ETKF, STATES, y
+        pieces, radius, params = list(DECOMP), None, {"inflation": 1.1}
+    else:
+        kind, radius = KIND_ENKF, ENKF["radius_km"]
+        states = inflate(STATES, ENKF["inflation"])
+        obs = perturb_observations(
+            y, net.obs_error_std, N_MEMBERS, rng=spawn_rng(seed)
+        )
+        pieces = FILTERS[name](None)._plan_pieces(DECOMP)
+        params = {
+            "radius_km": radius, "ridge": ENKF["ridge"],
+            "sparse_solver": False,
+        }
+    out = np.full_like(states, np.nan)
+    cache = GeometryCache()
+    for piece in pieces:
+        geometry = cache.local_geometry(net, piece, radius)
+        out[geometry.interior_flat] = compute_piece(
+            kind, piece, states[geometry.expansion_flat], obs, geometry,
+            params,
+        )
+    return out
+
+
+@st.composite
+def placements(draw):
+    """Observed grid points ``(ix, iy)``: one cluster, observations seen
+    by a neighbour only through its halo, every piece observed, or a
+    scattered handful."""
+    mode = draw(st.sampled_from(["cluster", "halo", "everywhere", "scattered"]))
+    if mode == "cluster":
+        x0 = draw(st.integers(0, GRID.n_x - 2))
+        y0 = draw(st.integers(0, GRID.n_y - 2))
+        points = {(x0 + dx, y0 + dy) for dx in (0, 1) for dy in (0, 1)}
+    elif mode == "halo":
+        # the first column of sub-domain i: interior to i, halo to i - 1
+        x0 = 4 * draw(st.integers(0, DECOMP.n_sdx - 1))
+        rows = draw(st.sets(st.integers(0, GRID.n_y - 1), min_size=1,
+                            max_size=3))
+        points = {(x0, iy) for iy in rows}
+    elif mode == "everywhere":
+        # one point in every 4 x 2 block: every S-EnKF layer sees one
+        points = {
+            (ix, iy) for ix in range(1, GRID.n_x, 4)
+            for iy in range(0, GRID.n_y, 2)
+        }
+    else:
+        flat = draw(st.sets(st.integers(0, GRID.n - 1), min_size=1,
+                            max_size=12))
+        points = {(k % GRID.n_x, k // GRID.n_x) for k in flat}
+    ix, iy = zip(*sorted(points))
+    return network(ix, iy)
+
+
+@pytest.fixture(scope="module")
+def executors():
+    """One executor per strategy for the whole module: the hypothesis
+    examples reuse the process pools."""
+    pool = {s: AnalysisExecutor(strategy=s, workers=2) for s in STRATEGIES}
+    yield pool
+    for ex in pool.values():
+        ex.close()
+
+
+class TestEveryPlacementEqualsTheAllPiecesOracle:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", sorted(FILTERS))
+    @settings(max_examples=25, deadline=None)
+    @given(net=placements(), seed=st.integers(0, 2**16))
+    def test_filter_under_strategy(self, executors, name, strategy, net, seed):
+        y = np.random.default_rng(seed).standard_normal(net.m)
+        expected = oracle(name, net, y, seed)
+        filt = FILTERS[name](executors[strategy])
+        out = filt.assimilate(DECOMP, STATES, net, y, rng=seed)
+        if strategy in ("serial", "process"):
+            assert np.array_equal(out, expected)
+        else:  # vectorized, or auto free to pick it
+            assert np.allclose(out, expected, rtol=RTOL, atol=ATOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=placements())
+    def test_cheap_answer_is_the_box_restriction(self, net):
+        """``GeometryCache.observed`` builds no operator and no stencil,
+        yet agrees with ``restrict_to_box`` piece by piece."""
+        layered = SEnKF(radius_km=2.0, n_layers=2)._plan_pieces(DECOMP)
+        for pieces in (list(DECOMP), layered):
+            cache = GeometryCache()
+            answer = cache.observed(net, pieces)
+            assert answer == tuple(
+                i for i, p in enumerate(pieces) if box_observed(net, p)
+            )
+            assert cache.observed(net, pieces) is answer  # kept, not redone
+            assert (cache.hits, cache.misses) == (0, 0)  # not a derivation
+
+    def test_cheap_answer_takes_no_cache_entry(self):
+        """A cache bounded at the piece count holds every geometry: the
+        second cycle hits on all of them, the answer evicting none."""
+        net = network(range(1, GRID.n_x, 4), [3] * 4)  # row 3 + halo: all 8
+        cache = GeometryCache(maxsize=8)
+        filt = DistributedEnKF(geometry_cache=cache, **ENKF)
+        for _ in range(2):
+            filt.assimilate(DECOMP, STATES, net, np.zeros(net.m), rng=1)
+        assert (cache.hits, cache.misses) == (8, 8)
+        assert len(cache) == 8
+
+
+class TestHaloOnlyObservation:
+    def test_piece_seen_only_through_its_halo_is_observed(self):
+        """Observations in column 4 lie in sub-domain 1's interior and in
+        sub-domain 0's halo: both are observed, sub-domains 2 and 3 are
+        not, and the bulk fill leaves them the inflated background."""
+        net = network([4, 4], [1, 2])
+        plan_pieces = list(DECOMP)
+        observed = GeometryCache().observed(net, plan_pieces)
+        assert observed == (0, 1)
+        interior_hits = [
+            i for i, p in enumerate(plan_pieces)
+            if np.isin(net.flat_locations, p.interior_flat).any()
+        ]
+        assert interior_hits == [1]
+        y = np.array([0.3, -0.2])
+        out = DistributedEnKF(**ENKF).assimilate(DECOMP, STATES, net, y, rng=3)
+        assert np.array_equal(out, oracle("enkf", net, y, 3))
+        background = inflate(STATES, ENKF["inflation"])
+        for i, piece in enumerate(plan_pieces):
+            same = np.array_equal(
+                out[piece.interior_flat], background[piece.interior_flat]
+            )
+            assert same == (i not in observed)
+
+
+#: off-grid observations.  The first sits at (8.5, 1.5): its bilinear
+#: stencil — columns 8-9, rows 1-2 — is whole inside sub-domain 2 and
+#: straddles the edge of sub-domain 1's expansion (columns 3-8), which
+#: holds the corner (8, 1) and still does not see it.  The second, at
+#: (13.0, 5.5), sits on a grid column: a two-point stencil inside
+#: sub-domain 7 and clear of 6's expansion (columns 7-12).
+INTERP_NET = InterpolatingObservationNetwork(
+    GRID, x=[8.5, 13.0], y=[1.5, 5.5], obs_error_std=0.4
+)
+
+
+class TestInterpolatingNetwork:
+    """The cheap answer is the network's: an off-grid observation counts
+    for a piece only when its whole stencil lies in the expansion box."""
+
+    def test_straddling_observation_does_not_make_a_piece_observed(self):
+        pieces = list(DECOMP)
+        assert GeometryCache().observed(INTERP_NET, pieces) == (2, 7)
+        assert 8 in pieces[1].exp_x_indices and 9 not in pieces[1].exp_x_indices
+        for piece in pieces:
+            box = (piece.exp_x_indices, piece.exp_y_indices)
+            assert INTERP_NET.any_in_box(*box) == box_observed(INTERP_NET, piece)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        xs=st.lists(st.floats(0, GRID.n_x, exclude_max=True), min_size=1,
+                    max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cheap_answer_is_the_stencil_restriction(self, xs, seed):
+        ys = np.random.default_rng(seed).uniform(0, GRID.n_y - 1, len(xs))
+        net = InterpolatingObservationNetwork(GRID, x=xs, y=ys)
+        layered = SEnKF(radius_km=2.0, n_layers=2)._plan_pieces(DECOMP)
+        for pieces in (list(DECOMP), layered):
+            assert GeometryCache().observed(net, pieces) == tuple(
+                i for i, p in enumerate(pieces) if box_observed(net, p)
+            )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", sorted(FILTERS))
+    def test_filter_under_strategy(self, executors, name, strategy):
+        y = np.array([0.4, -0.7])
+        expected = oracle(name, INTERP_NET, y, 11)
+        filt = FILTERS[name](executors[strategy])
+        out = filt.assimilate(DECOMP, STATES, INTERP_NET, y, rng=11)
+        if strategy in ("serial", "process"):
+            assert np.array_equal(out, expected)
+        else:
+            assert np.allclose(out, expected, rtol=RTOL, atol=ATOL)
+        assert not np.array_equal(out, oracle(name, INTERP_NET, 0 * y, 11))
+
+
+def right_half_plan(kind):
+    """The four right-hand sub-domains of a network observed only in
+    column 1 (clear of the periodic seam): a plan with zero observations
+    anywhere."""
+    net = network([1, 1], [2, 5])
+    pieces = [sd for sd in DECOMP if sd.i >= 2]
+    assert not any(box_observed(net, p) for p in pieces)
+    if kind == KIND_ENKF:
+        obs = np.zeros((net.m, N_MEMBERS))
+        params = {"radius_km": 2.0, "ridge": 1e-2, "sparse_solver": False}
+    else:
+        obs, params = np.zeros(net.m), {"inflation": 1.1}
+    return AnalysisPlan(
+        kind=kind, pieces=pieces, states=STATES, obs=obs,
+        out=np.full_like(STATES, np.nan), network=net, params=params,
+    )
+
+
+class TestNothingObservedAnywhere:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind", [KIND_ENKF, KIND_ETKF])
+    def test_background_without_pool_kernel_or_segment(
+        self, monkeypatch, kind, strategy
+    ):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran on a plan with no observation")
+
+        monkeypatch.setattr(executor_mod, "compute_piece", no_kernel)
+        plan = right_half_plan(kind)
+        registry = shared_segment_registry()
+        created_before = registry.created_count
+        with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+            assert ex.run(plan) == len(plan.pieces)  # still counts them all
+            assert ex._process_pool is None
+        assert registry.created_count == created_before
+        expected = STATES if kind == KIND_ENKF else inflate(STATES, 1.1)
+        assert np.array_equal(plan.out, expected)
+
+    @pytest.mark.parametrize("kind", [KIND_ENKF, KIND_ETKF])
+    def test_run_vectorized_called_directly_fills_too(self, kind):
+        plan = right_half_plan(kind)
+        stats = run_vectorized(plan)
+        assert stats["empty_pieces"] == len(plan.pieces)
+        assert stats["batched_pieces"] == stats["n_buckets"] == 0
+        expected = STATES if kind == KIND_ENKF else inflate(STATES, 1.1)
+        assert np.array_equal(plan.out, expected)
+
+
+class TestFullyObservedPlanFillsNothing:
+    def test_no_fill_when_every_piece_is_observed(self):
+        """No unobserved piece: ``out`` is written by the pieces alone
+        (a fill would be an extra ``n x N`` pass for nothing)."""
+        net = network(range(1, GRID.n_x, 4), [3] * 4)  # row 3 + halo: all 8
+        plan = AnalysisPlan(
+            kind=KIND_ETKF, pieces=list(DECOMP), states=STATES,
+            obs=np.zeros(net.m), out=np.full_like(STATES, np.nan),
+            network=net, params={"inflation": 1.1},
+        )
+        assert plan.observed == tuple(range(8))
+        plan.fill_unobserved()
+        assert np.isnan(plan.out).all()
+
+
+# ---------------------------------------------------------------------------
+# Plan indices survive the split: faults, spans, counters
+# ---------------------------------------------------------------------------
+#: observations inside the two right-hand columns of sub-domains, clear of
+#: every halo of the left-hand ones (and of the periodic seam): the
+#: observed plan indices are 2, 3, 6, 7
+RIGHT_NET = network([9, 10, 13, 9, 10, 13], [1, 2, 1, 5, 6, 6])
+RIGHT_OBSERVED = (2, 3, 6, 7)
+
+
+def _supervised(faults):
+    y = np.linspace(-1.0, 1.0, RIGHT_NET.m)
+    policy = SupervisionPolicy(max_respawns=2, retry=FAST_RETRY)
+    with AnalysisExecutor(
+        strategy="process", workers=2, supervision=policy, faults=faults
+    ) as ex:
+        out = DistributedEnKF(executor=ex, **ENKF).assimilate(
+            DECOMP, STATES, RIGHT_NET, y, rng=5
+        )
+        return out, ex.supervision_stats, oracle("enkf", RIGHT_NET, y, 5)
+
+
+class TestPlanIndicesSurviveTheSplit:
+    def test_fixture_observes_the_right_half(self):
+        assert GeometryCache().observed(RIGHT_NET, list(DECOMP)) == RIGHT_OBSERVED
+
+    def test_crash_draw_on_an_observed_plan_index_fires(self):
+        """Plan index 6 is the third observed piece: the draw is keyed on
+        6, not on its position 2 in the observed list."""
+        faults = FaultSchedule(_crash_seed_for_piece(6), worker_crash_rate=0.2)
+        out, stats, expected = _supervised(faults)
+        assert np.array_equal(out, expected)
+        assert stats.worker_crashes == 1
+        assert 1 <= stats.piece_retries <= len(RIGHT_OBSERVED)
+
+    def test_crash_draw_on_an_unobserved_plan_index_never_ships(self):
+        """Plan index 0 is unobserved: nothing is shipped for it, so its
+        crash draw — which a re-numbered work-list would hand to the
+        first observed piece — is never consulted."""
+        faults = FaultSchedule(_crash_seed_for_piece(0), worker_crash_rate=0.2)
+        out, stats, expected = _supervised(faults)
+        assert np.array_equal(out, expected)
+        assert stats.worker_crashes == 0
+        assert stats.piece_retries == 0
+
+    def test_crash_everything_falls_back_for_the_observed_only(self):
+        faults = FaultSchedule(3, worker_crash_rate=1.0)
+        out, stats, expected = _supervised(faults)
+        assert np.array_equal(out, expected)
+        assert stats.serial_fallback_pieces == len(RIGHT_OBSERVED)
+
+    @pytest.mark.parametrize("strategy", ["serial", "process"])
+    def test_spans_and_counters_name_plan_indices(self, strategy):
+        y = np.linspace(-1.0, 1.0, RIGHT_NET.m)
+        metrics = MetricsRegistry()
+        tracer = Tracer(metrics=metrics)
+        with use_tracer(tracer), use_metrics(metrics):
+            with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+                DistributedEnKF(executor=ex, **ENKF).assimilate(
+                    DECOMP, STATES, RIGHT_NET, y, rng=5
+                )
+        run = next(s for s in tracer.spans if s.name == "parallel.run")
+        assert run.attrs["n_pieces"] == 8
+        assert run.attrs["n_observed"] == len(RIGHT_OBSERVED)
+        for name in ("parallel.prepare", "parallel.local_analysis"):
+            pieces = sorted(
+                s.attrs["piece"] for s in tracer.spans if s.name == name
+            )
+            assert pieces == list(RIGHT_OBSERVED)
+        counters = metrics.snapshot()["counters"]
+        assert counters["parallel.pieces"] == 8
+        assert counters["parallel.unobserved_pieces"] == 4
+        assert counters["geometry.cache_misses"] == len(RIGHT_OBSERVED)
