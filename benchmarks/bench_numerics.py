@@ -6,11 +6,13 @@ auto-tuner) so performance regressions in the library itself are visible.
 """
 
 import numpy as np
+import pytest
 
 from repro.core import (
     Decomposition,
     Grid,
     ObservationNetwork,
+    SubDomain,
     analysis_gain_form,
     local_analysis,
     perturb_observations,
@@ -21,6 +23,7 @@ from repro.core.cholesky import (
     neighbour_predecessors,
 )
 from repro.models import correlated_ensemble
+from repro.parallel import GeometryCache
 from repro.sim import Environment
 from repro.tuning import autotune
 
@@ -114,23 +117,30 @@ def test_autotuner_paper_scale(benchmark):
     assert result is not None
 
 
-def test_local_analysis_sparse_solver(benchmark):
-    """Sparse-LU local analysis on a larger expansion (vs dense above)."""
-    grid, states, net, ys, _ = _setup_local(n_x=64, n_y=32, m=200)
-    from repro.core import Decomposition
+def _local_piece(n_cols, n_rows):
+    """What `compute_piece` hands `local_analysis` for one e2e-shaped piece.
 
-    decomp = Decomposition(grid, n_sdx=2, n_sdy=1, xi=4, eta=4)
-    sd = decomp.subdomain(0, 0)
-    exp = states[sd.expansion_flat]
-    benchmark(local_analysis, sd, exp, net, ys, 2.0, None, 1e-8, True)
+    ~1 observation per 6 points; the geometry entry (restriction, stencil)
+    is prepared, as it is for every piece the executor runs.
+    """
+    grid, _, _, _, states = _benchmark_piece(n_cols, n_rows)
+    sd = SubDomain(grid, 0, 0, 2, n_cols - 2, 2, n_rows - 2, xi=2, eta=2)
+    rng = np.random.default_rng(2)
+    net = ObservationNetwork.random(
+        grid, m=grid.n // 6, obs_error_std=0.5, rng=rng
+    )
+    ys = perturb_observations(
+        rng.standard_normal(net.m), net.obs_error_std, states.shape[1], rng=rng
+    )
+    geometry, _ = GeometryCache().get(net, sd, 60.0)
+    return (sd, states, None, ys, 60.0), {"ridge": 1e-2, "geometry": geometry}
 
 
-def test_local_analysis_dense_large(benchmark):
-    """Dense local analysis on the same large expansion (comparison)."""
-    grid, states, net, ys, _ = _setup_local(n_x=64, n_y=32, m=200)
-    from repro.core import Decomposition
-
-    decomp = Decomposition(grid, n_sdx=2, n_sdy=1, xi=4, eta=4)
-    sd = decomp.subdomain(0, 0)
-    exp = states[sd.expansion_flat]
-    benchmark(local_analysis, sd, exp, net, ys, 2.0)
+@pytest.mark.parametrize(
+    "n_cols, n_rows", [(20, 6), (20, 12), (40, 22)],
+    ids=["120_points", "240_points", "880_points"],
+)
+def test_local_analysis_piece(benchmark, n_cols, n_rows):
+    """Eq. 6 on one e2e-shaped piece: the small-piece cost of the sparse solve."""
+    args, kwargs = _local_piece(n_cols, n_rows)
+    benchmark(local_analysis, *args, **kwargs)

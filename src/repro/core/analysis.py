@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg  # noqa: F401 - enables sp.linalg.factorized
+from scipy.sparse.linalg import splu
 
 from repro.core.backend import ArrayBackend, get_backend
 from repro.core.cholesky import modified_cholesky_inverse
@@ -97,56 +97,53 @@ def analysis_precision_form(
     h_operator,
     r_diag: np.ndarray,
     y_perturbed: np.ndarray,
-    b_inverse: np.ndarray,
+    b_inverse: np.ndarray | sp.spmatrix,
 ) -> np.ndarray:
     """Eq. (5): state-space solve against an inverse-covariance estimate.
 
     ``δXᵃ = (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ Hᵀ R⁻¹ (Yˢ − H Xᵇ)``.
     Returns ``Xᵃ`` of shape (n, N).
 
-    ``b_inverse`` may be dense or ``scipy.sparse``; with a sparse ``B̂⁻¹``
-    (banded modified-Cholesky output) *and* a sparse ``H``, the state-space
-    system stays sparse and is factorised with a sparse LU — the path that
-    scales to large local domains.  The LU is applied to all ``N`` ensemble
-    right-hand sides in one multi-RHS ``solve`` (one triangular sweep over
-    an (n̄, N) block instead of N python-level column solves; ~3–5× faster
-    on the N=16..64, n̄ ≈ 10³ local systems this repo runs).
+    ``h_operator`` and ``b_inverse`` may be dense or ``scipy.sparse``;
+    both are taken as CSR, so the state-space system keeps the band
+    structure of the modified-Cholesky ``B̂⁻¹`` and no ``n × n`` dense
+    array is formed.  The system is symmetric, hence the symmetric
+    minimum-degree ordering; its sparse LU is applied to all ``N``
+    ensemble right-hand sides in one multi-RHS ``solve``.
+
+    Non-finite input and a non-positive ``r_diag`` raise ``ValueError``
+    (SuperLU would carry NaN/inf through to the analysis silently).
     """
     xb = np.asarray(background, dtype=float)
     if xb.ndim != 2:
         raise ValueError(f"background must be (n, N), got {xb.shape}")
-    sparse_b = sp.issparse(b_inverse)
-    if not sparse_b:
-        b_inverse = np.asarray(b_inverse, dtype=float)
-    if b_inverse.shape != (xb.shape[0], xb.shape[0]):
+    n = xb.shape[0]
+    b_inv = sp.csr_matrix(b_inverse, dtype=float)
+    if b_inv.shape != (n, n):
         raise ValueError(
-            f"B̂⁻¹ has shape {b_inverse.shape}, expected "
-            f"{(xb.shape[0], xb.shape[0])}"
+            f"B̂⁻¹ has shape {b_inv.shape}, expected {(n, n)}"
         )
-    r_inv = 1.0 / np.asarray(r_diag, dtype=float).ravel()
-    hx = np.asarray(h_operator @ xb)
-    innov = _innovations(hx, np.asarray(y_perturbed, dtype=float))
+    r_diag = np.asarray(r_diag, dtype=float).ravel()
+    if not (np.isfinite(r_diag).all() and (r_diag > 0.0).all()):
+        raise ValueError("r_diag must be finite and positive")
+    h = sp.csr_matrix(h_operator)
+    innov = _innovations(h @ xb, np.asarray(y_perturbed, dtype=float))
 
-    if sp.issparse(h_operator):
-        ht_rinv = (h_operator.multiply(r_inv[:, None])).T.tocsr()  # (n, m)
-        hth = ht_rinv @ h_operator
-        rhs = np.asarray(ht_rinv @ innov)
-        if sparse_b:
-            a_sparse = (b_inverse + hth).tocsc()
-            delta = sp.linalg.splu(a_sparse).solve(rhs)
-            return xb + delta
-        a = b_inverse + np.asarray(hth.todense())
-    else:
-        h = np.asarray(h_operator)
-        ht_rinv = h.T * r_inv[None, :]
-        hth = ht_rinv @ h
-        rhs = np.asarray(ht_rinv @ innov)
-        if sparse_b:
-            a = np.asarray(b_inverse.todense()) + hth
-        else:
-            a = b_inverse + hth
-    delta = scipy.linalg.solve(a, rhs, assume_a="pos")
-    return xb + delta
+    ht_rinv = h.multiply((1.0 / r_diag)[:, None]).T.tocsr()  # (n, m)
+    a = (b_inv + ht_rinv @ h).tocsc()
+    rhs = ht_rinv @ innov
+    if not (np.isfinite(a.data).all() and np.isfinite(rhs).all()):
+        raise ValueError(
+            "non-finite values in the precision-form system "
+            "(background, observations, H or B̂⁻¹)"
+        )
+    try:
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise ValueError(
+            f"precision-form system of size {n} is singular: {exc}"
+        ) from exc
+    return xb + lu.solve(rhs)
 
 
 def _check_batched_shapes(xb, h, r_diag, y) -> None:
@@ -219,9 +216,8 @@ def local_analysis(
     network: ObservationNetwork | None,
     y_perturbed_global: np.ndarray,
     radius_km: float,
-    b_inverse: np.ndarray | None = None,
+    b_inverse: np.ndarray | sp.spmatrix | None = None,
     ridge: float = 1e-8,
-    sparse_solver: bool = False,
     geometry=None,
 ) -> np.ndarray:
     """Eq. (6): analyse one sub-domain from its expansion data.
@@ -243,11 +239,8 @@ def local_analysis(
     radius_km:
         Localization radius for the modified-Cholesky estimator.
     b_inverse:
-        Pre-computed local ``B̂⁻¹`` (optional; estimated when omitted).
-    sparse_solver:
-        Estimate ``B̂⁻¹`` in sparse form and solve the state-space system
-        with a sparse LU — faster on large expansions (the precision is
-        banded by construction).
+        Pre-computed local ``B̂⁻¹``, dense or sparse (optional; the banded
+        modified-Cholesky estimate when omitted).
     geometry:
         Optional :class:`~repro.parallel.geometry.PieceGeometry` carrying
         the cycle-invariant artifacts (observation restriction, index
@@ -285,7 +278,7 @@ def local_analysis(
     if b_inverse is None:
         b_inverse = modified_cholesky_inverse(
             xb, subdomain.grid, ix, iy, radius_km=radius_km, ridge=ridge,
-            sparse=sparse_solver, predecessors=predecessors,
+            predecessors=predecessors,
         )
     y_local = np.asarray(y_perturbed_global, dtype=float)[obs_positions, :]
     if geometry is not None:

@@ -181,9 +181,8 @@ def modified_cholesky_inverse(
     radius_km: float,
     ridge: float = 1e-8,
     min_variance: float = 1e-12,
-    sparse: bool = False,
     predecessors: list[np.ndarray] | None = None,
-) -> np.ndarray:
+) -> sp.csr_matrix:
     """Estimate ``B̂⁻¹`` from a (local) ensemble by modified Cholesky.
 
     Parameters
@@ -201,11 +200,6 @@ def modified_cholesky_inverse(
     min_variance:
         Floor on residual variances so ``D⁻¹`` (and hence SPD-ness) is
         always defined.
-    sparse:
-        Return a ``scipy.sparse.csr_matrix`` instead of a dense array.
-        ``L`` has at most ``O(stencil)`` entries per row, so ``B̂⁻¹`` is
-        banded; the sparse representation lets the precision-form solve
-        use sparse factorisation on large local domains.
     predecessors:
         Pre-computed :func:`neighbour_predecessors` stencil.  The stencil
         depends only on the coordinates and the radius — never on the
@@ -215,8 +209,10 @@ def modified_cholesky_inverse(
 
     Returns
     -------
-    (n_local, n_local) SPD matrix ``B̂⁻¹ = Lᵀ D⁻¹ L`` (dense ndarray, or
-    CSR when ``sparse=True``).
+    (n_local, n_local) SPD matrix ``B̂⁻¹ = Lᵀ D⁻¹ L`` as a
+    ``scipy.sparse.csr_matrix``: ``L`` has at most ``O(stencil)`` entries
+    per row, so ``B̂⁻¹`` is banded and the precision-form solve factorises
+    it sparse (``.toarray()`` gives the dense matrix).
 
     A piece is the ``B = 1`` stack of
     :func:`modified_cholesky_inverse_batched`: the regressions are the
@@ -249,10 +245,7 @@ def modified_cholesky_inverse(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
-    b_inv = (lower.T @ sp.diags(1.0 / d[0]) @ lower).tocsr()
-    if sparse:
-        return b_inv
-    return np.asarray(b_inv.todense())
+    return (lower.T @ sp.diags(1.0 / d[0]) @ lower).tocsr()
 
 
 def modified_cholesky_inverse_batched(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from repro.core.analysis import _check_batched_shapes
 from repro.core.backend import ArrayBackend, get_backend
 from repro.core.domain import SubDomain
 
@@ -115,21 +116,14 @@ def analysis_etkf_batched(
     h = bk.asarray(h_operators, dtype=float)
     r_diag = bk.asarray(r_diags, dtype=float)
     y = bk.asarray(ys, dtype=float)
-    if xb.ndim != 3 or xb.shape[2] < 2:
+    _check_batched_shapes(xb, h, r_diag, y)
+    if y.ndim != 2:
+        raise ValueError(f"ys must be (B, m), got {y.shape}")
+    n_members = xb.shape[2]
+    if n_members < 2:
         raise ValueError(f"backgrounds must be (B, n, N>=2), got {xb.shape}")
     if inflation <= 0:
         raise ValueError(f"inflation must be positive, got {inflation}")
-    n_batch, n, n_members = xb.shape
-    if h.ndim != 3 or h.shape[0] != n_batch or h.shape[2] != n:
-        raise ValueError(
-            f"h_operators must be (B={n_batch}, m, n={n}), got {h.shape}"
-        )
-    m = h.shape[1]
-    if r_diag.shape != (n_batch, m) or y.shape != (n_batch, m):
-        raise ValueError(
-            f"r_diags/ys must be ({n_batch}, {m}), got "
-            f"{r_diag.shape} / {y.shape}"
-        )
     r_inv = 1.0 / r_diag  # (B, m)
 
     mean = xb.mean(axis=2)  # (B, n)

@@ -29,6 +29,11 @@ from repro.util.validation import check_positive
 class DistributedEnKF:
     """Domain-decomposed stochastic EnKF (numerics shared by L/P/S-EnKF).
 
+    Each observed piece is one :func:`repro.core.analysis.local_analysis`:
+    the banded modified-Cholesky ``B̂⁻¹`` stays sparse through a single
+    sparse-LU solve (the ``vectorized`` strategy batches dense stacks of
+    small pieces instead).
+
     Parameters
     ----------
     radius_km:
@@ -64,7 +69,6 @@ class DistributedEnKF:
         radius_km: float,
         inflation: float = 1.0,
         ridge: float = 1e-8,
-        sparse_solver: bool = False,
         executor: AnalysisExecutor | None = None,
         workers: int | None = None,
         strategy: str | None = None,
@@ -75,8 +79,6 @@ class DistributedEnKF:
         self.radius_km = float(radius_km)
         self.inflation = float(inflation)
         self.ridge = float(ridge)
-        #: use the banded sparse B̂⁻¹ + sparse LU path in local analyses
-        self.sparse_solver = bool(sparse_solver)
         if executor is not None and (workers is not None or strategy is not None):
             raise ValueError(
                 "pass either executor or workers/strategy, not both"
@@ -164,11 +166,7 @@ class DistributedEnKF:
                 obs=ys,
                 out=analysed,
                 network=network,
-                params={
-                    "radius_km": self.radius_km,
-                    "ridge": self.ridge,
-                    "sparse_solver": self.sparse_solver,
-                },
+                params={"radius_km": self.radius_km, "ridge": self.ridge},
                 cache=self.geometry,
             )
             n_local = self._executor().run(plan)

@@ -57,16 +57,14 @@ class SEnKF(DistributedEnKF):
         n_layers: int = 1,
         inflation: float = 1.0,
         ridge: float = 1e-8,
-        sparse_solver: bool = False,
         executor=None,
         workers: int | None = None,
         strategy: str | None = None,
         geometry_cache=None,
     ):
         super().__init__(radius_km, inflation=inflation, ridge=ridge,
-                         sparse_solver=sparse_solver, executor=executor,
-                         workers=workers, strategy=strategy,
-                         geometry_cache=geometry_cache)
+                         executor=executor, workers=workers,
+                         strategy=strategy, geometry_cache=geometry_cache)
         check_positive("n_layers", n_layers)
         self.n_layers = int(n_layers)
 

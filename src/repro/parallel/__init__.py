@@ -29,7 +29,7 @@ equivalence contract (rtol ≤ 1e-10 against the serial reference).
 
 from repro.parallel.executor import AnalysisExecutor, AnalysisPlan, serial_executor
 from repro.parallel.geometry import BucketGeometry, GeometryCache, PieceGeometry
-from repro.parallel.vectorized import VectorizedPolicy, run_vectorized
+from repro.parallel.vectorized import run_vectorized
 from repro.parallel.shared import (
     AttachedArray,
     SharedArraySpec,
@@ -60,7 +60,6 @@ __all__ = [
     "SupervisionPolicy",
     "SupervisionReport",
     "SupervisionStats",
-    "VectorizedPolicy",
     "attach_array",
     "compute_piece",
     "piece_seconds_from_cost_model",

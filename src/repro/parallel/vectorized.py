@@ -12,14 +12,14 @@ call per distinct stencil size).  The win is therefore independent of core
 count, which is what lets the parallel bench assert its speedup on a
 1-CPU CI runner.
 
-Bucketing policy (:class:`VectorizedPolicy`): pieces first group by
-structural signature; within a group, observation counts may differ, so
-the group is *padded* to the largest count with exact no-op slots (zero
-``H`` rows, unit ``R``, masked observations — proven no-ops, see the
-batched-kernel docstrings) — or *split* into sub-batches when the
-padded-slot fraction would exceed ``max_pad_waste``.  The realised
-waste is recorded (``vectorized.pad_slots`` / ``vectorized.obs_slots``
-counters, ``vectorized.pad_waste`` gauge) so the policy is observable.
+Bucketing policy: pieces first group by structural signature; within a
+group, observation counts may differ, so the group is *padded* to the
+largest count with exact no-op slots (zero ``H`` rows, unit ``R``,
+masked observations — proven no-ops, see the batched-kernel docstrings)
+— or *split* into sub-batches when the padded-slot fraction would
+exceed :data:`MAX_PAD_WASTE`.  The realised waste is recorded
+(``vectorized.pad_slots`` / ``vectorized.obs_slots`` counters,
+``vectorized.pad_waste`` gauge) so the policy is observable.
 
 Pieces with no observations are never prepared or batched: their
 "analysis" is a copy (plus ETKF inflation), written for all of them at
@@ -34,8 +34,6 @@ process strategies are untouched and stay bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.analysis import analysis_precision_form_batched
@@ -46,29 +44,23 @@ from repro.parallel.worker import KIND_ENKF, KIND_ETKF
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
 
-__all__ = ["VectorizedPolicy", "run_vectorized"]
+__all__ = ["run_vectorized"]
+
+#: Largest padded fraction of a sub-batch's observation slots; admitting
+#: a piece that would exceed it starts a new sub-batch instead.
+MAX_PAD_WASTE = 0.25
 
 
-@dataclass(frozen=True)
-class VectorizedPolicy:
-    """Pad-or-split knobs for the shape bucketer.
-
-    ``max_pad_waste`` bounds the padded fraction of a sub-batch's
-    observation slots: within a structural group (sorted by observation
-    count, so each greedy sub-batch pads toward its own maximum) a new
-    sub-batch is started whenever admitting the next piece would push
-    the padded fraction above the bound.  ``0.0`` forbids padding
-    entirely (every distinct observation count becomes its own batch);
-    ``1.0`` always pads, never splits.
-    """
-
-    max_pad_waste: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 <= self.max_pad_waste <= 1.0:
-            raise ValueError(
-                f"max_pad_waste must be in [0, 1], got {self.max_pad_waste}"
-            )
+def _structural_groups(prepared: list[tuple]) -> list[list[tuple]]:
+    """Prepared ``(plan_index, piece, geometry)`` triples grouped by
+    structural signature (expansion size, interior map, stencil), in
+    signature order."""
+    groups: dict[tuple, list] = {}
+    for item in prepared:
+        geo = item[2]
+        key = (geo.expansion_flat.size, geo.interior_sig, geo.stencil_sig)
+        groups.setdefault(key, []).append(item)
+    return [groups[key] for key in sorted(groups)]
 
 
 def _split_by_waste(
@@ -78,7 +70,11 @@ def _split_by_waste(
 
     ``group`` holds ``(plan_index, piece, geometry)`` triples.  Sorting
     by (obs count, plan index) keeps the split deterministic and puts
-    near-equal counts together, so padding is cheap where it is allowed.
+    near-equal counts together, so each greedy sub-batch pads toward its
+    own maximum: a new one starts whenever admitting the next piece
+    would push the padded fraction above ``max_pad_waste`` (``0.0``
+    forbids padding — every distinct count is its own batch; ``1.0``
+    never splits).
     """
     ordered = sorted(
         group, key=lambda item: (int(item[2].obs_positions.size), item[0])
@@ -130,43 +126,32 @@ def _compute_bucket(plan, bucket, backend: ArrayBackend) -> None:
     )
 
 
-def run_vectorized(
-    plan,
-    policy: VectorizedPolicy | None = None,
-    backend: ArrayBackend | None = None,
-) -> dict:
+def run_vectorized(plan, backend: ArrayBackend | None = None) -> dict:
     """Run one plan under the vectorized strategy; returns bucket stats.
 
     The plan's observed pieces are prepared through the
     :class:`GeometryCache` (per-piece entries carry the structural
-    digests), grouped, padded or split per ``policy``, stacked via cached
-    :class:`~repro.parallel.geometry.BucketGeometry` entries and updated
-    by the batched kernels.  Empty-observation pieces are one bulk fill
-    (exact).  Writes land in ``plan.out`` exactly like every other
-    strategy.
+    digests), grouped, padded or split (:data:`MAX_PAD_WASTE`), stacked
+    via cached :class:`~repro.parallel.geometry.BucketGeometry` entries
+    and updated by the batched kernels.  Empty-observation pieces are one
+    bulk fill (exact).  Writes land in ``plan.out`` exactly like every
+    other strategy.
     """
     if plan.kind not in (KIND_ENKF, KIND_ETKF):
         raise ValueError(
             f"vectorized strategy cannot run kind {plan.kind!r}"
         )
-    policy = policy if policy is not None else VectorizedPolicy()
     bk = backend if backend is not None else get_backend()
     tracer = get_tracer()
     plan.fill_unobserved()
     prepared = [plan.prepare(i) for i in plan.observed]
     n_empty = len(plan.pieces) - len(prepared)
 
-    groups: dict[tuple, list] = {}
-    for item in prepared:
-        geo = item[2]
-        key = (geo.expansion_flat.size, geo.interior_sig, geo.stencil_sig)
-        groups.setdefault(key, []).append(item)
-
     n_buckets = 0
     pad_slots = 0
     total_slots = 0
-    for key in sorted(groups):
-        for batch in _split_by_waste(groups[key], policy.max_pad_waste):
+    for group in _structural_groups(prepared):
+        for batch in _split_by_waste(group, MAX_PAD_WASTE):
             bucket, cached = plan.cache.get_bucket(
                 plan.network, batch, plan.cache_radius
             )

@@ -63,7 +63,6 @@ def compute_piece(
             obs,
             radius_km=params["radius_km"],
             ridge=params["ridge"],
-            sparse_solver=params["sparse_solver"],
             geometry=geometry,
         )
     if kind == KIND_ETKF:

@@ -176,7 +176,7 @@ def random_stencil(rng, n, max_size):
 
 
 def assert_both_match_reference(stack, preds, ridge, grid=None, coords=None):
-    """Per-piece (dense and CSR) and batched results vs the reference."""
+    """Per-piece (CSR) and batched results vs the reference."""
     n = stack.shape[1]
     grid = grid if grid is not None else Grid(n_x=max(n, 1), n_y=1)
     ix, iy = coords if coords is not None else (np.arange(n), np.zeros(n, int))
@@ -186,15 +186,10 @@ def assert_both_match_reference(stack, preds, ridge, grid=None, coords=None):
     assert batched.shape == (stack.shape[0], n, n)
     for b, states in enumerate(stack):
         want = reference_inverse(states, preds, ridge=ridge)
-        dense = modified_cholesky_inverse(
+        csr = modified_cholesky_inverse(
             states, grid, ix, iy, 1.0, ridge=ridge, predecessors=preds
         )
-        csr = modified_cholesky_inverse(
-            states, grid, ix, iy, 1.0, ridge=ridge, predecessors=preds,
-            sparse=True,
-        )
         assert sp.issparse(csr) and csr.format == "csr"
-        assert np.allclose(dense, want, rtol=RTOL, atol=ATOL)
         assert np.allclose(csr.toarray(), want, rtol=RTOL, atol=ATOL)
         assert np.allclose(batched[b], want, rtol=RTOL, atol=ATOL)
 
@@ -264,7 +259,7 @@ class TestAgainstReference:
         want = reference_inverse(
             states, reference_predecessors(grid, ix, iy, 60.0), ridge=1e-2
         )
-        assert np.allclose(got, want, rtol=RTOL, atol=ATOL)
+        assert np.allclose(got.toarray(), want, rtol=RTOL, atol=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -391,4 +386,4 @@ class TestCallCounts:
             self.states, self.grid, self.ix, self.iy, 60.0, ridge=1e-2,
             predecessors=self.preds,
         )
-        assert np.array_equal(got, want)
+        assert np.array_equal(got.toarray(), want.toarray())

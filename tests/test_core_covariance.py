@@ -113,7 +113,7 @@ class TestModifiedCholesky:
         g = self.local_grid(n)
         binv = modified_cholesky_inverse(
             x, g, np.arange(n), np.zeros(n, dtype=int), radius_km=3.0
-        )
+        ).toarray()
         assert np.allclose(binv, binv.T)
         assert np.linalg.eigvalsh(binv).min() > 0
 
@@ -123,7 +123,7 @@ class TestModifiedCholesky:
         g = self.local_grid(n)
         binv = modified_cholesky_inverse(
             x, g, np.arange(n), np.zeros(n, dtype=int), radius_km=10.0
-        )
+        ).toarray()
         assert np.linalg.eigvalsh(binv).min() > 0
 
     def test_converges_to_true_precision_ar1(self):
@@ -134,7 +134,7 @@ class TestModifiedCholesky:
         binv = modified_cholesky_inverse(
             x, g, np.arange(n), np.zeros(n, dtype=int),
             radius_km=1.5, ridge=1e-12,
-        )
+        ).toarray()
         true_prec = np.linalg.inv(cov)
         # Relative Frobenius error should be small with many members.
         rel = np.linalg.norm(binv - true_prec) / np.linalg.norm(true_prec)
@@ -148,7 +148,7 @@ class TestModifiedCholesky:
         g = self.local_grid(n)
         binv = modified_cholesky_inverse(
             x, g, np.arange(n), np.zeros(n, dtype=int), radius_km=2.0
-        )
+        ).toarray()
         true_prec = np.linalg.inv(cov)
         sample_pinv = np.linalg.pinv(sample_covariance(x))
         err_mc = np.linalg.norm(binv - true_prec)
@@ -161,7 +161,7 @@ class TestModifiedCholesky:
         g = self.local_grid(5)
         binv = modified_cholesky_inverse(
             x, g, np.arange(5), np.zeros(5, dtype=int), radius_km=1.5
-        )
+        ).toarray()
         assert np.all(np.isfinite(binv))
         assert np.linalg.eigvalsh(binv).min() > 0
 

@@ -135,25 +135,3 @@ class TestDistributedFilters:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             PEnKF(radius_km=0.0)
-
-
-class TestSparseSolverFilters:
-    def test_penkf_sparse_solver_matches_dense(self):
-        grid, truth, states, net, y = problem(m=40)
-        decomp = Decomposition(grid, n_sdx=2, n_sdy=2, xi=3, eta=3)
-        dense = PEnKF(radius_km=2.0).assimilate(decomp, states, net, y, rng=5)
-        sparse = PEnKF(radius_km=2.0, sparse_solver=True).assimilate(
-            decomp, states, net, y, rng=5
-        )
-        assert np.allclose(dense, sparse, atol=1e-8)
-
-    def test_senkf_sparse_solver_matches_dense(self):
-        grid, truth, states, net, y = problem(m=40)
-        decomp = Decomposition(grid, n_sdx=2, n_sdy=2, xi=2, eta=2)
-        dense = SEnKF(radius_km=2.0, n_layers=2).assimilate(
-            decomp, states, net, y, rng=6
-        )
-        sparse = SEnKF(radius_km=2.0, n_layers=2, sparse_solver=True).assimilate(
-            decomp, states, net, y, rng=6
-        )
-        assert np.allclose(dense, sparse, atol=1e-8)

@@ -75,7 +75,7 @@ def enkf_plan(n_sdx=2, n_sdy=2, xi=1, eta=1, obs_columns=None):
         kind=KIND_ENKF, pieces=list(decomp), states=states,
         obs=np.repeat(y[:, None], states.shape[1], axis=1),
         out=np.zeros_like(states), network=net,
-        params={"radius_km": 2.0, "ridge": 1e-8, "sparse_solver": False},
+        params={"radius_km": 2.0, "ridge": 1e-8},
     )
 
 
@@ -397,17 +397,6 @@ class TestBitIdentity:
             out = LETKF(inflation=1.03, executor=ex).assimilate(
                 decomp, states, net, y
             )
-        assert np.array_equal(ref, out)
-
-    def test_sparse_solver_path(self):
-        grid, truth, states, net, y = problem()
-        decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
-        serial = DistributedEnKF(radius_km=2.0, sparse_solver=True)
-        ref = serial.assimilate(decomp, states, net, y, rng=3)
-        with AnalysisExecutor(strategy="process", workers=2) as ex:
-            parallel = DistributedEnKF(radius_km=2.0, sparse_solver=True,
-                                       executor=ex)
-            out = parallel.assimilate(decomp, states, net, y, rng=3)
         assert np.array_equal(ref, out)
 
     def test_workers_one_is_bitwise_serial(self):

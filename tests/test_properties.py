@@ -183,7 +183,7 @@ class TestCholeskyProperties:
         grid = Grid(n_x=n, n_y=1, periodic_x=False)
         binv = modified_cholesky_inverse(
             states, grid, np.arange(n), np.zeros(n, dtype=int), radius_km=radius
-        )
+        ).toarray()
         assert np.allclose(binv, binv.T, atol=1e-10)
         assert np.linalg.eigvalsh(binv).min() > 0
 

@@ -87,10 +87,7 @@ def oracle(name, net, y, seed):
             y, net.obs_error_std, N_MEMBERS, rng=spawn_rng(seed)
         )
         pieces = FILTERS[name](None)._plan_pieces(DECOMP)
-        params = {
-            "radius_km": radius, "ridge": ENKF["ridge"],
-            "sparse_solver": False,
-        }
+        params = {"radius_km": radius, "ridge": ENKF["ridge"]}
     out = np.full_like(states, np.nan)
     cache = GeometryCache()
     for piece in pieces:
@@ -270,7 +267,7 @@ def right_half_plan(kind):
     assert not any(box_observed(net, p) for p in pieces)
     if kind == KIND_ENKF:
         obs = np.zeros((net.m, N_MEMBERS))
-        params = {"radius_km": 2.0, "ridge": 1e-2, "sparse_solver": False}
+        params = {"radius_km": 2.0, "ridge": 1e-2}
     else:
         obs, params = np.zeros(net.m), {"inflation": 1.1}
     return AnalysisPlan(

@@ -50,10 +50,13 @@ from repro.parallel import (
     GeometryCache,
     KIND_ENKF,
     KIND_ETKF,
-    VectorizedPolicy,
     run_vectorized,
 )
-from repro.parallel.vectorized import _split_by_waste
+from repro.parallel.vectorized import (
+    MAX_PAD_WASTE,
+    _split_by_waste,
+    _structural_groups,
+)
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -90,7 +93,7 @@ def make_plan(kind, n_sdx=4, n_sdy=4, xi=2, eta=2, m=40, radius=2.0,
     rng = np.random.default_rng(seed + 1)
     if kind == KIND_ENKF:
         obs = y[:, None] + 0.3 * rng.standard_normal((net.m, n_members))
-        params = {"radius_km": radius, "ridge": 1e-3, "sparse_solver": False}
+        params = {"radius_km": radius, "ridge": 1e-3}
     else:
         obs = y
         params = {"inflation": 1.03}
@@ -104,6 +107,11 @@ def make_plan(kind, n_sdx=4, n_sdy=4, xi=2, eta=2, m=40, radius=2.0,
         params=params,
         cache=cache if cache is not None else GeometryCache(),
     )
+
+
+def observed_groups(plan):
+    """The plan's observed pieces grouped as ``run_vectorized`` groups them."""
+    return _structural_groups([plan.prepare(i) for i in plan.observed])
 
 
 def serial_reference(plan):
@@ -165,7 +173,7 @@ class TestBatchedKernels:
             ref = modified_cholesky_inverse(
                 stack[b], grid, ix, iy, radius_km=2.0, ridge=1e-3,
                 predecessors=geo.predecessors,
-            )
+            ).toarray()
             assert np.allclose(out[b], ref, rtol=RTOL, atol=ATOL)
 
     def test_padding_is_an_exact_noop(self):
@@ -216,6 +224,7 @@ def _filter_cases():
     # reduction order diverges far beyond rounding — the tolerance
     # contract assumes a ridge that keeps the regression conditioned
     # (see docs/PERFORMANCE.md), hence ridge=1e-3 throughout.
+    # The two enkf labels are kept test ids; the cases differ in inflation.
     for radius in (2.0, 3.5):
         yield (
             f"enkf-dense-r{radius}",
@@ -226,7 +235,7 @@ def _filter_cases():
         yield (
             f"enkf-sparse-r{radius}",
             lambda ex, radius=radius: DistributedEnKF(
-                radius_km=radius, sparse_solver=True, ridge=1e-3, executor=ex
+                radius_km=radius, ridge=1e-3, executor=ex
             ),
         )
         yield (
@@ -321,29 +330,28 @@ class TestBucketing:
     @pytest.mark.parametrize("kind", [KIND_ENKF, KIND_ETKF])
     def test_zero_waste_policy_forbids_padding(self, kind):
         plan = make_plan(kind, m=40)
-        ref = serial_reference(plan)
-        stats = run_vectorized(plan, policy=VectorizedPolicy(max_pad_waste=0.0))
-        assert stats["pad_slots"] == 0
-        assert stats["pad_waste"] == 0.0
-        assert np.allclose(plan.out, ref, rtol=RTOL, atol=ATOL)
+        for group in observed_groups(plan):
+            batches = _split_by_waste(group, 0.0)
+            assert sorted(i for b in batches for i, _, _ in b) == sorted(
+                i for i, _, _ in group
+            )
+            for batch in batches:  # one observation count: nothing to pad
+                assert len({g.obs_positions.size for _, _, g in batch}) == 1
 
     def test_always_pad_policy_minimises_buckets(self):
         plan = make_plan(KIND_ENKF, m=40)
-        ref = serial_reference(plan)
-        stats_pad = run_vectorized(
-            plan, policy=VectorizedPolicy(max_pad_waste=1.0)
-        )
-        assert np.allclose(plan.out, ref, rtol=RTOL, atol=ATOL)
-
-        plan2 = make_plan(KIND_ENKF, m=40)
-        stats_split = run_vectorized(
-            plan2, policy=VectorizedPolicy(max_pad_waste=0.0)
-        )
+        groups = observed_groups(plan)
         # Padding merges ragged shape-groups that splitting keeps apart.
-        assert stats_pad["n_buckets"] <= stats_split["n_buckets"]
-        assert stats_pad["pad_slots"] >= stats_split["pad_slots"]
-        # The realised waste metric is recorded and sane.
-        assert 0.0 <= stats_pad["pad_waste"] <= 1.0
+        assert all(len(_split_by_waste(g, 1.0)) == 1 for g in groups)
+        assert any(len(_split_by_waste(g, 0.0)) > 1 for g in groups)
+
+    def test_default_waste_bound_pads_and_stays_exact(self):
+        plan = make_plan(KIND_ENKF, m=40)
+        ref = serial_reference(plan)
+        stats = run_vectorized(plan)
+        assert stats["pad_slots"] > 0
+        assert 0.0 < stats["pad_waste"] <= MAX_PAD_WASTE
+        assert np.allclose(plan.out, ref, rtol=RTOL, atol=ATOL)
 
     def test_single_piece_buckets(self):
         # A 2x1 split yields 2 structurally distinct pieces -> every
@@ -359,10 +367,6 @@ class TestBucketing:
         plan.kind = "weird"
         with pytest.raises(ValueError, match="kind 'weird'"):
             run_vectorized(plan)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="max_pad_waste"):
-            VectorizedPolicy(max_pad_waste=1.5)
 
     def test_split_by_waste_boundaries(self):
         class _Geo:
@@ -407,11 +411,10 @@ class TestPropertyEquivalence:
         # regression is rank-deficient and equivalence between summation
         # orders is not defined (see docs/PERFORMANCE.md).
         radius=st.sampled_from([1.0, 1.8]),
-        waste=st.sampled_from([0.0, 0.3, 1.0]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_random_shapes(self, kind, n_sdx, n_sdy, cell_x, cell_y,
-                           halo, m, radius, waste, seed):
+                           halo, m, radius, seed):
         plan = make_plan(
             kind,
             n_sdx=n_sdx, n_sdy=n_sdy, xi=halo, eta=halo, m=m,
@@ -419,14 +422,11 @@ class TestPropertyEquivalence:
             n_x=n_sdx * cell_x, n_y=n_sdy * cell_y, n_members=8,
         )
         ref = serial_reference(plan)
-        stats = run_vectorized(
-            plan, policy=VectorizedPolicy(max_pad_waste=waste)
-        )
+        stats = run_vectorized(plan)
         assert stats["empty_pieces"] + stats["batched_pieces"] == len(
             plan.pieces
         )
-        if waste == 0.0:
-            assert stats["pad_slots"] == 0
+        assert stats["pad_waste"] <= MAX_PAD_WASTE
         assert np.allclose(plan.out, ref, rtol=RTOL, atol=ATOL)
 
 
