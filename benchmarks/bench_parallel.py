@@ -1,4 +1,4 @@
-"""Parallel-engine bench: serial vs process fan-out vs the
+"""Parallel-engine bench: serial vs thread fan-out vs the
 batched *vectorized* kernel, with equivalence and geometry-cache
 acceptance baked in.
 
@@ -8,7 +8,7 @@ records per-cycle wall times into a schema-versioned
 ``BENCH_parallel.json`` (location overridable with the
 ``BENCH_PARALLEL_PATH`` env var).  Acceptance, asserted on every run:
 
-* process analyses are **bit-identical** to the serial engine's,
+* thread analyses are **bit-identical** to the serial engine's,
   every cycle; the vectorized analysis matches to ``rtol <= 1e-10``
   (different linalg route, same mathematics — see
   ``docs/PERFORMANCE.md``);
@@ -21,10 +21,15 @@ records per-cycle wall times into a schema-versioned
 * with every observation in one of 64 large sub-domains, ``auto`` stays
   within 1.1x of plain ``serial`` — it sizes the plan by its observed
   pieces and must not spin a pool up for one of them;
-* on a machine with >= 4 cores, the warm-cycle process time
+* on a machine with >= 4 cores, the warm-cycle thread time
   additionally beats serial by >= 2x (skipped — and recorded as
-  skipped — on smaller boxes, where the fan-out has nothing to fan
-  onto).
+  skipped — on smaller boxes).  On the 2-core build host the paired
+  median of per-cycle ``serial / thread`` ratios on this problem is
+  0.63-0.81x (64 pieces of 96-160 points: the shape ``auto`` batches,
+  not the one it fans out), nowhere near the 1.15x floor proposed for
+  asserting it there, so it stays recorded and unasserted; threads win
+  from ~512 points a piece up, e.g. ``large_pieces_moving`` in
+  ``benchmarks/e2e`` (docs/PERFORMANCE.md §1, §5).
 
 Usable three ways: under pytest (``test_parallel_bench_smoke``), as a
 pytest case collected from this file, and as a CLI for CI smoke runs::
@@ -66,7 +71,7 @@ BENCH_PARALLEL_SCHEMA = "senkf-bench-parallel/2"
 _DEFAULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
 
 #: every concrete strategy the executor offers, serial (the reference)
-#: first.  Process is held to bit-identity with it; vectorized is
+#: first.  Thread is held to bit-identity with it; vectorized is
 #: tolerance-checked instead (batched LU vs per-piece Cholesky).
 STRATEGIES = tuple(s for s in EXECUTOR_STRATEGIES if s != "auto")
 
@@ -152,7 +157,7 @@ def run_sparse_obs_case(workers: int, cycles: int = 20) -> dict:
 
     A 256 x 128 grid in 8 x 8 sub-domains of 36 x 20 expansion points —
     too large to batch, 46 k points in all, the shape a rule on the
-    *total* piece count sends to the process pool — with every
+    *total* piece count sends to the thread pool — with every
     observation inside one sub-domain.  ``auto`` and ``serial`` run by
     turns, swapping who goes first, and the statistic asserted is the
     median over warm cycles of the paired ratio ``auto / serial``.  (The
@@ -265,7 +270,7 @@ def run_parallel_bench(smoke: bool = False, cycles: int = 3,
 
     # Warm-cycle comparison: skip cycle 0 (pool spin-up + geometry build).
     warm = {s: min(t[1:]) if len(t) > 1 else t[0] for s, t in timings.items()}
-    best_speedup = warm["serial"] / warm["process"]
+    best_speedup = warm["serial"] / warm["thread"]
     vectorized_speedup = warm["serial"] / warm["vectorized"]
     cpu_count = os.cpu_count() or 1
     # The fan-out 2x floor needs cores and a non-trivial problem; the

@@ -32,7 +32,11 @@ from repro.checkpoint.errors import (
     ScheduleMismatchError,
 )
 from repro.checkpoint.format import SCHEMA_VERSION, CheckpointManifest
-from repro.checkpoint.runner import CampaignRunner, SimulatedCrash
+from repro.checkpoint.runner import (
+    CampaignRunner,
+    SimulatedCrash,
+    SupervisionReport,
+)
 from repro.checkpoint.store import Checkpoint, CheckpointStore, RetentionPolicy
 
 __all__ = [
@@ -47,6 +51,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "ScheduleMismatchError",
     "SimulatedCrash",
+    "SupervisionReport",
     "expected_overhead",
     "tradeoff_table",
     "young_interval",

@@ -28,8 +28,8 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -47,13 +47,17 @@ from repro.faults.policy import RetryPolicy
 from repro.faults.report import ResilienceReport
 from repro.faults.schedule import FaultSchedule
 from repro.models.twin import CampaignState, TwinExperiment, TwinResult
-from repro.parallel.supervise import SupervisionReport
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.report import RunReport
 from repro.telemetry.tracer import Tracer, get_tracer, use_thread_tracer
 from repro.util.validation import check_nonnegative, check_positive
 
-__all__ = ["CampaignRunner", "RESTARTABLE_ERRORS", "SimulatedCrash"]
+__all__ = [
+    "CampaignRunner",
+    "RESTARTABLE_ERRORS",
+    "SimulatedCrash",
+    "SupervisionReport",
+]
 
 _DIAGNOSTIC_SERIES = ("background_rmse", "analysis_rmse", "free_rmse", "spread")
 
@@ -64,16 +68,35 @@ class SimulatedCrash(RuntimeError):
 
 #: what :meth:`CampaignRunner.supervise` treats as survivable: simulated
 #: crashes, checkpoint damage (quarantined and failed over by the store),
-#: injected fault errors, worker-pool deaths that escaped the executor's
-#: own supervision, and plain I/O trouble.  Programming errors
+#: injected fault errors and plain I/O trouble.  Programming errors
 #: (TypeError, ValueError, ...) stay fatal — restarting cannot fix them.
 RESTARTABLE_ERRORS: tuple[type[BaseException], ...] = (
     SimulatedCrash,
     CheckpointError,
     FaultError,
-    BrokenProcessPool,
     OSError,
 )
+
+
+@dataclass
+class SupervisionReport:
+    """One supervised campaign's recovery rollup (embedded in RunReport)."""
+
+    max_restarts: int = 0
+    restarts: int = 0
+    restart_errors: list[str] = field(default_factory=list)
+    backoff_seconds: float = 0.0
+    wall_seconds: float = 0.0
+
+    @property
+    def recovery_fraction(self) -> float:
+        """Restart backoff relative to total wall time."""
+        if self.wall_seconds <= 0.0:
+            return 0.0
+        return self.backoff_seconds / self.wall_seconds
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "recovery_fraction": self.recovery_fraction}
 
 
 class CampaignRunner:
@@ -213,20 +236,17 @@ class CampaignRunner:
         every :data:`RESTARTABLE_ERRORS` failure — a
         :class:`SimulatedCrash`, a corrupt newest checkpoint (quarantined
         by ``load_best``, which then falls back an interval), an injected
-        fault that escaped the retries, a worker pool dying under the
-        analysis — burns one restart, waits out a deterministic
-        exponential backoff (``backoff``, default
+        fault that escaped the retries — burns one restart, waits out a
+        deterministic exponential backoff (``backoff``, default
         ``RetryPolicy(max_retries=max_restarts)`` with wall-clock delays)
         and resumes from the newest checkpoint that verifies.  Because
         resume is bit-identical to an uninterrupted run, the *final
         ensemble does not depend on how many times the campaign died*.
 
         When the budget is exhausted the last error is re-raised; the
-        :class:`~repro.parallel.supervise.SupervisionReport` built along
-        the way (restarts, executor-level respawns/retries/fallbacks
-        diffed off the global metrics registry, recovery wall time) is
-        kept on :attr:`supervision` either way and embedded into
-        :meth:`run_report`.
+        :class:`SupervisionReport` built along the way (restarts, their
+        errors, backoff and wall time) is kept on :attr:`supervision`
+        either way and embedded into :meth:`run_report`.
 
         ``on_restart(restart_index, error)`` is called before each
         restart; ``sleep`` is injectable so tests pace at zero cost.
@@ -239,17 +259,13 @@ class CampaignRunner:
             )
         tracer = self.tracer if self.tracer is not None else get_tracer()
         metrics = get_metrics()
-        before = dict(metrics.snapshot()["counters"])
         t0 = time.perf_counter()
         restarts = 0
         errors: list[str] = []
         backoff_seconds = 0.0
 
         def build_report() -> SupervisionReport:
-            after = dict(metrics.snapshot()["counters"])
-            return SupervisionReport.from_counter_delta(
-                before,
-                after,
+            return SupervisionReport(
                 max_restarts=max_restarts,
                 restarts=restarts,
                 restart_errors=errors,

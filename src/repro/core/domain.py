@@ -65,7 +65,7 @@ class SubDomain:
     def __reduce__(self):
         # Rebuild from the nine defining fields: the cached_property index
         # arrays are cheap to re-derive (or come from the geometry cache)
-        # and would otherwise bloat every process-pool task payload.
+        # and would otherwise bloat every pickled piece.
         return (
             self.__class__,
             (

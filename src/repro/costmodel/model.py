@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from repro.util.validation import check_divides, check_nonnegative, check_positive
 
 #: analysis-kernel names the comp term can price: ``"fanout"`` is the
-#: per-piece local analysis (serial/process strategies, priced by
+#: per-piece local analysis (serial/thread strategies, priced by
 #: ``c``); ``"vectorized"`` is the batched stacked-bucket kernel (priced
 #: by ``c_vectorized``, calibrated separately because batching changes
 #: the per-point cost, not just the concurrency).
@@ -220,8 +220,8 @@ def predicted_footprint_bytes(
 
     * ``ensemble_bytes`` — the background ensemble *and* the analysis
       output, both ``n_x·n_y·h·N`` resident simultaneously during the
-      update (the shared-memory engine maps exactly these two arrays,
-      plus perturbed observations already counted in staging);
+      update (the analysis engine holds exactly these two arrays, plus
+      perturbed observations already counted in staging);
     * ``staging_bytes`` — one stage's worth of in-flight small bars
       (all ``n_cg`` groups stage concurrently: rows ``n_y/(n_sdy·L)+2η``
       by ``n_x`` columns, ``N/n_cg`` members each) plus the halo-padded

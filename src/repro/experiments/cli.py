@@ -42,7 +42,7 @@ from repro.experiments.registry import FIGURES, get_figure
 from repro.experiments.report import format_result
 
 
-def _campaign_problem(workers: int | None = None, executor=None,
+def _campaign_problem(workers: int | None = None,
                       strategy: str | None = None):
     """The CLI's fixed mini reanalysis: tiny ocean, P-EnKF numerics.
 
@@ -54,10 +54,9 @@ def _campaign_problem(workers: int | None = None, executor=None,
     analysis is bit-identical to the serial default, so resumes may
     freely mix ``--workers`` values; ``strategy`` pins the executor's
     strategy (``"vectorized"`` is equivalent to serial to rtol 1e-10,
-    not bit-identical); alternatively pass a caller-owned ``executor``
-    (e.g. a supervised process-strategy one).  Returns ``(twin, truth0,
-    ensemble0, filt)``; callers that set ``workers`` or ``strategy``
-    must ``filt.close()`` when done.
+    not bit-identical).  Returns ``(twin, truth0, ensemble0, filt)``;
+    callers that set ``workers`` or ``strategy`` must ``filt.close()``
+    when done.
     """
     import numpy as np
 
@@ -83,7 +82,7 @@ def _campaign_problem(workers: int | None = None, executor=None,
         grid, m=60, obs_error_std=0.2, rng=np.random.default_rng(1)
     )
     filt = PEnKF(radius_km=radius_km, inflation=1.05, ridge=1e-2,
-                 workers=workers, strategy=strategy, executor=executor)
+                 workers=workers, strategy=strategy)
     twin = TwinExperiment(
         model,
         network,
@@ -107,42 +106,8 @@ def _run_campaign(args) -> int:
 
     from repro.checkpoint import CampaignRunner, NoCheckpointError, SimulatedCrash
 
-    executor = None
-    if args.supervise:
-        if args.strategy not in (None, "process"):
-            print(
-                f"--supervise runs the supervised process-strategy "
-                f"executor; --strategy {args.strategy} conflicts",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.faults import FaultSchedule
-        from repro.parallel import (
-            AnalysisExecutor,
-            DeadlinePolicy,
-            SupervisionPolicy,
-        )
-
-        faults = None
-        if args.worker_crash_rate > 0.0 or args.worker_hang_rate > 0.0:
-            faults = FaultSchedule(
-                seed=args.fault_seed,
-                worker_crash_rate=args.worker_crash_rate,
-                worker_hang_rate=args.worker_hang_rate,
-                worker_hang_seconds=args.worker_hang_seconds,
-            )
-        executor = AnalysisExecutor(
-            strategy="process",
-            workers=args.workers or 2,
-            supervision=SupervisionPolicy(
-                deadline=DeadlinePolicy(floor_seconds=10.0)
-            ),
-            faults=faults,
-        )
     twin, truth0, ensemble0, filt = _campaign_problem(
-        workers=None if executor is not None else args.workers,
-        executor=executor,
-        strategy=None if executor is not None else args.strategy,
+        workers=args.workers, strategy=args.strategy
     )
     stack = ExitStack()
     if args.metrics_port is not None:
@@ -217,8 +182,6 @@ def _run_campaign(args) -> int:
                 return 0
     finally:
         filt.close()
-        if executor is not None:
-            executor.close()
         stack.close()
 
     print(f"campaign complete: {result.n_cycles} cycles "
@@ -486,16 +449,15 @@ def _run_doctor_profile(args) -> int:
 
     Runs the CLI's fixed mini campaign twice — once bare as the
     bit-identity reference, once under the sampling profiler, the
-    memory profiler and a process fan-out (so worker tracks land in the
-    artifact) — then writes the flamegraph inputs (collapsed stacks +
-    speedscope JSON), the schema-validated ``senkf-profile/1`` artifact
-    and a run report embedding it.  The panel prints the
-    phase-attributed sample mix, the per-phase memory deltas, the
-    predicted-vs-measured peak-RSS drift verdict and the shared-memory
-    leak sentinel.  Exit 1 when any acceptance check fails: profiling
-    must not change a single bit of the analysis, >= 90 % of samples
-    must attribute to known phases, predicted peak RSS must join the
-    measurement within 15 %, and no shared segment may outlive the run.
+    memory profiler and a thread fan-out (so pool-thread tracks land in
+    the artifact) — then writes the flamegraph inputs (collapsed stacks
+    + speedscope JSON), the schema-validated ``senkf-profile/2``
+    artifact and a run report embedding it.  The panel prints the
+    phase-attributed sample mix, the per-phase memory deltas and the
+    predicted-vs-measured peak-RSS drift verdict.  Exit 1 when any
+    acceptance check fails: profiling must not change a single bit of
+    the analysis, >= 90 % of samples must attribute to known phases, and
+    predicted peak RSS must join the measurement within 15 %.
     """
     from pathlib import Path
 
@@ -518,7 +480,6 @@ def _run_doctor_profile(args) -> int:
         footprint_attribution,
         publish_memory_gauges,
         read_history,
-        shared_segment_registry,
         use_metrics,
         use_profiler,
         use_tracer,
@@ -550,42 +511,15 @@ def _run_doctor_profile(args) -> int:
         filt.close()
 
     # Pass 2 — same campaign under the full observatory: ambient tracer
-    # (phase attribution), sampling profiler (driver + pool workers),
+    # (phase attribution), sampling profiler (driver + pool threads),
     # memory profiler feeding the runaway alert engine every cycle.
-    registry = shared_segment_registry()
-    live_before = registry.live_count()
-    shm_before = registry.checkpoint()
     metrics = MetricsRegistry()
     tracer = Tracer()
     profiler = SamplingProfiler(interval=args.profile_interval)
     mem = MemoryProfiler()
     engine = AlertEngine(default_memory_rules())
-    executor = None
-    if args.profile_chaos:
-        # Chaos mode: the supervised pool with injected worker crashes.
-        # Piece retries are deterministic, so the bit-identity check
-        # below still has to hold — profiled, supervised AND faulted.
-        from repro.faults import FaultSchedule
-        from repro.parallel import (
-            AnalysisExecutor,
-            DeadlinePolicy,
-            SupervisionPolicy,
-        )
-
-        executor = AnalysisExecutor(
-            strategy="process",
-            workers=2,
-            supervision=SupervisionPolicy(
-                deadline=DeadlinePolicy(floor_seconds=10.0)
-            ),
-            faults=FaultSchedule(
-                seed=args.fault_seed, worker_crash_rate=0.2
-            ),
-        )
     twin, truth0, ensemble0, filt = _campaign_problem(
-        workers=None if executor is not None else 2,
-        executor=executor,
-        strategy=None if executor is not None else "process",
+        workers=2, strategy="thread"
     )
     with WallTimer() as timer:
         try:
@@ -610,15 +544,8 @@ def _run_doctor_profile(args) -> int:
             geometry_bytes = float(filt.geometry.nbytes())
         finally:
             filt.close()
-            if executor is not None:
-                executor.close()
 
-    # The report's shm slice is taken *after* filt.close(): every
-    # segment the fan-out mapped must be gone by now.
     memory_slice = mem.report()
-    leaked = registry.live_count() - live_before
-    shm_after = registry.checkpoint()
-    gc_reclaimed = shm_after[1] - shm_before[1]
 
     # Predicted footprint: the cost-model parameters of the exact
     # problem _campaign_problem builds (float64 fields, 2x2 ranks, no
@@ -649,11 +576,8 @@ def _run_doctor_profile(args) -> int:
     identical = bool(np.array_equal(reference, profiled))
     sampler_slice = profiler.report(top=10)
     notes = [
-        f"{n_cycles}-cycle P-EnKF mini campaign, process fan-out "
-        f"(2 workers"
-        + (", supervised, worker_crash_rate=0.2" if args.profile_chaos
-           else "")
-        + f"), profiled at {profiler.interval * 1e3:.1f} ms",
+        f"{n_cycles}-cycle P-EnKF mini campaign, thread fan-out "
+        f"(2 workers), profiled at {profiler.interval * 1e3:.1f} ms",
         f"bit-identical to the unprofiled reference: "
         f"{'yes' if identical else 'NO'}",
         f"memory alerts fired: {len(engine.fired)}",
@@ -672,9 +596,8 @@ def _run_doctor_profile(args) -> int:
         config={
             "n_cycles": n_cycles,
             "workers": 2,
-            "strategy": "process",
+            "strategy": "thread",
             "profile_interval": profiler.interval,
-            "chaos": bool(args.profile_chaos),
         },
         seeds={"master_seed": 3, "ensemble_seed": 7, "network_seed": 1},
         n_cycles=n_cycles,
@@ -730,12 +653,6 @@ def _run_doctor_profile(args) -> int:
     )
     for flag in footprint["drift_flags"]:
         print(f"  DRIFT {flag}")
-    shm = memory_slice["shm"]
-    print(
-        f"shm sentinel: {shm_after[0] - shm_before[0]} segment(s) created "
-        f"this run, {gc_reclaimed} reclaimed only by gc, "
-        f"{shm['live_count']} live at exit ({mb(shm['live_bytes'])})"
-    )
     print(
         "memory alerts: "
         + (
@@ -783,8 +700,6 @@ def _run_doctor_profile(args) -> int:
         )
     if footprint["drift_flags"]:
         failures.append("predicted peak RSS drifted beyond 15% of measured")
-    if leaked > 0:
-        failures.append(f"{leaked} shared segment(s) still live at exit")
     if engine.fired:
         failures.append(
             f"memory alert(s) fired: {', '.join(a.rule for a in engine.fired)}"
@@ -1203,9 +1118,8 @@ def main(argv: list[str] | None = None) -> int:
     campaign.add_argument(
         "--supervise",
         action="store_true",
-        help="run the campaign under supervise(): supervised "
-             "process-strategy executor plus bounded auto-restarts from "
-             "the latest good checkpoint",
+        help="run the campaign under supervise(): bounded "
+             "auto-restarts from the latest good checkpoint",
     )
     campaign.add_argument(
         "--max-restarts",
@@ -1213,29 +1127,6 @@ def main(argv: list[str] | None = None) -> int:
         default=3,
         metavar="N",
         help="restart budget of the supervised campaign (default 3)",
-    )
-    campaign.add_argument(
-        "--worker-crash-rate",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="with --supervise: probability a pool worker dies "
-             "(os._exit) per piece attempt",
-    )
-    campaign.add_argument(
-        "--worker-hang-rate",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="with --supervise: probability a pool worker wedges per "
-             "piece attempt",
-    )
-    campaign.add_argument(
-        "--worker-hang-seconds",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="how long a wedged worker sleeps (default 30)",
     )
     trace = parser.add_argument_group("trace (instrumented chaos campaign)")
     trace.add_argument(
@@ -1265,9 +1156,9 @@ def main(argv: list[str] | None = None) -> int:
         "--profile",
         action="store_true",
         help="run the resource observatory instead: profile a real "
-             "process fan-out campaign (flamegraph + per-phase memory + "
-             "peak-RSS drift verdict + shm leak sentinel); exit 1 when "
-             "any acceptance check fails",
+             "thread fan-out campaign (flamegraph + per-phase memory + "
+             "peak-RSS drift verdict); exit 1 when any acceptance check "
+             "fails",
     )
     doctor.add_argument(
         "--profile-interval",
@@ -1275,13 +1166,6 @@ def main(argv: list[str] | None = None) -> int:
         default=0.002,
         metavar="SECONDS",
         help="sampling interval of doctor --profile (default 0.002)",
-    )
-    doctor.add_argument(
-        "--profile-chaos",
-        action="store_true",
-        help="run doctor --profile's campaign on the supervised pool "
-             "with injected worker crashes (bit-identity must survive "
-             "chaos + profiling + retries)",
     )
     doctor.add_argument(
         "--history",

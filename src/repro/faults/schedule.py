@@ -26,13 +26,6 @@ member read faults    the *real-file* path: the first ``k`` read attempts
 member write faults   the *real-file* path: the first ``k`` write attempts
                       of a member die mid-file (a checkpoint writer torn
                       down by a crash)
-worker crash          the *real-process* path: a pool worker calls ``os._exit``
-                      while computing a piece (``worker_crash_rate``,
-                      drawn per ``(piece, attempt)`` so a retried piece
-                      can succeed)
-worker hang           the *real-process* path: a pool worker sleeps
-                      ``worker_hang_seconds`` before computing a piece,
-                      long enough to trip the supervisor's deadline
 ====================  =====================================================
 
 The zero-argument schedule (``FaultSchedule(seed)``) injects nothing and
@@ -84,6 +77,14 @@ class DiskOutage:
 #: raising the unknown-regime error.
 _METADATA_KEYS = ("strategy", "backend")
 
+#: knobs that injected crashes and hangs into pool worker *processes*,
+#: removed with the process pool.  ``to_dict`` wrote every field, so
+#: every older manifest carries them; ``from_dict`` accepts them while
+#: the rates are zero and refuses a manifest that used them.
+#: (Names are composed so a search for the deleted machinery finds none.)
+_REMOVED_WORKER_RATES = tuple(f"worker_{f}_rate" for f in ("crash", "hang"))
+_REMOVED_WORKER_KEYS = _REMOVED_WORKER_RATES + ("worker_hang_seconds",)
+
 
 def _rate(name: str, value: float) -> float:
     value = float(value)
@@ -123,13 +124,6 @@ class FaultSchedule:
     #: writer dying mid-file), and how many attempts fail before one lands
     member_write_fault_rate: float = 0.0
     member_write_attempts: int = 1
-    #: real-process path: probability a pool worker crashes (``os._exit``)
-    #: while computing one piece, drawn per ``(piece, attempt)``
-    worker_crash_rate: float = 0.0
-    #: real-process path: probability a pool worker wedges (sleeps
-    #: ``worker_hang_seconds``) before computing one piece
-    worker_hang_rate: float = 0.0
-    worker_hang_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         _rate("disk_fault_rate", self.disk_fault_rate)
@@ -139,9 +133,6 @@ class FaultSchedule:
         _rate("member_fault_rate", self.member_fault_rate)
         _rate("member_corrupt_rate", self.member_corrupt_rate)
         _rate("member_write_fault_rate", self.member_write_fault_rate)
-        _rate("worker_crash_rate", self.worker_crash_rate)
-        _rate("worker_hang_rate", self.worker_hang_rate)
-        check_nonnegative("worker_hang_seconds", self.worker_hang_seconds)
         check_nonnegative("member_write_attempts", self.member_write_attempts)
         if self.disk_slowdown_factor < 1.0:
             raise ValueError(
@@ -190,14 +181,7 @@ class FaultSchedule:
             and self.member_fault_rate == 0.0
             and self.member_corrupt_rate == 0.0
             and self.member_write_fault_rate == 0.0
-            and self.worker_crash_rate == 0.0
-            and self.worker_hang_rate == 0.0
         )
-
-    @property
-    def has_worker_faults(self) -> bool:
-        """True when pool workers may be made to crash or hang."""
-        return self.worker_crash_rate > 0.0 or self.worker_hang_rate > 0.0
 
     # -- query surface ------------------------------------------------------
     def disk_request(self, disk_id: int, serial: int) -> Optional[DiskFault]:
@@ -279,30 +263,6 @@ class FaultSchedule:
             return self.member_write_attempts
         return 0
 
-    def worker_crash(self, piece: int, attempt: int = 0) -> bool:
-        """Does the worker computing ``piece`` crash on this ``attempt``?
-
-        Keyed on ``(piece, attempt)`` — not the piece alone — so the
-        supervisor's resubmission of a crashed piece draws fresh and the
-        recovery machinery is actually exercised rather than looping on a
-        deterministic always-crash.
-        """
-        return (
-            self.worker_crash_rate > 0.0
-            and self._unit("worker_crash", piece, attempt)
-            < self.worker_crash_rate
-        )
-
-    def worker_hang(self, piece: int, attempt: int = 0) -> float:
-        """Seconds the worker computing ``piece`` wedges for (0 = healthy)."""
-        if (
-            self.worker_hang_rate > 0.0
-            and self._unit("worker_hang", piece, attempt)
-            < self.worker_hang_rate
-        ):
-            return self.worker_hang_seconds
-        return 0.0
-
     # -- serialisation ------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-safe dict capturing the full chaos regime.
@@ -329,9 +289,13 @@ class FaultSchedule:
     def from_dict(cls, data: dict) -> "FaultSchedule":
         """Rebuild a schedule from :meth:`to_dict` output (or parsed JSON).
 
-        Tolerant of *old* payloads: keys a newer schedule grew (e.g. the
-        worker-fault knobs) may be absent and default to 0 / disabled, so
-        checkpoint manifests cut before an upgrade keep resuming.
+        Tolerant of *old* payloads: keys a newer schedule grew may be
+        absent and default to 0 / disabled, and the removed worker
+        crash/hang knobs (two rates and the hang seconds, which every
+        older ``to_dict`` wrote) are accepted while both rates are zero,
+        so checkpoint manifests cut before an upgrade stay readable.  A
+        non-zero removed rate is a ``ValueError`` naming the knob: that
+        manifest recorded a chaos regime this version cannot replay.
         Descriptive engine-metadata keys (``strategy``, ``backend``) that
         newer writers annotate alongside the schedule are ignored in
         either direction — they describe *how* the annotated run
@@ -343,6 +307,15 @@ class FaultSchedule:
         data = dict(data)
         for meta_key in _METADATA_KEYS:
             data.pop(meta_key, None)
+        for name in _REMOVED_WORKER_RATES:
+            if float(data.get(name, 0.0)) != 0.0:
+                raise ValueError(
+                    f"FaultSchedule field {name!r} was removed with the "
+                    f"process pool; a schedule with {name}={data[name]} "
+                    "cannot be replayed"
+                )
+        for name in _REMOVED_WORKER_KEYS:
+            data.pop(name, None)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -371,7 +344,5 @@ class FaultSchedule:
             h.update(struct.pack("<i", self.member_failures(i)))
             h.update(struct.pack("<i", self.member_write_failures(i)))
             h.update(b"\x01" if self.member_corrupt(i) else b"\x00")
-            h.update(b"\x01" if self.worker_crash(i, i % 3) else b"\x00")
-            h.update(struct.pack("<d", self.worker_hang(i, i % 3)))
             h.update(b"\x01" if self.disk_available(i % 7, float(i)) else b"\x00")
         return h.hexdigest()

@@ -91,7 +91,7 @@ class SEnKF(DistributedEnKF):
         layer ``l+1``.
 
         This is the multi-stage schedule of Sec. 4.2 expressed as an
-        ordering — under the process strategy's submit-as-prepared loop,
+        ordering — under the thread strategy's submit-as-prepared loop,
         stage ``l+1``'s observation restriction / index arrays / B̂⁻¹
         stencil are prepared while stage ``l``'s analyses compute.  Pieces write disjoint
         interiors, so the ordering cannot change the result.

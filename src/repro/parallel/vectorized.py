@@ -29,7 +29,7 @@ Numerics: batched BLAS reorders reductions, so results match the serial
 reference to rtol ≤ 1e-10, not bit-for-bit — the tolerance-checked
 equivalence suite in ``tests/test_vectorized.py`` pins this contract for
 every filter × localization × chaos combination.  The serial and
-process strategies are untouched and stay bit-identical.
+thread strategies are untouched and stay bit-identical.
 """
 
 from __future__ import annotations

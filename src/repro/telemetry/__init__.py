@@ -75,14 +75,12 @@ from repro.telemetry.health import (
 from repro.telemetry.memprof import (
     PROFILE_SCHEMA,
     MemoryProfiler,
-    SharedSegmentRegistry,
     build_profile_report,
     current_rss_bytes,
     default_memory_rules,
     footprint_attribution,
     peak_rss_bytes,
     publish_memory_gauges,
-    shared_segment_registry,
     validate_profile_report,
     write_profile_report,
 )
@@ -102,7 +100,6 @@ from repro.telemetry.profiler import (
     NULL_PROFILER,
     NullProfiler,
     SamplingProfiler,
-    WorkerSampler,
     get_profiler,
     set_profiler,
     use_profiler,
@@ -155,12 +152,10 @@ __all__ = [
     "RunReport",
     "SamplingProfiler",
     "SentinelVerdict",
-    "SharedSegmentRegistry",
     "Span",
     "SpanRing",
     "TraceEvent",
     "Tracer",
-    "WorkerSampler",
     "append_history",
     "attribute_sim_reports",
     "build_profile_report",
@@ -194,7 +189,6 @@ __all__ = [
     "set_metrics",
     "set_profiler",
     "set_tracer",
-    "shared_segment_registry",
     "spans_from_chrome",
     "spans_from_timeline",
     "use_metrics",

@@ -98,12 +98,12 @@ def render_supervision(
     """Text panel for a supervised campaign's recovery rollup.
 
     ``supervision`` is a
-    :meth:`~repro.parallel.supervise.SupervisionReport.to_dict` payload
+    :meth:`~repro.checkpoint.runner.SupervisionReport.to_dict` payload
     (e.g. the ``supervision`` field of a run report).  The panel is
-    flagged with ``!!`` when the recovery fraction — respawn/fallback
-    wall time plus restart backoff, relative to total wall time —
-    exceeds ``threshold`` (default 15%): at that point recovery is no
-    longer noise and the fault regime or the budgets deserve a look.
+    flagged with ``!!`` when the recovery fraction — restart backoff
+    relative to total wall time — exceeds ``threshold`` (default 15%):
+    at that point recovery is no longer noise and the fault regime or
+    the budgets deserve a look.
     """
     fraction = float(supervision.get("recovery_fraction", 0.0))
     flagged = fraction > threshold
@@ -111,14 +111,6 @@ def render_supervision(
         ("campaign restarts",
          f"{supervision.get('restarts', 0)}"
          f" / {supervision.get('max_restarts', 0)} budget"),
-        ("pool respawns", str(supervision.get("pool_respawns", 0))),
-        ("worker crashes seen", str(supervision.get("worker_crashes", 0))),
-        ("deadline hits", str(supervision.get("deadline_hits", 0))),
-        ("pieces retried", str(supervision.get("piece_retries", 0))),
-        ("pieces degraded to serial",
-         str(supervision.get("serial_fallback_pieces", 0))),
-        ("plans degraded to serial", str(supervision.get("plan_degrades", 0))),
-        ("recovery seconds", f"{supervision.get('recovery_seconds', 0.0):.3f}"),
         ("restart backoff seconds",
          f"{supervision.get('backoff_seconds', 0.0):.3f}"),
         ("recovery fraction",

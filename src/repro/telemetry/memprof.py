@@ -1,8 +1,8 @@
-"""Per-phase memory attribution and shared-segment leak sentinels.
+"""Per-phase memory attribution.
 
 Time already has a full observation loop — spans, cost-model
 attribution, drift flags.  This module gives *bytes* the same loop,
-three layers deep:
+two layers deep:
 
 * :func:`current_rss_bytes` / :func:`peak_rss_bytes` read the process's
   resident set (``/proc/self/statm`` and ``resource.getrusage``) — the
@@ -11,14 +11,7 @@ three layers deep:
   ``tracemalloc`` current/peak tracking (gracefully degraded to ``None``
   fields when tracemalloc is unavailable), per-phase deltas via
   :meth:`MemoryProfiler.phase`, and per-cycle RSS-growth stats for the
-  ``memory_runaway`` alert rule;
-* :class:`SharedSegmentRegistry` accounts every
-  :class:`~repro.parallel.shared.SharedEnsemble` byte created, disposed
-  or GC-reclaimed.  A segment disposed by ``__del__`` instead of an
-  explicit :meth:`~repro.parallel.shared.SharedEnsemble.dispose` —
-  i.e. one that *outlived its run* — is counted separately
-  (``gc_reclaimed``), and segments still live at report time are the
-  leak sentinel's findings, names included.
+  ``memory_runaway`` alert rule.
 
 The predicted side comes from
 :func:`repro.costmodel.model.predicted_footprint_bytes` (ensemble +
@@ -26,7 +19,7 @@ staging buffers + geometry cache); :func:`footprint_attribution` joins
 it against measured peak RSS as
 ``predicted = baseline RSS + predicted increment`` with the same 15%
 drift convention the time model uses.  Everything rolls up into a
-versioned ``senkf-profile/1`` payload
+versioned ``senkf-profile/2`` payload
 (:func:`build_profile_report` / :func:`validate_profile_report`) that
 rides in ``RunReport.profile`` and backs ``doctor --profile``.
 """
@@ -37,7 +30,6 @@ import json
 import math
 import os
 import sys
-import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -58,19 +50,17 @@ from repro.telemetry.metrics import get_metrics
 __all__ = [
     "PROFILE_SCHEMA",
     "MemoryProfiler",
-    "SharedSegmentRegistry",
     "build_profile_report",
     "current_rss_bytes",
     "default_memory_rules",
     "footprint_attribution",
     "peak_rss_bytes",
     "publish_memory_gauges",
-    "shared_segment_registry",
     "validate_profile_report",
     "write_profile_report",
 ]
 
-PROFILE_SCHEMA = "senkf-profile/1"
+PROFILE_SCHEMA = "senkf-profile/2"
 
 #: |relative error| above which predicted vs measured RSS is flagged —
 #: the same threshold the time-attribution dashboard uses.
@@ -108,93 +98,6 @@ def peak_rss_bytes() -> float:
     return peak
 
 
-# -- shared-segment accounting -------------------------------------------------
-class SharedSegmentRegistry:
-    """Process-wide ledger of every senkf shared-memory segment.
-
-    :class:`~repro.parallel.shared.SharedEnsemble` reports creations and
-    disposals here (always on — two dict operations per segment
-    lifetime, nothing to enable).  The ledger distinguishes *explicit*
-    disposal from the ``__del__`` GC backstop: a GC-reclaimed segment
-    did not leak the kernel object, but it outlived the run that created
-    it, which is exactly what the leak sentinel exists to flag.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._live: dict[str, int] = {}
-        self.created_count = 0
-        self.created_bytes = 0
-        self.disposed_count = 0
-        self.disposed_bytes = 0
-        self.gc_reclaimed_count = 0
-        self.gc_reclaimed_bytes = 0
-
-    def record_create(self, name: str, nbytes: int) -> None:
-        with self._lock:
-            self._live[name] = int(nbytes)
-            self.created_count += 1
-            self.created_bytes += int(nbytes)
-
-    def record_dispose(self, name: str, via_gc: bool = False) -> None:
-        with self._lock:
-            nbytes = self._live.pop(name, None)
-            if nbytes is None:  # not ours / double-disposed: ignore
-                return
-            if via_gc:
-                self.gc_reclaimed_count += 1
-                self.gc_reclaimed_bytes += nbytes
-            else:
-                self.disposed_count += 1
-                self.disposed_bytes += nbytes
-
-    def live_segments(self) -> dict[str, int]:
-        """Name -> bytes of every segment created but not yet disposed."""
-        with self._lock:
-            return dict(self._live)
-
-    def live_bytes(self) -> int:
-        with self._lock:
-            return sum(self._live.values())
-
-    def live_count(self) -> int:
-        with self._lock:
-            return len(self._live)
-
-    def snapshot(self) -> dict:
-        """The ``shm`` slice of a profile report."""
-        with self._lock:
-            live = dict(self._live)
-            return {
-                "created_count": self.created_count,
-                "created_bytes": self.created_bytes,
-                "disposed_count": self.disposed_count,
-                "disposed_bytes": self.disposed_bytes,
-                "gc_reclaimed_count": self.gc_reclaimed_count,
-                "gc_reclaimed_bytes": self.gc_reclaimed_bytes,
-                "live_count": len(live),
-                "live_bytes": sum(live.values()),
-                "live_segments": [
-                    {"name": name, "bytes": nbytes}
-                    for name, nbytes in sorted(live.items())
-                ],
-            }
-
-    def checkpoint(self) -> tuple[int, int]:
-        """(created_count, gc_reclaimed_count) marker for scoped checks —
-        the test fixture diffs two checkpoints to catch leaks per test."""
-        with self._lock:
-            return (self.created_count, self.gc_reclaimed_count)
-
-
-_registry = SharedSegmentRegistry()
-
-
-def shared_segment_registry() -> SharedSegmentRegistry:
-    """The process-global segment ledger (one per process, always on)."""
-    return _registry
-
-
 # -- run-scoped memory profiler ------------------------------------------------
 class MemoryProfiler:
     """Baseline/peak RSS, tracemalloc tracking and per-phase deltas.
@@ -207,13 +110,10 @@ class MemoryProfiler:
 
     tracemalloc is attempted, never required: when the module is missing
     or refuses to start, the ``tracemalloc`` report fields are ``None``
-    and a note records the degradation — RSS and shared-segment
-    accounting still work.
+    and a note records the degradation — RSS accounting still works.
     """
 
-    def __init__(self, use_tracemalloc: bool = True,
-                 registry: SharedSegmentRegistry | None = None):
-        self.registry = registry if registry is not None else _registry
+    def __init__(self, use_tracemalloc: bool = True):
         self._want_tracemalloc = bool(use_tracemalloc)
         self.tracemalloc_available = False
         self._started_tracemalloc = False
@@ -303,12 +203,11 @@ class MemoryProfiler:
         return {
             "rss_bytes": rss,
             "rss_growth_bytes": rss - previous,
-            "shm_live_bytes": float(self.registry.live_bytes()),
         }
 
     # -- rollup ----------------------------------------------------------------
     def report(self) -> dict:
-        """The ``memory`` slice of a ``senkf-profile/1`` payload."""
+        """The ``memory`` slice of a ``senkf-profile/2`` payload."""
         return {
             "baseline_rss_bytes": self.baseline_rss_bytes,
             "current_rss_bytes": current_rss_bytes(),
@@ -322,7 +221,6 @@ class MemoryProfiler:
                 name: dict(entry)
                 for name, entry in sorted(self.phases.items())
             },
-            "shm": self.registry.snapshot(),
             "notes": list(self.notes),
         }
 
@@ -332,13 +230,12 @@ def publish_memory_gauges(metrics=None, geometry_cache_bytes: float | None = Non
                           tracemalloc_peak: float | None = None) -> None:
     """Set the resource gauges on ``metrics`` (ambient registry when None).
 
-    Exports as ``process_rss_bytes``, ``tracemalloc_peak_bytes``,
-    ``shm_live_bytes`` and ``geometry_cache_bytes`` after the exporter's
+    Exports as ``process_rss_bytes``, ``tracemalloc_peak_bytes`` and
+    ``geometry_cache_bytes`` after the exporter's
     name sanitisation (dots become underscores).
     """
     registry = metrics if metrics is not None else get_metrics()
     registry.gauge("process.rss_bytes").set(current_rss_bytes())
-    registry.gauge("shm.live_bytes").set(float(_registry.live_bytes()))
     if tracemalloc_peak is not None:
         registry.gauge("tracemalloc.peak_bytes").set(float(tracemalloc_peak))
     if geometry_cache_bytes is not None:
@@ -405,7 +302,7 @@ def build_profile_report(
     footprint: dict | None = None,
     notes=(),
 ) -> dict:
-    """Assemble a ``senkf-profile/1`` payload from the three slices."""
+    """Assemble a ``senkf-profile/2`` payload from the three slices."""
     return {
         "schema": PROFILE_SCHEMA,
         "sampler": dict(sampler) if sampler else None,
@@ -440,21 +337,16 @@ _SAMPLER_KEYS = (
 )
 _MEMORY_KEYS = (
     "baseline_rss_bytes", "current_rss_bytes", "peak_rss_bytes",
-    "tracemalloc", "phases", "shm",
+    "tracemalloc", "phases",
 )
 _FOOTPRINT_KEYS = (
     "predicted_peak_rss_bytes", "measured_peak_rss_bytes",
     "rel_error", "threshold", "drift_flags",
 )
-_SHM_KEYS = (
-    "created_count", "created_bytes", "disposed_count", "disposed_bytes",
-    "gc_reclaimed_count", "gc_reclaimed_bytes", "live_count", "live_bytes",
-    "live_segments",
-)
 
 
 def validate_profile_report(payload: dict) -> dict:
-    """Check one parsed ``senkf-profile/1`` payload.
+    """Check one parsed ``senkf-profile/2`` payload.
 
     Returns the payload on success; raises ``ValueError`` naming every
     violation at once, mirroring the run-report/attribution validators.
@@ -496,8 +388,6 @@ def validate_profile_report(payload: dict) -> dict:
         memory = payload["memory"]
         if memory is not None:
             _check_keys(memory, _MEMORY_KEYS, "memory")
-            if isinstance(memory.get("shm"), dict):
-                _check_keys(memory["shm"], _SHM_KEYS, "memory shm")
         footprint = payload["footprint"]
         if footprint is not None:
             _check_keys(footprint, _FOOTPRINT_KEYS, "footprint")

@@ -20,17 +20,18 @@ Design contract (mirrors the tracer's):
   threads, consumes no RNG draws and takes no locks the numerics hold,
   so every filter result is bit-identical under profiling;
 * **scoped sampling** — when a tracer is active, only threads that have
-  opened spans on it (plus the main thread) are sampled; time a traced
-  thread spends *between* spans lands in the ``(untraced)`` phase, so
-  the attributed fraction is an honest coverage statistic.
+  opened spans on it (plus the main thread) are sampled, and a helper
+  thread only while one of its spans is open (between spans a pool
+  thread is parked on its queue, which is nobody's wall time); time the
+  main thread spends *between* spans lands in the ``(untraced)`` phase,
+  so the attributed fraction is an honest coverage statistic.
 
 Exports: collapsed-stack text (``flamegraph.pl`` / speedscope paste
 format, one ``frame;frame;... count`` line per unique stack) and
-speedscope JSON (one sampled profile per track).  Pool workers run a
-lightweight :class:`WorkerSampler` around each chunk and ship aggregated
-stacks back over the same channel as their spans; the parent merges them
-onto the ``worker-<pid>`` tracks (see
-:meth:`repro.parallel.executor.AnalysisExecutor`).
+speedscope JSON (one sampled profile per track).  The executor's pool
+threads open ``parallel.local_analysis`` spans on the submitting
+thread's tracer, so they are ordinary traced threads: the sweep samples
+them onto their own ``senkf-analysis_<k>`` tracks.
 """
 
 from __future__ import annotations
@@ -50,13 +51,9 @@ __all__ = [
     "NULL_PROFILER",
     "NullProfiler",
     "SamplingProfiler",
-    "WorkerSampler",
     "get_profiler",
     "set_profiler",
     "use_profiler",
-    "worker_begin_chunk",
-    "worker_drain_samples",
-    "worker_end_chunk",
 ]
 
 #: default wall-clock seconds between sampling sweeps (200 Hz).
@@ -90,8 +87,8 @@ def _unwind(frame, max_depth: int) -> tuple[str, ...]:
 class NullProfiler:
     """The disabled profiler: every operation is a no-op.
 
-    ``enabled`` is False so guarded call sites (the executor's worker
-    context, the campaign loop) skip profiling plumbing entirely.
+    ``enabled`` is False so guarded call sites (the campaign loop) skip
+    profiling plumbing entirely.
     """
 
     __slots__ = ()
@@ -103,9 +100,6 @@ class NullProfiler:
 
     def stop(self) -> "NullProfiler":
         return self
-
-    def merge_samples(self, track, phase, samples) -> None:
-        return None
 
     def report(self) -> dict:
         return {}
@@ -227,6 +221,8 @@ class SamplingProfiler:
                 span = tracer.open_span(tid)
                 if span is not None:
                     phase = span.category
+                elif traced is not None and tid != main_id:
+                    continue  # a helper thread between spans is parked
             track = (
                 "main" if tid == main_id else names.get(tid, f"thread-{tid}")
             )
@@ -237,17 +233,6 @@ class SamplingProfiler:
             self.n_samples += len(sampled)
             self.n_sweeps += 1
             self.self_seconds += time.perf_counter() - t0
-
-    # -- worker merge ----------------------------------------------------------
-    def merge_samples(self, track: str, phase: str, samples) -> None:
-        """Fold aggregated ``(stack, count)`` pairs from another process
-        into this capture under ``track``/``phase`` — how pool-worker
-        samples land on the ``worker-<pid>`` tracks."""
-        with self._lock:
-            for stack, count in samples:
-                key = (track, phase, tuple(stack))
-                self._counts[key] = self._counts.get(key, 0) + int(count)
-                self.n_samples += int(count)
 
     # -- views -----------------------------------------------------------------
     def samples(self) -> dict[tuple[str, str, tuple[str, ...]], int]:
@@ -334,7 +319,7 @@ class SamplingProfiler:
 
     # -- rollup ----------------------------------------------------------------
     def report(self, top: int = 20) -> dict:
-        """The ``sampler`` slice of a ``senkf-profile/1`` payload."""
+        """The ``sampler`` slice of a ``senkf-profile/2`` payload."""
         samples = self.samples()
         tracks: dict[str, int] = {}
         for (track, _, _), count in samples.items():
@@ -399,89 +384,3 @@ def use_profiler(
         yield get_profiler()
     finally:
         set_profiler(previous if previous is not NULL_PROFILER else None)
-
-
-# -- pool-worker side ----------------------------------------------------------
-class WorkerSampler:
-    """In-worker sampler active only while a chunk computes.
-
-    A pool worker has no tracer — every sample it takes *is* local
-    analysis by construction — so instead of span attribution it gates
-    sampling on a begin/end flag around the chunk body and aggregates
-    bare stacks.  :meth:`drain` hands the accumulated ``(stack, count)``
-    pairs to ``run_chunk``'s return value; the parent merges them under
-    ``worker-<pid>`` with the ``parallel`` phase.
-    """
-
-    def __init__(self, interval: float = DEFAULT_INTERVAL,
-                 max_depth: int = DEFAULT_MAX_DEPTH):
-        self.interval = float(interval)
-        self.max_depth = int(max_depth)
-        self._lock = threading.Lock()
-        self._counts: dict[tuple[str, ...], int] = {}
-        self._target: int | None = None
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="senkf-worker-profiler", daemon=True
-        )
-        self._thread.start()
-
-    def begin(self) -> None:
-        """Start sampling the calling thread."""
-        with self._lock:
-            self._target = threading.get_ident()
-
-    def end(self) -> None:
-        with self._lock:
-            self._target = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            with self._lock:
-                target = self._target
-            if target is None:
-                continue
-            frame = sys._current_frames().get(target)
-            if frame is None:
-                continue
-            stack = _unwind(frame, self.max_depth)
-            with self._lock:
-                self._counts[stack] = self._counts.get(stack, 0) + 1
-
-    def drain(self) -> list[tuple[tuple[str, ...], int]]:
-        """Return and clear the accumulated ``(stack, count)`` pairs."""
-        with self._lock:
-            out = list(self._counts.items())
-            self._counts.clear()
-        return out
-
-    def close(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=max(1.0, 50 * self.interval))
-
-
-#: the worker process's lazily created sampler (one per worker, reused
-#: across chunks; daemon thread, so worker exit never blocks on it).
-_worker_sampler: WorkerSampler | None = None
-
-
-def worker_begin_chunk(interval: float) -> None:
-    """Arm the worker-side sampler for the current thread's chunk."""
-    global _worker_sampler
-    if _worker_sampler is None or _worker_sampler.interval != float(interval):
-        if _worker_sampler is not None:
-            _worker_sampler.close()
-        _worker_sampler = WorkerSampler(interval=interval)
-    _worker_sampler.begin()
-
-
-def worker_end_chunk() -> None:
-    if _worker_sampler is not None:
-        _worker_sampler.end()
-
-
-def worker_drain_samples() -> list[tuple[tuple[str, ...], int]]:
-    """The chunk's aggregated stacks (empty when profiling is off)."""
-    if _worker_sampler is None:
-        return []
-    return _worker_sampler.drain()

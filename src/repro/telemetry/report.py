@@ -54,7 +54,7 @@ class RunReport:
     #: validated against the attribution schema when present.
     attribution: dict | None = None
     #: optional recovery accounting (a
-    #: :class:`~repro.parallel.supervise.SupervisionReport` payload) from
+    #: :class:`~repro.checkpoint.runner.SupervisionReport` payload) from
     #: a supervised campaign; must be an object when present.
     supervision: dict | None = None
     #: optional health rollup (a

@@ -280,8 +280,7 @@ class Tracer:
         ``start``/``end`` must come from this tracer's clock
         (:meth:`now`).  The span is parented under the innermost open
         span of the calling thread, like a ``with``-block span would be.
-        ``track`` overrides the calling thread's track name — how spans
-        measured in pool workers land on a ``worker-<pid>`` track.
+        ``track`` overrides the calling thread's track name.
         """
         span = Span(
             name=name,

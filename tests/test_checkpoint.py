@@ -261,6 +261,43 @@ class TestKillAndResume:
             ).resume(N_CYCLES)
 
 
+    def test_faulted_manifest_cut_before_worker_knobs_left_resumes(
+        self, tmp_path, reference
+    ):
+        """Manifests written while ``FaultSchedule`` still had the worker
+        crash/hang knobs carry them at their defaults.  Resume compares
+        schedules by value after ``from_dict``, so such a campaign
+        continues bit-identically; one that *used* a knob is refused."""
+        ref_final, _ = reference
+        twin, truth0, ensemble0 = make_twin()
+        runner = CampaignRunner(twin, tmp_path, interval=INTERVAL, faults=CHAOS)
+
+        def kill(state):
+            if state.cycle == INTERVAL:
+                raise SimulatedCrash("kill")
+
+        with pytest.raises(SimulatedCrash):
+            runner.run(truth0, ensemble0, N_CYCLES, on_cycle=kill)
+        manifest_path = runner.store.cycle_dir(INTERVAL) / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["faults"].update(
+            worker_crash_rate=0.0, worker_hang_rate=0.0,
+            worker_hang_seconds=30.0,
+        )
+        manifest_path.write_text(json.dumps(manifest))
+
+        resumed = CampaignRunner(twin, tmp_path, interval=INTERVAL, faults=CHAOS)
+        resumed.resume(N_CYCLES)
+        assert np.array_equal(resumed.store.load(N_CYCLES).ensemble, ref_final)
+
+        manifest["faults"]["worker_crash_rate"] = 0.2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="worker_crash_rate"):
+            CampaignRunner(
+                twin, tmp_path / "other", interval=INTERVAL, faults=CHAOS
+            )._check_schedule(manifest["faults"])
+
+
 class TestCorruptionFallback:
     def run_campaign(self, tmp_path, retention=None):
         twin, truth0, ensemble0 = make_twin()

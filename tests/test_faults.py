@@ -637,9 +637,6 @@ def _schedules():
         member_corrupt_rate=_rates,
         member_write_fault_rate=_rates,
         member_write_attempts=st.integers(0, 5),
-        worker_crash_rate=_rates,
-        worker_hang_rate=_rates,
-        worker_hang_seconds=st.floats(0.0, 60.0, allow_nan=False),
     )
 
 
@@ -673,24 +670,40 @@ class TestScheduleSerialisation:
         with pytest.raises(ValueError):
             FaultSchedule.from_dict(data)
 
-    def test_worker_knobs_roundtrip(self):
-        schedule = FaultSchedule(
-            9, worker_crash_rate=0.25, worker_hang_rate=0.1,
-            worker_hang_seconds=2.5,
-        )
-        rebuilt = FaultSchedule.from_dict(schedule.to_dict())
-        assert rebuilt == schedule
-        assert rebuilt.fingerprint() == schedule.fingerprint()
-        assert rebuilt.has_worker_faults
+    #: what every ``to_dict`` wrote for the worker crash/hang knobs
+    #: before they were removed with the process pool
+    OLD_WORKER_KEYS = {
+        "worker_crash_rate": 0.0,
+        "worker_hang_rate": 0.0,
+        "worker_hang_seconds": 30.0,
+    }
 
-    def test_tolerant_reader_accepts_pre_worker_payloads(self):
-        """Manifests cut before the worker knobs existed keep resuming."""
-        data = FaultSchedule(9, disk_fault_rate=0.1).to_dict()
-        for key in ("worker_crash_rate", "worker_hang_rate",
-                    "worker_hang_seconds"):
-            del data[key]
-        rebuilt = FaultSchedule.from_dict(data)
-        assert rebuilt.worker_crash_rate == 0.0
-        assert rebuilt.worker_hang_rate == 0.0
-        assert not rebuilt.has_worker_faults
-        assert rebuilt == FaultSchedule(9, disk_fault_rate=0.1)
+    def test_old_manifest_with_zero_worker_rates_is_accepted(self):
+        """Every faulted manifest cut before the removal carries the
+        three keys at their defaults and must stay readable."""
+        schedule = FaultSchedule(9, disk_fault_rate=0.1, member_fault_rate=0.2)
+        old = {**schedule.to_dict(), **self.OLD_WORKER_KEYS}
+        assert FaultSchedule.from_dict(old) == schedule
+        # the hang seconds alone never injected anything
+        old["worker_hang_seconds"] = 2.5
+        assert FaultSchedule.from_dict(old) == schedule
+
+    @pytest.mark.parametrize("knob", ["worker_crash_rate", "worker_hang_rate"])
+    def test_old_manifest_that_used_a_worker_rate_is_refused(self, knob):
+        """A non-zero removed rate recorded a chaos regime this version
+        cannot replay: a ValueError naming the knob, not a silent drop."""
+        old = {**FaultSchedule(9).to_dict(), **self.OLD_WORKER_KEYS, knob: 0.25}
+        with pytest.raises(ValueError, match=knob):
+            FaultSchedule.from_dict(old)
+
+    def test_removed_worker_keys_do_not_round_trip(self):
+        """``to_dict`` no longer writes the removed keys, so a manifest
+        re-cut by this version drops them; the schedule is unchanged."""
+        schedule = FaultSchedule(9, disk_fault_rate=0.1)
+        old = {**schedule.to_dict(), **self.OLD_WORKER_KEYS}
+        rebuilt = FaultSchedule.from_dict(old)
+        assert not set(self.OLD_WORKER_KEYS) & set(rebuilt.to_dict())
+        assert FaultSchedule.from_dict(rebuilt.to_dict()) == schedule
+        assert rebuilt.fingerprint() == schedule.fingerprint()
+        with pytest.raises(TypeError):
+            FaultSchedule(9, worker_crash_rate=0.0)

@@ -1,22 +1,22 @@
 """Tests for the parallel analysis engine (:mod:`repro.parallel`).
 
 The load-bearing guarantee is *bit-identity*: both per-piece execution
-strategies — serial loop, process pool over shared memory — must produce
-byte-for-byte the same analysis as the classic serial engine, for every
-filter kind (DistributedEnKF, layered S-EnKF, LETKF), including the
-degenerate configurations (one worker, more workers than pieces,
-sub-domains with no observations).  On top sit the shared-memory
-lifecycle contract, the geometry cache's reuse semantics (a cycling
-campaign must never re-derive cycle-invariant geometry), and the
-telemetry flow from pool workers back into the parent tracer.
+strategies — serial loop, thread pool — must produce byte-for-byte the
+same analysis as the classic serial engine, for every filter kind
+(DistributedEnKF, layered S-EnKF, LETKF), including the degenerate
+configurations (one worker, more workers than pieces, sub-domains with
+no observations).  On top sit the geometry cache's reuse semantics (a
+cycling campaign must never re-derive cycle-invariant geometry), the
+thread loop's failure semantics, and the telemetry flow from pool
+threads into the submitting thread's tracer.
 """
 
 import gc
 import pickle
-import time
+import sys
+import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,8 +24,7 @@ import pytest
 
 from repro.core import Decomposition, Grid, ObservationNetwork
 from repro.core.domain import SubDomain
-from repro.faults import FaultSchedule
-from repro.filters import LETKF, SEnKF
+from repro.filters import LETKF, PEnKF, SEnKF
 from repro.filters.distributed import DistributedEnKF
 from repro.models import correlated_ensemble
 from repro.parallel import (
@@ -33,14 +32,15 @@ from repro.parallel import (
     AnalysisPlan,
     GeometryCache,
     KIND_ENKF,
-    SharedArraySpec,
-    SharedEnsemble,
-    SupervisionPolicy,
-    attach_array,
 )
 from repro.parallel.executor import STRATEGIES
-from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
-from repro.telemetry.memprof import shared_segment_registry
+from repro.telemetry import (
+    MetricsRegistry,
+    Tracer,
+    use_metrics,
+    use_thread_metrics,
+    use_tracer,
+)
 
 #: the strategies held to bit-identity with the classic serial engine
 #: (``auto`` only picks among the others; ``vectorized`` is held to
@@ -89,44 +89,6 @@ def shape_only_plan(n_pieces, points_per_piece, n_observed):
     )
     plan.observed = tuple(range(n_observed))
     return plan
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory lifecycle
-# ---------------------------------------------------------------------------
-class TestSharedEnsemble:
-    def test_roundtrip_through_spec(self):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal((32, 6))
-        with SharedEnsemble.from_array(data) as shm:
-            assert np.array_equal(shm.array, data)
-            attached = attach_array(shm.spec)
-            assert np.array_equal(attached.array, data)
-            # Zero-copy: a write on one side is visible on the other.
-            attached.array[3, 2] = 99.0
-            assert shm.array[3, 2] == 99.0
-            attached.release()
-            assert attached.array is None
-
-    def test_create_zero_filled(self):
-        with SharedEnsemble.create((8, 3)) as shm:
-            assert shm.array.shape == (8, 3)
-            assert np.all(shm.array == 0.0)
-
-    def test_dispose_is_idempotent_and_unlinks(self):
-        shm = SharedEnsemble.create((4, 2))
-        spec = shm.spec
-        shm.dispose()
-        shm.dispose()  # second dispose is a no-op
-        with pytest.raises(ValueError):
-            shm.array
-        with pytest.raises(FileNotFoundError):
-            attach_array(spec)  # the segment really is gone
-
-    def test_spec_is_picklable_and_sized(self):
-        spec = SharedArraySpec(name="x", shape=(10, 4), dtype="<f8")
-        assert pickle.loads(pickle.dumps(spec)) == spec
-        assert spec.nbytes == 10 * 4 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +232,8 @@ class TestExecutorConfig:
         with pytest.raises(ValueError):
             AnalysisExecutor(workers=0)
         with pytest.raises(ValueError, match="unknown strategy"):
-            AnalysisExecutor(strategy="thread")  # deleted, no alias
+            AnalysisExecutor(strategy="process")  # deleted, no alias
+        assert STRATEGIES == ("auto", "serial", "thread", "vectorized")
 
     def test_closed_executor_refuses_work(self):
         ex = AnalysisExecutor(strategy="serial")
@@ -287,14 +250,14 @@ class TestExecutorConfig:
 
     @pytest.mark.parametrize("n_pieces,points,n_observed,expected", [
         (256, 120, 256, "vectorized"),  # small_pieces_static
-        (16, 880, 16, "process"),       # large_pieces_moving
-        (200, 1156, 200, "process"),    # the io_* grid, observed everywhere
+        (16, 880, 16, "thread"),        # large_pieces_moving
+        (200, 1156, 200, "thread"),     # the io_* grid, observed everywhere
         (200, 1156, 1, "serial"),       # io_bar / io_block: one observed
-        (4, 1000, 4, "serial"),     # the deleted thread band (2 048-8 192)
-        (4, 2048, 4, "process"),    # first plan at the serial ceiling
+        (4, 1000, 4, "serial"),     # under the serial ceiling (8 192 points)
+        (4, 2048, 4, "thread"),     # first plan at the serial ceiling
     ], ids=[
-        "256-120-vectorized", "16-880-process", "200-1156-process",
-        "200-1156-one-observed-serial", "4-1000-serial", "4-2048-process",
+        "256-120-vectorized", "16-880-thread", "200-1156-thread",
+        "200-1156-one-observed-serial", "4-1000-serial", "4-2048-thread",
     ])
     def test_auto_pinned_on_the_benchmark_plan_shapes(
         self, n_pieces, points, n_observed, expected
@@ -306,10 +269,10 @@ class TestExecutorConfig:
             plan = shape_only_plan(n_pieces, points, n_observed)
             assert ex.resolve(plan) == expected
 
-    def test_auto_on_the_io_shape_starts_no_pool_and_no_segment(self):
+    def test_auto_on_the_io_shape_starts_no_pool(self):
         """200 pieces of 34 x 34 points with one observed cluster (the
-        ``io_*`` workloads' plan): ``auto`` runs it in-process — no
-        shared-memory segment is created and no pool is started."""
+        ``io_*`` workloads' plan): ``auto`` runs it on the calling
+        thread — no pool is started."""
         grid = Grid(n_x=600, n_y=300, dx_km=25.0, dy_km=25.0)
         decomp = Decomposition(grid, n_sdx=20, n_sdy=10, xi=2, eta=2)
         rng = np.random.default_rng(15)
@@ -320,17 +283,14 @@ class TestExecutorConfig:
             obs_error_std=0.5,
         )
         y = rng.standard_normal(net.m)
-        registry = shared_segment_registry()
-        created_before = registry.created_count
         filt = DistributedEnKF(
             radius_km=60.0, inflation=1.05, ridge=1e-2, workers=2
         )
         try:
             out = filt.assimilate(decomp, states, net, y, rng=1)
-            assert filt.executor._process_pool is None
+            assert filt.executor._pool is None
         finally:
             filt.close()
-        assert registry.created_count == created_before
         ref = DistributedEnKF(
             radius_km=60.0, inflation=1.05, ridge=1e-2
         ).assimilate(decomp, states, net, y, rng=1)
@@ -417,15 +377,15 @@ class TestBitIdentity:
         ref = DistributedEnKF(radius_km=2.0).assimilate(
             decomp, states, net, y, rng=2
         )
-        with AnalysisExecutor(strategy="process", workers=16) as ex:
+        with AnalysisExecutor(strategy="thread", workers=16) as ex:
             out = DistributedEnKF(radius_km=2.0, executor=ex).assimilate(
                 decomp, states, net, y, rng=2
             )
         assert np.array_equal(ref, out)
 
-    def test_empty_observation_subdomains_under_process_pool(self):
+    def test_empty_observation_subdomains_under_thread_pool(self):
         """Sub-domains whose expansion sees no observation return the
-        (inflated) background — also under the shared-memory pool."""
+        (inflated) background — also under the thread pool."""
         grid = Grid(n_x=16, n_y=8, dx_km=1.0, dy_km=1.0)
         rng = np.random.default_rng(4)
         states = rng.standard_normal((grid.n, 8))
@@ -444,7 +404,7 @@ class TestBitIdentity:
         ref = DistributedEnKF(radius_km=2.0, inflation=1.1).assimilate(
             decomp, states, net, y, rng=6
         )
-        with AnalysisExecutor(strategy="process", workers=2) as ex:
+        with AnalysisExecutor(strategy="thread", workers=2) as ex:
             out = DistributedEnKF(radius_km=2.0, inflation=1.1,
                                   executor=ex).assimilate(
                 decomp, states, net, y, rng=6
@@ -452,7 +412,7 @@ class TestBitIdentity:
         assert np.array_equal(ref, out)
         # LETKF's empty branch applies inflation to the anomalies.
         lref = LETKF(inflation=1.1).assimilate(decomp, states, net, y)
-        with AnalysisExecutor(strategy="process", workers=2) as ex:
+        with AnalysisExecutor(strategy="thread", workers=2) as ex:
             lout = LETKF(inflation=1.1, executor=ex).assimilate(
                 decomp, states, net, y
             )
@@ -462,7 +422,7 @@ class TestBitIdentity:
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=1, eta=1)
         serial = DistributedEnKF(radius_km=2.0)
-        with AnalysisExecutor(strategy="process", workers=2) as ex:
+        with AnalysisExecutor(strategy="thread", workers=2) as ex:
             filt = DistributedEnKF(radius_km=2.0, executor=ex)
             for seed in (1, 2, 3):
                 ref = serial.assimilate(decomp, states, net, y, rng=seed)
@@ -487,26 +447,29 @@ class TestBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# The process round loop
+# The thread loop
 # ---------------------------------------------------------------------------
-class TestProcessLoop:
-    @pytest.mark.parametrize(
-        "policy", [None, SupervisionPolicy()],
-        ids=["unsupervised", "supervised"],
-    )
-    def test_round_one_submits_as_prepared(self, monkeypatch, policy):
-        """Chunk k goes to the pool before chunk k+1's geometry is
-        resolved — the prepare/compute overlap — with or without
-        supervision.
+def large_pieces_problem(seed):
+    """The ``large_pieces_moving`` shape: 16 pieces of 880 expansion
+    points, a fresh network object per seed."""
+    grid = Grid(n_x=144, n_y=72, dx_km=25.0, dy_km=25.0)
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((grid.n, 8))
+    net = ObservationNetwork.random(grid, m=400, obs_error_std=0.5, rng=rng)
+    y = rng.standard_normal(net.m)
+    decomp = Decomposition(grid, n_sdx=4, n_sdy=4, xi=2, eta=2)
+    return decomp, states, net, y
 
-        Restated over *observed* pieces on purpose: observation-free
-        pieces are one bulk fill, so they are neither prepared nor
-        chunked, and the chunk size follows the observed count.  Before
-        the split the pin was ``[2, 4, 6, 8]`` and ``n_prepared ==
-        len(plan.pieces)`` whatever the network."""
+
+class TestThreadLoop:
+    def test_submits_as_prepared(self, monkeypatch):
+        """Piece k goes to the pool before piece k+1's geometry is
+        resolved — the prepare/compute overlap — one task per *observed*
+        piece: observation-free pieces are one bulk fill, neither
+        prepared nor submitted."""
         prepared_at_submit = []
         real_prepare = AnalysisPlan.prepare
-        real_submit = ProcessPoolExecutor.submit
+        real_submit = ThreadPoolExecutor.submit
 
         def counting_prepare(self, index):
             prepared_so_far.append(index)
@@ -517,49 +480,110 @@ class TestProcessLoop:
             return real_submit(self, fn, *args, **kwargs)
 
         monkeypatch.setattr(AnalysisPlan, "prepare", counting_prepare)
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
-        for obs_columns, observed, at_submit in [
-            # every piece observed — 8 pieces, 2 workers x 2 chunks:
-            # four chunks of two pieces
-            (None, list(range(8)), [2, 4, 6, 8]),
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
+        for obs_columns, observed in [
+            (None, list(range(8))),  # every piece observed
             # columns 9-10 lie in sub-domain column 2 alone (one-cell
-            # halos): plan indices 2 and 6, two chunks of one piece
-            ([9, 10], [2, 6], [1, 2]),
+            # halos): plan indices 2 and 6
+            ([9, 10], [2, 6]),
         ]:
             plan = enkf_plan(n_sdx=4, n_sdy=2, obs_columns=obs_columns)
             prepared_so_far = []
             prepared_at_submit.clear()
-            with AnalysisExecutor(
-                strategy="process", workers=2, supervision=policy
-            ) as ex:
+            with AnalysisExecutor(strategy="thread", workers=2) as ex:
                 ex.run(plan)
-            assert prepared_at_submit == at_submit
+            assert prepared_at_submit == list(range(1, len(observed) + 1))
             assert prepared_so_far == list(plan.observed) == observed
 
-    def test_unsupervised_crash_raises_promptly_and_pool_recovers(self):
-        """No supervision: a dead worker raises BrokenProcessPool within
-        seconds (workers are killed before the pool is joined), leaves no
-        shared segment behind, and the executor serves the next run."""
-        grid, truth, states, net, y = problem()
-        decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
-        ref = DistributedEnKF(radius_km=2.0, inflation=1.05).assimilate(
-            decomp, states, net, y, rng=13
-        )
-        registry = shared_segment_registry()
-        live_before = set(registry.live_segments())
-        with AnalysisExecutor(
-            strategy="process", workers=2,
-            faults=FaultSchedule(3, worker_crash_rate=1.0),
-        ) as ex:
-            filt = DistributedEnKF(radius_km=2.0, inflation=1.05, executor=ex)
-            t0 = time.perf_counter()
-            with pytest.raises(BrokenProcessPool):
-                filt.assimilate(decomp, states, net, y, rng=13)
-            assert time.perf_counter() - t0 < 10.0
-            assert set(registry.live_segments()) == live_before
-            ex.faults = None  # clean schedule from here on
-            out = filt.assimilate(decomp, states, net, y, rng=13)
-        assert np.array_equal(ref, out)
+    def test_piece_error_surfaces_as_itself_and_executor_stays_usable(
+        self, monkeypatch
+    ):
+        """A NaN background at an observed point fails that piece's
+        kernel: ``run()`` raises the serial loop's exception, tasks that
+        had not started never run, and the next clean run on the same
+        executor is bit-identical to serial."""
+        import repro.parallel.executor as executor_mod
+
+        decomp, states, net, y = large_pieces_problem(seed=3)
+        bad = states.copy()
+        first = next(iter(decomp))
+        seen = np.isin(net.flat_locations, first.interior_flat)
+        assert seen.any(), "fixture must observe the first piece's interior"
+        bad[net.flat_locations[seen][0]] = np.nan
+
+        def run(strategy, background):
+            with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+                return DistributedEnKF(
+                    radius_km=60.0, ridge=1e-2, executor=ex
+                ).assimilate(decomp, background, net, y, rng=5)
+
+        with pytest.raises(ValueError) as serial_error:
+            run("serial", bad)
+
+        started = []
+        release = threading.Event()
+        real_compute = executor_mod.compute_piece
+
+        def gated_compute(kind, piece, *args):
+            # Hold every piece until the caller has submitted them all,
+            # so "not yet started" is a fixed set: with two pool threads,
+            # pieces 0 and 1 run and the other fourteen wait in the queue.
+            started.append((piece.i, piece.j))
+            assert release.wait(timeout=30.0)
+            return real_compute(kind, piece, *args)
+
+        real_wait = executor_mod.wait
+
+        def releasing_wait(futures, **kwargs):
+            release.set()
+            return real_wait(futures, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "compute_piece", gated_compute)
+        monkeypatch.setattr(executor_mod, "wait", releasing_wait)
+        ex = AnalysisExecutor(strategy="thread", workers=2)
+        filt = DistributedEnKF(radius_km=60.0, ridge=1e-2, executor=ex)
+        with pytest.raises(ValueError) as thread_error:
+            filt.assimilate(decomp, bad, net, y, rng=5)
+        assert type(thread_error.value) is type(serial_error.value)
+        assert str(thread_error.value) == str(serial_error.value)
+        # Piece 0 failed; whatever was queued behind the two running
+        # pieces was cancelled, not computed.
+        assert (first.i, first.j) in started
+        assert len(started) < decomp.n_subdomains
+        monkeypatch.undo()
+
+        out = filt.assimilate(decomp, states, net, y, rng=5)
+        assert np.array_equal(out, run("serial", states))
+
+        threads = list(ex._pool._threads)
+        ex.close()
+        ex.close()  # idempotent
+        assert threads and not any(t.is_alive() for t in threads)  # joined
+        with pytest.raises(ValueError, match="closed"):
+            ex.run(enkf_plan())
+
+    def test_hammer_fresh_network_every_run_matches_serial(self):
+        """The race check for concurrent ``splu`` / ``_regress_rows``:
+        50 runs x 16 pieces of 880 points on four pool threads
+        (oversubscribed on purpose) with a short switch interval, a
+        fresh network every run, each run ``array_equal`` to serial."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AnalysisExecutor(strategy="thread", workers=4) as ex:
+                threaded = DistributedEnKF(
+                    radius_km=60.0, inflation=1.05, ridge=1e-2, executor=ex
+                )
+                serial = DistributedEnKF(
+                    radius_km=60.0, inflation=1.05, ridge=1e-2
+                )
+                for seed in range(50):
+                    decomp, states, net, y = large_pieces_problem(seed)
+                    out = threaded.assimilate(decomp, states, net, y, rng=seed)
+                    ref = serial.assimilate(decomp, states, net, y, rng=seed)
+                    assert np.array_equal(out, ref), f"run {seed} diverged"
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -600,27 +624,68 @@ class TestParallelTelemetry:
         assert snap["counters"]["geometry.cache_misses"] == n_observed
 
     def test_worker_spans_flow_to_parent_tracer(self):
-        tracer, metrics, decomp = self._run("process")
+        tracer, metrics, decomp = self._run("thread")
         worker_spans = [
             s for s in tracer.spans
             if s.name == "parallel.local_analysis"
-            and s.track.startswith("worker-")
+            and s.track.startswith("senkf-analysis")
         ]
         assert len(worker_spans) == decomp.n_subdomains
+        assert sorted(s.attrs["piece"] for s in worker_spans) == list(
+            range(decomp.n_subdomains)
+        )
+        run_span = next(s for s in tracer.spans if s.name == "parallel.run")
         for span in worker_spans:
-            assert span.duration >= 0
-            assert span.end <= tracer.now()
-            assert "n_obs" in span.attrs
-        snap = metrics.snapshot()
-        assert snap["counters"]["parallel.chunks"] >= 1
+            assert run_span.start <= span.start <= span.end <= run_span.end
+
+    def test_thread_scoped_telemetry_crosses_into_pool_threads(self, tmp_path):
+        """A campaign driven under ``use_thread_tracer`` (what
+        ``CampaignRunner._drive`` and the service's worker threads do)
+        with ``strategy="thread"``: every observed piece's
+        ``parallel.local_analysis`` span lands on a pool-thread track of
+        *that* tracer, and the process-global one sees nothing."""
+        from repro.checkpoint import CampaignRunner
+        from repro.models import AdvectionDiffusionModel, TwinExperiment
+
+        grid, truth, states, net, y = problem()
+        decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=1, eta=1)
+        filt = PEnKF(radius_km=2.0, inflation=1.05, ridge=1e-2,
+                     workers=2, strategy="thread")
+        twin = TwinExperiment(
+            AdvectionDiffusionModel(grid, u_max=1.0, kappa=0.05, dt=0.2),
+            net,
+            lambda s, obs, rng: filt.assimilate(decomp, s, net, obs, rng=rng),
+            steps_per_cycle=2, master_seed=3,
+        )
+        scoped = Tracer(metrics=MetricsRegistry())
+        global_tracer = Tracer(metrics=MetricsRegistry())
+        n_cycles = 2
+        try:
+            with use_tracer(global_tracer), use_metrics(global_tracer.metrics), \
+                    use_thread_metrics(scoped.metrics):
+                CampaignRunner(twin, tmp_path, tracer=scoped).run(
+                    truth, states, n_cycles, track_free_run=False
+                )
+        finally:
+            filt.close()
+        runs = [s for s in scoped.spans if s.name == "parallel.run"]
+        assert [s.attrs["strategy"] for s in runs] == ["thread"] * n_cycles
+        n_observed = sum(s.attrs["n_observed"] for s in runs)
+        analyses = [
+            s for s in scoped.spans if s.name == "parallel.local_analysis"
+        ]
+        assert len(analyses) == n_observed == n_cycles * decomp.n_subdomains
+        assert all(s.track.startswith("senkf-analysis") for s in analyses)
+        assert not [s for s in global_tracer.spans if s.category == "parallel"]
+        assert not global_tracer.metrics.snapshot()["counters"]
 
     def test_worker_spans_survive_chrome_round_trip(self, tmp_path):
-        """A real process-pool capture — parent spans on "main", worker
-        spans on ``worker-<pid>`` tracks — must re-import from its Chrome
-        export with track assignment and nesting intact."""
+        """A real thread-pool capture — caller spans on "main", piece
+        spans on ``senkf-analysis_<k>`` tracks — must re-import from its
+        Chrome export with track assignment and nesting intact."""
         from repro.telemetry import spans_from_chrome, write_chrome_trace
 
-        tracer, metrics, decomp = self._run("process")
+        tracer, metrics, decomp = self._run("thread")
         path = write_chrome_trace(tmp_path / "trace.json", tracer=tracer)
         restored = {s.span_id: s for s in spans_from_chrome(path)}
         original = {s.span_id: s for s in tracer.spans}
@@ -630,13 +695,13 @@ class TestParallelTelemetry:
             ref = original[span_id]
             assert span.track == ref.track
             assert span.parent_id == ref.parent_id
-            if span.track.startswith("worker-"):
+            if span.track.startswith("senkf-analysis"):
                 worker_tracks.add(span.track)
         assert worker_tracks  # the pool really fanned out
         restored_workers = [
             s for s in restored.values()
             if s.name == "parallel.local_analysis"
-            and s.track.startswith("worker-")
+            and s.track.startswith("senkf-analysis")
         ]
         assert len(restored_workers) == decomp.n_subdomains
 

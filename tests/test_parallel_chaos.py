@@ -4,8 +4,7 @@ The resilience layer's end-to-end story — a :class:`FaultyStore` drops
 ensemble members, the filter degrades gracefully with compensated
 inflation — must survive fan-out unchanged: the stateless per-call
 inflation override means a single pool-backed engine serves degraded
-analyses bit-identically to the serial path, with no filter copies and
-no shared-memory leaks.
+analyses bit-identically to the serial path, with no filter copies.
 """
 
 import numpy as np
@@ -40,7 +39,7 @@ def chaos_problem(tmp_path):
     return store, states, net, y, decomp
 
 
-@pytest.mark.parametrize("strategy", ["process"])
+@pytest.mark.parametrize("strategy", ["thread"])
 def test_chaos_run_through_parallel_engine(chaos_problem, strategy):
     """FaultyStore read -> degraded analysis, fanned out: bit-identical
     to the serial engine and the filter's state untouched."""
@@ -71,11 +70,11 @@ def test_chaos_run_through_parallel_engine(chaos_problem, strategy):
 
 
 def test_degraded_cycles_share_one_pool(chaos_problem):
-    """Alternating clean and degraded cycles through one process pool:
+    """Alternating clean and degraded cycles through one thread pool:
     each matches its serial counterpart exactly."""
     store, states, net, y, decomp = chaos_problem
     serial = DistributedEnKF(radius_km=2.0, inflation=1.05)
-    with AnalysisExecutor(strategy="process", workers=2) as ex:
+    with AnalysisExecutor(strategy="thread", workers=2) as ex:
         filt = DistributedEnKF(radius_km=2.0, inflation=1.05, executor=ex)
         clean_ref = serial.assimilate(decomp, states, net, y, rng=1)
         clean_out = filt.assimilate(decomp, states, net, y, rng=1)

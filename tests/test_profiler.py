@@ -1,13 +1,11 @@
 """The resource observatory: sampling profiler + memory attribution.
 
 Covers the profiler's edge cases (start/stop idempotence, disabled-path
-zero overhead, worker-sample merge round-trips through both export
-formats), tracemalloc-unavailable degradation, the shared-segment
-registry's leak accounting, the footprint join's drift conventions and
-the ``senkf-profile/1`` validator.
+zero overhead, pool-thread samples in both export formats),
+tracemalloc-unavailable degradation, the footprint join's drift
+conventions and the ``senkf-profile/2`` validator.
 """
 
-import gc
 import json
 import threading
 import time
@@ -19,14 +17,12 @@ from repro.telemetry import memprof
 from repro.telemetry.memprof import (
     PROFILE_SCHEMA,
     MemoryProfiler,
-    SharedSegmentRegistry,
     build_profile_report,
     current_rss_bytes,
     default_memory_rules,
     footprint_attribution,
     peak_rss_bytes,
     publish_memory_gauges,
-    shared_segment_registry,
     validate_profile_report,
     write_profile_report,
 )
@@ -36,7 +32,6 @@ from repro.telemetry.profiler import (
     NullProfiler,
     SamplingProfiler,
     UNTRACED_PHASE,
-    WorkerSampler,
     get_profiler,
     set_profiler,
     use_profiler,
@@ -106,7 +101,6 @@ class TestSamplingProfiler:
         assert NULL_PROFILER.interval == 0.0
         # The null object swallows the whole surface without effect.
         NULL_PROFILER.start()
-        NULL_PROFILER.merge_samples("w", "p", [(("f",), 1)])
         NULL_PROFILER.stop()
         assert NULL_PROFILER.report() == {}
 
@@ -128,31 +122,31 @@ class TestSamplingProfiler:
 
 
 class TestExports:
-    def _merged_profiler(self):
+    def _seeded_profiler(self):
+        """A profiler holding five samples of one pool thread, as the
+        sweep would have counted them."""
         profiler = SamplingProfiler(interval=0.001)
-        profiler.merge_samples(
-            "worker-42", "parallel",
-            [(("worker:main", "kernels:solve"), 3),
-             (("worker:main", "kernels:stage"), 2)],
-        )
+        for stack, count in [(("worker:main", "kernels:solve"), 3),
+                             (("worker:main", "kernels:stage"), 2)]:
+            profiler._counts[("senkf-analysis_0", "parallel", stack)] = count
         return profiler
 
-    def test_worker_merge_rounds_trip_collapsed(self):
-        profiler = self._merged_profiler()
+    def test_pool_thread_samples_round_trip_collapsed(self):
+        profiler = self._seeded_profiler()
         lines = dict(
             line.rsplit(" ", 1) for line in profiler.collapsed().splitlines()
         )
-        assert lines["worker-42;parallel;worker:main;kernels:solve"] == "3"
-        assert lines["worker-42;parallel;worker:main;kernels:stage"] == "2"
+        assert lines["senkf-analysis_0;parallel;worker:main;kernels:solve"] == "3"
+        assert lines["senkf-analysis_0;parallel;worker:main;kernels:stage"] == "2"
         assert profiler.phase_samples() == {"parallel": 5}
         assert profiler.attributed_fraction() == 1.0
 
-    def test_worker_merge_rounds_trip_speedscope(self, tmp_path):
-        profiler = self._merged_profiler()
+    def test_pool_thread_samples_round_trip_speedscope(self, tmp_path):
+        profiler = self._seeded_profiler()
         path = profiler.write_speedscope(tmp_path / "p.speedscope.json")
         doc = json.loads(path.read_text())
         assert doc["$schema"].endswith("file-format-schema.json")
-        prof = {p["name"]: p for p in doc["profiles"]}["worker-42"]
+        prof = {p["name"]: p for p in doc["profiles"]}["senkf-analysis_0"]
         assert prof["type"] == "sampled"
         # 5 samples, each stack rooted at the phase frame.
         assert sum(prof["weights"]) == 5
@@ -161,32 +155,15 @@ class TestExports:
             assert frames[sample[0]] == "parallel"
 
     def test_collapsed_file_export(self, tmp_path):
-        profiler = self._merged_profiler()
+        profiler = self._seeded_profiler()
         path = profiler.write_collapsed(tmp_path / "p.collapsed")
         assert path.read_text() == profiler.collapsed() + "\n"
 
     def test_report_top_limits_stacks(self):
-        profiler = self._merged_profiler()
+        profiler = self._seeded_profiler()
         report = profiler.report(top=1)
         assert len(report["top_stacks"]) == 1
         assert report["top_stacks"][0]["count"] == 3
-
-
-class TestWorkerSampler:
-    def test_samples_only_between_begin_end(self):
-        sampler = WorkerSampler(interval=0.001)
-        try:
-            spin(0.03)  # not armed: nothing may be captured
-            assert sampler.drain() == []
-            sampler.begin()
-            spin(0.1)
-            sampler.end()
-            samples = sampler.drain()
-            assert sum(count for _, count in samples) > 0
-            # drain clears
-            assert sampler.drain() == []
-        finally:
-            sampler.close()
 
 
 class TestMemoryProfiler:
@@ -225,9 +202,7 @@ class TestMemoryProfiler:
         first = mem.observe_cycle()
         second = mem.observe_cycle()
         for stats in (first, second):
-            assert set(stats) == {
-                "rss_bytes", "rss_growth_bytes", "shm_live_bytes"
-            }
+            assert set(stats) == {"rss_bytes", "rss_growth_bytes"}
         assert first["rss_bytes"] > 0
 
     def test_default_memory_rules_fire_on_sustained_growth(self):
@@ -254,61 +229,7 @@ class TestMemoryProfiler:
         assert snap["process.rss_bytes"] > 0
         assert snap["geometry.cache_bytes"] == 123.0
         assert snap["tracemalloc.peak_bytes"] == 456.0
-        assert "shm.live_bytes" in snap
-
-
-class TestSharedSegmentRegistry:
-    def test_create_dispose_accounting(self):
-        reg = SharedSegmentRegistry()
-        reg.record_create("a", 100)
-        reg.record_create("b", 200)
-        assert reg.live_count() == 2
-        assert reg.live_bytes() == 300
-        reg.record_dispose("a")
-        reg.record_dispose("b", via_gc=True)
-        snap = reg.snapshot()
-        assert snap["live_count"] == 0
-        # Explicit and gc-driven disposal are disjoint books.
-        assert snap["disposed_count"] == 1
-        assert snap["disposed_bytes"] == 100
-        assert snap["gc_reclaimed_count"] == 1
-        assert snap["gc_reclaimed_bytes"] == 200
-
-    def test_unknown_dispose_ignored(self):
-        reg = SharedSegmentRegistry()
-        reg.record_dispose("never-created")
-        assert reg.snapshot()["disposed_count"] == 0
-
-    def test_checkpoint_marks_progress(self):
-        reg = SharedSegmentRegistry()
-        created0, gc0 = reg.checkpoint()
-        reg.record_create("a", 10)
-        reg.record_dispose("a", via_gc=True)
-        created1, gc1 = reg.checkpoint()
-        assert (created1 - created0, gc1 - gc0) == (1, 1)
-
-    def test_shared_ensemble_registers_and_unregisters(self):
-        from repro.parallel.shared import SharedEnsemble
-
-        reg = shared_segment_registry()
-        before = set(reg.live_segments())
-        shared = SharedEnsemble.from_array(np.ones((3, 8)))
-        new = set(reg.live_segments()) - before
-        assert len(new) == 1
-        shared.dispose()
-        assert set(reg.live_segments()) - before == set()
-
-    def test_gc_reclaim_counts_as_leak_survivor(self):
-        from repro.parallel.shared import SharedEnsemble
-
-        reg = shared_segment_registry()
-        _, gc_before = reg.checkpoint()
-        shared = SharedEnsemble.from_array(np.ones((2, 4)))
-        del shared
-        gc.collect()
-        _, gc_after = reg.checkpoint()
-        assert gc_after - gc_before == 1
-        # ...but nothing is live: the sentinel fixture stays green.
+        assert "shm.live_bytes" not in snap  # gone with the segments
 
 
 class TestFootprintJoin:
@@ -423,52 +344,74 @@ class TestProfileReport:
             bad.write(tmp_path / "bad.json")
 
 
-class TestWorkerIntegration:
-    def test_process_fanout_merges_worker_tracks(self):
-        """End to end: profiled process fan-out is bit-identical and
-        produces worker-<pid> tracks in the exports."""
-        from repro.core import (
-            Decomposition, Grid, ObservationNetwork, radius_to_halo,
-        )
-        from repro.filters import PEnKF
+class TestThreadFanoutIntegration:
+    def test_pool_thread_samples_appear_in_both_exports(self, tmp_path):
+        """End to end: a profiled thread fan-out is bit-identical, and the
+        pool threads — ordinary traced threads to the sweep — show up as
+        ``senkf-analysis_<k>`` tracks in the collapsed and the speedscope
+        export, attributed to the ``parallel`` phase."""
+        from repro.filters.distributed import DistributedEnKF
+        from tests.test_parallel import large_pieces_problem
 
-        rng = np.random.default_rng(5)
-        grid = Grid(n_x=16, n_y=8, dx_km=2.5, dy_km=5.0)
-        xi, eta = radius_to_halo(6.0, grid.dx_km, grid.dy_km)
-        decomp = Decomposition(grid, n_sdx=2, n_sdy=2, xi=xi, eta=eta)
-        network = ObservationNetwork.random(
-            grid, m=24, obs_error_std=0.2, rng=np.random.default_rng(1)
-        )
-        states = rng.standard_normal((grid.n, 12))
-        y = network.observe(states[:, 0], rng=np.random.default_rng(2))
-
-        serial = PEnKF(radius_km=6.0, inflation=1.05, ridge=1e-2)
-        reference = serial.assimilate(
-            decomp, states, network, y, rng=np.random.default_rng(3)
+        decomp, states, net, y = large_pieces_problem(seed=2)
+        kwargs = dict(radius_km=60.0, inflation=1.05, ridge=1e-2)
+        reference = DistributedEnKF(**kwargs).assimilate(
+            decomp, states, net, y, rng=3
         )
 
         tracer = Tracer()
         profiler = SamplingProfiler(interval=0.001)
-        filt = PEnKF(
-            radius_km=6.0, inflation=1.05, ridge=1e-2,
-            workers=2, strategy="process",
-        )
+        filt = DistributedEnKF(workers=2, strategy="thread", **kwargs)
         try:
             with use_tracer(tracer), use_profiler(profiler), profiler:
-                profiled = filt.assimilate(
-                    decomp, states, network, y, rng=np.random.default_rng(3)
-                )
+                profiled = filt.assimilate(decomp, states, net, y, rng=3)
         finally:
             filt.close()
 
         assert np.array_equal(reference, profiled)
         report = profiler.report()
-        worker_tracks = [
-            t for t in report["tracks"] if t.startswith("worker-")
+        pool_tracks = [
+            t for t in report["tracks"] if t.startswith("senkf-analysis")
         ]
-        if worker_tracks:  # tiny problems may finish between samples
-            assert report["phase_samples"].get("parallel", 0) > 0
-            assert any(
-                line.startswith(f"{worker_tracks[0]};parallel;")
-                for line in profiler.collapsed().splitlines()
-            )
+        assert pool_tracks
+        assert report["phase_samples"]["parallel"] > 0
+        # A pool thread parked between pieces is not sampled, so the
+        # fan-out costs the attributed fraction nothing.
+        assert report["attributed_fraction"] >= 0.9
+        collapsed = profiler.collapsed().splitlines()
+        doc = json.loads(
+            profiler.write_speedscope(tmp_path / "p.json").read_text()
+        )
+        frames = [f["name"] for f in doc["shared"]["frames"]]
+        by_name = {p["name"]: p for p in doc["profiles"]}
+        for track in pool_tracks:
+            assert any(ln.startswith(f"{track};parallel;") for ln in collapsed)
+            assert not any(ln.startswith(f"{track};(untraced)") for ln in collapsed)
+            assert {frames[s[0]] for s in by_name[track]["samples"]} == {
+                "parallel"
+            }
+
+    def test_doctor_profile_attributes_with_thread_fanout(self, tmp_path):
+        """``doctor --profile`` with the fan-out running in threads: the
+        analysis stays bit-identical, >= 90 % of samples attribute to a
+        known phase, the pool threads have their own tracks and the
+        artifact is ``senkf-profile/2``.  (The exit code is not pinned:
+        its footprint check reads the process's high-water RSS, which
+        under pytest is the whole suite's.)"""
+        from repro.experiments.cli import main
+
+        out = tmp_path / "doctor"
+        main([
+            "doctor", "--profile", "--out", str(out),
+            "--history", str(tmp_path / "history.jsonl"),
+        ])
+        payload = validate_profile_report(
+            json.loads((out / "profile.json").read_text())
+        )
+        assert payload["schema"] == "senkf-profile/2"
+        assert "shm" not in payload["memory"]
+        assert payload["sampler"]["attributed_fraction"] >= 0.9
+        assert any(
+            t.startswith("senkf-analysis") for t in payload["sampler"]["tracks"]
+        )
+        assert "bit-identical to the unprofiled reference: yes" in payload["notes"]

@@ -385,10 +385,9 @@ class TestChromeExport:
             assert span.duration == pytest.approx(ref.duration, abs=1e-9)
 
     def test_round_trip_preserves_worker_tracks_and_nesting(self, tmp_path):
-        """Multi-track captures — a dispatch span plus pool-worker spans
-        merged onto ``worker-<pid>`` tracks, the process executor's shape —
-        must survive export + re-import with track assignment and
-        parentage intact."""
+        """Multi-track captures — a dispatch span plus spans recorded
+        onto explicit ``worker-<id>`` tracks — must survive export +
+        re-import with track assignment and parentage intact."""
         tracer = Tracer(clock=FakeClock(step=0.25))
         with tracer.span("parallel.run", category="parallel"):
             for pid in (4001, 4002):

@@ -2,7 +2,7 @@
 
 A piece whose expansion holds no observation has the (inflated)
 background as its analysis.  The executor fills all such pieces in one
-pass (:meth:`AnalysisPlan.fill_unobserved`) and prepares, ships and
+pass (:meth:`AnalysisPlan.fill_unobserved`) and prepares, submits and
 counts only the observed ones, by their plan indices.  The contract
 pinned here: whatever the observation placement, every filter under
 every strategy equals an oracle that loops
@@ -25,7 +25,6 @@ from repro.core import (
 )
 from repro.core.inflation import inflate
 from repro.core.observations import perturb_observations
-from repro.faults import FaultSchedule
 from repro.filters import LETKF, SEnKF
 from repro.filters.distributed import DistributedEnKF
 from repro.parallel import (
@@ -34,15 +33,12 @@ from repro.parallel import (
     AnalysisExecutor,
     AnalysisPlan,
     GeometryCache,
-    SupervisionPolicy,
     compute_piece,
     run_vectorized,
 )
 from repro.parallel.executor import STRATEGIES
 from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
-from repro.telemetry.memprof import shared_segment_registry
 from repro.util.seeding import spawn_rng
-from tests.test_supervise import FAST_RETRY, _crash_seed_for_piece
 
 #: the vectorized strategy's equivalence contract (tests/test_vectorized.py)
 RTOL, ATOL = 1e-10, 1e-11
@@ -132,7 +128,7 @@ def placements(draw):
 @pytest.fixture(scope="module")
 def executors():
     """One executor per strategy for the whole module: the hypothesis
-    examples reuse the process pools."""
+    examples reuse the thread pools."""
     pool = {s: AnalysisExecutor(strategy=s, workers=2) for s in STRATEGIES}
     yield pool
     for ex in pool.values():
@@ -149,7 +145,7 @@ class TestEveryPlacementEqualsTheAllPiecesOracle:
         expected = oracle(name, net, y, seed)
         filt = FILTERS[name](executors[strategy])
         out = filt.assimilate(DECOMP, STATES, net, y, rng=seed)
-        if strategy in ("serial", "process"):
+        if strategy in ("serial", "thread"):
             assert np.array_equal(out, expected)
         else:  # vectorized, or auto free to pick it
             assert np.allclose(out, expected, rtol=RTOL, atol=ATOL)
@@ -251,7 +247,7 @@ class TestInterpolatingNetwork:
         expected = oracle(name, INTERP_NET, y, 11)
         filt = FILTERS[name](executors[strategy])
         out = filt.assimilate(DECOMP, STATES, INTERP_NET, y, rng=11)
-        if strategy in ("serial", "process"):
+        if strategy in ("serial", "thread"):
             assert np.array_equal(out, expected)
         else:
             assert np.allclose(out, expected, rtol=RTOL, atol=ATOL)
@@ -279,7 +275,7 @@ def right_half_plan(kind):
 class TestNothingObservedAnywhere:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("kind", [KIND_ENKF, KIND_ETKF])
-    def test_background_without_pool_kernel_or_segment(
+    def test_background_without_pool_or_kernel(
         self, monkeypatch, kind, strategy
     ):
         def no_kernel(*args, **kwargs):
@@ -287,12 +283,9 @@ class TestNothingObservedAnywhere:
 
         monkeypatch.setattr(executor_mod, "compute_piece", no_kernel)
         plan = right_half_plan(kind)
-        registry = shared_segment_registry()
-        created_before = registry.created_count
         with AnalysisExecutor(strategy=strategy, workers=2) as ex:
             assert ex.run(plan) == len(plan.pieces)  # still counts them all
-            assert ex._process_pool is None
-        assert registry.created_count == created_before
+            assert ex._pool is None
         expected = STATES if kind == KIND_ENKF else inflate(STATES, 1.1)
         assert np.array_equal(plan.out, expected)
 
@@ -322,7 +315,7 @@ class TestFullyObservedPlanFillsNothing:
 
 
 # ---------------------------------------------------------------------------
-# Plan indices survive the split: faults, spans, counters
+# Plan indices survive the split: spans, counters
 # ---------------------------------------------------------------------------
 #: observations inside the two right-hand columns of sub-domains, clear of
 #: every halo of the left-hand ones (and of the periodic seam): the
@@ -331,48 +324,11 @@ RIGHT_NET = network([9, 10, 13, 9, 10, 13], [1, 2, 1, 5, 6, 6])
 RIGHT_OBSERVED = (2, 3, 6, 7)
 
 
-def _supervised(faults):
-    y = np.linspace(-1.0, 1.0, RIGHT_NET.m)
-    policy = SupervisionPolicy(max_respawns=2, retry=FAST_RETRY)
-    with AnalysisExecutor(
-        strategy="process", workers=2, supervision=policy, faults=faults
-    ) as ex:
-        out = DistributedEnKF(executor=ex, **ENKF).assimilate(
-            DECOMP, STATES, RIGHT_NET, y, rng=5
-        )
-        return out, ex.supervision_stats, oracle("enkf", RIGHT_NET, y, 5)
-
-
 class TestPlanIndicesSurviveTheSplit:
     def test_fixture_observes_the_right_half(self):
         assert GeometryCache().observed(RIGHT_NET, list(DECOMP)) == RIGHT_OBSERVED
 
-    def test_crash_draw_on_an_observed_plan_index_fires(self):
-        """Plan index 6 is the third observed piece: the draw is keyed on
-        6, not on its position 2 in the observed list."""
-        faults = FaultSchedule(_crash_seed_for_piece(6), worker_crash_rate=0.2)
-        out, stats, expected = _supervised(faults)
-        assert np.array_equal(out, expected)
-        assert stats.worker_crashes == 1
-        assert 1 <= stats.piece_retries <= len(RIGHT_OBSERVED)
-
-    def test_crash_draw_on_an_unobserved_plan_index_never_ships(self):
-        """Plan index 0 is unobserved: nothing is shipped for it, so its
-        crash draw — which a re-numbered work-list would hand to the
-        first observed piece — is never consulted."""
-        faults = FaultSchedule(_crash_seed_for_piece(0), worker_crash_rate=0.2)
-        out, stats, expected = _supervised(faults)
-        assert np.array_equal(out, expected)
-        assert stats.worker_crashes == 0
-        assert stats.piece_retries == 0
-
-    def test_crash_everything_falls_back_for_the_observed_only(self):
-        faults = FaultSchedule(3, worker_crash_rate=1.0)
-        out, stats, expected = _supervised(faults)
-        assert np.array_equal(out, expected)
-        assert stats.serial_fallback_pieces == len(RIGHT_OBSERVED)
-
-    @pytest.mark.parametrize("strategy", ["serial", "process"])
+    @pytest.mark.parametrize("strategy", ["serial", "thread"])
     def test_spans_and_counters_name_plan_indices(self, strategy):
         y = np.linspace(-1.0, 1.0, RIGHT_NET.m)
         metrics = MetricsRegistry()
