@@ -4,11 +4,17 @@ The background ensemble is one raw binary file per member — the flat state
 in latitude-row-major order, ``float64`` — exactly the layout
 :mod:`repro.io.layout` models for the simulator.  :class:`EnsembleStore`
 writes/reads such files, and :func:`read_plan_from_disk` executes any
-:class:`~repro.io.plan.ReadPlan` against them with real ``seek``/``read``
-system calls, so the strategies are exercised end-to-end against a real
+:class:`~repro.io.plan.ReadPlan` against them with one real positional
+read per extent, so the strategies are exercised end-to-end against a real
 file system as well as against the simulated one.
+:func:`stage_plan_from_disk` runs the same reads straight into the
+``(n, N)`` background the filters take.
 """
 
-from repro.data.store import EnsembleStore, read_plan_from_disk
+from repro.data.store import (
+    EnsembleStore,
+    read_plan_from_disk,
+    stage_plan_from_disk,
+)
 
-__all__ = ["EnsembleStore", "read_plan_from_disk"]
+__all__ = ["EnsembleStore", "read_plan_from_disk", "stage_plan_from_disk"]

@@ -14,6 +14,7 @@ keeps one 2-D level per file (``h = 8``) because the numerics operate on
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
 
 _DTYPE = np.dtype("<f8")
+_ITEM = _DTYPE.itemsize
 
 
 class EnsembleStore:
@@ -130,22 +132,33 @@ class EnsembleStore:
             raise CorruptMemberError(
                 k, f"{path} holds {data.size} values, expected {self.grid.n}"
             )
-        return data.astype(float)
+        return data.astype(float, copy=False)
 
     def read_ensemble(self) -> np.ndarray:
         """Read all members into an (n, N) matrix (member order)."""
         n = self.n_members()
         if n == 0:
             raise FileNotFoundError(f"no member files in {self.directory}")
-        return np.column_stack([self.read_member(k) for k in range(n)])
+        states = np.empty((self.grid.n, n))
+        for k in range(n):
+            states[:, k] = self.read_member(k)
+        return states
+
+    def extent_reader(self, before_read=None) -> "ExtentReader":
+        """An :class:`ExtentReader` over this store's member files.
+
+        ``before_read(k)`` runs at the start of every read of member ``k``
+        (how :class:`~repro.faults.store.FaultyStore` injects its faults).
+        """
+        return ExtentReader(self, before_read)
 
     def read_extents(
         self, k: int, extents: list[tuple[int, int]]
     ) -> np.ndarray:
         """Read a list of (start_elem, n_elems) extents with real seeks.
 
-        One ``seek`` + one ``read`` per extent — the exact disk-addressing
-        pattern the simulator charges for.
+        One positional read per extent — the exact disk-addressing pattern
+        the simulator charges for.  No extents give an empty array.
 
         Extent bounds are validated against both the logical grid size and
         the *actual* file size, and every read is checked for shortness, so
@@ -153,50 +166,164 @@ class EnsembleStore:
         :class:`~repro.faults.errors.CorruptMemberError` instead of
         yielding a silently wrong-shaped array.
         """
+        with self.extent_reader() as reader:
+            return reader.read(k, tuple(map(tuple, extents)))
+
+
+class _Extents:
+    """One distinct extents tuple, range-checked against the grid."""
+
+    def __init__(self, extents, n: int):
+        table = np.asarray(extents, dtype=np.int64).reshape(-1, 2)
+        start, length = table[:, 0], table[:, 1]
+        bad = (start < 0) | (length <= 0) | (start + length > n)
+        if bad.any():
+            first = int(bad.argmax())
+            raise ValueError(
+                f"extent ({start[first]}, {length[first]}) out of range"
+            )
+        #: (start, length) rows, in elements
+        self.table = table
+        self.n_elems = int(length.sum())
+        self.max_end = int((start + length).max(initial=0))
+
+    @cached_property
+    def packed(self) -> list[tuple[int, int, int]]:
+        """(file offset, lo, hi) in bytes, the extents back to back."""
+        hi = np.cumsum(self.table[:, 1]) * _ITEM
+        return self._reads(hi - self.table[:, 1] * _ITEM)
+
+    @cached_property
+    def in_place(self) -> list[tuple[int, int, int]]:
+        """(file offset, lo, hi) in bytes, every extent at its own file
+        offset: the destination mirrors the member file."""
+        return self._reads(self.table[:, 0] * _ITEM)
+
+    def _reads(self, lo: np.ndarray) -> list[tuple[int, int, int]]:
+        offset = self.table[:, 0] * _ITEM
+        hi = lo + self.table[:, 1] * _ITEM
+        return list(zip(offset.tolist(), lo.tolist(), hi.tolist()))
+
+    def first_beyond(self, file_elems: int) -> tuple[int, int]:
+        """The first extent that ends past ``file_elems``."""
+        ends = self.table[:, 0] + self.table[:, 1]
+        start, length = self.table[int((ends > file_elems).argmax())]
+        return int(start), int(length)
+
+
+class ExtentReader:
+    """Executes extent reads against one store's member files.
+
+    For the life of the ``with`` block every member file is opened and
+    sized once (on its first read) and every distinct extents tuple is
+    range-checked once.  What is left per read is one comparison against
+    the file's size and one result array, and per extent exactly one
+    positional read straight into that array — the disk-addressing
+    operation the simulator charges for, so an extent has to fit one read
+    call (2 GiB on Linux); a short read is a
+    :class:`~repro.faults.errors.CorruptMemberError`.  ``extents`` must be
+    hashable (:attr:`~repro.io.plan.ReadOp.extents` is).  Not thread-safe.
+    """
+
+    def __init__(self, store: EnsembleStore, before_read=None):
+        self._store = store
+        self._before_read = before_read
+        self._files: dict[int, tuple[int, int]] = {}  # k -> fd, elements
+        self._extents: dict[tuple, _Extents] = {}
+
+    def __enter__(self) -> "ExtentReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        while self._files:
+            os.close(self._files.popitem()[1][0])
+
+    def read(self, k: int, extents: tuple) -> np.ndarray:
+        """Member ``k``'s values over ``extents``, back to back."""
+        return self._traced(k, extents, None)
+
+    def read_into(self, k: int, extents: tuple, mirror: np.ndarray) -> None:
+        """Read ``extents`` of member ``k`` to their own positions in
+        ``mirror``, a contiguous ``<f8`` array of ``grid.n`` elements."""
+        if (
+            mirror.shape != (self._store.grid.n,)
+            or mirror.dtype != _DTYPE
+            or not mirror.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"mirror must be a contiguous <f8 array of shape "
+                f"({self._store.grid.n},)"
+            )
+        self._traced(k, extents, mirror)
+
+    def _checked(self, extents: tuple) -> _Extents:
+        checked = self._extents.get(extents)
+        if checked is None:
+            checked = self._extents[extents] = _Extents(
+                extents, self._store.grid.n
+            )
+        return checked
+
+    def _file(self, k: int) -> tuple[int, int]:
+        entry = self._files.get(k)
+        if entry is None:
+            fd = os.open(self._store.member_path(k), os.O_RDONLY)
+            try:
+                entry = (fd, os.fstat(fd).st_size // _ITEM)
+            except OSError:
+                os.close(fd)
+                raise
+            self._files[k] = entry
+        return entry
+
+    def _traced(self, k: int, extents: tuple, mirror) -> np.ndarray | None:
         tracer = get_tracer()
         if not tracer.enabled:  # hot path: no span/dict allocations
-            return self._read_extents(k, extents)
+            return self._execute(k, extents, mirror)
         with tracer.span(
             "store.read_extents", category="io", member=k, seeks=len(extents)
         ) as span:
-            data = self._read_extents(k, extents)
-            span.set(bytes=data.size * _DTYPE.itemsize)
+            data = self._execute(k, extents, mirror)
+            nbytes = self._extents[extents].n_elems * _ITEM
+            span.set(bytes=nbytes)
         metrics = get_metrics()
         metrics.counter("io.extent_reads").inc()
         metrics.counter("io.seeks").inc(len(extents))
-        metrics.counter("io.bytes_read").inc(data.size * _DTYPE.itemsize)
+        metrics.counter("io.bytes_read").inc(nbytes)
         return data
 
-    def _read_extents(
-        self, k: int, extents: list[tuple[int, int]]
-    ) -> np.ndarray:
-        path = self.member_path(k)
-        if not path.exists():
-            raise FileNotFoundError(path)
-        item = _DTYPE.itemsize
-        file_elems = path.stat().st_size // item
-        pieces = []
-        with open(path, "rb") as fh:
-            for start, length in extents:
-                if start < 0 or length <= 0 or start + length > self.grid.n:
-                    raise ValueError(f"extent ({start}, {length}) out of range")
-                if start + length > file_elems:
-                    raise CorruptMemberError(
-                        k,
-                        f"extent ({start}, {length}) beyond end of {path} "
-                        f"({file_elems} of {self.grid.n} expected values "
-                        f"present)",
-                    )
-                fh.seek(start * item)
-                buf = fh.read(length * item)
-                if len(buf) != length * item:
-                    raise CorruptMemberError(
-                        k,
-                        f"short read on {path}: got {len(buf)} of "
-                        f"{length * item} bytes at element {start}",
-                    )
-                pieces.append(np.frombuffer(buf, dtype=_DTYPE))
-        return np.concatenate(pieces).astype(float)
+    def _execute(self, k: int, extents: tuple, mirror) -> np.ndarray | None:
+        if self._before_read is not None:
+            self._before_read(k)
+        fd, file_elems = self._file(k)
+        checked = self._checked(extents)
+        if checked.max_end > file_elems:
+            start, length = checked.first_beyond(file_elems)
+            raise CorruptMemberError(
+                k,
+                f"extent ({start}, {length}) beyond end of "
+                f"{self._store.member_path(k)} ({file_elems} of "
+                f"{self._store.grid.n} expected values present)",
+            )
+        if mirror is None:
+            out = np.empty(checked.n_elems, dtype=_DTYPE)
+            view, reads = memoryview(out).cast("B"), checked.packed
+        else:
+            out = None
+            view, reads = memoryview(mirror).cast("B"), checked.in_place
+        for offset, lo, hi in reads:
+            got = os.preadv(fd, (view[lo:hi],), offset)
+            if got != hi - lo:
+                raise CorruptMemberError(
+                    k,
+                    f"short read on {self._store.member_path(k)}: got {got} "
+                    f"of {hi - lo} bytes at element {offset // _ITEM}",
+                )
+        # a byte-order conversion on a big-endian host, no copy elsewhere
+        return None if out is None else out.astype(float, copy=False)
 
 
 def read_plan_from_disk(
@@ -205,13 +332,13 @@ def read_plan_from_disk(
     """Execute a strategy's :class:`ReadPlan` against real files.
 
     Returns ``rank -> file_id -> values`` exactly like
-    :func:`repro.io.execute.execute_read_plan_inline`, but with genuine
-    ``seek``/``read`` calls against the store — end-to-end proof that the
-    plans' extents are valid on the real layout.
+    :func:`repro.io.execute.execute_read_plan_inline`, but with one genuine
+    positional read per extent against the store — end-to-end proof that
+    the plans' extents are valid on the real layout.
     """
     tracer = get_tracer()
     out: dict[int, dict[int, np.ndarray]] = {}
-    with tracer.span(
+    with store.extent_reader() as reader, tracer.span(
         "io.read_plan", category="io", n_ranks=len(plan.per_rank)
     ):
         for rank, rank_plan in plan.per_rank.items():
@@ -221,8 +348,50 @@ def read_plan_from_disk(
                 n_ops=len(rank_plan.reads),
             ):
                 for op in rank_plan.reads:
-                    per_file[op.file_id] = store.read_extents(
-                        op.file_id, list(op.extents)
-                    )
+                    per_file[op.file_id] = reader.read(op.file_id, op.extents)
             out[rank] = per_file
     return out
+
+
+def stage_plan_from_disk(plan: ReadPlan, store: EnsembleStore) -> np.ndarray:
+    """Execute a :class:`ReadPlan` straight into the ``(n, N)`` background.
+
+    Every extent of every op is read to its own place in a member-major
+    ``(N, n)`` buffer (overlapping halos rewrite equal values), which is
+    transposed once at the end.  A plan that leaves any element of any
+    file unread raises ``ValueError`` before anything is read.
+    """
+    n, n_files = store.grid.n, plan.n_files
+    ops = [op for rank_plan in plan.per_rank.values() for op in rank_plan.reads]
+    with store.extent_reader() as reader:
+        _check_covers(ops, reader, n, n_files)
+        mirror = np.empty((n_files, n), dtype=_DTYPE)
+        for op in ops:
+            reader.read_into(op.file_id, op.extents, mirror[op.file_id])
+    return np.ascontiguousarray(mirror.T).astype(float, copy=False)
+
+
+def _check_covers(ops, reader: ExtentReader, n: int, n_files: int) -> None:
+    """Raise ``ValueError`` unless ``ops`` read every element of every file:
+    one difference-array pass per distinct extents tuple for each set of
+    files that share their tuples (one set in the planners' plans)."""
+    tuples_of: list[set] = [set() for _ in range(n_files)]
+    for op in ops:
+        tuples_of[op.file_id].add(op.extents)
+    first_hole: dict[frozenset, int | None] = {}
+    for file_id, tuples in enumerate(map(frozenset, tuples_of)):
+        if tuples not in first_hole:
+            edges = np.zeros(n + 1, dtype=np.int64)
+            for extents in tuples:
+                table = reader._checked(extents).table
+                np.add.at(edges, table[:, 0], 1)
+                np.subtract.at(edges, table[:, 0] + table[:, 1], 1)
+            covered = np.cumsum(edges[:-1]) > 0
+            first_hole[tuples] = (
+                None if covered.all() else int(covered.argmin())
+            )
+        if first_hole[tuples] is not None:
+            raise ValueError(
+                f"plan leaves element {first_hole[tuples]} of file "
+                f"{file_id} unread"
+            )

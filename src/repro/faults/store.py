@@ -153,6 +153,10 @@ class FaultyStore:
         self._check_faults(k)
         return self.inner.read_extents(k, extents)
 
+    def extent_reader(self):
+        """The inner store's reader, with this store's faults on every read."""
+        return self.inner.extent_reader(before_read=self._check_faults)
+
 
 def _read_with_retry(store, member: int, reader, retry: RetryPolicy,
                      report: ResilienceReport):
@@ -214,23 +218,24 @@ def read_plan_from_disk_resilient(
     report = report if report is not None else ResilienceReport()
     out: dict[int, dict[int, np.ndarray]] = {}
     dropped: set[int] = set()
-    for rank, rank_plan in plan.per_rank.items():
-        per_file: dict[int, np.ndarray] = {}
-        for op in rank_plan.reads:
-            if op.file_id in dropped:
-                continue
-            try:
-                per_file[op.file_id] = _read_with_retry(
-                    store,
-                    op.file_id,
-                    lambda: store.read_extents(op.file_id, list(op.extents)),
-                    retry,
-                    report,
-                )
-            except MemberUnrecoverableError:
-                dropped.add(op.file_id)
-                report.drop_member(op.file_id)
-        out[rank] = per_file
+    with store.extent_reader() as reader:
+        for rank, rank_plan in plan.per_rank.items():
+            per_file: dict[int, np.ndarray] = {}
+            for op in rank_plan.reads:
+                if op.file_id in dropped:
+                    continue
+                try:
+                    per_file[op.file_id] = _read_with_retry(
+                        store,
+                        op.file_id,
+                        lambda: reader.read(op.file_id, op.extents),
+                        retry,
+                        report,
+                    )
+                except MemberUnrecoverableError:
+                    dropped.add(op.file_id)
+                    report.drop_member(op.file_id)
+            out[rank] = per_file
     if dropped:
         for per_file in out.values():
             for f in dropped:

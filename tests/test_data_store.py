@@ -1,16 +1,27 @@
 """Tests for the on-disk ensemble store and real-file plan execution."""
 
+import os
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.data.store as store_mod
 from repro.core import Decomposition, Grid
-from repro.data import EnsembleStore, read_plan_from_disk
+from repro.data import EnsembleStore, read_plan_from_disk, stage_plan_from_disk
+from repro.faults import CorruptMemberError
 from repro.io import (
+    FileLayout,
+    ReadOp,
     bar_read_plan,
     block_read_plan,
+    concurrent_access_plan,
     execute_read_plan_inline,
     single_reader_plan,
 )
+from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
 
 
 @pytest.fixture()
@@ -22,6 +33,15 @@ def store(tmp_path):
 def filled(store):
     rng = np.random.default_rng(0)
     states = rng.normal(size=(store.grid.n, 5))
+    store.write_ensemble(states)
+    return store, states
+
+
+@pytest.fixture(scope="module")
+def read_only(tmp_path_factory):
+    """One filled store for the whole module: hypothesis only reads it."""
+    store = EnsembleStore(tmp_path_factory.mktemp("ens"), Grid(n_x=24, n_y=12))
+    states = np.random.default_rng(0).normal(size=(store.grid.n, 5))
     store.write_ensemble(states)
     return store, states
 
@@ -84,6 +104,121 @@ class TestEnsembleStore:
         with pytest.raises(ValueError):
             store.read_extents(0, [(store.grid.n - 1, 5)])
 
+    def test_read_no_extents_is_empty(self, filled):
+        """``ReadOp(f, ())`` is a valid op: it reads nothing."""
+        store, _ = filled
+        op = ReadOp(file_id=1, extents=())
+        got = store.read_extents(op.file_id, list(op.extents))
+        assert got.shape == (0,) and got.dtype == np.float64
+        with pytest.raises(FileNotFoundError):
+            store.read_extents(9, [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_extents_read_equal_to_indexing(self, read_only, data):
+        """Unsorted, repeated and overlapping extents included."""
+        store, states = read_only
+        n = store.grid.n
+        extents = data.draw(st.lists(
+            st.integers(0, n - 1).flatmap(
+                lambda start: st.tuples(
+                    st.just(start), st.integers(1, n - start)
+                )
+            ),
+            max_size=12,
+        ))
+        k = data.draw(st.integers(0, states.shape[1] - 1))
+        got = store.read_extents(k, extents)
+        assert np.array_equal(
+            got, states[FileLayout.extent_indices(extents), k]
+        )
+
+
+def open_descriptors() -> int:
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    return len(os.listdir("/proc/self/fd"))
+
+
+every_reader = pytest.mark.parametrize(
+    "reader", ["read_extents", "read_plan_from_disk", "stage_plan_from_disk"]
+)
+
+
+class TestExtentErrorBoundary:
+    """Each failure keeps its type and text, and leaks no descriptor."""
+
+    @pytest.fixture()
+    def plan(self, filled):
+        store, _ = filled
+        decomp = Decomposition(store.grid, n_sdx=4, n_sdy=3, xi=2, eta=1)
+        return block_read_plan(decomp, store.layout, n_files=5)
+
+    @staticmethod
+    def readers(store, plan):
+        return {
+            "read_extents": lambda: store.read_extents(
+                2, [(0, 3), (40, 8), (200, 24)]
+            ),
+            "read_plan_from_disk": lambda: read_plan_from_disk(plan, store),
+            "stage_plan_from_disk": lambda: stage_plan_from_disk(plan, store),
+        }
+
+    @every_reader
+    def test_truncated_member(self, filled, plan, reader):
+        store, _ = filled
+        with open(store.member_path(2), "r+b") as fh:
+            fh.truncate(100 * 8)
+        before = open_descriptors()
+        with pytest.raises(CorruptMemberError) as err:
+            self.readers(store, plan)[reader]()
+        assert open_descriptors() == before
+        assert err.value.member == 2
+        assert "100 of 288 expected values present" in str(err.value)
+        if reader == "read_extents":  # the first extent beyond the end
+            assert "extent (200, 24) beyond end of" in str(err.value)
+
+    @every_reader
+    def test_short_positional_read(self, filled, plan, reader, monkeypatch):
+        store, _ = filled
+        real = os.preadv
+
+        def short(fd, buffers, offset):
+            (buffer,) = buffers
+            return real(fd, [buffer[: len(buffer) - 8]], offset)
+
+        monkeypatch.setattr(store_mod.os, "preadv", short)
+        before = open_descriptors()
+        with pytest.raises(CorruptMemberError, match="short read on .* got"):
+            self.readers(store, plan)[reader]()
+        assert open_descriptors() == before
+
+    @pytest.mark.parametrize(
+        "extents, named",
+        [
+            ([(0, 4), (-1, 2)], "(-1, 2)"),
+            ([(5, 0), (-1, 2)], "(5, 0)"),
+            ([(0, 4), (280, 9), (0, 400)], "(280, 9)"),
+        ],
+    )
+    def test_logical_range_is_a_value_error(self, filled, extents, named):
+        store, _ = filled
+        before = open_descriptors()
+        with pytest.raises(ValueError) as err:
+            store.read_extents(0, extents)
+        assert open_descriptors() == before
+        assert not isinstance(err.value, CorruptMemberError)
+        assert str(err.value) == f"extent {named} out of range"
+
+    @every_reader
+    def test_missing_member(self, filled, plan, reader):
+        store, _ = filled
+        store.member_path(2).unlink()
+        before = open_descriptors()
+        with pytest.raises(FileNotFoundError):
+            self.readers(store, plan)[reader]()
+        assert open_descriptors() == before
+
 
 class TestReadPlanFromDisk:
     @pytest.mark.parametrize(
@@ -114,6 +249,90 @@ class TestReadPlanFromDisk:
                 got = np.sort(staged[rank][f])
                 want = np.sort(states[sd.expansion_flat, f])
                 assert np.allclose(got, want)
+
+
+PLANS = {
+    "single_reader": single_reader_plan,
+    "block": block_read_plan,
+    "bar": bar_read_plan,
+    "concurrent[2]": partial(concurrent_access_plan, n_cg=2),
+}
+
+
+class TestStagePlanFromDisk:
+    @pytest.fixture()
+    def decomp(self, store):
+        return Decomposition(store.grid, n_sdx=4, n_sdy=3, xi=2, eta=1)
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_bit_identical_to_written_and_to_scatter(
+        self, store, decomp, name
+    ):
+        states = np.random.default_rng(1).normal(size=(store.grid.n, 6))
+        store.write_ensemble(states)
+        plan = PLANS[name](decomp, store.layout, n_files=6)
+        staged = stage_plan_from_disk(plan, store)
+        assert staged.shape == states.shape and staged.dtype == np.float64
+        assert staged.flags.c_contiguous
+        assert np.array_equal(staged, states)
+        # the benchmark harness's stage step, from the rank -> file dicts
+        scattered = np.empty_like(states)
+        data = read_plan_from_disk(plan, store)
+        for rank, per_file in data.items():
+            for op in plan.per_rank[rank].reads:
+                scattered[op.indices(), op.file_id] = per_file[op.file_id]
+        assert np.array_equal(staged, scattered)
+
+    def test_hole_is_an_error_not_uninitialised_memory(self, filled, decomp):
+        store, _ = filled
+        plan = block_read_plan(decomp, store.layout, n_files=5)
+        victim = plan.per_rank[decomp.rank_of(1, 1)].reads
+        # file 3 loses the only op that covers sub-domain (1, 1)'s interior
+        victim[:] = [op for op in victim if op.file_id != 3]
+        covered = np.zeros(store.grid.n, dtype=bool)
+        for rank_plan in plan.per_rank.values():
+            for op in rank_plan.reads:
+                if op.file_id == 3:
+                    covered[op.indices()] = True
+        hole = int(covered.argmin())
+        assert not covered[hole]
+        with pytest.raises(
+            ValueError, match=f"leaves element {hole} of file 3 unread"
+        ):
+            stage_plan_from_disk(plan, store)
+
+    def test_file_without_ops_is_a_hole(self, filled, decomp):
+        store, _ = filled
+        plan = bar_read_plan(decomp, store.layout, n_files=4)
+        plan.n_files = 5
+        with pytest.raises(ValueError, match="element 0 of file 4 unread"):
+            stage_plan_from_disk(plan, store)
+
+
+class TestReadTelemetry:
+    def test_traced_run_is_the_untraced_run_plus_spans(self, filled):
+        store, _ = filled
+        decomp = Decomposition(store.grid, n_sdx=4, n_sdy=3, xi=2, eta=1)
+        plan = block_read_plan(decomp, store.layout, n_files=5)
+        plan_ops = sum(len(rp.reads) for rp in plan.per_rank.values())
+        untraced = read_plan_from_disk(plan, store)
+        metrics = MetricsRegistry()
+        with use_tracer(Tracer()) as tracer, use_metrics(metrics):
+            traced = read_plan_from_disk(plan, store)
+
+        spans = [s for s in tracer.spans if s.name == "store.read_extents"]
+        assert len(spans) == plan_ops
+        assert all(set(s.attrs) >= {"member", "seeks", "bytes"} for s in spans)
+        assert sum(s.attrs["seeks"] for s in spans) == plan.total_seeks
+        assert sum(s.attrs["bytes"] for s in spans) == plan.total_bytes_read()
+        assert metrics.counter("io.extent_reads").value == plan_ops
+        assert metrics.counter("io.seeks").value == plan.total_seeks
+        assert metrics.counter("io.bytes_read").value == plan.total_bytes_read()
+        names = {s.name for s in tracer.spans}
+        assert {"io.read_plan", "io.read_plan.rank"} <= names
+        for rank, per_file in untraced.items():
+            for f, values in per_file.items():
+                assert np.array_equal(traced[rank][f], values)
 
 
 class TestAtomicWrites:

@@ -37,6 +37,7 @@ from repro.io import (
     concurrent_access_plan,
     single_reader_plan,
 )
+from tests.test_data_store import open_descriptors
 
 N_MEMBERS = 6
 
@@ -156,6 +157,79 @@ class TestResilientReaders:
         for rank, per_file in clean.items():
             for f, values in per_file.items():
                 assert np.array_equal(out[rank][f], values)
+
+
+class TestPlanReaderKeepsOneDescriptorPerFile:
+    """The plan-scoped reader under faults: injected faults still fire
+    once per op, the counts are what the per-op reader gave, and no
+    descriptor outlives the call."""
+
+    @pytest.fixture
+    def plan(self, filled, grid):
+        decomp = Decomposition(grid, n_sdx=2, n_sdy=2, xi=1, eta=1)
+        return block_read_plan(decomp, filled.layout, n_files=N_MEMBERS)
+
+    def test_transient_faults_retried_per_op(self, filled, plan):
+        sched = FaultSchedule(seed=0, member_fault_rate=1.0,
+                              member_fault_attempts=2)
+        faulty = FaultyStore(filled, sched)
+        before = open_descriptors()
+        out, dropped = read_plan_from_disk_resilient(
+            plan, faulty, retry=RetryPolicy(max_retries=3),
+            report=faulty.report,
+        )
+        assert open_descriptors() == before
+        assert dropped == []
+        # a member's first two reads fail, whichever ops they belong to
+        assert faulty.report.retries == 2 * N_MEMBERS
+        assert faulty.report.disk_faults == 2 * N_MEMBERS
+        assert faulty.report.failed_ops == 0
+        n_ops = sum(len(rp.reads) for rp in plan.per_rank.values())
+        assert sum(faulty._attempts.values()) == n_ops + 2 * N_MEMBERS
+        clean = read_plan_from_disk(plan, filled)
+        for rank, per_file in clean.items():
+            for f, values in per_file.items():
+                assert np.array_equal(out[rank][f], values)
+
+    def test_exhausted_retries_drop_the_member_once(self, filled, plan):
+        sched = FaultSchedule(seed=0, member_fault_rate=1.0,
+                              member_fault_attempts=5)
+        faulty = FaultyStore(filled, sched)
+        before = open_descriptors()
+        out, dropped = read_plan_from_disk_resilient(
+            plan, faulty, retry=RetryPolicy(max_retries=1),
+            report=faulty.report,
+        )
+        assert open_descriptors() == before
+        assert dropped == list(range(N_MEMBERS))
+        assert all(per_file == {} for per_file in out.values())
+        # one failed op, one retry and two injected faults per member:
+        # a dropped member's later ops are skipped, not attempted
+        assert faulty.report.failed_ops == N_MEMBERS
+        assert faulty.report.retries == N_MEMBERS
+        assert faulty.report.disk_faults == 2 * N_MEMBERS
+
+    def test_truncated_member_names_member_and_extent(self, filled, plan, grid):
+        with open(filled.member_path(4), "r+b") as fh:
+            fh.truncate(10 * 8)
+        first_op = next(iter(plan.per_rank.values())).reads[4]
+        beyond = next(
+            (s, l) for s, l in first_op.extents if s + l > 10
+        )
+        before = open_descriptors()
+        with pytest.raises(CorruptMemberError) as err:
+            read_plan_from_disk(plan, filled)
+        assert open_descriptors() == before
+        assert err.value.member == 4
+        assert f"extent {beyond} beyond end of" in str(err.value)
+        assert f"10 of {grid.n} expected values present" in str(err.value)
+        report = ResilienceReport()
+        out, dropped = read_plan_from_disk_resilient(
+            plan, filled, report=report
+        )
+        assert open_descriptors() == before
+        assert dropped == [4] and report.members_dropped == [4]
+        assert report.failed_ops == 1 and report.retries == 0
 
 
 def filled_clean(filled, states):
