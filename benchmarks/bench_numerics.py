@@ -7,6 +7,7 @@ auto-tuner) so performance regressions in the library itself are visible.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import (
     Decomposition,
@@ -17,9 +18,10 @@ from repro.core import (
     local_analysis,
     perturb_observations,
 )
+from repro.core.analysis import analysis_modified_cholesky
 from repro.core.cholesky import (
+    Stencil,
     modified_cholesky_inverse,
-    modified_cholesky_inverse_batched,
     neighbour_predecessors,
 )
 from repro.models import correlated_ensemble
@@ -67,10 +69,24 @@ def _benchmark_piece(n_cols, n_rows, n_members=24, seed=0):
 
 
 def test_modified_cholesky_batched(benchmark):
-    """B̂⁻¹ of a B=64 stack of 120-point pieces (`small_pieces_static`)."""
+    """The banded closing on a B=64 stack of 120-point pieces, 20
+    observations each (a `small_pieces_static` bucket)."""
     _, _, _, preds, states = _benchmark_piece(20, 6)
-    stack = np.random.default_rng(1).standard_normal((64,) + states.shape)
-    benchmark(modified_cholesky_inverse_batched, stack, preds, 1e-2)
+    rng = np.random.default_rng(1)
+    n_batch, (n, n_members), m = 64, states.shape, 20
+    stack = rng.standard_normal((n_batch, n, n_members))
+    sites = np.concatenate(
+        [b * n + rng.choice(n, m, replace=False) for b in range(n_batch)]
+    )
+    h_block = sp.csr_matrix(
+        (np.ones(sites.size), (np.arange(sites.size), sites)),
+        shape=(n_batch * m, n_batch * n),
+    )
+    benchmark(
+        analysis_modified_cholesky, stack, Stencil.from_predecessors(preds, n),
+        h_block, np.full(n_batch * m, 0.25),
+        rng.standard_normal((n_batch * m, n_members)), 1e-2,
+    )
 
 
 def test_modified_cholesky_880_points(benchmark):
@@ -141,6 +157,6 @@ def _local_piece(n_cols, n_rows):
     ids=["120_points", "240_points", "880_points"],
 )
 def test_local_analysis_piece(benchmark, n_cols, n_rows):
-    """Eq. 6 on one e2e-shaped piece: the small-piece cost of the sparse solve."""
+    """Eq. 6 on one e2e-shaped piece, through the banded closing."""
     args, kwargs = _local_piece(n_cols, n_rows)
     benchmark(local_analysis, *args, **kwargs)

@@ -34,14 +34,11 @@ from repro.core.backend import (
     backend_report,
     get_backend,
 )
-from repro.core.cholesky import (
-    modified_cholesky_inverse,
-    modified_cholesky_inverse_batched,
-)
+from repro.core.cholesky import modified_cholesky_inverse
 from repro.core.analysis import (
     analysis_gain_form,
+    analysis_modified_cholesky,
     analysis_precision_form,
-    analysis_precision_form_batched,
     local_analysis,
 )
 from repro.core.adaptive import innovation_inflation_factor, rtps
@@ -65,8 +62,8 @@ __all__ = [
     "analysis_etkf",
     "analysis_etkf_batched",
     "analysis_gain_form",
+    "analysis_modified_cholesky",
     "analysis_precision_form",
-    "analysis_precision_form_batched",
     "anomalies",
     "available_backends",
     "backend_report",
@@ -82,7 +79,6 @@ __all__ = [
     "local_analysis_etkf",
     "local_box",
     "modified_cholesky_inverse",
-    "modified_cholesky_inverse_batched",
     "perturb_observations",
     "radius_to_halo",
     "rtps",

@@ -1,6 +1,6 @@
 """The EnKF analysis equations: (3), (5) and the local analysis (6).
 
-Three entry points:
+Four entry points:
 
 * :func:`analysis_gain_form` — Eq. (3), the classic stochastic-EnKF update
   ``δXᵃ = B Hᵀ (R + H B Hᵀ)⁻¹ (Yˢ − H Xᵇ)``, computed without ever forming
@@ -8,8 +8,13 @@ Three entry points:
 * :func:`analysis_precision_form` — Eq. (5), the update written against an
   inverse-covariance estimate ``B̂⁻¹``:
   ``δXᵃ = (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ Hᵀ R⁻¹ (Yˢ − H Xᵇ)`` (state-space solve).
-* :func:`local_analysis` — Eq. (6): the precision-form update on one
-  sub-domain expansion, projected back to the interior points.
+* :func:`analysis_modified_cholesky` — Eq. (5) against the
+  modified-Cholesky ``B̂⁻¹ = Lᵀ D⁻¹ L`` of the background itself, for a
+  stack of local problems: the band of the system is assembled from the
+  regression coefficients and factorised as a band.  The one closing
+  behind every local analysis, per-piece and batched.
+* :func:`local_analysis` — Eq. (6): that update on one sub-domain
+  expansion (the ``B = 1`` stack), projected back to the interior points.
 
 The two global forms agree exactly when ``B̂⁻¹`` is the true inverse of the
 ``B`` used in the gain form (tested), which is the paper's equivalence
@@ -21,12 +26,23 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from repro.core.backend import ArrayBackend, get_backend
-from repro.core.cholesky import modified_cholesky_inverse
+from repro.core.cholesky import (
+    MIN_VARIANCE,
+    Stencil,
+    _regress_rows,
+    neighbour_predecessors,
+    precision_band,
+)
 from repro.core.domain import SubDomain
 from repro.core.observations import ObservationNetwork
+
+
+_NON_FINITE = (
+    "non-finite values in the precision-form system "
+    "(background, observations, H or B̂⁻¹)"
+)
 
 
 def _innovations(hx: np.ndarray, y_perturbed: np.ndarray) -> np.ndarray:
@@ -92,6 +108,57 @@ def analysis_gain_form(
     return xb + bht @ z
 
 
+def _observation_terms(xb: np.ndarray, h_operator, r_diag, y_perturbed):
+    """``Hᵀ R⁻¹ H`` (sparse) and ``Hᵀ R⁻¹ (Yˢ − H Xᵇ)`` for an ``(n, N)``
+    background; ``r_diag`` must be finite and positive."""
+    r_diag = np.asarray(r_diag, dtype=float).ravel()
+    if not (np.isfinite(r_diag).all() and (r_diag > 0.0).all()):
+        raise ValueError("r_diag must be finite and positive")
+    h = sp.csr_matrix(h_operator)
+    innov = _innovations(h @ xb, np.asarray(y_perturbed, dtype=float))
+    ht_rinv = h.multiply((1.0 / r_diag)[:, None]).T.tocsr()  # (n, m)
+    return ht_rinv @ h, ht_rinv @ innov
+
+
+def _add_lower_band(band: np.ndarray, matrix) -> np.ndarray:
+    """``band`` plus the lower triangle of a sparse symmetric ``matrix``.
+
+    ``band`` is ``(rows, n)`` LAPACK lower band storage
+    (``band[i − j, j] = A[i, j]``); it is widened when the matrix reaches
+    further from the diagonal than it does — the bandwidth is read off
+    the matrix, never assumed.
+    """
+    coo = matrix.tocoo()
+    lower = coo.row >= coo.col
+    diagonal, column = (coo.row - coo.col)[lower], coo.col[lower]
+    missing = int(diagonal.max(initial=0)) + 1 - band.shape[0]
+    if missing > 0:
+        band = np.concatenate([band, np.zeros((missing, band.shape[1]))])
+    np.add.at(band, (diagonal, column), coo.data[lower])
+    return band
+
+
+def _solve_band(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the SPD system held in lower band storage (LAPACK ``pbsv``),
+    all right-hand sides at once; ``band`` and ``rhs`` are overwritten.
+
+    ``check_finite`` is off, so the checks are here: LAPACK would carry
+    NaN/inf through to the analysis silently.
+    """
+    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+        raise ValueError(_NON_FINITE)
+    try:
+        return scipy.linalg.solveh_banded(
+            band, rhs, lower=True, check_finite=False,
+            overwrite_ab=True, overwrite_b=True,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"precision-form system of size {band.shape[1]} is not "
+            f"positive definite: {exc}"
+        ) from exc
+
+
 def analysis_precision_form(
     background: np.ndarray,
     h_operator,
@@ -105,14 +172,14 @@ def analysis_precision_form(
     Returns ``Xᵃ`` of shape (n, N).
 
     ``h_operator`` and ``b_inverse`` may be dense or ``scipy.sparse``;
-    both are taken as CSR, so the state-space system keeps the band
-    structure of the modified-Cholesky ``B̂⁻¹`` and no ``n × n`` dense
-    array is formed.  The system is symmetric, hence the symmetric
-    minimum-degree ordering; its sparse LU is applied to all ``N``
-    ensemble right-hand sides in one multi-RHS ``solve``.
+    ``b_inverse`` must be symmetric positive definite (its lower triangle
+    is the one read).  The system is put in band storage at whatever
+    bandwidth it has — a banded ``B̂⁻¹`` stays banded, a full one is a
+    dense Cholesky — and all ``N`` right-hand sides are solved by one
+    ``pbsv``.
 
-    Non-finite input and a non-positive ``r_diag`` raise ``ValueError``
-    (SuperLU would carry NaN/inf through to the analysis silently).
+    Non-finite input, a non-positive ``r_diag`` and a system that is not
+    positive definite raise ``ValueError``.
     """
     xb = np.asarray(background, dtype=float)
     if xb.ndim != 2:
@@ -123,91 +190,71 @@ def analysis_precision_form(
         raise ValueError(
             f"B̂⁻¹ has shape {b_inv.shape}, expected {(n, n)}"
         )
-    r_diag = np.asarray(r_diag, dtype=float).ravel()
-    if not (np.isfinite(r_diag).all() and (r_diag > 0.0).all()):
-        raise ValueError("r_diag must be finite and positive")
-    h = sp.csr_matrix(h_operator)
-    innov = _innovations(h @ xb, np.asarray(y_perturbed, dtype=float))
-
-    ht_rinv = h.multiply((1.0 / r_diag)[:, None]).T.tocsr()  # (n, m)
-    a = (b_inv + ht_rinv @ h).tocsc()
-    rhs = ht_rinv @ innov
-    if not (np.isfinite(a.data).all() and np.isfinite(rhs).all()):
-        raise ValueError(
-            "non-finite values in the precision-form system "
-            "(background, observations, H or B̂⁻¹)"
-        )
-    try:
-        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise ValueError(
-            f"precision-form system of size {n} is singular: {exc}"
-        ) from exc
-    return xb + lu.solve(rhs)
+    gram, rhs = _observation_terms(xb, h_operator, r_diag, y_perturbed)
+    a = b_inv + gram
+    if not np.isfinite(a.data).all():  # either triangle
+        raise ValueError(_NON_FINITE)
+    return xb + _solve_band(_add_lower_band(np.zeros((1, n)), a), rhs)
 
 
-def _check_batched_shapes(xb, h, r_diag, y) -> None:
-    if xb.ndim != 3:
-        raise ValueError(f"backgrounds must be (B, n, N), got {xb.shape}")
-    n_batch, n, _ = xb.shape
-    if h.ndim != 3 or h.shape[0] != n_batch or h.shape[2] != n:
-        raise ValueError(
-            f"h_operators must be (B={n_batch}, m, n={n}), got {h.shape}"
-        )
-    m = h.shape[1]
-    if r_diag.shape != (n_batch, m):
-        raise ValueError(
-            f"r_diags must be ({n_batch}, {m}), got {r_diag.shape}"
-        )
-    if y.shape[:2] != (n_batch, m):
-        raise ValueError(
-            f"observations must lead with ({n_batch}, {m}), got {y.shape}"
-        )
-
-
-def analysis_precision_form_batched(
+def analysis_modified_cholesky(
     backgrounds,
-    h_operators,
-    r_diags,
-    y_perturbed,
-    b_inverses,
+    stencil: Stencil,
+    h_operator,
+    r_diag: np.ndarray,
+    y_perturbed: np.ndarray,
+    ridge: float = 1e-8,
     backend: ArrayBackend | None = None,
-):
-    """Eq. (5) over a stack of same-shaped local problems.
+) -> np.ndarray:
+    """Eq. (5) against the modified-Cholesky ``B̂⁻¹``, for a stack of local
+    problems that share one stencil — a piece is the ``B = 1`` stack.
 
-    ``backgrounds`` is ``(B, n, N)``, ``h_operators`` dense
-    ``(B, m, n)``, ``r_diags`` ``(B, m)``, ``y_perturbed`` ``(B, m, N)``
-    and ``b_inverses`` the ``(B, n, n)`` precision stack (e.g. from
-    :func:`~repro.core.cholesky.modified_cholesky_inverse_batched`).
-    One batched state-space solve replaces ``B`` per-piece calls.
-    Padded observation slots (zero ``H`` rows, *unit* ``R`` diagonal so
-    ``R⁻¹`` is finite, zero ``Yˢ``) contribute exactly nothing to
-    ``Hᵀ R⁻¹ H`` and the right-hand side.
+    Parameters
+    ----------
+    backgrounds:
+        ``(B, n, N)`` stack of local ensembles.
+    stencil:
+        Their shared :class:`~repro.core.cholesky.Stencil`.
+    h_operator:
+        ``(m, B·n)`` observation operator over the stacked state (dense
+        or sparse): block-diagonal, each row observing one piece.  All-zero
+        rows (a bucket's padding) contribute exactly nothing.
+    r_diag, y_perturbed:
+        ``(m,)`` diagonal of ``R`` and ``(m, N)`` perturbed observations.
+    ridge:
+        Regularisation of the regressions (see
+        :func:`~repro.core.cholesky.modified_cholesky_inverse`).
+    backend:
+        :class:`~repro.core.backend.ArrayBackend` the regressions run
+        under; ``None`` resolves the default.  The closing is host SciPy.
 
-    Returns the ``(B, n, N)`` analysis stack as a backend array;
-    per-slice agreement with :func:`analysis_precision_form` is to
-    reduction order (rtol ≤ 1e-10 contract), not bit-identical.
+    The band of ``A = Lᵀ D⁻¹ L + Hᵀ R⁻¹ H`` is assembled straight from the
+    regression coefficients (:func:`~repro.core.cholesky.precision_band`)
+    and factorised as what it is, a symmetric positive-definite band:
+    the pieces of a stack are the diagonal blocks of one system with the
+    bandwidth of one piece, solved for all ``N`` right-hand sides by one
+    ``pbsv``.  Returns the ``(B, n, N)`` analysis stack (NumPy).
     """
     bk = backend if backend is not None else get_backend()
     xb = bk.asarray(backgrounds, dtype=float)
-    h = bk.asarray(h_operators, dtype=float)
-    r_diag = bk.asarray(r_diags, dtype=float)
-    ys = bk.asarray(y_perturbed, dtype=float)
-    _check_batched_shapes(xb, h, r_diag, ys)
-    b_inv = bk.asarray(b_inverses, dtype=float)
-    n_batch, n, _ = xb.shape
-    if b_inv.shape != (n_batch, n, n):
+    if xb.ndim != 3:
+        raise ValueError(f"backgrounds must be (B, n, N), got {xb.shape}")
+    n_batch, n, n_members = xb.shape
+    if n_members < 2:
+        raise ValueError("modified Cholesky needs at least 2 members")
+    if stencil.n != n:
         raise ValueError(
-            f"B̂⁻¹ stack has shape {b_inv.shape}, expected {(n_batch, n, n)}"
+            f"predecessors has {stencil.n} entries for n={n}"
         )
-    r_inv = 1.0 / r_diag  # (B, m)
-    hx = h @ xb  # (B, m, N)
-    innov = ys - hx
-    ht_rinv = h.transpose(0, 2, 1) * r_inv[:, None, :]  # (B, n, m)
-    a = b_inv + ht_rinv @ h  # (B, n, n)
-    rhs = ht_rinv @ innov  # (B, n, N)
-    delta = bk.solve(a, rhs)
-    return xb + delta
+    u = xb - xb.mean(axis=2, keepdims=True)
+    betas, d = _regress_rows(u, stencil.groups, ridge, MIN_VARIANCE, bk)
+    band = precision_band(
+        stencil, [bk.to_numpy(beta) for beta in betas], bk.to_numpy(d)
+    )
+    stacked = bk.to_numpy(xb).reshape(n_batch * n, n_members)
+    gram, rhs = _observation_terms(stacked, h_operator, r_diag, y_perturbed)
+    band = _add_lower_band(band.reshape(band.shape[0], n_batch * n), gram)
+    return (stacked + _solve_band(band, rhs)).reshape(n_batch, n, n_members)
 
 
 def local_analysis(
@@ -244,7 +291,7 @@ def local_analysis(
     geometry:
         Optional :class:`~repro.parallel.geometry.PieceGeometry` carrying
         the cycle-invariant artifacts (observation restriction, index
-        arrays, ``R`` diagonal, Cholesky predecessor stencil).  When given
+        arrays, ``R`` diagonal, the modified-Cholesky stencil).  When given
         it *replaces* every geometric derivation here — including
         ``network``, which may then be ``None`` (the parallel workers
         never ship the network object).  The numerical path is unchanged,
@@ -261,29 +308,35 @@ def local_analysis(
     if geometry is not None:
         interior = geometry.interior_positions
         obs_positions, h_local = geometry.obs_positions, geometry.h_local
-        ix, iy = geometry.exp_ix, geometry.exp_iy
-        predecessors = geometry.predecessors
+        r_diag, stencil = geometry.r_diag, geometry.stencil
     else:
         interior = subdomain.interior_positions_in_expansion
         obs_positions, h_local = network.restrict_to_box(
             subdomain.exp_x_indices, subdomain.exp_y_indices
         )
-        ix, iy = subdomain.expansion_coords
-        predecessors = None
+        r_diag = np.full(obs_positions.size, network.obs_error_std**2)
+        stencil = None
 
     if obs_positions.size == 0:
         # Nothing observed near this sub-domain: background is the analysis.
         return xb[interior, :]
 
-    if b_inverse is None:
-        b_inverse = modified_cholesky_inverse(
-            xb, subdomain.grid, ix, iy, radius_km=radius_km, ridge=ridge,
-            predecessors=predecessors,
-        )
     y_local = np.asarray(y_perturbed_global, dtype=float)[obs_positions, :]
-    if geometry is not None:
-        r_diag = geometry.r_diag
+    if b_inverse is not None:
+        analysed = analysis_precision_form(
+            xb, h_local, r_diag, y_local, b_inverse
+        )
     else:
-        r_diag = np.full(obs_positions.size, network.obs_error_std**2)
-    analysed = analysis_precision_form(xb, h_local, r_diag, y_local, b_inverse)
+        if stencil is None:
+            ix, iy = subdomain.expansion_coords
+            stencil = Stencil.from_predecessors(
+                neighbour_predecessors(subdomain.grid, ix, iy, radius_km),
+                subdomain.exp_size,
+            )
+        # Always NumPy: serial ≡ thread bit-identity must not depend on
+        # SENKF_BACKEND.
+        analysed = analysis_modified_cholesky(
+            xb[None], stencil, h_local, r_diag, y_local, ridge=ridge,
+            backend=get_backend("numpy"),
+        )[0]
     return analysed[interior, :]

@@ -20,12 +20,19 @@ dependence structure follows the physical localization radius.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.backend import ArrayBackend, get_backend
 from repro.core.grid import Grid
 from repro.util.validation import check_positive
+
+
+#: floor on the regressions' residual variances, so that ``D⁻¹`` (and
+#: hence the estimate's positive-definiteness) is always defined
+MIN_VARIANCE = 1e-12
 
 
 def neighbour_predecessors(
@@ -173,6 +180,87 @@ def _regress_rows(u, groups, ridge: float, min_variance: float, bk: ArrayBackend
     return betas, xp.maximum(var, min_variance)
 
 
+@dataclass(frozen=True)
+class Stencil:
+    """The shape-only half of a modified-Cholesky solve.
+
+    A predecessor stencil fixes where every non-zero of ``L`` — and so
+    of ``B̂⁻¹ = Lᵀ D⁻¹ L`` — can be before any ensemble value is seen.
+    What the kernels derive from it is held here, so that callers which
+    analyse the same expansion shape again (the geometry cache) derive it
+    once: the regression row groups, and ``L``'s distinct sub-diagonals,
+    which :func:`precision_band` assembles the band from.
+    """
+
+    #: per row, the indices ``j < i`` it is regressed on
+    predecessors: list[np.ndarray]
+    #: ``(rows, cols)`` per distinct predecessor count (:func:`_row_groups`)
+    groups: list[tuple[np.ndarray, np.ndarray]]
+    #: sorted distinct ``row − col`` of ``L``'s entries; ``offsets[0] == 0``
+    #: is the unit diagonal
+    offsets: np.ndarray
+    #: per group, the ``(G, s)`` position in ``offsets`` of ``L[rows, cols]``
+    diagonals: list[np.ndarray]
+
+    @classmethod
+    def from_predecessors(
+        cls, predecessors: list[np.ndarray], n: int
+    ) -> "Stencil":
+        """Validate a stencil for ``n`` rows and derive its artefacts."""
+        groups = _row_groups(predecessors, n)
+        gaps = [rows[:, None] - cols for rows, cols in groups]
+        offsets = np.unique(np.concatenate([np.zeros(1, np.intp)] + [
+            gap.ravel() for gap in gaps
+        ]))
+        return cls(
+            predecessors=predecessors,
+            groups=groups,
+            offsets=offsets,
+            diagonals=[np.searchsorted(offsets, gap) for gap in gaps],
+        )
+
+    @property
+    def n(self) -> int:
+        return len(self.predecessors)
+
+    @property
+    def bandwidth(self) -> int:
+        """Sub-diagonals of ``L`` (and of ``Lᵀ D⁻¹ L``) that can be non-zero."""
+        return int(self.offsets[-1])
+
+
+def precision_band(stencil: Stencil, betas, d: np.ndarray) -> np.ndarray:
+    """Lower band of ``B̂⁻¹ = Lᵀ D⁻¹ L`` for a stack of regressions.
+
+    ``betas`` and the ``(B, n)`` variances ``d`` are what
+    :func:`_regress_rows` returned for ``stencil.groups`` (as NumPy
+    arrays).  Returns ``(bandwidth + 1, B, n)`` in LAPACK's lower band
+    storage, ``band[i − j, b, j] = B̂⁻¹_b[i, j]``.
+
+    ``L`` is held by sub-diagonal — row-major expansions give it about
+    eleven — as ``lower[a, :, k] = L[k, k − offsets[a]]``, so the product
+    is one slice multiply-add per pair of sub-diagonals ``a <= b``:
+    ``L[k, k−a] · L[k, k−b] / d[k]`` lands on entry ``(k−a, k−b)``, which
+    is column ``k − b`` of band row ``b − a``.  No index array and no
+    ``n × n`` array is formed.
+    """
+    n_batch, n = d.shape
+    offsets = stencil.offsets.tolist()
+    lower = np.zeros((len(offsets), n_batch, n))
+    lower[0] = 1.0
+    for (rows, _), diagonal, beta in zip(
+        stencil.groups, stencil.diagonals, betas
+    ):
+        lower[diagonal, :, rows[:, None]] = -beta.transpose(1, 2, 0)
+    scaled = lower / d
+    band = np.zeros((stencil.bandwidth + 1, n_batch, n))
+    for ia, a in enumerate(offsets):
+        for ib in range(ia, len(offsets)):
+            b = offsets[ib]
+            band[b - a, :, : n - b] += lower[ia, :, b:] * scaled[ib, :, b:]
+    return band
+
+
 def modified_cholesky_inverse(
     states: np.ndarray,
     grid: Grid,
@@ -180,7 +268,7 @@ def modified_cholesky_inverse(
     iy: np.ndarray,
     radius_km: float,
     ridge: float = 1e-8,
-    min_variance: float = 1e-12,
+    min_variance: float = MIN_VARIANCE,
     predecessors: list[np.ndarray] | None = None,
 ) -> sp.csr_matrix:
     """Estimate ``B̂⁻¹`` from a (local) ensemble by modified Cholesky.
@@ -203,22 +291,20 @@ def modified_cholesky_inverse(
     predecessors:
         Pre-computed :func:`neighbour_predecessors` stencil.  The stencil
         depends only on the coordinates and the radius — never on the
-        ensemble — so callers that analyse the same sub-domain every cycle
-        (the geometry cache) pass it in and skip the rebuild.  Every
-        entry must name true predecessors only (``0 <= j < i``).
+        ensemble — so callers that already hold it pass it in and skip
+        the rebuild.  Every entry must name true predecessors only
+        (``0 <= j < i``).
 
     Returns
     -------
     (n_local, n_local) SPD matrix ``B̂⁻¹ = Lᵀ D⁻¹ L`` as a
     ``scipy.sparse.csr_matrix``: ``L`` has at most ``O(stencil)`` entries
-    per row, so ``B̂⁻¹`` is banded and the precision-form solve factorises
-    it sparse (``.toarray()`` gives the dense matrix).
+    per row, so ``B̂⁻¹`` is banded (``.toarray()`` gives the dense matrix).
 
-    A piece is the ``B = 1`` stack of
-    :func:`modified_cholesky_inverse_batched`: the regressions are the
-    same :func:`_regress_rows` body, always on the NumPy backend (so the
-    serial ≡ process bit-identity cannot depend on ``SENKF_BACKEND``);
-    only the final product differs — ``L`` stays sparse here.
+    This is the estimate :func:`repro.core.analysis.analysis_modified_cholesky`
+    solves against, from the same two bodies (:func:`_regress_rows`,
+    :func:`precision_band`), for a caller that wants the matrix itself.
+    The regressions always run on the NumPy backend.
     """
     u = np.asarray(states, dtype=float)
     if u.ndim != 2:
@@ -232,76 +318,13 @@ def modified_cholesky_inverse(
 
     if predecessors is None:
         predecessors = neighbour_predecessors(grid, ix, iy, radius_km)
-    groups = _row_groups(predecessors, n)
+    stencil = Stencil.from_predecessors(predecessors, n)
     betas, d = _regress_rows(
-        u[None], groups, ridge, min_variance, get_backend("numpy")
+        u[None], stencil.groups, ridge, min_variance, get_backend("numpy")
     )
-
-    diag = np.arange(n)
-    rows = [diag] + [np.repeat(r, c.shape[1]) for r, c in groups]
-    cols = [diag] + [c.ravel() for _, c in groups]
-    vals = [np.ones(n)] + [-beta[0].ravel() for beta in betas]
-    lower = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+    band = precision_band(stencil, betas, d)[:, 0, :]
+    filled = np.flatnonzero(band.any(axis=1))
+    lower = sp.diags(
+        [band[k, : n - k] for k in filled], -filled, shape=(n, n), format="csr"
     )
-    return (lower.T @ sp.diags(1.0 / d[0]) @ lower).tocsr()
-
-
-def modified_cholesky_inverse_batched(
-    states,
-    predecessors: list[np.ndarray],
-    ridge: float = 1e-8,
-    min_variance: float = 1e-12,
-    backend: ArrayBackend | None = None,
-):
-    """Batched ``B̂⁻¹ = Lᵀ D⁻¹ L`` over a stack of same-stencil ensembles.
-
-    When ``B`` sub-domain pieces share one predecessor stencil
-    (translation-equivalent expansions — verified structurally by the
-    bucketing layer, never assumed), every regression of every piece
-    with the same predecessor count is one slice of one batched LAPACK
-    call (:func:`_regress_rows`): one Python iteration per distinct
-    stencil size, however many rows or pieces there are.
-
-    Parameters
-    ----------
-    states:
-        ``(B, n, N)`` stack of local ensembles (all sharing the stencil).
-    predecessors:
-        The shared :func:`neighbour_predecessors` stencil (length ``n``,
-        true predecessors only).
-    ridge, min_variance:
-        Same regularisation knobs as :func:`modified_cholesky_inverse`.
-    backend:
-        :class:`~repro.core.backend.ArrayBackend` to run under; ``None``
-        resolves the default (NumPy unless ``SENKF_BACKEND`` says
-        otherwise).
-
-    Returns the ``(B, n, n)`` stack of dense SPD precision estimates as
-    a backend array (callers keep it on-device for the batched solve).
-    Per-slice results match :func:`modified_cholesky_inverse` to
-    floating-point reduction order (rtol ≲ 1e-12), not bit-identically —
-    the dense product reduces in a different order from the CSR one.
-    """
-    bk = backend if backend is not None else get_backend()
-    xp = bk.xp
-    u = bk.asarray(states, dtype=float)
-    if u.ndim != 3:
-        raise ValueError(f"expected (B, n, N) ensemble stack, got {u.shape}")
-    n_batch, n, n_members = u.shape
-    if n_members < 2:
-        raise ValueError("modified Cholesky needs at least 2 members")
-    groups = _row_groups(predecessors, n)
-    u = u - u.mean(axis=2, keepdims=True)
-    betas, d = _regress_rows(u, groups, ridge, min_variance, bk)
-
-    l_mat = xp.zeros((n_batch, n, n))
-    diag = xp.arange(n)
-    l_mat = bk.index_update(l_mat, (slice(None), diag, diag), 1.0)
-    for (rows, cols), beta in zip(groups, betas):
-        l_mat = bk.index_update(
-            l_mat, (slice(None), rows[:, None], cols), -beta
-        )
-    # B̂⁻¹ = Lᵀ D⁻¹ L as one batched matmul.
-    return (l_mat.transpose(0, 2, 1) * (1.0 / d)[:, None, :]) @ l_mat
+    return (lower + sp.tril(lower, k=-1).T).tocsr()

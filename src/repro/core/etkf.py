@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from repro.core.analysis import _check_batched_shapes
 from repro.core.backend import ArrayBackend, get_backend
 from repro.core.domain import SubDomain
 
@@ -116,9 +115,18 @@ def analysis_etkf_batched(
     h = bk.asarray(h_operators, dtype=float)
     r_diag = bk.asarray(r_diags, dtype=float)
     y = bk.asarray(ys, dtype=float)
-    _check_batched_shapes(xb, h, r_diag, y)
-    if y.ndim != 2:
-        raise ValueError(f"ys must be (B, m), got {y.shape}")
+    if xb.ndim != 3:
+        raise ValueError(f"backgrounds must be (B, n, N), got {xb.shape}")
+    n_batch, n, _ = xb.shape
+    if h.ndim != 3 or h.shape[0] != n_batch or h.shape[2] != n:
+        raise ValueError(
+            f"h_operators must be (B={n_batch}, m, n={n}), got {h.shape}"
+        )
+    if r_diag.shape != (n_batch, h.shape[1]) or y.shape != r_diag.shape:
+        raise ValueError(
+            f"r_diags and ys must be ({n_batch}, {h.shape[1]}), got "
+            f"{r_diag.shape} and {y.shape}"
+        )
     n_members = xb.shape[2]
     if n_members < 2:
         raise ValueError(f"backgrounds must be (B, n, N>=2), got {xb.shape}")

@@ -9,9 +9,9 @@
 ``thread``
     A persistent :class:`~concurrent.futures.ThreadPoolExecutor` over the
     same loop body: one task per observed piece, each writing its own
-    disjoint interior rows of ``plan.out``.  The per-piece kernels spend
-    their time in LAPACK/SuperLU calls that release the GIL, which is
-    what the threads overlap.
+    disjoint interior rows of ``plan.out``.  The per-piece regressions
+    spend their time in LAPACK calls that release the GIL, which is what
+    the threads overlap.
 ``vectorized``
     In-process batched kernels over structurally equal pieces
     (:mod:`repro.parallel.vectorized`).

@@ -1,32 +1,39 @@
 """Per-cycle geometry caching for the inline analysis engine.
 
-Every local analysis starts with work that is a pure function of the
-*decomposition geometry* and the *observation network* — none of it
-depends on the ensemble values, so across the cycles of a campaign it is
-recomputed for nothing:
+Every local analysis starts with work that does not depend on the
+ensemble values, so across the cycles of a campaign it is recomputed for
+nothing.  It falls in two halves, cached separately:
 
-* the observation restriction to the expansion box
-  (:meth:`~repro.core.observations.ObservationNetwork.restrict_to_box`);
-* the expansion/interior flat-index arrays and the interior's positions
-  inside the expansion (the projection ``P_ij`` of Eq. 6);
-* the expansion's (ix, iy) coordinate arrays;
-* the modified-Cholesky conditional-dependence stencil
-  (:func:`~repro.core.cholesky.neighbour_predecessors` — the sparsity
-  pattern of ``B̂⁻¹``, which depends only on coordinates and the
-  localization radius).
+* **structure** — a function of the *shape* of the piece's expansion
+  alone: the interior's positions inside the expansion (the projection
+  ``P_ij`` of Eq. 6), the modified-Cholesky conditional-dependence
+  stencil (:func:`~repro.core.cholesky.neighbour_predecessors` — the
+  sparsity pattern of ``B̂⁻¹``) and what the kernels derive from it
+  (:class:`~repro.core.cholesky.Stencil`: row groups, band offsets), and
+  the digests the vectorized strategy buckets by.  Every piece of a
+  decomposition with the same shape shares one
+  :class:`PieceStructure`, whatever its position and whatever the
+  network (a 256-piece decomposition has three);
+* **network** — the observation restriction to the expansion box
+  (:meth:`~repro.core.observations.ObservationNetwork.restrict_to_box`)
+  and the ``R`` diagonal, plus the piece's own flat-index arrays.
 
-:class:`GeometryCache` memoises all of it per ``(network, grid, piece,
-radius)`` key into a :class:`PieceGeometry`, which the executor ships to
-workers and :func:`~repro.core.analysis.local_analysis` consumes in place
-of re-deriving the same arrays.
+:class:`GeometryCache` composes the two into a :class:`PieceGeometry`,
+which :func:`~repro.core.analysis.local_analysis` consumes in place of
+re-deriving the same arrays.
 
-Invalidation rules (see docs/PERFORMANCE.md): networks and grids are
-keyed *by object identity* (they are frozen dataclasses — treat them as
-immutable); pieces are keyed *structurally* (S-EnKF rebuilds equal layer
-sub-domains every call and must still hit).  A new network/grid object
-starts a fresh key family; ``clear()`` empties the cache; ``maxsize``
-bounds the entry count with oldest-first eviction, and a network/grid
-stays referenced only as long as an entry keyed on it does.
+Invalidation rules (see docs/PERFORMANCE.md §4): structures are keyed by
+what they are a function of — grid spacing and periodicity, the
+expansion's relative coordinates and interior map (compared as bytes,
+not assumed from translation symmetry) and the radius — never by
+network or position, and are dropped only by ``clear()``.  Network
+halves are keyed by the network's and grid's *object identity* (they are
+frozen dataclasses — treat them as immutable) and the piece's defining
+fields (S-EnKF rebuilds equal layer sub-domains every call and must
+still hit); the entries of the two most recently used networks are kept
+and the rest dropped, so a network that moves every cycle rebuilds only
+its own half and the cache stays flat.  ``maxsize`` additionally bounds
+the network-keyed entry count with oldest-first eviction.
 """
 
 from __future__ import annotations
@@ -34,16 +41,21 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.core.cholesky import neighbour_predecessors
+from repro.core.cholesky import Stencil, neighbour_predecessors
 from repro.core.domain import SubDomain
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
 
-__all__ = ["BucketGeometry", "GeometryCache", "PieceGeometry"]
+__all__ = ["BucketGeometry", "GeometryCache", "PieceGeometry", "PieceStructure"]
+
+#: networks whose entries are kept; an older network's go when a newer
+#: one is used (a moving network must not grow the cache for ever)
+_NETWORKS_KEPT = 2
 
 
 def _value_nbytes(value) -> int:
@@ -53,7 +65,7 @@ def _value_nbytes(value) -> int:
         return int(value.nbytes)
     if hasattr(value, "data") and hasattr(value, "indices") and hasattr(
         value, "indptr"
-    ):  # scipy CSR/CSC without importing scipy here
+    ):  # scipy CSR/CSC
         return int(
             value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
         )
@@ -70,6 +82,24 @@ def _geometry_nbytes(entry) -> int:
 
 
 @dataclass(frozen=True)
+class PieceStructure:
+    """The shape-only half of a piece's geometry, shared by every piece
+    (at any position, under any network) whose expansion has this shape."""
+
+    #: interior positions inside the expansion ordering (``P_ij``)
+    interior_positions: np.ndarray
+    #: modified-Cholesky stencil and its derived artefacts (None when no
+    #: radius was requested — the ETKF kind has no precision estimate)
+    stencil: Stencil | None
+    #: structural digest of (expansion size, interior projection) — two
+    #: pieces with equal digests can be stacked into one batched update
+    interior_sig: str
+    #: structural digest of the predecessor stencil ("" when absent);
+    #: batching the modified Cholesky additionally requires equal stencils
+    stencil_sig: str
+
+
+@dataclass(frozen=True)
 class PieceGeometry:
     """The ensemble-independent inputs of one piece's local analysis."""
 
@@ -83,20 +113,30 @@ class PieceGeometry:
     expansion_flat: np.ndarray
     #: flat global indices of the interior
     interior_flat: np.ndarray
-    #: interior positions inside the expansion ordering (``P_ij``)
-    interior_positions: np.ndarray
-    #: per-expansion-point grid coordinates
-    exp_ix: np.ndarray
-    exp_iy: np.ndarray
-    #: modified-Cholesky predecessor stencil (None when not requested or
-    #: when the piece sees no observations)
-    predecessors: list[np.ndarray] | None = None
-    #: structural digest of (expansion size, interior projection) — two
-    #: pieces with equal digests can be stacked into one batched update
-    interior_sig: str = ""
-    #: structural digest of the predecessor stencil ("" when absent);
-    #: batching the modified Cholesky additionally requires equal stencils
-    stencil_sig: str = ""
+    #: the shape-only half (shared, not owned)
+    structure: PieceStructure
+
+    @property
+    def interior_positions(self) -> np.ndarray:
+        return self.structure.interior_positions
+
+    @property
+    def stencil(self) -> Stencil | None:
+        return self.structure.stencil
+
+    @property
+    def predecessors(self) -> list[np.ndarray] | None:
+        """The modified-Cholesky predecessor stencil (None when absent)."""
+        stencil = self.structure.stencil
+        return stencil.predecessors if stencil is not None else None
+
+    @property
+    def interior_sig(self) -> str:
+        return self.structure.interior_sig
+
+    @property
+    def stencil_sig(self) -> str:
+        return self.structure.stencil_sig
 
 
 @dataclass(frozen=True)
@@ -106,11 +146,15 @@ class BucketGeometry:
     Built (and cached) by :meth:`GeometryCache.get_bucket` from pieces
     whose :attr:`PieceGeometry.interior_sig` (and, for the EnKF kind,
     :attr:`PieceGeometry.stencil_sig`) agree — so every per-piece array
-    stacks into a dense ``(B, ...)`` operand.  Observation counts may
-    differ inside a bucket; shorter pieces are padded to ``m_max`` with
-    *exact no-op* slots (zero ``H`` rows, unit ``R``, masked-to-zero
+    stacks into a ``(B, ...)`` operand.  Observation counts may differ
+    inside a bucket; shorter pieces are padded to ``m_max`` with *exact
+    no-op* slots (zero ``H`` rows, unit ``R``, masked-to-zero
     observations) and the waste is recorded for the
     ``vectorized.pad_waste`` metric.
+
+    The local operators are held in the form the bucket's kernel takes:
+    one block-diagonal CSR over the stacked state for the EnKF kind (the
+    banded closing's ``H``), a dense stack for the ETKF kind.
     """
 
     #: piece indices (into the originating plan) in stack order
@@ -121,8 +165,12 @@ class BucketGeometry:
     interior_flat_cat: np.ndarray
     #: shared interior positions inside the expansion (n_int,)
     interior_positions: np.ndarray
-    #: dense stacked local operators (B, m_max, n̄)
-    h_dense: np.ndarray
+    #: block-diagonal local operators (B·m_max, B·n̄) CSR, pad rows empty
+    #: (EnKF kind; None for the ETKF kind)
+    h_block: object
+    #: dense stacked local operators (B, m_max, n̄) (ETKF kind; None for
+    #: the EnKF kind)
+    h_dense: np.ndarray | None
     #: stacked R diagonals, padded with 1.0 (B, m_max)
     r_diag: np.ndarray
     #: gather into the global observation vector, padded with 0 (B, m_max)
@@ -132,7 +180,7 @@ class BucketGeometry:
     #: real observation count per piece (B,)
     obs_counts: np.ndarray
     #: shared modified-Cholesky stencil (None for the ETKF kind)
-    predecessors: list[np.ndarray] | None
+    stencil: Stencil | None
     #: padded-out slots (sum over pieces of m_max − m̄_b)
     pad_slots: int
 
@@ -164,10 +212,12 @@ class GeometryCache:
     Parameters
     ----------
     maxsize:
-        Optional bound on cached entries; the oldest entries are evicted
-        first.  ``None`` (default) never evicts — a decomposition has a
-        fixed, small piece count, so unbounded growth only happens when
-        many distinct networks/decompositions stream through one cache.
+        Optional bound on the network-keyed entries (pieces and
+        buckets); the oldest are evicted first.  ``None`` (default)
+        leaves the bound to the network rule alone: only the two most
+        recently used networks keep entries, and a decomposition has a
+        fixed, small piece count.  Structures are not counted — there is
+        one per distinct expansion shape.
     """
 
     def __init__(self, maxsize: int | None = None):
@@ -176,12 +226,18 @@ class GeometryCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
+        self.structure_hits = 0
+        self.structure_misses = 0
         self._lock = threading.Lock()
-        #: key -> (geometry, (network, grid)).  Keys carry the network's
-        #: and grid's ``id()``; each entry pins its own two objects, so an
-        #: id cannot be recycled while an entry is keyed on it and the
-        #: pin goes when the last such entry is evicted.
+        #: key -> (geometry, (network, grid)).  Keys lead with the
+        #: network's ``id()`` and carry the grid's; each entry pins its
+        #: own two objects, so an id cannot be recycled while an entry is
+        #: keyed on it and the pin goes when the last such entry does.
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        #: ``id()`` of the networks that may hold entries, oldest first
+        self._recent_networks: list[int] = []
+        #: shape key -> :class:`PieceStructure`; untouched by networks
+        self._structures: dict[tuple, PieceStructure] = {}
         #: the last :meth:`observed` answer as (key, answer, (network,
         #: grid)) — one slot outside the LRU, pinned the same way
         self._observed: tuple | None = None
@@ -202,20 +258,27 @@ class GeometryCache:
     ) -> tuple[PieceGeometry, bool]:
         """``(geometry, was_cached)`` for one piece.
 
-        ``radius_km`` requests the modified-Cholesky predecessor stencil
-        as part of the geometry (EnKF path); ``None`` skips it (ETKF
-        path, which has no precision estimate).
+        ``radius_km`` requests the modified-Cholesky stencil as part of
+        the geometry (EnKF path); ``None`` skips it (ETKF path, which
+        has no precision estimate).  A miss rebuilds the network half
+        only; the structure is looked up by shape.
         """
-        key = (
-            id(network),
-            id(piece.grid),
-            self._piece_key(piece),
-            float(radius_km) if radius_km is not None else None,
-        )
+        radius = float(radius_km) if radius_km is not None else None
+        key = (id(network), id(piece.grid), self._piece_key(piece), radius)
         cached = self._lookup(key)
         if cached is not None:
             return cached, True
-        geometry = self._build(network, piece, radius_km)
+        obs_positions, h_local = network.restrict_to_box(
+            piece.exp_x_indices, piece.exp_y_indices
+        )
+        geometry = PieceGeometry(
+            obs_positions=obs_positions,
+            h_local=h_local,
+            r_diag=np.full(obs_positions.size, network.obs_error_std**2),
+            expansion_flat=piece.expansion_flat,
+            interior_flat=piece.interior_flat,
+            structure=self._structure(piece, radius),
+        )
         self._store(key, geometry, (network, piece.grid))
         return geometry, False
 
@@ -227,6 +290,7 @@ class GeometryCache:
                 return None
             self.hits += 1
             self._entries.move_to_end(key)
+            self._use_network(key[0])
         if get_tracer().enabled:
             get_metrics().counter("geometry.cache_hits").inc()
         return cached[0]
@@ -236,11 +300,72 @@ class GeometryCache:
         with self._lock:
             self.misses += 1
             self._entries[key] = (entry, pins)
+            self._use_network(key[0])
             if self.maxsize is not None:
                 while len(self._entries) > self.maxsize:
                     self._entries.popitem(last=False)
         if get_tracer().enabled:
             get_metrics().counter("geometry.cache_misses").inc()
+
+    def _use_network(self, network_id: int) -> None:
+        """Mark a network most recently used and drop every entry of the
+        networks that fall out of the kept set (caller holds the lock)."""
+        recent = self._recent_networks
+        if recent and recent[-1] == network_id:
+            return
+        if network_id in recent:
+            recent.remove(network_id)
+        recent.append(network_id)
+        for stale in recent[:-_NETWORKS_KEPT]:
+            for key in [k for k in self._entries if k[0] == stale]:
+                del self._entries[key]
+        del recent[:-_NETWORKS_KEPT]
+
+    def _structure(self, piece: SubDomain, radius: float | None) -> PieceStructure:
+        """The shape-only half of ``piece``'s geometry, built once per shape.
+
+        The expansion is taken to its canonical position — first column
+        and first row at zero, longitudes unwrapped modulo ``n_x`` — so
+        that equivalent pieces (interior, seam-wrapping, at either pole)
+        compare equal, byte for byte, and the stencil builder is handed
+        literally identical input for all of them.
+        """
+        grid = piece.grid
+        exp_ix, exp_iy = piece.expansion_coords
+        rel_ix = (exp_ix - exp_ix[0]) % grid.n_x
+        rel_iy = exp_iy - exp_iy[0]
+        interior = piece.interior_positions_in_expansion
+        key = (
+            grid.dx_km, grid.dy_km, grid.n_x, grid.periodic_x, radius,
+            rel_ix.tobytes(), rel_iy.tobytes(), interior.tobytes(),
+        )
+        with self._lock:
+            structure = self._structures.get(key)
+            if structure is not None:
+                self.structure_hits += 1
+                return structure
+        stencil, stencil_sig = None, ""
+        if radius is not None:
+            predecessors = neighbour_predecessors(grid, rel_ix, rel_iy, radius)
+            stencil = Stencil.from_predecessors(predecessors, piece.exp_size)
+            stencil_sig = _digest(
+                np.concatenate(predecessors).astype(np.int64).tobytes(),
+                np.asarray([p.size for p in predecessors],
+                           dtype=np.int64).tobytes(),
+            )
+        structure = PieceStructure(
+            interior_positions=interior,
+            stencil=stencil,
+            interior_sig=_digest(
+                np.asarray([piece.exp_size], dtype=np.int64).tobytes(),
+                np.ascontiguousarray(interior, dtype=np.int64).tobytes(),
+            ),
+            stencil_sig=stencil_sig,
+        )
+        with self._lock:
+            self.structure_misses += 1
+            self._structures[key] = structure
+        return structure
 
     def local_geometry(
         self, network, piece: SubDomain, radius_km: float | None = None
@@ -267,52 +392,17 @@ class GeometryCache:
             id(grid),
             tuple(self._piece_key(piece) for piece in pieces),
         )
-        remembered = self._observed
+        with self._lock:
+            remembered = self._observed
         if remembered is not None and remembered[0] == key:
             return remembered[1]
         answer = tuple(
             i for i, piece in enumerate(pieces)
             if network.any_in_box(piece.exp_x_indices, piece.exp_y_indices)
         )
-        self._observed = (key, answer, (network, grid))
+        with self._lock:
+            self._observed = (key, answer, (network, grid))
         return answer
-
-    @staticmethod
-    def _build(network, piece: SubDomain, radius_km: float | None) -> PieceGeometry:
-        obs_positions, h_local = network.restrict_to_box(
-            piece.exp_x_indices, piece.exp_y_indices
-        )
-        exp_ix, exp_iy = piece.expansion_coords
-        predecessors = None
-        stencil_sig = ""
-        if radius_km is not None and obs_positions.size:
-            predecessors = neighbour_predecessors(
-                piece.grid, exp_ix, exp_iy, radius_km
-            )
-            stencil_sig = _digest(
-                *(np.ascontiguousarray(p, dtype=np.int64).tobytes()
-                  for p in predecessors),
-                np.asarray([p.size for p in predecessors],
-                           dtype=np.int64).tobytes(),
-            )
-        interior = piece.interior_positions_in_expansion
-        interior_sig = _digest(
-            np.asarray([piece.exp_size], dtype=np.int64).tobytes(),
-            np.ascontiguousarray(interior, dtype=np.int64).tobytes(),
-        )
-        return PieceGeometry(
-            obs_positions=obs_positions,
-            h_local=h_local,
-            r_diag=np.full(obs_positions.size, network.obs_error_std**2),
-            expansion_flat=piece.expansion_flat,
-            interior_flat=piece.interior_flat,
-            interior_positions=interior,
-            exp_ix=exp_ix,
-            exp_iy=exp_iy,
-            predecessors=predecessors,
-            interior_sig=interior_sig,
-            stencil_sig=stencil_sig,
-        )
 
     # -- stacked buckets -------------------------------------------------------
     def get_bucket(
@@ -343,21 +433,18 @@ class GeometryCache:
                 )
         grid = items[0][1].grid
         key = (
-            "bucket",
             id(network),
             id(grid),
+            "bucket",
             tuple(self._piece_key(piece) for _, piece, _ in items),
             float(radius_km) if radius_km is not None else None,
         )
+        plan_indices = tuple(i for i, _, _ in items)
         cached = self._lookup(key)
         if cached is not None:
             # plan indices are call-specific; rebind them on the hit
-            if cached.plan_indices != tuple(i for i, _, _ in items):
-                from dataclasses import replace
-
-                cached = replace(
-                    cached, plan_indices=tuple(i for i, _, _ in items)
-                )
+            if cached.plan_indices != plan_indices:
+                cached = replace(cached, plan_indices=plan_indices)
             return cached, True
         bucket = self._build_bucket(items)
         self._store(key, bucket, (network, grid))
@@ -371,33 +458,39 @@ class GeometryCache:
         n_exp = geos[0].expansion_flat.size
         m_max = max(int(g.obs_positions.size) for g in geos)
         n_batch = len(geos)
-        exp_index = np.stack([g.expansion_flat for g in geos])
-        interior_flat_cat = np.concatenate([g.interior_flat for g in geos])
-        h_dense = np.zeros((n_batch, m_max, n_exp))
+        stencil = geos[0].stencil
         r_diag = np.ones((n_batch, m_max))
         obs_index = np.zeros((n_batch, m_max), dtype=np.int64)
         obs_mask = np.zeros((n_batch, m_max))
         obs_counts = np.empty(n_batch, dtype=np.int64)
+        padded = []  # each piece's H with its pad rows, (m_max, n̄) CSR
         for b, g in enumerate(geos):
             m = int(g.obs_positions.size)
             obs_counts[b] = m
-            if m:
-                h_dense[b, :m, :] = g.h_local.toarray()
-                r_diag[b, :m] = g.r_diag
-                obs_index[b, :m] = g.obs_positions
-                obs_mask[b, :m] = 1.0
+            r_diag[b, :m] = g.r_diag
+            obs_index[b, :m] = g.obs_positions
+            obs_mask[b, :m] = 1.0
+            h = sp.csr_matrix(g.h_local, copy=True)  # resize is in place
+            h.resize((m_max, n_exp))
+            padded.append(h)
+        if stencil is not None:
+            h_block, h_dense = sp.block_diag(padded, format="csr"), None
+        else:
+            h_block = None
+            h_dense = np.stack([h.toarray() for h in padded])
         return BucketGeometry(
             plan_indices=tuple(i for i, _, _ in items),
-            exp_index=exp_index,
-            interior_flat_cat=interior_flat_cat,
+            exp_index=np.stack([g.expansion_flat for g in geos]),
+            interior_flat_cat=np.concatenate([g.interior_flat for g in geos]),
             interior_positions=geos[0].interior_positions,
+            h_block=h_block,
             h_dense=h_dense,
             r_diag=r_diag,
             obs_index=obs_index,
             obs_mask=obs_mask,
             obs_counts=obs_counts,
-            predecessors=geos[0].predecessors,
-            pad_slots=int(sum(m_max - int(g.obs_positions.size) for g in geos)),
+            stencil=stencil,
+            pad_slots=int(n_batch * m_max - obs_counts.sum()),
         )
 
     # -- maintenance -----------------------------------------------------------
@@ -406,19 +499,23 @@ class GeometryCache:
             return len(self._entries)
 
     def nbytes(self) -> int:
-        """Total bytes of array payload held by the cached entries.
+        """Total bytes of array payload the cache holds.
 
-        The cache bounds entry *count* (``maxsize``); this is the
-        byte-side view the resource observatory exports as the
-        ``geometry_cache_bytes`` gauge and the footprint model counts as
-        a measured component.  Sums every ndarray field of every entry —
-        including CSR matrices (data/indices/indptr) and per-point
-        predecessor lists — and ignores scalars/signatures, whose bytes
-        are noise next to the arrays.
+        The cache bounds entry *count*; this is the byte-side view the
+        resource observatory exports as the ``geometry_cache_bytes``
+        gauge and the footprint model counts as a measured component.
+        Sums every ndarray field of every network-keyed entry — CSR
+        matrices (data/indices/indptr) included — and of every structure
+        and its stencil once, however many entries share it; scalars and
+        signatures are noise next to the arrays and are ignored.
         """
         with self._lock:
             entries = [entry for entry, _ in self._entries.values()]
-        return sum(_geometry_nbytes(entry) for entry in entries)
+            structures = list(self._structures.values())
+        owned = entries + structures + [
+            s.stencil for s in structures if s.stencil is not None
+        ]
+        return sum(_geometry_nbytes(entry) for entry in owned)
 
     @property
     def stats(self) -> dict:
@@ -427,14 +524,21 @@ class GeometryCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "entries": len(self._entries),
+                "structure_hits": self.structure_hits,
+                "structure_misses": self.structure_misses,
             }
         stats["bytes"] = self.nbytes()
         return stats
 
     def clear(self) -> None:
-        """Drop every entry (and with them the pinned networks/grids)."""
+        """Drop every entry and structure (and with the entries the
+        pinned networks/grids)."""
         with self._lock:
             self._entries.clear()
+            self._recent_networks.clear()
+            self._structures.clear()
             self._observed = None
             self.hits = 0
             self.misses = 0
+            self.structure_hits = 0
+            self.structure_misses = 0

@@ -5,17 +5,19 @@ cost behind concurrency, this strategy *removes* it: pieces whose
 geometry is structurally identical — same expansion size, same interior
 projection and (for the EnKF kind) the same modified-Cholesky stencil,
 compared by digest, never assumed from translation symmetry — are
-stacked into ``(B, ...)`` operands and updated by the batched kernels in
-:mod:`repro.core` (one batched LAPACK call per step instead of ``B``
-small ones; the modified-Cholesky regressions of the whole stack are one
-call per distinct stencil size).  The win is therefore independent of core
-count, which is what lets the parallel bench assert its speedup on a
-1-CPU CI runner.
+stacked into ``(B, ...)`` operands and updated by the kernels in
+:mod:`repro.core` as one stack: the modified-Cholesky regressions of the
+whole stack are one LAPACK call per distinct stencil size, and the stack's
+systems are the diagonal blocks of one banded system
+(:func:`~repro.core.analysis.analysis_modified_cholesky` — the same
+function a single piece runs with ``B = 1``); the ETKF transform has a
+batched twin.  The win is therefore independent of core count, which is
+what lets the parallel bench assert its speedup on a 1-CPU CI runner.
 
 Bucketing policy: pieces first group by structural signature; within a
 group, observation counts may differ, so the group is *padded* to the
 largest count with exact no-op slots (zero ``H`` rows, unit ``R``,
-masked observations — proven no-ops, see the batched-kernel docstrings)
+masked observations — proven no-ops, see the kernels' docstrings)
 — or *split* into sub-batches when the padded-slot fraction would
 exceed :data:`MAX_PAD_WASTE`.  The realised waste is recorded
 (``vectorized.pad_slots`` / ``vectorized.obs_slots`` counters,
@@ -36,9 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.analysis import analysis_precision_form_batched
+from repro.core.analysis import analysis_modified_cholesky
 from repro.core.backend import ArrayBackend, get_backend
-from repro.core.cholesky import modified_cholesky_inverse_batched
 from repro.core.etkf import analysis_etkf_batched
 from repro.parallel.worker import KIND_ENKF, KIND_ETKF
 from repro.telemetry.metrics import get_metrics
@@ -102,16 +103,10 @@ def _compute_bucket(plan, bucket, backend: ArrayBackend) -> None:
     """Analyse one stacked bucket into ``plan.out``."""
     xb = plan.states[bucket.exp_index]  # (B, n̄, N)
     if plan.kind == KIND_ENKF:
-        xb_dev = backend.asarray(xb, dtype=float)
-        b_inv = modified_cholesky_inverse_batched(
-            xb_dev,
-            bucket.predecessors,
-            ridge=plan.params["ridge"],
-            backend=backend,
-        )
         ys = plan.obs[bucket.obs_index] * bucket.obs_mask[:, :, None]
-        analysed = analysis_precision_form_batched(
-            xb_dev, bucket.h_dense, bucket.r_diag, ys, b_inv,
+        analysed = analysis_modified_cholesky(
+            xb, bucket.stencil, bucket.h_block, bucket.r_diag.ravel(),
+            ys.reshape(-1, ys.shape[2]), ridge=plan.params["ridge"],
             backend=backend,
         )
     else:

@@ -1,12 +1,14 @@
 """The modified-Cholesky kernel against an independent naive reference.
 
 :mod:`repro.core.cholesky` solves every regression with the same
-predecessor count as one batched call; the reference below is the plain
-definition — one row at a time, one small solve each, a pairwise radius
-test for the stencil — and lives only here.  Both entry points
-(``modified_cholesky_inverse``: one piece, CSR product;
-``modified_cholesky_inverse_batched``: a stack, dense product) must agree
-with it to the repo's equivalence contract, rtol 1e-10 / atol 1e-11.
+predecessor count as one batched call and assembles ``Lᵀ D⁻¹ L`` as a
+band, by stencil offset; the reference below is the plain definition —
+one row at a time, one small solve each, a dense product, a pairwise
+radius test for the stencil — and lives only here.  Both forms of the
+estimate (``modified_cholesky_inverse``: one piece, as CSR; the
+``(bandwidth + 1, B, n)`` band of a stack that
+``analysis_modified_cholesky`` factorises) must agree with it to the
+repo's equivalence contract, rtol 1e-10 / atol 1e-11.
 
 The suite runs under whatever ``SENKF_BACKEND`` selects (the
 ``optional-backend`` CI job sets ``jax``); the per-piece entry point is
@@ -22,11 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import cholesky
+from repro.core.analysis import analysis_modified_cholesky
 from repro.core.backend import ArrayBackend, get_backend
 from repro.core.cholesky import (
+    MIN_VARIANCE,
+    Stencil,
+    _regress_rows,
     modified_cholesky_inverse,
-    modified_cholesky_inverse_batched,
     neighbour_predecessors,
+    precision_band,
 )
 from repro.core.grid import Grid
 
@@ -83,8 +89,23 @@ def box_coords(n_cols, n_rows, x0=0, y0=0, n_x=None):
     return np.tile(xs, n_rows), np.repeat(ys, n_cols)
 
 
-def to_numpy(a):
-    return get_backend().to_numpy(a)
+def stacked_inverse(stack, preds, ridge=1e-8, backend=None):
+    """Dense ``(B, n, n)`` ``B̂⁻¹`` of a stack, densified *here* from the
+    band the closing assembles (regressions on ``backend``)."""
+    bk = backend if backend is not None else get_backend()
+    n_batch, n, _ = stack.shape
+    stencil = Stencil.from_predecessors(preds, n)
+    u = bk.asarray(stack - stack.mean(axis=2, keepdims=True), dtype=float)
+    betas, d = _regress_rows(u, stencil.groups, ridge, MIN_VARIANCE, bk)
+    band = precision_band(
+        stencil, [bk.to_numpy(beta) for beta in betas], bk.to_numpy(d)
+    )
+    assert band.shape == (stencil.bandwidth + 1, n_batch, n)
+    dense = np.zeros((n_batch, n, n))
+    for k in range(band.shape[0]):
+        j = np.arange(n - k)
+        dense[:, j + k, j] = dense[:, j, j + k] = band[k, :, : n - k]
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +152,18 @@ class TestStencilBuilder:
         sizes = {p.size for p in neighbour_predecessors(grid, ix, iy, 60.0)}
         assert len(sizes) == 10 and max(sizes) == 10
 
+    def test_benchmark_stencils_have_eleven_sub_diagonals(self):
+        """What the band assembly's cost rests on: ``L`` of a row-major
+        40-column expansion is the unit diagonal and ten sub-diagonals."""
+        grid, (ix, iy) = STENCIL_CASES["large_40x22"]
+        stencil = Stencil.from_predecessors(
+            neighbour_predecessors(grid, ix, iy, 60.0), ix.size
+        )
+        assert stencil.offsets.tolist() == [
+            0, 1, 2, 38, 39, 40, 41, 42, 79, 80, 81,
+        ]
+        assert stencil.bandwidth == 81
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -176,14 +209,11 @@ def random_stencil(rng, n, max_size):
 
 
 def assert_both_match_reference(stack, preds, ridge, grid=None, coords=None):
-    """Per-piece (CSR) and batched results vs the reference."""
+    """Per-piece (CSR) and stacked (band) results vs the reference."""
     n = stack.shape[1]
     grid = grid if grid is not None else Grid(n_x=max(n, 1), n_y=1)
     ix, iy = coords if coords is not None else (np.arange(n), np.zeros(n, int))
-    batched = to_numpy(
-        modified_cholesky_inverse_batched(stack, preds, ridge=ridge)
-    )
-    assert batched.shape == (stack.shape[0], n, n)
+    batched = stacked_inverse(stack, preds, ridge=ridge)
     for b, states in enumerate(stack):
         want = reference_inverse(states, preds, ridge=ridge)
         csr = modified_cholesky_inverse(
@@ -224,7 +254,7 @@ class TestAgainstReference:
         stack = rng.standard_normal((3, 4, 6))
         preds = [np.array([], dtype=int)] * 4
         assert_both_match_reference(stack, preds, ridge=1e-2)
-        out = to_numpy(modified_cholesky_inverse_batched(stack, preds))
+        out = stacked_inverse(stack, preds)
         assert np.allclose(
             out, np.eye(4) / np.var(stack, axis=2, ddof=1)[:, :, None]
         )
@@ -233,12 +263,8 @@ class TestAgainstReference:
         rng = np.random.default_rng(13)
         preds = random_stencil(rng, 12, max_size=6)
         stack = rng.standard_normal((3, 12, 8))
-        one = to_numpy(
-            modified_cholesky_inverse_batched(stack[:1], preds, ridge=1e-3)
-        )
-        three = to_numpy(
-            modified_cholesky_inverse_batched(stack, preds, ridge=1e-3)
-        )
+        one = stacked_inverse(stack[:1], preds, ridge=1e-3)
+        three = stacked_inverse(stack, preds, ridge=1e-3)
         assert np.allclose(one[0], three[0], rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("case", ["large_40x22", "io_34x34"])
@@ -289,9 +315,10 @@ class TestStencilValidation:
 
     @pytest.mark.parametrize("name", sorted(BAD_STENCILS))
     def test_batched_rejects(self, name):
+        """No :class:`Stencil` — what the closing takes — can be built."""
         preds = [np.array(p, dtype=int) for p in BAD_STENCILS[name]]
         with pytest.raises(ValueError, match="not a predecessor"):
-            modified_cholesky_inverse_batched(self.states[None], preds)
+            Stencil.from_predecessors(preds, 3)
 
     def test_wrong_length_rejected_by_both(self):
         preds = [np.array([], dtype=int)] * 2
@@ -301,7 +328,12 @@ class TestStencilValidation:
                 predecessors=preds,
             )
         with pytest.raises(ValueError, match="2 entries for n=3"):
-            modified_cholesky_inverse_batched(self.states[None], preds)
+            Stencil.from_predecessors(preds, 3)
+        with pytest.raises(ValueError, match="2 entries for n=3"):
+            analysis_modified_cholesky(
+                self.states[None], Stencil.from_predecessors(preds, 2),
+                np.eye(3), np.ones(3), np.zeros((3, 5)),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +394,10 @@ class TestCallCounts:
 
     def test_batched_and_per_piece_issue_the_same_solves(self, monkeypatch):
         spy = spy_backend()
-        modified_cholesky_inverse_batched(
-            self.states[None], self.preds, ridge=1e-2, backend=spy
+        analysis_modified_cholesky(
+            self.states[None], Stencil.from_predecessors(self.preds, 880),
+            np.eye(1, 880), np.ones(1), np.zeros((1, 24)), ridge=1e-2,
+            backend=spy,
         )
         batched_solves = self.check(spy.calls)
 

@@ -449,16 +449,43 @@ class TestBitIdentity:
 # ---------------------------------------------------------------------------
 # The thread loop
 # ---------------------------------------------------------------------------
-def large_pieces_problem(seed):
+def large_pieces_problem(seed, n_x=144, n_y=72):
     """The ``large_pieces_moving`` shape: 16 pieces of 880 expansion
-    points, a fresh network object per seed."""
-    grid = Grid(n_x=144, n_y=72, dx_km=25.0, dy_km=25.0)
+    points (240 on a 64 x 32 grid), a fresh network object per seed."""
+    grid = Grid(n_x=n_x, n_y=n_y, dx_km=25.0, dy_km=25.0)
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((grid.n, 8))
-    net = ObservationNetwork.random(grid, m=400, obs_error_std=0.5, rng=rng)
+    net = ObservationNetwork.random(
+        grid, m=400 * grid.n // 10_368, obs_error_std=0.5, rng=rng
+    )
     y = rng.standard_normal(net.m)
     decomp = Decomposition(grid, n_sdx=4, n_sdy=4, xi=2, eta=2)
     return decomp, states, net, y
+
+
+def hammer_thread_loop(n_runs, **grid_size):
+    """Thread fan-out on four pool threads (oversubscribed on purpose)
+    with a short switch interval and a fresh network every run; each run
+    must be ``array_equal`` to serial."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with AnalysisExecutor(strategy="thread", workers=4) as ex:
+            threaded = DistributedEnKF(
+                radius_km=60.0, inflation=1.05, ridge=1e-2, executor=ex
+            )
+            serial = DistributedEnKF(
+                radius_km=60.0, inflation=1.05, ridge=1e-2
+            )
+            for seed in range(n_runs):
+                decomp, states, net, y = large_pieces_problem(
+                    seed, **grid_size
+                )
+                out = threaded.assimilate(decomp, states, net, y, rng=seed)
+                ref = serial.assimilate(decomp, states, net, y, rng=seed)
+                assert np.array_equal(out, ref), f"run {seed} diverged"
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestThreadLoop:
@@ -563,27 +590,17 @@ class TestThreadLoop:
             ex.run(enkf_plan())
 
     def test_hammer_fresh_network_every_run_matches_serial(self):
-        """The race check for concurrent ``splu`` / ``_regress_rows``:
-        50 runs x 16 pieces of 880 points on four pool threads
-        (oversubscribed on purpose) with a short switch interval, a
-        fresh network every run, each run ``array_equal`` to serial."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with AnalysisExecutor(strategy="thread", workers=4) as ex:
-                threaded = DistributedEnKF(
-                    radius_km=60.0, inflation=1.05, ridge=1e-2, executor=ex
-                )
-                serial = DistributedEnKF(
-                    radius_km=60.0, inflation=1.05, ridge=1e-2
-                )
-                for seed in range(50):
-                    decomp, states, net, y = large_pieces_problem(seed)
-                    out = threaded.assimilate(decomp, states, net, y, rng=seed)
-                    ref = serial.assimilate(decomp, states, net, y, rng=seed)
-                    assert np.array_equal(out, ref), f"run {seed} diverged"
-        finally:
-            sys.setswitchinterval(interval)
+        """The race check for concurrent pieces through the shared
+        structures (one stencil, many threads) and the banded closing:
+        8 runs x 16 pieces of 240 points."""
+        hammer_thread_loop(8, n_x=64, n_y=32)
+
+    @pytest.mark.hammer
+    def test_hammer_50_runs_at_benchmark_size(self):
+        """The same at ``large_pieces_moving``'s size, 50 runs x 16 pieces
+        of 880 points; deselected in tier-1, run by CI's parallel-smoke
+        (``-m hammer``)."""
+        hammer_thread_loop(50)
 
 
 # ---------------------------------------------------------------------------

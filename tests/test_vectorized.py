@@ -1,8 +1,8 @@
 """Tests for the vectorized batched-analysis strategy.
 
-The load-bearing contract differs from the fan-out strategies: the
-batched kernels route through different LAPACK drivers (batched LU vs
-per-piece Cholesky) so the guarantee is *tolerance-checked equivalence*
+The load-bearing contract differs from the fan-out strategies: a bucket
+is factorised as one block system and the regressions of a stack reduce
+in another order, so the guarantee is *tolerance-checked equivalence*
 — every analysed value matches the serial engine to ``rtol <= 1e-10``
 (with an absolute floor of 1e-11 for near-zero entries; solve accuracy
 is normwise) — for every filter kind, localization, chaos/degraded
@@ -19,19 +19,17 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Decomposition, Grid, ObservationNetwork
 from repro.core.analysis import (
+    analysis_modified_cholesky,
     analysis_precision_form,
-    analysis_precision_form_batched,
 )
 from repro.core.backend import get_backend
-from repro.core.cholesky import (
-    modified_cholesky_inverse,
-    modified_cholesky_inverse_batched,
-)
+from repro.core.cholesky import Stencil, modified_cholesky_inverse
 from repro.core.etkf import analysis_etkf, analysis_etkf_batched
 from repro.costmodel import (
     CostParams,
@@ -138,14 +136,34 @@ class TestBatchedKernels:
         ys = rng.standard_normal((n_batch, m, n_members))
         return xb, h, r, ys
 
+    def _enkf_stack(self, n_batch=4, n_members=8, seed=7):
+        """A stack over one sub-domain's stencil, each piece with its own
+        ``H`` (the closing takes them as one block-diagonal operator)."""
+        grid, truth, states, net, y = problem()
+        decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
+        sd = next(iter(decomp))
+        geo = GeometryCache().local_geometry(net, sd, radius_km=2.0)
+        xb, h, r, ys = self._stack(
+            n_batch=n_batch, n=sd.exp_size, n_members=n_members, seed=seed
+        )
+        block = sp.block_diag(list(h), format="csr")
+        return sd, geo, xb, h, r, ys, block
+
     def test_precision_form_matches_per_piece(self):
-        xb, h, r, ys = self._stack(seed=3)
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((xb.shape[0], xb.shape[1], xb.shape[1]))
-        b_invs = a @ a.transpose(0, 2, 1) + 2 * np.eye(xb.shape[1])
-        out = analysis_precision_form_batched(xb, h, r, ys, b_invs)
+        """One stacked closing == per piece, the CSR ``B̂⁻¹`` put through
+        the public precision form."""
+        sd, geo, xb, h, r, ys, block = self._enkf_stack()
+        out = analysis_modified_cholesky(
+            xb, geo.stencil, block, r.ravel(), ys.reshape(-1, ys.shape[2]),
+            ridge=1e-3,
+        )
+        ix, iy = sd.expansion_coords
         for b in range(xb.shape[0]):
-            ref = analysis_precision_form(xb[b], h[b], r[b], ys[b], b_invs[b])
+            b_inv = modified_cholesky_inverse(
+                xb[b], sd.grid, ix, iy, radius_km=2.0, ridge=1e-3,
+                predecessors=geo.predecessors,
+            )
+            ref = analysis_precision_form(xb[b], h[b], r[b], ys[b], b_inv)
             assert np.allclose(out[b], ref, rtol=RTOL, atol=ATOL)
 
     def test_etkf_matches_per_piece(self):
@@ -159,22 +177,17 @@ class TestBatchedKernels:
             assert np.allclose(out[b], ref, rtol=RTOL, atol=ATOL)
 
     def test_modified_cholesky_matches_per_piece(self):
-        grid, truth, states, net, y = problem()
-        decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
-        sd = next(iter(decomp))
-        geo = GeometryCache().local_geometry(net, sd, radius_km=2.0)
-        rng = np.random.default_rng(7)
-        stack = rng.standard_normal((4, sd.exp_size, 8))
-        out = modified_cholesky_inverse_batched(
-            stack, geo.predecessors, ridge=1e-3
+        """A piece is the ``B = 1`` stack of the same function."""
+        sd, geo, xb, h, r, ys, block = self._enkf_stack()
+        out = analysis_modified_cholesky(
+            xb, geo.stencil, block, r.ravel(), ys.reshape(-1, ys.shape[2]),
+            ridge=1e-3,
         )
-        ix, iy = sd.expansion_coords
-        for b in range(stack.shape[0]):
-            ref = modified_cholesky_inverse(
-                stack[b], grid, ix, iy, radius_km=2.0, ridge=1e-3,
-                predecessors=geo.predecessors,
-            ).toarray()
-            assert np.allclose(out[b], ref, rtol=RTOL, atol=ATOL)
+        for b in range(xb.shape[0]):
+            one = analysis_modified_cholesky(
+                xb[b:b + 1], geo.stencil, h[b], r[b], ys[b], ridge=1e-3
+            )
+            assert np.allclose(out[b], one[0], rtol=RTOL, atol=ATOL)
 
     def test_padding_is_an_exact_noop(self):
         """A piece padded with zero-H/unit-R/masked-obs slots must produce
@@ -188,11 +201,16 @@ class TestBatchedKernels:
             [ys, np.zeros((1, pad, ys.shape[2]))], axis=1
         )
         rng = np.random.default_rng(9)
-        a = rng.standard_normal((1, xb.shape[1], xb.shape[1]))
-        b_invs = a @ a.transpose(0, 2, 1) + 2 * np.eye(xb.shape[1])
-
-        unpadded = analysis_precision_form_batched(xb, h, r, ys, b_invs)
-        padded = analysis_precision_form_batched(xb, h_p, r_p, ys_p, b_invs)
+        stencil = Stencil.from_predecessors(
+            [np.arange(max(i - 3, 0), i) for i in range(xb.shape[1])],
+            xb.shape[1],
+        )
+        unpadded = analysis_modified_cholesky(
+            xb, stencil, h[0], r[0], ys[0], ridge=1e-3
+        )
+        padded = analysis_modified_cholesky(
+            xb, stencil, sp.csr_matrix(h_p[0]), r_p[0], ys_p[0], ridge=1e-3
+        )
         assert np.allclose(unpadded, padded, rtol=1e-12, atol=1e-13)
 
         y = rng.standard_normal((1, 4))
@@ -204,14 +222,26 @@ class TestBatchedKernels:
         assert np.allclose(etkf_unpadded, etkf_padded, rtol=1e-12, atol=1e-13)
 
     def test_shape_mismatch_raises(self):
-        xb, h, r, ys = self._stack()
-        b_invs = np.broadcast_to(
-            np.eye(xb.shape[1]), (xb.shape[0], xb.shape[1], xb.shape[1])
-        )
+        sd, geo, xb, h, r, ys, block = self._enkf_stack()
+        flat_ys = ys.reshape(-1, ys.shape[2])
+        with pytest.raises(ValueError):  # H over fewer pieces than stacked
+            analysis_modified_cholesky(
+                xb, geo.stencil, sp.block_diag(list(h[:-1])), r.ravel(),
+                flat_ys,
+            )
+        with pytest.raises(ValueError):  # a row of Yˢ missing
+            analysis_modified_cholesky(
+                xb, geo.stencil, block, r.ravel(), flat_ys[:-1]
+            )
+        with pytest.raises(ValueError):  # the stencil of another shape
+            analysis_modified_cholesky(
+                xb[:, :-1], geo.stencil, block, r.ravel(), flat_ys
+            )
+        y = ys[:, :, 0]
         with pytest.raises(ValueError):
-            analysis_precision_form_batched(xb, h[:-1], r, ys, b_invs)
+            analysis_etkf_batched(xb, h[:-1], r, y)
         with pytest.raises(ValueError):
-            analysis_precision_form_batched(xb, h, r[:, :-1], ys, b_invs)
+            analysis_etkf_batched(xb, h, r[:, :-1], y)
 
 
 # ---------------------------------------------------------------------------
