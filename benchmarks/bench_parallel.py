@@ -52,7 +52,6 @@ except ImportError:  # CLI use without PYTHONPATH=src
 
 import numpy as np
 
-from repro.core.backend import get_backend
 from repro.core.domain import Decomposition
 from repro.core.grid import Grid
 from repro.core.observations import ObservationNetwork
@@ -65,14 +64,14 @@ SEED = 2019  # PPoPP'19
 #: Version the artifact so downstream tooling can detect layout changes;
 #: bump on any key rename or semantic change.  /2 added the vectorized
 #: strategy, its always-asserted >= 1.5x warm speedup, and the backend
-#: name.
-BENCH_PARALLEL_SCHEMA = "senkf-bench-parallel/2"
+#: name; /3 dropped the backend name (NumPy is the only array library).
+BENCH_PARALLEL_SCHEMA = "senkf-bench-parallel/3"
 
 _DEFAULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel.json"
 
 #: every concrete strategy the executor offers, serial (the reference)
 #: first.  Thread is held to bit-identity with it; vectorized is
-#: tolerance-checked instead (batched LU vs per-piece Cholesky).
+#: tolerance-checked instead (a stack reduces in another order).
 STRATEGIES = tuple(s for s in EXECUTOR_STRATEGIES if s != "auto")
 
 #: vectorized-vs-serial warm speedup floor, asserted on EVERY run.
@@ -98,7 +97,7 @@ def validate_bench_parallel(payload: dict) -> None:
     for key in (
         "cpu_count", "n_subdomains", "n_members", "grid", "cycles",
         "timings", "identical", "best_speedup", "speedup_asserted",
-        "speedup_note", "geometry_cache", "backend",
+        "speedup_note", "geometry_cache",
         "vectorized_speedup", "vectorized_equivalent",
         "fanout_speedup_asserted",
     ):
@@ -108,8 +107,6 @@ def validate_bench_parallel(payload: dict) -> None:
         raise ValueError("identical must be a bool")
     if not isinstance(payload["vectorized_equivalent"], bool):
         raise ValueError("vectorized_equivalent must be a bool")
-    if not isinstance(payload["backend"], str) or not payload["backend"]:
-        raise ValueError("backend must be a non-empty string")
     speedup = payload["vectorized_speedup"]
     if not isinstance(speedup, float) or speedup <= 0:
         raise ValueError("vectorized_speedup must be a positive float")
@@ -298,7 +295,6 @@ def run_parallel_bench(smoke: bool = False, cycles: int = 3,
         "cpu_count": cpu_count,
         "workers": workers,
         "smoke": smoke,
-        "backend": get_backend(None).name,
         "grid": {"n_x": grid.n_x, "n_y": grid.n_y},
         "n_subdomains": n_pieces,
         "n_members": int(states.shape[1]),
@@ -379,7 +375,6 @@ def _append_to_history(payload: dict) -> Path:
             "cycles": payload["cycles"],
             "cpu_count": payload["cpu_count"],
             "workers": payload["workers"],
-            "backend": payload["backend"],
             "vectorized_speedup": payload["vectorized_speedup"],
             "speedup_asserted": payload["speedup_asserted"],
         },
@@ -391,7 +386,7 @@ def report(payload: dict) -> str:
     lines = [
         f"parallel engine bench — {payload['n_subdomains']} sub-domains, "
         f"N={payload['n_members']}, {payload['cpu_count']} core(s), "
-        f"{payload['workers']} worker(s), backend {payload['backend']}",
+        f"{payload['workers']} worker(s)",
         f"  {'strategy':<10} {'cold (s)':>10} {'warm (s)':>10}",
     ]
     for strategy in STRATEGIES:

@@ -27,13 +27,6 @@ from repro.core.covariance import (
     sample_covariance,
     tapered_covariance,
 )
-from repro.core.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    available_backends,
-    backend_report,
-    get_backend,
-)
 from repro.core.cholesky import modified_cholesky_inverse
 from repro.core.analysis import (
     analysis_gain_form,
@@ -44,13 +37,11 @@ from repro.core.analysis import (
 from repro.core.adaptive import innovation_inflation_factor, rtps
 from repro.core.diagnostics import DesroziersStats, desroziers_diagnostics
 from repro.core.esmda import esmda, mda_coefficients
-from repro.core.etkf import analysis_etkf, analysis_etkf_batched, local_analysis_etkf
+from repro.core.etkf import analysis_etkf, local_analysis_etkf
 from repro.core.inflation import inflate
 from repro.core.verification import ensemble_spread, rmse
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
     "Decomposition",
     "DesroziersStats",
     "Ensemble",
@@ -60,18 +51,14 @@ __all__ = [
     "ObservationNetwork",
     "SubDomain",
     "analysis_etkf",
-    "analysis_etkf_batched",
     "analysis_gain_form",
     "analysis_modified_cholesky",
     "analysis_precision_form",
     "anomalies",
-    "available_backends",
-    "backend_report",
     "desroziers_diagnostics",
     "ensemble_spread",
     "esmda",
     "gaspari_cohn",
-    "get_backend",
     "inflate",
     "innovation_inflation_factor",
     "local_analysis",

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.core.cholesky import (
     MIN_VARIANCE,
     Stencil,
@@ -108,12 +107,19 @@ def analysis_gain_form(
     return xb + bht @ z
 
 
-def _observation_terms(xb: np.ndarray, h_operator, r_diag, y_perturbed):
-    """``Hᵀ R⁻¹ H`` (sparse) and ``Hᵀ R⁻¹ (Yˢ − H Xᵇ)`` for an ``(n, N)``
-    background; ``r_diag`` must be finite and positive."""
+def _positive_r_diag(r_diag) -> np.ndarray:
+    """The diagonal of ``R`` as a flat float array, checked finite and
+    positive."""
     r_diag = np.asarray(r_diag, dtype=float).ravel()
     if not (np.isfinite(r_diag).all() and (r_diag > 0.0).all()):
         raise ValueError("r_diag must be finite and positive")
+    return r_diag
+
+
+def _observation_terms(xb: np.ndarray, h_operator, r_diag, y_perturbed):
+    """``Hᵀ R⁻¹ H`` (sparse) and ``Hᵀ R⁻¹ (Yˢ − H Xᵇ)`` for an ``(n, N)``
+    background; ``r_diag`` must be finite and positive."""
+    r_diag = _positive_r_diag(r_diag)
     h = sp.csr_matrix(h_operator)
     innov = _innovations(h @ xb, np.asarray(y_perturbed, dtype=float))
     ht_rinv = h.multiply((1.0 / r_diag)[:, None]).T.tocsr()  # (n, m)
@@ -204,7 +210,6 @@ def analysis_modified_cholesky(
     r_diag: np.ndarray,
     y_perturbed: np.ndarray,
     ridge: float = 1e-8,
-    backend: ArrayBackend | None = None,
 ) -> np.ndarray:
     """Eq. (5) against the modified-Cholesky ``B̂⁻¹``, for a stack of local
     problems that share one stencil — a piece is the ``B = 1`` stack.
@@ -224,19 +229,15 @@ def analysis_modified_cholesky(
     ridge:
         Regularisation of the regressions (see
         :func:`~repro.core.cholesky.modified_cholesky_inverse`).
-    backend:
-        :class:`~repro.core.backend.ArrayBackend` the regressions run
-        under; ``None`` resolves the default.  The closing is host SciPy.
 
     The band of ``A = Lᵀ D⁻¹ L + Hᵀ R⁻¹ H`` is assembled straight from the
     regression coefficients (:func:`~repro.core.cholesky.precision_band`)
     and factorised as what it is, a symmetric positive-definite band:
     the pieces of a stack are the diagonal blocks of one system with the
     bandwidth of one piece, solved for all ``N`` right-hand sides by one
-    ``pbsv``.  Returns the ``(B, n, N)`` analysis stack (NumPy).
+    ``pbsv``.  Returns the ``(B, n, N)`` analysis stack.
     """
-    bk = backend if backend is not None else get_backend()
-    xb = bk.asarray(backgrounds, dtype=float)
+    xb = np.asarray(backgrounds, dtype=float)
     if xb.ndim != 3:
         raise ValueError(f"backgrounds must be (B, n, N), got {xb.shape}")
     n_batch, n, n_members = xb.shape
@@ -247,11 +248,9 @@ def analysis_modified_cholesky(
             f"predecessors has {stencil.n} entries for n={n}"
         )
     u = xb - xb.mean(axis=2, keepdims=True)
-    betas, d = _regress_rows(u, stencil.groups, ridge, MIN_VARIANCE, bk)
-    band = precision_band(
-        stencil, [bk.to_numpy(beta) for beta in betas], bk.to_numpy(d)
-    )
-    stacked = bk.to_numpy(xb).reshape(n_batch * n, n_members)
+    betas, d = _regress_rows(u, stencil.groups, ridge, MIN_VARIANCE)
+    band = precision_band(stencil, betas, d)
+    stacked = xb.reshape(n_batch * n, n_members)
     gram, rhs = _observation_terms(stacked, h_operator, r_diag, y_perturbed)
     band = _add_lower_band(band.reshape(band.shape[0], n_batch * n), gram)
     return (stacked + _solve_band(band, rhs)).reshape(n_batch, n, n_members)
@@ -333,10 +332,7 @@ def local_analysis(
                 neighbour_predecessors(subdomain.grid, ix, iy, radius_km),
                 subdomain.exp_size,
             )
-        # Always NumPy: serial ≡ thread bit-identity must not depend on
-        # SENKF_BACKEND.
         analysed = analysis_modified_cholesky(
-            xb[None], stencil, h_local, r_diag, y_local, ridge=ridge,
-            backend=get_backend("numpy"),
+            xb[None], stencil, h_local, r_diag, y_local, ridge=ridge
         )[0]
     return analysed[interior, :]

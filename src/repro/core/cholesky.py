@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.core.grid import Grid
 from repro.util.validation import check_positive
 
@@ -148,7 +147,7 @@ def _row_groups(
     return groups
 
 
-def _regress_rows(u, groups, ridge: float, min_variance: float, bk: ArrayBackend):
+def _regress_rows(u, groups, ridge: float, min_variance: float):
     """The modified-Cholesky regressions of a ``(B, n, N)`` anomaly stack.
 
     Row ``i`` regresses ``u[:, i]`` on the raw anomalies of its
@@ -159,25 +158,23 @@ def _regress_rows(u, groups, ridge: float, min_variance: float, bk: ArrayBackend
     coefficients (``L[i, cols] = -beta``), and the ``(B, n)`` floored
     residual variances.
     """
-    xp = bk.xp
     dof = max(u.shape[2] - 1, 1)
     # Rows without predecessors keep their own anomaly as the residual.
-    var = xp.sum(u * u, axis=2) / dof
+    var = np.sum(u * u, axis=2) / dof
     betas = []
     for rows, cols in groups:
         s = cols.shape[1]
         x_pred = u[:, cols, :]  # (B, G, s, N)
         x_row = u[:, rows, :]  # (B, G, N)
         gram = x_pred @ x_pred.transpose(0, 1, 3, 2)  # (B, G, s, s)
-        lam = ridge * (bk.einsum("bgii->bg", gram) / s + 1.0)
-        gram = gram + lam[:, :, None, None] * xp.eye(s)
-        beta = bk.solve(gram, x_pred @ x_row[:, :, :, None])[:, :, :, 0]
+        lam = ridge * (np.einsum("bgii->bg", gram) / s + 1.0)
+        gram = gram + lam[:, :, None, None] * np.eye(s)
+        rhs = x_pred @ x_row[:, :, :, None]
+        beta = np.linalg.solve(gram, rhs)[:, :, :, 0]
         resid = x_row - (beta[:, :, None, :] @ x_pred)[:, :, 0, :]
-        var = bk.index_update(
-            var, (slice(None), rows), xp.sum(resid * resid, axis=2) / dof
-        )
+        var[:, rows] = np.sum(resid * resid, axis=2) / dof
         betas.append(beta)
-    return betas, xp.maximum(var, min_variance)
+    return betas, np.maximum(var, min_variance)
 
 
 @dataclass(frozen=True)
@@ -233,9 +230,9 @@ def precision_band(stencil: Stencil, betas, d: np.ndarray) -> np.ndarray:
     """Lower band of ``B̂⁻¹ = Lᵀ D⁻¹ L`` for a stack of regressions.
 
     ``betas`` and the ``(B, n)`` variances ``d`` are what
-    :func:`_regress_rows` returned for ``stencil.groups`` (as NumPy
-    arrays).  Returns ``(bandwidth + 1, B, n)`` in LAPACK's lower band
-    storage, ``band[i − j, b, j] = B̂⁻¹_b[i, j]``.
+    :func:`_regress_rows` returned for ``stencil.groups``.  Returns
+    ``(bandwidth + 1, B, n)`` in LAPACK's lower band storage,
+    ``band[i − j, b, j] = B̂⁻¹_b[i, j]``.
 
     ``L`` is held by sub-diagonal — row-major expansions give it about
     eleven — as ``lower[a, :, k] = L[k, k − offsets[a]]``, so the product
@@ -304,7 +301,6 @@ def modified_cholesky_inverse(
     This is the estimate :func:`repro.core.analysis.analysis_modified_cholesky`
     solves against, from the same two bodies (:func:`_regress_rows`,
     :func:`precision_band`), for a caller that wants the matrix itself.
-    The regressions always run on the NumPy backend.
     """
     u = np.asarray(states, dtype=float)
     if u.ndim != 2:
@@ -319,9 +315,7 @@ def modified_cholesky_inverse(
     if predecessors is None:
         predecessors = neighbour_predecessors(grid, ix, iy, radius_km)
     stencil = Stencil.from_predecessors(predecessors, n)
-    betas, d = _regress_rows(
-        u[None], stencil.groups, ridge, min_variance, get_backend("numpy")
-    )
+    betas, d = _regress_rows(u[None], stencil.groups, ridge, min_variance)
     band = precision_band(stencil, betas, d)[:, 0, :]
     filled = np.flatnonzero(band.any(axis=1))
     lower = sp.diags(

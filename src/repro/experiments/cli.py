@@ -739,7 +739,6 @@ def _run_doctor(args) -> int:
     from pathlib import Path
 
     from repro.cluster.params import MachineSpec
-    from repro.core.backend import backend_report
     from repro.costmodel import fit_constants
     from repro.faults import FaultSchedule, RetryPolicy
     from repro.filters.base import PerfScenario
@@ -765,10 +764,7 @@ def _run_doctor(args) -> int:
         seed=args.fault_seed, disk_fault_rate=args.doctor_fault_rate
     )
     retry = RetryPolicy()
-    # The live engine this installation would assimilate with: array
-    # backend (numpy unless jax/cupy is importable and selected) and the
-    # executor strategy the CLI verbs are configured for.
-    engine = backend_report()
+    # The executor strategy the CLI verbs are configured for.
     engine_strategy = getattr(args, "strategy", None) or "auto"
     metrics = MetricsRegistry()
     cycle_seconds = metrics.histogram("doctor.cycle_seconds")
@@ -804,9 +800,7 @@ def _run_doctor(args) -> int:
                 f"expected read inflation {inflation:.3f} "
                 f"(tuning-side factor; retries are broken out, not folded "
                 f"into the read prediction)",
-                f"engine: backend {engine['backend']} on "
-                f"{engine['device']}, executor strategy {engine_strategy} "
-                f"(available backends: {', '.join(engine['available'])})",
+                f"engine: executor strategy {engine_strategy}",
             ],
         )
 
@@ -822,7 +816,6 @@ def _run_doctor(args) -> int:
             "clean_configs": [list(c) for c in _DOCTOR_CLEAN_CONFIGS],
             "chaos_config": list(_DOCTOR_CHAOS_CONFIG),
             "disk_fault_rate": faults.disk_fault_rate,
-            "backend": engine,
             "strategy": engine_strategy,
         },
         seeds={"fault_seed": faults.seed},

@@ -72,9 +72,9 @@ class DiskOutage:
 
 
 #: descriptive engine-metadata keys newer writers may annotate alongside a
-#: serialized schedule (executor strategy / array backend of the annotated
-#: run); not fault classes, so ``from_dict`` ignores them instead of
-#: raising the unknown-regime error.
+#: serialized schedule (executor strategy of the annotated run; older
+#: payloads also name an array backend); not fault classes, so
+#: ``from_dict`` ignores them instead of raising the unknown-regime error.
 _METADATA_KEYS = ("strategy", "backend")
 
 #: knobs that injected crashes and hangs into pool worker *processes*,

@@ -11,8 +11,7 @@ entry point (:func:`repro.parallel.worker.compute_piece`):
   while piece ``l`` computes (the S-EnKF helper-thread overlap);
 * :mod:`repro.parallel.vectorized` — the batched-kernel strategy:
   structurally equal pieces stacked into ``(B, ...)`` operands and
-  solved in one batched linalg call per shape bucket (pad-or-split),
-  against a pluggable array backend (:mod:`repro.core.backend`).
+  analysed as one stack per shape bucket (pad-or-split).
 
 The per-piece strategies (serial/thread) are bit-identical to the
 classic serial loop by construction: one numerical entry point,

@@ -56,7 +56,6 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend, get_backend
 from repro.core.inflation import inflate
 from repro.parallel.geometry import GeometryCache, PieceGeometry
 from repro.parallel.vectorized import run_vectorized
@@ -157,20 +156,12 @@ class AnalysisExecutor:
     workers:
         Pool width; ``None`` uses ``os.cpu_count()``.  Capped by the
         plan's observed piece count at run time.
-    backend:
-        Array backend for the vectorized strategy: an
-        :class:`~repro.core.backend.ArrayBackend`, a backend name
-        (``"numpy"``/``"jax"``/``"cupy"``/``"auto"``) or ``None`` for
-        the default resolution (``SENKF_BACKEND`` env var, else NumPy).
-        Resolved lazily on the first vectorized run, so constructing an
-        executor never imports an optional package.
     """
 
     def __init__(
         self,
         strategy: str = "auto",
         workers: int | None = None,
-        backend: str | ArrayBackend | None = None,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -181,10 +172,6 @@ class AnalysisExecutor:
         self.strategy = strategy
         self.workers = workers
         self._max_workers = int(workers or os.cpu_count() or 1)
-        self.backend = backend
-        self._backend_obj: ArrayBackend | None = (
-            backend if isinstance(backend, ArrayBackend) else None
-        )
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
@@ -222,13 +209,6 @@ class AnalysisExecutor:
             return "serial"
         return "thread"
 
-    def _resolve_backend(self) -> ArrayBackend:
-        """The vectorized strategy's backend (resolved once, lazily)."""
-        if self._backend_obj is None:
-            name = self.backend if isinstance(self.backend, str) else None
-            self._backend_obj = get_backend(name)
-        return self._backend_obj
-
     # -- execution -------------------------------------------------------------
     def run(self, plan: AnalysisPlan) -> int:
         """Analyse every piece of ``plan`` into ``plan.out``; returns the
@@ -249,7 +229,7 @@ class AnalysisExecutor:
             workers=workers,
         ):
             if strategy == "vectorized":
-                run_vectorized(plan, backend=self._resolve_backend())
+                run_vectorized(plan)
             else:
                 plan.fill_unobserved()
                 if strategy == "serial":

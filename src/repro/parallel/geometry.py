@@ -152,9 +152,8 @@ class BucketGeometry:
     observations) and the waste is recorded for the
     ``vectorized.pad_waste`` metric.
 
-    The local operators are held in the form the bucket's kernel takes:
-    one block-diagonal CSR over the stacked state for the EnKF kind (the
-    banded closing's ``H``), a dense stack for the ETKF kind.
+    The local operators are held as the one block-diagonal CSR over the
+    stacked state that both kinds' closings take.
     """
 
     #: piece indices (into the originating plan) in stack order
@@ -166,11 +165,7 @@ class BucketGeometry:
     #: shared interior positions inside the expansion (n_int,)
     interior_positions: np.ndarray
     #: block-diagonal local operators (B·m_max, B·n̄) CSR, pad rows empty
-    #: (EnKF kind; None for the ETKF kind)
     h_block: object
-    #: dense stacked local operators (B, m_max, n̄) (ETKF kind; None for
-    #: the EnKF kind)
-    h_dense: np.ndarray | None
     #: stacked R diagonals, padded with 1.0 (B, m_max)
     r_diag: np.ndarray
     #: gather into the global observation vector, padded with 0 (B, m_max)
@@ -458,7 +453,6 @@ class GeometryCache:
         n_exp = geos[0].expansion_flat.size
         m_max = max(int(g.obs_positions.size) for g in geos)
         n_batch = len(geos)
-        stencil = geos[0].stencil
         r_diag = np.ones((n_batch, m_max))
         obs_index = np.zeros((n_batch, m_max), dtype=np.int64)
         obs_mask = np.zeros((n_batch, m_max))
@@ -473,23 +467,17 @@ class GeometryCache:
             h = sp.csr_matrix(g.h_local, copy=True)  # resize is in place
             h.resize((m_max, n_exp))
             padded.append(h)
-        if stencil is not None:
-            h_block, h_dense = sp.block_diag(padded, format="csr"), None
-        else:
-            h_block = None
-            h_dense = np.stack([h.toarray() for h in padded])
         return BucketGeometry(
             plan_indices=tuple(i for i, _, _ in items),
             exp_index=np.stack([g.expansion_flat for g in geos]),
             interior_flat_cat=np.concatenate([g.interior_flat for g in geos]),
             interior_positions=geos[0].interior_positions,
-            h_block=h_block,
-            h_dense=h_dense,
+            h_block=sp.block_diag(padded, format="csr"),
             r_diag=r_diag,
             obs_index=obs_index,
             obs_mask=obs_mask,
             obs_counts=obs_counts,
-            stencil=stencil,
+            stencil=geos[0].stencil,
             pad_slots=int(n_batch * m_max - obs_counts.sum()),
         )
 

@@ -5,14 +5,15 @@ cost behind concurrency, this strategy *removes* it: pieces whose
 geometry is structurally identical — same expansion size, same interior
 projection and (for the EnKF kind) the same modified-Cholesky stencil,
 compared by digest, never assumed from translation symmetry — are
-stacked into ``(B, ...)`` operands and updated by the kernels in
-:mod:`repro.core` as one stack: the modified-Cholesky regressions of the
-whole stack are one LAPACK call per distinct stencil size, and the stack's
-systems are the diagonal blocks of one banded system
-(:func:`~repro.core.analysis.analysis_modified_cholesky` — the same
-function a single piece runs with ``B = 1``); the ETKF transform has a
-batched twin.  The win is therefore independent of core count, which is
-what lets the parallel bench assert its speedup on a 1-CPU CI runner.
+stacked into ``(B, ...)`` operands and updated as one stack by the same
+function a single piece runs with ``B = 1``.  For the EnKF
+(:func:`~repro.core.analysis.analysis_modified_cholesky`) the stack's
+regressions are one LAPACK call per distinct stencil size and its
+systems the diagonal blocks of one banded system; for the ETKF
+(:func:`~repro.core.etkf.analysis_etkf`) the stack's ensemble-space
+matrices are one batched ``eigh``.  The win is therefore independent of
+core count, which is what lets the parallel bench assert its speedup on
+a 1-CPU CI runner.
 
 Bucketing policy: pieces first group by structural signature; within a
 group, observation counts may differ, so the group is *padded* to the
@@ -27,20 +28,17 @@ Pieces with no observations are never prepared or batched: their
 "analysis" is a copy (plus ETKF inflation), written for all of them at
 once by :meth:`~repro.parallel.executor.AnalysisPlan.fill_unobserved`.
 
-Numerics: batched BLAS reorders reductions, so results match the serial
+Numerics: stacking reorders reductions, so results match the serial
 reference to rtol ≤ 1e-10, not bit-for-bit — the tolerance-checked
 equivalence suite in ``tests/test_vectorized.py`` pins this contract for
-every filter × localization × chaos combination.  The serial and
-thread strategies are untouched and stay bit-identical.
+every filter × localization combination.  The serial and thread
+strategies are untouched and stay bit-identical.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.analysis import analysis_modified_cholesky
-from repro.core.backend import ArrayBackend, get_backend
-from repro.core.etkf import analysis_etkf_batched
+from repro.core.etkf import analysis_etkf
 from repro.parallel.worker import KIND_ENKF, KIND_ETKF
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
@@ -99,36 +97,35 @@ def _split_by_waste(
     return batches
 
 
-def _compute_bucket(plan, bucket, backend: ArrayBackend) -> None:
+def _compute_bucket(plan, bucket) -> None:
     """Analyse one stacked bucket into ``plan.out``."""
     xb = plan.states[bucket.exp_index]  # (B, n̄, N)
     if plan.kind == KIND_ENKF:
         ys = plan.obs[bucket.obs_index] * bucket.obs_mask[:, :, None]
         analysed = analysis_modified_cholesky(
-            xb, bucket.stencil, bucket.h_block, bucket.r_diag.ravel(),
+            xb, bucket.stencil, bucket.h_block, bucket.r_diag,
             ys.reshape(-1, ys.shape[2]), ridge=plan.params["ridge"],
-            backend=backend,
         )
     else:
         y = plan.obs.ravel()[bucket.obs_index] * bucket.obs_mask
-        analysed = analysis_etkf_batched(
-            xb, bucket.h_dense, bucket.r_diag, y,
-            inflation=plan.params["inflation"], backend=backend,
+        analysed = analysis_etkf(
+            xb, bucket.h_block, bucket.r_diag, y,
+            inflation=plan.params["inflation"],
         )
-    interior = backend.to_numpy(analysed[:, bucket.interior_positions, :])
+    interior = analysed[:, bucket.interior_positions, :]
     plan.out[bucket.interior_flat_cat] = interior.reshape(
         -1, plan.states.shape[1]
     )
 
 
-def run_vectorized(plan, backend: ArrayBackend | None = None) -> dict:
+def run_vectorized(plan) -> dict:
     """Run one plan under the vectorized strategy; returns bucket stats.
 
     The plan's observed pieces are prepared through the
     :class:`GeometryCache` (per-piece entries carry the structural
     digests), grouped, padded or split (:data:`MAX_PAD_WASTE`), stacked
     via cached :class:`~repro.parallel.geometry.BucketGeometry` entries
-    and updated by the batched kernels.  Empty-observation pieces are one
+    and updated as stacks.  Empty-observation pieces are one
     bulk fill (exact).  Writes land in ``plan.out`` exactly like every
     other strategy.
     """
@@ -136,7 +133,6 @@ def run_vectorized(plan, backend: ArrayBackend | None = None) -> dict:
         raise ValueError(
             f"vectorized strategy cannot run kind {plan.kind!r}"
         )
-    bk = backend if backend is not None else get_backend()
     tracer = get_tracer()
     plan.fill_unobserved()
     prepared = [plan.prepare(i) for i in plan.observed]
@@ -162,12 +158,11 @@ def run_vectorized(plan, backend: ArrayBackend | None = None) -> dict:
                     pad_waste=round(bucket.pad_waste, 4),
                     cached=cached,
                 ):
-                    _compute_bucket(plan, bucket, bk)
+                    _compute_bucket(plan, bucket)
             else:
-                _compute_bucket(plan, bucket, bk)
+                _compute_bucket(plan, bucket)
 
     stats = {
-        "backend": bk.name,
         "n_buckets": n_buckets,
         "batched_pieces": len(prepared),
         "empty_pieces": n_empty,

@@ -9,13 +9,7 @@ estimate (``modified_cholesky_inverse``: one piece, as CSR; the
 ``(bandwidth + 1, B, n)`` band of a stack that
 ``analysis_modified_cholesky`` factorises) must agree with it to the
 repo's equivalence contract, rtol 1e-10 / atol 1e-11.
-
-The suite runs under whatever ``SENKF_BACKEND`` selects (the
-``optional-backend`` CI job sets ``jax``); the per-piece entry point is
-NumPy by construction.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -23,9 +17,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import cholesky
 from repro.core.analysis import analysis_modified_cholesky
-from repro.core.backend import ArrayBackend, get_backend
 from repro.core.cholesky import (
     MIN_VARIANCE,
     Stencil,
@@ -89,17 +81,14 @@ def box_coords(n_cols, n_rows, x0=0, y0=0, n_x=None):
     return np.tile(xs, n_rows), np.repeat(ys, n_cols)
 
 
-def stacked_inverse(stack, preds, ridge=1e-8, backend=None):
+def stacked_inverse(stack, preds, ridge=1e-8):
     """Dense ``(B, n, n)`` ``B̂⁻¹`` of a stack, densified *here* from the
-    band the closing assembles (regressions on ``backend``)."""
-    bk = backend if backend is not None else get_backend()
+    band the closing assembles."""
     n_batch, n, _ = stack.shape
     stencil = Stencil.from_predecessors(preds, n)
-    u = bk.asarray(stack - stack.mean(axis=2, keepdims=True), dtype=float)
-    betas, d = _regress_rows(u, stencil.groups, ridge, MIN_VARIANCE, bk)
-    band = precision_band(
-        stencil, [bk.to_numpy(beta) for beta in betas], bk.to_numpy(d)
-    )
+    u = stack - stack.mean(axis=2, keepdims=True)
+    betas, d = _regress_rows(u, stencil.groups, ridge, MIN_VARIANCE)
+    band = precision_band(stencil, betas, d)
     assert band.shape == (stencil.bandwidth + 1, n_batch, n)
     dense = np.zeros((n_batch, n, n))
     for k in range(band.shape[0]):
@@ -339,42 +328,22 @@ class TestStencilValidation:
 # ---------------------------------------------------------------------------
 # Perf guard: call counts, not wall-clock
 # ---------------------------------------------------------------------------
-class _SpyLinalg:
-    def __init__(self, calls):
-        self._calls = calls
-
-    def solve(self, a, b):
-        self._calls.append(("solve", a.shape))
-        return np.linalg.solve(a, b)
-
-    def __getattr__(self, name):
-        return getattr(np.linalg, name)
-
-
-class _SpyNumpy:
-    """``numpy`` with ``einsum`` and ``linalg.solve`` recorded, so a kernel
-    that bypasses the backend's own methods is counted all the same."""
-
-    def __init__(self, calls):
-        self._calls = calls
-        self.linalg = _SpyLinalg(calls)
-
-    def einsum(self, spec, *operands):
-        self._calls.append(("einsum", len(operands)))
-        return np.einsum(spec, *operands)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-@dataclass(frozen=True)
-class SpyBackend(ArrayBackend):
-    calls: list = field(default_factory=list)
-
-
-def spy_backend():
+def spy_numpy(monkeypatch):
+    """Record every ``np.linalg.solve`` and ``np.einsum`` call."""
     calls = []
-    return SpyBackend(name="spy", xp=_SpyNumpy(calls), calls=calls)
+    solve, einsum = np.linalg.solve, np.einsum
+
+    def spy_solve(a, b):
+        calls.append(("solve", a.shape))
+        return solve(a, b)
+
+    def spy_einsum(spec, *operands, **kwargs):
+        calls.append(("einsum", len(operands)))
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    return calls
 
 
 class TestCallCounts:
@@ -393,31 +362,17 @@ class TestCallCounts:
         return len(solves)
 
     def test_batched_and_per_piece_issue_the_same_solves(self, monkeypatch):
-        spy = spy_backend()
+        stencil = Stencil.from_predecessors(self.preds, 880)
+        calls = spy_numpy(monkeypatch)
         analysis_modified_cholesky(
-            self.states[None], Stencil.from_predecessors(self.preds, 880),
+            self.states[None], stencil,
             np.eye(1, 880), np.ones(1), np.zeros((1, 24)), ridge=1e-2,
-            backend=spy,
         )
-        batched_solves = self.check(spy.calls)
+        batched_solves = self.check(calls)
 
-        spy = spy_backend()
-        monkeypatch.setattr(cholesky, "get_backend", lambda name=None: spy)
+        calls.clear()
         modified_cholesky_inverse(
             self.states, self.grid, self.ix, self.iy, 60.0, ridge=1e-2,
             predecessors=self.preds,
         )
-        assert self.check(spy.calls) == batched_solves
-
-    def test_per_piece_ignores_the_backend_variable(self, monkeypatch):
-        """serial ≡ process bit-identity must not depend on SENKF_BACKEND."""
-        want = modified_cholesky_inverse(
-            self.states, self.grid, self.ix, self.iy, 60.0, ridge=1e-2,
-            predecessors=self.preds,
-        )
-        monkeypatch.setenv("SENKF_BACKEND", "no-such-backend")
-        got = modified_cholesky_inverse(
-            self.states, self.grid, self.ix, self.iy, 60.0, ridge=1e-2,
-            predecessors=self.preds,
-        )
-        assert np.array_equal(got.toarray(), want.toarray())
+        assert self.check(calls) == batched_solves

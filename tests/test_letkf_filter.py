@@ -7,6 +7,7 @@ from repro.cluster import MachineSpec
 from repro.core import Decomposition, Grid, ObservationNetwork
 from repro.filters import LETKF, PerfScenario
 from repro.models import correlated_ensemble
+from repro.parallel import AnalysisExecutor
 
 
 def problem(seed=0):
@@ -57,6 +58,23 @@ class TestLetkf:
     def test_invalid_inflation(self):
         with pytest.raises(ValueError):
             LETKF(inflation=0.0)
+
+    def test_nan_background_rejected_alike_under_every_strategy(self):
+        """Per piece and per bucket, the one ETKF body rejects the same
+        bad input with the same error."""
+        _, _, states, net, y, decomp = problem()
+        states = states.copy()
+        states[net.flat_locations[0], 3] = np.nan
+        errors = {}
+        for strategy in ("serial", "thread", "vectorized"):
+            with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+                with pytest.raises(ValueError) as info:
+                    LETKF(executor=ex).assimilate(decomp, states, net, y)
+            errors[strategy] = (type(info.value), str(info.value))
+        assert set(errors.values()) == {(ValueError, (
+            "non-finite values in the ensemble-transform system "
+            "(background, observations or H)"
+        ))}, errors
 
     def test_simulate_uses_block_workflow(self):
         scenario = PerfScenario(n_x=48, n_y=24, n_members=8, h_bytes=240,
