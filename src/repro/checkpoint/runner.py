@@ -434,7 +434,7 @@ class CampaignRunner:
         metrics snapshot.  Call after ``run``/``resume`` with the same
         tracer still installed (or injected via ``tracer=``).
         ``profile`` attaches a resource-observatory slice (a
-        ``senkf-profile/1`` payload from
+        ``senkf-profile/2`` payload from
         :func:`~repro.telemetry.memprof.build_profile_report`).
         """
         tracer = self.tracer if self.tracer is not None else get_tracer()

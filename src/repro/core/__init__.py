@@ -36,7 +36,6 @@ from repro.core.analysis import (
 )
 from repro.core.adaptive import innovation_inflation_factor, rtps
 from repro.core.diagnostics import DesroziersStats, desroziers_diagnostics
-from repro.core.esmda import esmda, mda_coefficients
 from repro.core.etkf import analysis_etkf, local_analysis_etkf
 from repro.core.inflation import inflate
 from repro.core.verification import ensemble_spread, rmse
@@ -57,12 +56,10 @@ __all__ = [
     "anomalies",
     "desroziers_diagnostics",
     "ensemble_spread",
-    "esmda",
     "gaspari_cohn",
     "inflate",
     "innovation_inflation_factor",
     "local_analysis",
-    "mda_coefficients",
     "local_analysis_etkf",
     "local_box",
     "modified_cholesky_inverse",

@@ -342,106 +342,58 @@ _DOCTOR_CLEAN_CONFIGS = (
 _DOCTOR_CHAOS_CONFIG = (4, 4, 3, 4)
 
 
-def _render_report_supervision(path, threshold: float = 0.15) -> int:
-    """``doctor --run-report``: the supervision panel of an existing report.
+def _render_report(path, threshold: float = 0.15) -> int:
+    """``doctor --report``: every panel a report artifact carries.
 
-    Reads and validates a :class:`~repro.telemetry.RunReport` JSON
-    artifact (e.g. the one a supervised campaign or the chaos benchmark
-    wrote) and renders its recovery rollup.  Exit status 1 when recovery
-    spend exceeds ``threshold`` of the campaign's wall time — the panel
-    doubles as a CI tripwire for recovery-heavy runs.
+    Reads the JSON file and validates it against the spec its own
+    ``schema`` id names (:mod:`repro.telemetry.schema`): a run report, a
+    service report, a bare ``senkf-health/1`` payload, ...  Then renders
+    each panel the payload carries — the supervision rollup, the service
+    dashboard, the health panel.  Exit status 1 when any tripwire fires:
+    recovery spend above ``threshold`` of the campaign's wall time, a
+    failed job, or a critical alert — the command doubles as a CI gate.
     """
     import json
     from pathlib import Path
 
-    from repro.telemetry import render_supervision, validate_run_report
-
-    payload = validate_run_report(json.loads(Path(path).read_text()))
-    supervision = payload.get("supervision")
-    if supervision is None:
-        print(
-            f"{path}: no supervision section "
-            "(campaign was not run under supervise())"
-        )
-        return 0
-    print(render_supervision(supervision, threshold=threshold))
-    flagged = float(supervision.get("recovery_fraction", 0.0)) > threshold
-    if flagged:
-        print(
-            f"recovery spend above {100 * threshold:.0f}% of wall time; "
-            "inspect the fault regime or raise the budgets",
-            file=sys.stderr,
-        )
-    return 1 if flagged else 0
-
-
-def _render_service_report_panel(path) -> int:
-    """``doctor --service-report``: the service dashboard of a report.
-
-    Reads and validates a ``senkf-service-report/1`` artifact (written
-    by ``serve``/``submit`` or :meth:`AssimilationService.report`) and
-    renders the tenant billing table plus the queue-wait /
-    slot-utilization histogram percentiles.  Exit status 1 when any job
-    failed — the panel doubles as a CI tripwire.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.service.report import (
-        render_service_report,
-        validate_service_report,
-    )
-
-    payload = validate_service_report(json.loads(Path(path).read_text()))
-    print(render_service_report(payload))
-    failed = sum(u["failed"] for u in payload["tenants"].values())
-    if failed:
-        print(f"{failed} job(s) failed", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _render_health_panel(path) -> int:
-    """``doctor --health``: the health panel of a report artifact.
-
-    Accepts a run report, a service report, or a bare
-    ``senkf-health/1`` payload (e.g. a flight dump's report slice) and
-    renders the alert-rule panel.  Exit status 1 when any *critical*
-    alert fired — the panel doubles as a CI tripwire for filter
-    divergence.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.telemetry.health import (
+    from repro.service.report import render_service_report
+    from repro.telemetry import render_health, render_supervision
+    from repro.telemetry.schema import (
         HEALTH_SCHEMA,
-        render_health,
-        validate_health_report,
+        SERVICE_REPORT_SCHEMA,
+        validate,
     )
 
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") == HEALTH_SCHEMA:
-        health = payload
-    else:
-        health = payload.get("health")
-    if health is None:
-        print(
-            f"{path}: no health section "
-            "(run had no HealthProbe attached)"
-        )
-        return 0
-    validate_health_report(health)
-    print(render_health(health))
-    critical = [
-        a for a in health.get("alerts", [])
-        if a.get("severity") == "critical"
-    ]
-    if critical:
-        print(
-            f"{len(critical)} critical alert(s) fired; "
-            "inspect the filter configuration or the flight dump",
-            file=sys.stderr,
-        )
-    return 1 if critical else 0
+    payload = validate(json.loads(Path(path).read_text()))
+    schema = payload["schema"]
+    print(f"{path}: valid {schema}")
+    tripped = []
+    supervision = payload.get("supervision")
+    if supervision is not None:
+        print(render_supervision(supervision, threshold=threshold))
+        if float(supervision.get("recovery_fraction", 0.0)) > threshold:
+            tripped.append(
+                f"recovery spend above {100 * threshold:.0f}% of wall time; "
+                "inspect the fault regime or raise the budgets"
+            )
+    health = payload if schema == HEALTH_SCHEMA else payload.get("health")
+    if schema == SERVICE_REPORT_SCHEMA:
+        print(render_service_report(payload))  # embeds the health panel
+        failed = sum(u["failed"] for u in payload["tenants"].values())
+        if failed:
+            tripped.append(f"{failed} job(s) failed")
+    elif health is not None:
+        print(render_health(health))
+    if health is not None:
+        critical = sum(a["severity"] == "critical" for a in health["alerts"])
+        if critical:
+            tripped.append(
+                f"{critical} critical alert(s) fired; "
+                "inspect the filter configuration or the flight dump"
+            )
+    for message in tripped:
+        print(message, file=sys.stderr)
+    return 1 if tripped else 0
 
 
 def _run_doctor_profile(args) -> int:
@@ -720,19 +672,19 @@ def _run_doctor(args) -> int:
     durations, prints the predicted-vs-measured attribution dashboard
     with drift flags, writes the schema-validated ``attribution.json``
     and a :class:`~repro.telemetry.RunReport` embedding it, and appends
-    the run to the bench regression sentinel's history.  With
-    ``--run-report PATH`` it instead renders the supervision panel of an
-    existing report and exits; with ``--service-report PATH`` the
-    service dashboard of a serving session; with ``--profile`` the
-    resource observatory over a *real* profiled campaign
-    (:func:`_run_doctor_profile`).
+    the run to the bench regression sentinel's history.  Two other
+    modes: ``--report PATH`` validates an existing report artifact and
+    renders every panel it carries (:func:`_render_report`), and
+    ``--profile`` runs the resource observatory over a *real* profiled
+    campaign (:func:`_run_doctor_profile`).
     """
-    if args.run_report:
-        return _render_report_supervision(args.run_report)
+    if args.report:
+        return _render_report(args.report)
     if args.service_report:
-        return _render_service_report_panel(args.service_report)
-    if args.health:
-        return _render_health_panel(args.health)
+        # A stale gate must fail loudly, not run the calibration doctor.
+        print("doctor reads a report with --report PATH; --service-report "
+              "belongs to 'jobs'", file=sys.stderr)
+        return 2
     if args.profile:
         return _run_doctor_profile(args)
 
@@ -936,7 +888,7 @@ def _run_submit(args) -> int:
     Builds the demo campaign for ``--tenant``/``--seed``, prices it with
     the cost model, submits it to an in-process service and waits for
     the result; the session's ``service-report.json`` lands in
-    ``--out`` for ``jobs`` / ``doctor --service-report`` to inspect.
+    ``--out`` for ``jobs`` / ``doctor --report`` to inspect.
     """
     from pathlib import Path
 
@@ -1167,19 +1119,13 @@ def main(argv: list[str] | None = None) -> int:
         help="append-only bench history consumed by the regression sentinel",
     )
     doctor.add_argument(
-        "--run-report",
+        "--report",
         default=None,
         metavar="PATH",
-        help="render the supervision panel of an existing run report "
-             "(exit 1 when recovery spend exceeds 15%% of wall time)",
-    )
-    doctor.add_argument(
-        "--health",
-        default=None,
-        metavar="PATH",
-        help="render the filter/service health panel of a run report, "
-             "service report or flight-dump report "
-             "(exit 1 when any critical alert fired)",
+        help="validate a report artifact by its schema id and render "
+             "every panel it carries: supervision, service dashboard, "
+             "health (exit 1 when recovery spend exceeds 15%% of wall "
+             "time, a job failed or a critical alert fired)",
     )
     service = parser.add_argument_group(
         "serve / submit / jobs (assimilation-as-a-service)"
@@ -1219,8 +1165,7 @@ def main(argv: list[str] | None = None) -> int:
         "--service-report",
         default=None,
         metavar="PATH",
-        help="service report artifact for 'jobs' and "
-             "'doctor --service-report' (default: service-out/"
+        help="service report artifact for 'jobs' (default: service-out/"
              "service-report.json)",
     )
     service.add_argument(

@@ -13,10 +13,10 @@ totals aggregated from every job-scoped tracer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Any
+
+from repro.telemetry.schema import SERVICE_REPORT_SCHEMA, Artifact, validate
 
 __all__ = [
     "SERVICE_REPORT_SCHEMA",
@@ -25,34 +25,6 @@ __all__ = [
     "render_service_report",
     "validate_service_report",
 ]
-
-SERVICE_REPORT_SCHEMA = "senkf-service-report/1"
-
-_REQUIRED: dict[str, type | tuple[type, ...]] = {
-    "schema": str,
-    "kind": str,
-    "total_slots": int,
-    "wall_seconds": (int, float),
-    "jobs": list,
-    "tenants": dict,
-    "metrics": dict,
-    "phase_totals": dict,
-    "notes": list,
-}
-
-_TENANT_NUMBERS = (
-    "predicted_slot_seconds",
-    "actual_slot_seconds",
-    "queue_wait_seconds",
-)
-_TENANT_COUNTS = (
-    "submitted",
-    "done",
-    "failed",
-    "cancelled",
-    "preemptions",
-    "restarts",
-)
 
 
 @dataclass
@@ -74,7 +46,7 @@ class TenantUsage:
 
 
 @dataclass
-class ServiceReport:
+class ServiceReport(Artifact):
     """One serving session's rollup (see module docstring)."""
 
     kind: str = "assimilation-service"
@@ -96,110 +68,10 @@ class ServiceReport:
     health: dict | None = None
     schema: str = SERVICE_REPORT_SCHEMA
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=_coerce)
-
-    def write(self, path: str | Path) -> Path:
-        """Validate and write; an invalid report never hits disk."""
-        payload = json.loads(self.to_json())
-        validate_service_report(payload)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2))
-        return path
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServiceReport":
-        validate_service_report(payload)
-        return cls(
-            **{k: payload[k] for k in _REQUIRED if k != "schema"},
-            health=payload.get("health"),
-        )
-
-
-def _coerce(value):
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    if hasattr(value, "tolist"):  # numpy array
-        return value.tolist()
-    return str(value)
-
 
 def validate_service_report(payload: dict) -> dict:
-    """Check one parsed payload against the service-report schema.
-
-    Returns the payload on success; raises ``ValueError`` naming every
-    violation at once, in the style of
-    :func:`~repro.telemetry.report.validate_run_report`.
-    """
-    errors: list[str] = []
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"service report must be a JSON object, got {type(payload).__name__}"
-        )
-    for key, expected in _REQUIRED.items():
-        if key not in payload:
-            errors.append(f"missing key {key!r}")
-        elif not isinstance(payload[key], expected):
-            errors.append(
-                f"{key!r} must be {getattr(expected, '__name__', expected)}, "
-                f"got {type(payload[key]).__name__}"
-            )
-    if not errors:
-        if payload["schema"] != SERVICE_REPORT_SCHEMA:
-            errors.append(
-                f"unknown schema {payload['schema']!r} "
-                f"(expected {SERVICE_REPORT_SCHEMA!r})"
-            )
-        if payload["total_slots"] < 0:
-            errors.append(
-                f"total_slots must be >= 0, got {payload['total_slots']}"
-            )
-        if payload["wall_seconds"] < 0:
-            errors.append(
-                f"wall_seconds must be >= 0, got {payload['wall_seconds']}"
-            )
-        for row in payload["jobs"]:
-            if not isinstance(row, dict) or "job_id" not in row:
-                errors.append(f"jobs entries must be objects with a job_id")
-                break
-        for tenant, usage in payload["tenants"].items():
-            if not isinstance(usage, dict):
-                errors.append(f"tenants[{tenant!r}] must be an object")
-                continue
-            for key in _TENANT_COUNTS:
-                value = usage.get(key)
-                if not isinstance(value, int) or value < 0:
-                    errors.append(
-                        f"tenants[{tenant!r}].{key} must be a "
-                        f"non-negative integer"
-                    )
-            for key in _TENANT_NUMBERS:
-                value = usage.get(key)
-                if not isinstance(value, (int, float)) or value < 0:
-                    errors.append(
-                        f"tenants[{tenant!r}].{key} must be a "
-                        f"non-negative number"
-                    )
-        for name, value in payload["phase_totals"].items():
-            if not isinstance(value, (int, float)) or value < 0:
-                errors.append(
-                    f"phase_totals[{name!r}] must be a non-negative number"
-                )
-        health = payload.get("health")
-        if health is not None:
-            from repro.telemetry.health import validate_health_report
-
-            try:
-                validate_health_report(health)
-            except ValueError as exc:
-                errors.append(f"health: {exc}")
-    if errors:
-        raise ValueError("invalid service report: " + "; ".join(errors))
-    return payload
+    """Check a parsed payload against :data:`SERVICE_REPORT_SCHEMA`."""
+    return validate(payload, SERVICE_REPORT_SCHEMA)
 
 
 def render_service_report(report: "ServiceReport | dict") -> str:

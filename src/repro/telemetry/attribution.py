@@ -26,7 +26,6 @@ the *closed form* tracks the machine once the constants are observed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +38,13 @@ from repro.sim.trace import (
     PHASE_FAILED,
     PHASE_READ,
     PHASE_RETRY,
+)
+from repro.telemetry.schema import (
+    ATTRIBUTION_SCHEMA,
+    MODEL_PHASES,
+    dump_json,
+    validate,
+    write_report,
 )
 from repro.telemetry.tracer import Span
 
@@ -53,11 +59,6 @@ __all__ = [
     "cycle_from_spans",
     "validate_attribution_report",
 ]
-
-ATTRIBUTION_SCHEMA = "senkf-attribution/1"
-
-#: the phases the cost model prices, in display order.
-MODEL_PHASES = ("read", "comm", "comp")
 
 
 @dataclass(frozen=True)
@@ -374,16 +375,11 @@ class AttributionReport:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return dump_json(self.to_dict(), indent)
 
     def write(self, path: str | Path) -> Path:
         """Validate and write the report; invalid reports never hit disk."""
-        payload = json.loads(self.to_json())
-        validate_attribution_report(payload)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2))
-        return path
+        return write_report(self.to_dict(), path, ATTRIBUTION_SCHEMA)
 
     # -- rendering -----------------------------------------------------------
     def ascii_table(self, width: int = 72) -> str:
@@ -508,85 +504,6 @@ def attribute_sim_reports(
     )
 
 
-#: required top-level keys of a valid payload and their types.
-_REQUIRED: dict[str, type | tuple[type, ...]] = {
-    "schema": str,
-    "threshold": (int, float),
-    "constants": dict,
-    "fit": dict,
-    "cycles": list,
-    "aggregate": list,
-    "retry_seconds": (int, float),
-    "drift_flags": list,
-    "metrics": dict,
-    "notes": list,
-}
-
-_PHASE_KEYS = ("phase", "predicted", "measured", "abs_error", "rel_error")
-
-
 def validate_attribution_report(payload: dict) -> dict:
-    """Check one parsed payload against the attribution schema.
-
-    Returns the payload on success; raises ``ValueError`` naming every
-    violation at once, mirroring
-    :func:`~repro.telemetry.report.validate_run_report`.
-    """
-    errors: list[str] = []
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"attribution report must be a JSON object, "
-            f"got {type(payload).__name__}"
-        )
-    for key, expected in _REQUIRED.items():
-        if key not in payload:
-            errors.append(f"missing key {key!r}")
-        elif not isinstance(payload[key], expected):
-            errors.append(
-                f"{key!r} must be {getattr(expected, '__name__', expected)}, "
-                f"got {type(payload[key]).__name__}"
-            )
-    if not errors:
-        if payload["schema"] != ATTRIBUTION_SCHEMA:
-            errors.append(
-                f"unknown schema {payload['schema']!r} "
-                f"(expected {ATTRIBUTION_SCHEMA!r})"
-            )
-        if not 0.0 < payload["threshold"]:
-            errors.append("threshold must be > 0")
-
-        def _check_phase_rows(rows, where):
-            for row in rows:
-                if not isinstance(row, dict):
-                    errors.append(f"{where} rows must be objects")
-                    continue
-                for key in _PHASE_KEYS:
-                    if key not in row:
-                        errors.append(f"{where} row missing {key!r}")
-                    elif key != "phase" and not (
-                        row[key] is None or isinstance(row[key], (int, float))
-                    ):
-                        errors.append(f"{where} {key!r} must be numeric or null")
-                if row.get("phase") not in MODEL_PHASES:
-                    errors.append(
-                        f"{where} phase must be one of {MODEL_PHASES}, "
-                        f"got {row.get('phase')!r}"
-                    )
-
-        _check_phase_rows(payload["aggregate"], "aggregate")
-        for cyc in payload["cycles"]:
-            if not isinstance(cyc, dict):
-                errors.append("cycles entries must be objects")
-                continue
-            for key in ("cycle", "config", "phases", "retry_seconds",
-                        "makespan", "predicted_total"):
-                if key not in cyc:
-                    errors.append(f"cycle entry missing {key!r}")
-            if isinstance(cyc.get("phases"), list):
-                _check_phase_rows(cyc["phases"], f"cycle {cyc.get('cycle')}")
-        for flag in payload["drift_flags"]:
-            if not isinstance(flag, str):
-                errors.append("drift_flags must be strings")
-    if errors:
-        raise ValueError("invalid attribution report: " + "; ".join(errors))
-    return payload
+    """Check a parsed payload against :data:`ATTRIBUTION_SCHEMA`."""
+    return validate(payload, ATTRIBUTION_SCHEMA)

@@ -27,20 +27,19 @@ automatically at the moment of failure, not minutes later.
 The rollup is a versioned :class:`HealthReport` (``senkf-health/1``)
 embedded in :class:`~repro.telemetry.report.RunReport` (``health`` key)
 and :class:`~repro.service.report.ServiceReport`, rendered by
-:func:`render_health` and ``senkf-experiments doctor --health``.
+:func:`render_health` and ``senkf-experiments doctor --report``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.telemetry.metrics import get_metrics
+from repro.telemetry.schema import HEALTH_SCHEMA, Artifact, validate
 from repro.telemetry.tracer import get_tracer
 
 __all__ = [
@@ -55,8 +54,6 @@ __all__ = [
     "render_health",
     "validate_health_report",
 ]
-
-HEALTH_SCHEMA = "senkf-health/1"
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
     "<": lambda v, t: v < t,
@@ -224,7 +221,7 @@ class AlertEngine:
 
 
 @dataclass
-class HealthReport:
+class HealthReport(Artifact):
     """One run's health rollup: series, rules, every alert that fired."""
 
     kind: str = "filter"
@@ -241,106 +238,10 @@ class HealthReport:
     def alerts_fired(self) -> int:
         return len(self.alerts)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=_coerce)
-
-    def write(self, path: str | Path) -> Path:
-        """Validate and write; an invalid report never hits disk."""
-        payload = json.loads(self.to_json())
-        validate_health_report(payload)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2))
-        return path
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HealthReport":
-        validate_health_report(payload)
-        return cls(**{k: payload[k] for k in payload if k != "schema"})
-
-
-def _coerce(value):
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    if hasattr(value, "tolist"):  # numpy array
-        return value.tolist()
-    return str(value)
-
-
-_ALERT_KEYS = ("rule", "metric", "cycle", "value", "threshold", "op", "severity")
-_RULE_KEYS = ("name", "metric", "op", "threshold", "sustained", "severity")
-
 
 def validate_health_report(payload: dict) -> dict:
-    """Check one parsed payload against the ``senkf-health/1`` schema.
-
-    Returns the payload on success; raises ``ValueError`` naming every
-    violation at once, in the style of
-    :func:`~repro.telemetry.report.validate_run_report`.
-    """
-    errors: list[str] = []
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"health report must be a JSON object, got {type(payload).__name__}"
-        )
-    required: dict[str, type | tuple[type, ...]] = {
-        "schema": str,
-        "kind": str,
-        "n_evaluations": int,
-        "series": dict,
-        "alerts": list,
-        "rules": list,
-        "last": dict,
-        "notes": list,
-    }
-    for key, expected in required.items():
-        if key not in payload:
-            errors.append(f"missing key {key!r}")
-        elif not isinstance(payload[key], expected):
-            errors.append(
-                f"{key!r} must be {getattr(expected, '__name__', expected)}, "
-                f"got {type(payload[key]).__name__}"
-            )
-    if not errors:
-        if payload["schema"] != HEALTH_SCHEMA:
-            errors.append(
-                f"unknown schema {payload['schema']!r} "
-                f"(expected {HEALTH_SCHEMA!r})"
-            )
-        if payload["n_evaluations"] < 0:
-            errors.append(
-                f"n_evaluations must be >= 0, got {payload['n_evaluations']}"
-            )
-        for name, series in payload["series"].items():
-            if not isinstance(series, list) or not all(
-                isinstance(v, (int, float)) or v is None for v in series
-            ):
-                errors.append(
-                    f"series[{name!r}] must be a list of numbers/nulls"
-                )
-        for i, alert in enumerate(payload["alerts"]):
-            if not isinstance(alert, dict):
-                errors.append(f"alerts[{i}] must be an object")
-                continue
-            missing = [k for k in _ALERT_KEYS if k not in alert]
-            if missing:
-                errors.append(f"alerts[{i}] missing {missing}")
-        for i, rule in enumerate(payload["rules"]):
-            if not isinstance(rule, dict):
-                errors.append(f"rules[{i}] must be an object")
-                continue
-            missing = [k for k in _RULE_KEYS if k not in rule]
-            if missing:
-                errors.append(f"rules[{i}] missing {missing}")
-        for name, value in payload["last"].items():
-            if not isinstance(value, (int, float)) and value is not None:
-                errors.append(f"last[{name!r}] must be a number or null")
-    if errors:
-        raise ValueError("invalid health report: " + "; ".join(errors))
-    return payload
+    """Check a parsed payload against :data:`HEALTH_SCHEMA`."""
+    return validate(payload, HEALTH_SCHEMA)
 
 
 #: probe statistics recorded as series and published as ``health.*`` gauges.

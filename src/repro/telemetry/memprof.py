@@ -26,7 +26,6 @@ rides in ``RunReport.profile`` and backs ``doctor --profile``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -46,6 +45,7 @@ except ImportError:  # pragma: no cover
 
 from repro.telemetry.health import AlertRule
 from repro.telemetry.metrics import get_metrics
+from repro.telemetry.schema import PROFILE_SCHEMA, validate, write_report
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -59,8 +59,6 @@ __all__ = [
     "validate_profile_report",
     "write_profile_report",
 ]
-
-PROFILE_SCHEMA = "senkf-profile/2"
 
 #: |relative error| above which predicted vs measured RSS is flagged —
 #: the same threshold the time-attribution dashboard uses.
@@ -314,89 +312,9 @@ def build_profile_report(
 
 def write_profile_report(payload: dict, path: str | Path) -> Path:
     """Validate and write a profile payload; invalid ones never hit disk."""
-    payload = json.loads(json.dumps(payload))
-    validate_profile_report(payload)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2))
-    return path
-
-
-#: required top-level keys and their types (None allowed for slices).
-_REQUIRED: dict[str, type | tuple[type, ...]] = {
-    "schema": str,
-    "sampler": (dict, type(None)),
-    "memory": (dict, type(None)),
-    "footprint": (dict, type(None)),
-    "notes": list,
-}
-
-_SAMPLER_KEYS = (
-    "interval", "n_sweeps", "n_samples", "attributed_fraction",
-    "phase_samples", "top_stacks",
-)
-_MEMORY_KEYS = (
-    "baseline_rss_bytes", "current_rss_bytes", "peak_rss_bytes",
-    "tracemalloc", "phases",
-)
-_FOOTPRINT_KEYS = (
-    "predicted_peak_rss_bytes", "measured_peak_rss_bytes",
-    "rel_error", "threshold", "drift_flags",
-)
+    return write_report(payload, path, PROFILE_SCHEMA)
 
 
 def validate_profile_report(payload: dict) -> dict:
-    """Check one parsed ``senkf-profile/2`` payload.
-
-    Returns the payload on success; raises ``ValueError`` naming every
-    violation at once, mirroring the run-report/attribution validators.
-    """
-    errors: list[str] = []
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"profile report must be a JSON object, "
-            f"got {type(payload).__name__}"
-        )
-    for key, expected in _REQUIRED.items():
-        if key not in payload:
-            errors.append(f"missing key {key!r}")
-        elif not isinstance(payload[key], expected):
-            errors.append(
-                f"{key!r} has wrong type {type(payload[key]).__name__}"
-            )
-    if not errors:
-        if payload["schema"] != PROFILE_SCHEMA:
-            errors.append(
-                f"unknown schema {payload['schema']!r} "
-                f"(expected {PROFILE_SCHEMA!r})"
-            )
-
-        def _check_keys(section, keys, where):
-            for key in keys:
-                if key not in section:
-                    errors.append(f"{where} missing {key!r}")
-
-        sampler = payload["sampler"]
-        if sampler is not None:
-            _check_keys(sampler, _SAMPLER_KEYS, "sampler")
-            frac = sampler.get("attributed_fraction")
-            if isinstance(frac, (int, float)) and not 0.0 <= frac <= 1.0:
-                errors.append(
-                    f"sampler attributed_fraction must be in [0, 1], "
-                    f"got {frac}"
-                )
-        memory = payload["memory"]
-        if memory is not None:
-            _check_keys(memory, _MEMORY_KEYS, "memory")
-        footprint = payload["footprint"]
-        if footprint is not None:
-            _check_keys(footprint, _FOOTPRINT_KEYS, "footprint")
-            rel = footprint.get("rel_error")
-            if not (rel is None or isinstance(rel, (int, float))):
-                errors.append("footprint rel_error must be numeric or null")
-        for note in payload["notes"]:
-            if not isinstance(note, str):
-                errors.append("notes must be strings")
-    if errors:
-        raise ValueError("invalid profile report: " + "; ".join(errors))
-    return payload
+    """Check a parsed payload against :data:`PROFILE_SCHEMA`."""
+    return validate(payload, PROFILE_SCHEMA)

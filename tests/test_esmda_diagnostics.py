@@ -1,91 +1,11 @@
-"""Tests for ES-MDA and the Desroziers diagnostics."""
+"""Tests for the Desroziers diagnostics."""
 
 import numpy as np
 import pytest
 
 from repro.core.analysis import analysis_gain_form
 from repro.core.diagnostics import desroziers_diagnostics
-from repro.core.esmda import esmda, mda_coefficients
 from repro.core.observations import perturb_observations
-
-
-def linear_problem(n=10, n_members=2000, m=6, seed=0, rho=0.6, sigma=0.5):
-    rng = np.random.default_rng(seed)
-    cov = rho ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    chol = np.linalg.cholesky(cov)
-    truth = chol @ rng.standard_normal(n)
-    mean_err = chol @ rng.standard_normal(n)
-    xb = (truth + mean_err)[:, None] + chol @ rng.standard_normal((n, n_members))
-    h = np.eye(n)[:m]
-    y = h @ truth + rng.normal(0, sigma, m)
-    return truth, xb, h, np.full(m, sigma**2), y
-
-
-class TestMdaCoefficients:
-    @pytest.mark.parametrize("k", [1, 2, 4, 8])
-    def test_inverse_sums_to_one_constant(self, k):
-        alphas = mda_coefficients(k)
-        assert np.sum(1.0 / alphas) == pytest.approx(1.0)
-        assert np.allclose(alphas, k)
-
-    @pytest.mark.parametrize("ratio", [0.5, 2.0, 3.0])
-    def test_inverse_sums_to_one_geometric(self, ratio):
-        alphas = mda_coefficients(5, geometric_ratio=ratio)
-        assert np.sum(1.0 / alphas) == pytest.approx(1.0)
-
-    def test_geometric_ratio_orders_damping(self):
-        alphas = mda_coefficients(4, geometric_ratio=2.0)
-        # ratio > 1: inverse coefficients grow => alphas decrease.
-        assert np.all(np.diff(alphas) < 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mda_coefficients(0)
-        with pytest.raises(ValueError):
-            mda_coefficients(3, geometric_ratio=0.0)
-
-
-class TestEsmda:
-    def test_single_iteration_is_an_enkf_update(self):
-        """K=1 with matching perturbations equals one stochastic update."""
-        truth, xb, h, r_diag, y = linear_problem(n_members=50)
-        out = esmda(xb, h, r_diag, y, n_iterations=1, rng=7)
-        # Reproduce the internal perturbation stream.
-        rng = np.random.default_rng(7)
-        eps = rng.normal(size=(y.size, 50)) * np.sqrt(1.0 * r_diag)[:, None]
-        eps -= eps.mean(axis=1, keepdims=True)
-        ys = y[:, None] + eps
-        want = analysis_gain_form(xb, h, r_diag, ys)
-        assert np.allclose(out, want)
-
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_multi_iteration_matches_single_on_linear_gaussian(self, k):
-        """The ES-MDA composition equals one full update for linear H
-        (up to sampling noise, so compare means with a large ensemble)."""
-        truth, xb, h, r_diag, y = linear_problem(n_members=4000, seed=1)
-        one = esmda(xb, h, r_diag, y, n_iterations=1, rng=2)
-        many = esmda(xb, h, r_diag, y, n_iterations=k, rng=3)
-        assert np.abs(one.mean(axis=1) - many.mean(axis=1)).max() < 0.1
-
-    def test_reduces_error(self):
-        truth, xb, h, r_diag, y = linear_problem(n_members=100, seed=4)
-        out = esmda(xb, h, r_diag, y, n_iterations=4, rng=5)
-        err_b = np.linalg.norm(xb.mean(axis=1) - truth)
-        err_a = np.linalg.norm(out.mean(axis=1) - truth)
-        assert err_a < err_b
-
-    def test_reproducible(self):
-        truth, xb, h, r_diag, y = linear_problem(n_members=30)
-        a = esmda(xb, h, r_diag, y, rng=11)
-        b = esmda(xb, h, r_diag, y, rng=11)
-        assert np.array_equal(a, b)
-
-    def test_validation(self):
-        truth, xb, h, r_diag, y = linear_problem(n_members=30)
-        with pytest.raises(ValueError):
-            esmda(xb[:, :1], h, r_diag, y)
-        with pytest.raises(ValueError):
-            esmda(xb, h, r_diag, y[:-1])
 
 
 class TestDesroziers:

@@ -1,0 +1,187 @@
+"""The report schema table, its validator and writer, ``doctor --report``."""
+
+import json
+import math
+
+import pytest
+
+from repro.experiments.cli import main
+from repro.service.report import ServiceReport
+from repro.telemetry import (
+    AlertRule,
+    AttributionReport,
+    HealthProbe,
+    HealthReport,
+    RunReport,
+    build_profile_report,
+    write_profile_report,
+)
+from repro.telemetry.schema import (
+    ATTRIBUTION_SCHEMA,
+    HEALTH_SCHEMA,
+    PROFILE_SCHEMA,
+    RUN_REPORT_SCHEMA,
+    SCHEMAS,
+    SERVICE_REPORT_SCHEMA,
+    validate,
+)
+
+#: a minimal valid payload per spec, each from its real producer.
+MINIMAL = {
+    RUN_REPORT_SCHEMA: lambda: RunReport(kind="t").to_dict(),
+    ATTRIBUTION_SCHEMA: lambda: AttributionReport(cycles=[]).to_dict(),
+    HEALTH_SCHEMA: lambda: HealthReport().to_dict(),
+    PROFILE_SCHEMA: lambda: build_profile_report(),
+    SERVICE_REPORT_SCHEMA: lambda: ServiceReport().to_dict(),
+}
+
+
+def _tenant(failed=0):
+    return {
+        "submitted": 1, "done": 1 - failed, "failed": failed,
+        "cancelled": 0, "preemptions": 0, "restarts": 0,
+        "predicted_slot_seconds": 1.0, "actual_slot_seconds": 1.2,
+        "queue_wait_seconds": 0.1,
+    }
+
+
+def _supervision(recovery_fraction):
+    return {
+        "max_restarts": 3, "restarts": 1, "restart_errors": ["boom"],
+        "backoff_seconds": 0.1, "wall_seconds": 2.0,
+        "recovery_fraction": recovery_fraction,
+    }
+
+
+def _critical_health():
+    probe = HealthProbe(rules=[AlertRule("low", "x", "<", 1.0)])
+    probe.observe_stats(0, {"x": 0.5})
+    return probe.report()
+
+
+class TestSchemaTable:
+    def test_table_covers_the_five_artifacts(self):
+        assert set(SCHEMAS) == set(MINIMAL)
+
+    @pytest.mark.parametrize(
+        "schema,key",
+        [(s, k) for s in sorted(SCHEMAS) for k in SCHEMAS[s].fields],
+    )
+    def test_minimal_payload_validates_and_each_key_is_required(
+        self, schema, key
+    ):
+        payload = MINIMAL[schema]()
+        assert validate(payload, schema) is payload
+        assert validate(payload) is payload  # dispatch on its own id
+        del payload[key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            validate(payload, schema)
+
+    def test_unknown_schema_id_is_named(self):
+        with pytest.raises(ValueError, match="unknown schema 'senkf-nope/1'"):
+            validate({"schema": "senkf-nope/1"})
+
+
+class TestNaNIsNotNonNegative:
+    def test_nan_phase_total_never_hits_disk(self, tmp_path):
+        target = tmp_path / "report.json"
+        report = RunReport(kind="x", phase_totals={"io": math.nan})
+        with pytest.raises(ValueError, match="phase_totals"):
+            report.write(target)
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "field", ["wall_seconds", "phase_totals", "tenant"]
+    )
+    def test_nan_service_numbers_rejected(self, tmp_path, field):
+        report = ServiceReport(total_slots=1, tenants={"a": _tenant()})
+        if field == "wall_seconds":
+            report.wall_seconds = math.nan
+        elif field == "phase_totals":
+            report.phase_totals = {"compute": math.nan}
+        else:
+            report.tenants["a"]["queue_wait_seconds"] = math.nan
+        target = tmp_path / "service-report.json"
+        with pytest.raises(ValueError, match="invalid service report"):
+            report.write(target)
+        assert not target.exists()
+
+
+class TestFromDictIgnoresExtraKeys:
+    @pytest.mark.parametrize(
+        "cls,schema",
+        [
+            (RunReport, RUN_REPORT_SCHEMA),
+            (HealthReport, HEALTH_SCHEMA),
+            (ServiceReport, SERVICE_REPORT_SCHEMA),
+        ],
+    )
+    def test_extra_top_level_key(self, cls, schema):
+        payload = MINIMAL[schema]()
+        payload["written_by"] = "a newer producer"
+        rebuilt = cls.from_dict(payload)
+        assert rebuilt.to_dict() == MINIMAL[schema]()
+
+
+class TestDoctorReport:
+    def run(self, tmp_path, name, write):
+        path = write(tmp_path / name)
+        return main(["doctor", "--report", str(path)])
+
+    def test_clean_run_report_exits_zero(self, tmp_path, capsys):
+        report = RunReport(kind="t", supervision=_supervision(0.05))
+        assert self.run(tmp_path, "run.json", report.write) == 0
+        assert "recovery fraction" in capsys.readouterr().out
+
+    def test_recovery_heavy_run_report_exits_one(self, tmp_path):
+        report = RunReport(kind="t", supervision=_supervision(0.2))
+        assert self.run(tmp_path, "run.json", report.write) == 1
+
+    def test_critical_health_alert_exits_one(self, tmp_path, capsys):
+        report = RunReport(kind="t", health=_critical_health().to_dict())
+        assert self.run(tmp_path, "run.json", report.write) == 1
+        assert "ALERT critical: low" in capsys.readouterr().out
+
+    def test_bare_health_report_is_read_by_its_schema(self, tmp_path):
+        assert self.run(tmp_path, "health.json", _critical_health().write) == 1
+        clean = HealthReport()
+        assert self.run(tmp_path, "clean.json", clean.write) == 0
+
+    def test_clean_service_report_exits_zero(self, tmp_path, capsys):
+        report = ServiceReport(total_slots=2, tenants={"a": _tenant()})
+        assert self.run(tmp_path, "service.json", report.write) == 0
+        assert "2 slot(s)" in capsys.readouterr().out
+
+    def test_failed_tenant_job_exits_one(self, tmp_path):
+        report = ServiceReport(total_slots=2, tenants={"a": _tenant(failed=1)})
+        assert self.run(tmp_path, "service.json", report.write) == 1
+
+    def test_other_artifacts_validate_and_exit_zero(self, tmp_path):
+        assert self.run(
+            tmp_path, "profile.json",
+            lambda p: write_profile_report(build_profile_report(), p),
+        ) == 0
+
+    def test_unknown_schema_raises(self, tmp_path):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"schema": "senkf-nope/1"}))
+        with pytest.raises(ValueError, match="unknown schema"):
+            main(["doctor", "--report", str(path)])
+
+    def test_invalid_report_raises(self, tmp_path):
+        path = tmp_path / "bad.json"
+        payload = RunReport(kind="t").to_dict()
+        payload["n_cycles"] = -1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="invalid run report"):
+            main(["doctor", "--report", str(path)])
+
+    @pytest.mark.parametrize("flag", ["--run-report", "--health"])
+    def test_old_flags_are_gone(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["doctor", flag, str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+
+    def test_service_report_flag_is_refused_by_doctor(self, tmp_path):
+        path = str(tmp_path / "x.json")
+        assert main(["doctor", "--service-report", path]) == 2
