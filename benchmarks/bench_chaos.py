@@ -15,9 +15,8 @@ clean run.  Doubles as an acceptance check:
 a checkpointed numpy campaign with the thread fan-out under
 :meth:`~repro.checkpoint.runner.CampaignRunner.supervise`, taken down by
 a mid-flight ``SimulatedCrash``.  The restarted result must be
-bit-identical to an unsupervised serial run, and the recovery overhead
-(wall seconds, recovery fraction) is appended to the bench sentinel
-history.
+bit-identical to an unsupervised serial run; the run report records the
+recovery overhead (wall seconds, recovery fraction).
 
 Usable three ways: under pytest (``test_chaos_sweep``,
 ``test_supervision_smoke``), as a pytest-benchmark case, and as a CLI
@@ -195,7 +194,7 @@ def _supervised_campaign_problem(strategy=None):
     return twin, truth0, ensemble0, filt
 
 
-def run_supervision_smoke(out_dir, history_path=None, n_cycles=4, interval=2):
+def run_supervision_smoke(out_dir, n_cycles=4, interval=2):
     """Supervised campaign with a crash; returns the SupervisionReport.
 
     Acceptance (asserted): under the thread strategy with one mid-flight
@@ -203,18 +202,13 @@ def run_supervision_smoke(out_dir, history_path=None, n_cycles=4, interval=2):
     from the newest checkpoint and completes the campaign with a final
     checkpoint ensemble bit-identical to an unsupervised serial run.
     """
-    import time
+    import json
 
     import numpy as np
 
     from repro.checkpoint import CampaignRunner, SimulatedCrash
-    import json
-
     from repro.telemetry import (
         MetricsRegistry,
-        append_history,
-        check_regression,
-        read_history,
         render_supervision,
         use_metrics,
     )
@@ -246,7 +240,6 @@ def run_supervision_smoke(out_dir, history_path=None, n_cycles=4, interval=2):
             )
 
     metrics = MetricsRegistry()
-    t0 = time.perf_counter()
     try:
         with use_metrics(metrics):
             runner = CampaignRunner(
@@ -264,7 +257,6 @@ def run_supervision_smoke(out_dir, history_path=None, n_cycles=4, interval=2):
             )
     finally:
         filt.close()
-    wall = time.perf_counter() - t0
 
     supervised_final = runner.store.load(n_cycles).ensemble
     report = runner.supervision
@@ -293,28 +285,10 @@ def run_supervision_smoke(out_dir, history_path=None, n_cycles=4, interval=2):
         indent=2, sort_keys=True,
     ) + "\n")
 
-    verdicts = []
-    if history_path is not None:
-        values = {
-            "wall_seconds": wall,
-            "recovery_fraction": report.recovery_fraction,
-        }
-        verdicts = check_regression(
-            read_history(history_path, bench="chaos-supervision"),
-            "chaos-supervision",
-            values,
-        )
-        append_history(
-            history_path,
-            "chaos-supervision",
-            values,
-            context={"n_cycles": n_cycles, "restarts": report.restarts},
-        )
-
     print(render_supervision(report.to_dict()))
     print(f"wrote {report_path}  (schema {run_report.schema})")
     print(f"wrote {metrics_path}  (metrics snapshot)")
-    return report, verdicts
+    return report
 
 
 def test_chaos_sweep():
@@ -325,9 +299,7 @@ def test_chaos_sweep():
 
 def test_supervision_smoke(tmp_path):
     """Plain-pytest entry: the supervised-campaign acceptance."""
-    report, _ = run_supervision_smoke(
-        tmp_path / "sup", history_path=tmp_path / "history.jsonl"
-    )
+    report = run_supervision_smoke(tmp_path / "sup")
     assert report.recovery_fraction >= 0.0
 
 
@@ -368,25 +340,11 @@ def main(argv=None):
         help="artifact directory of the supervision smoke "
              "(checkpoints + run_report.json)",
     )
-    parser.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help="bench sentinel history the supervision smoke appends to",
-    )
     args = parser.parse_args(argv)
     if args.supervision_smoke:
-        report, verdicts = run_supervision_smoke(
-            args.out, history_path=args.history
-        )
-        failed = [v for v in verdicts if v.status == "fail"]
-        for v in failed:
-            print(
-                f"sentinel FAIL: chaos-supervision.{v.key} {v.reason}",
-                file=sys.stderr,
-            )
+        run_supervision_smoke(args.out)
         print("supervision acceptance: OK")
-        return 1 if failed else 0
+        return 0
     rates = args.rates if args.rates is not None else (
         (0.05, 0.1) if args.smoke else (0.02, 0.05, 0.1, 0.2)
     )

@@ -3,10 +3,9 @@
 Runs :func:`repro.service.demo.run_acceptance_scenario` — three tenants'
 P-EnKF campaigns on a two-slot service with chaos faults on, one
 high-priority preemption mid-campaign — asserts every job finishes
-bit-identical to its solo run, and appends a ``service_throughput``
-datapoint (seconds per job, total wall) to the shared
-``BENCH_history.jsonl`` so the regression sentinel watches scheduler
-overhead drift like any other bench.
+bit-identical to its solo run, and writes ``BENCH_service.json``
+(seconds per job, total wall, the service report) with a
+``BENCH_service.metrics.json`` sibling.
 
 Usable under pytest (``test_service_bench_smoke``) and as a CLI for the
 CI ``service-smoke`` job::
@@ -92,7 +91,6 @@ def write_payload(payload: dict) -> Path:
     path = Path(os.environ.get("BENCH_SERVICE_PATH", _DEFAULT_PATH))
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_metrics_snapshot(path, payload)
-    _append_to_history(payload)
     return path
 
 
@@ -118,39 +116,6 @@ def _write_metrics_snapshot(payload_path: Path, payload: dict) -> Path:
         indent=2, sort_keys=True,
     ) + "\n")
     return path
-
-
-def _append_to_history(payload: dict) -> Path:
-    """One ``service_throughput`` sentinel datapoint per run (seconds,
-    not rates — the sentinel treats larger values as regressions;
-    ``peak_rss_bytes`` rides along to guard the service's footprint)."""
-    from repro.telemetry import append_history
-    from repro.telemetry.memprof import peak_rss_bytes
-
-    history = Path(
-        os.environ.get(
-            "BENCH_HISTORY_PATH",
-            Path(__file__).resolve().parents[1] / "BENCH_history.jsonl",
-        )
-    )
-    append_history(
-        history,
-        "service_throughput",
-        {
-            "seconds_per_job": payload["seconds_per_job"],
-            "wall_seconds": payload["wall_seconds"],
-            "peak_rss_bytes": peak_rss_bytes(),
-        },
-        context={
-            "jobs": payload["n_jobs"],
-            "tenants": payload["n_tenants"],
-            "slots": payload["slots"],
-            "cycles": payload["cycles"],
-            "preemptions": payload["preemptions"],
-            "cpu_count": payload["cpu_count"],
-        },
-    )
-    return history
 
 
 def report(payload: dict) -> str:

@@ -10,14 +10,10 @@ The live health plane must be cheap enough to leave on:
   1x — one length check and a deque append);
 * **sampling-profiler overhead** — a serial P-EnKF analysis with the
   full observatory on (ambient tracer + sampling profiler) must stay
-  within **1.10x** the bare analysis *and* bit-identical to it; the
-  measured ratio feeds the sentinel as
-  ``exporter_scrape.profile_overhead_ratio``;
+  within **1.10x** the bare analysis *and* bit-identical to it;
 * **exporter scrape latency** — a ``/metrics`` scrape over a
   representative registry (the exposition render + HTTP round trip),
-  appended to the shared ``BENCH_history.jsonl`` as
-  ``exporter_scrape.exporter_scrape_seconds`` so the regression sentinel
-  watches the health plane's own cost;
+  recorded as ``scrape_latency`` in ``BENCH_health_plane.json``;
 * **forced flight dump** — the CLI dumps a collapse-triggered flight
   window into ``--out`` so the CI ``health-smoke`` job has a real
   incident artifact to archive.
@@ -44,7 +40,6 @@ except ImportError:  # CLI use without PYTHONPATH=src
 BENCH_TELEMETRY_PLANE_SCHEMA = "senkf-bench-health-plane/1"
 
 _DEFAULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_health_plane.json"
-_DEFAULT_HISTORY = Path(__file__).resolve().parents[1] / "BENCH_history.jsonl"
 
 #: overhead acceptance bound: ring append vs. plain list append.
 MAX_OVERHEAD_RATIO = 2.0
@@ -269,33 +264,6 @@ def write_payload(payload: dict) -> Path:
     return path
 
 
-def append_scrape_history(scrape: dict, profile: dict | None = None) -> Path:
-    """One ``exporter_scrape`` sentinel datapoint (seconds — larger is
-    a regression, same convention as every other bench).  The profiler
-    overhead ratio and the process peak RSS ride along so the sentinel
-    guards the observatory's own cost and the plane's footprint."""
-    from repro.telemetry import append_history
-    from repro.telemetry.memprof import peak_rss_bytes
-
-    history = Path(os.environ.get("BENCH_HISTORY_PATH", _DEFAULT_HISTORY))
-    values = {
-        "exporter_scrape_seconds": scrape["scrape_seconds_p50"],
-        "peak_rss_bytes": peak_rss_bytes(),
-    }
-    if profile is not None:
-        values["profile_overhead_ratio"] = profile["overhead_ratio"]
-    append_history(
-        history,
-        "exporter_scrape",
-        values,
-        context={
-            "n_scrapes": scrape["n_scrapes"],
-            "exposition_bytes": scrape["exposition_bytes"],
-        },
-    )
-    return history
-
-
 def report(payload: dict) -> str:
     overhead = payload["flight_overhead"]
     scrape = payload["scrape_latency"]
@@ -372,12 +340,8 @@ def main(argv=None) -> int:
     if args.out:
         payload["forced_dump"] = run_forced_dump(args.out)
     path = write_payload(payload)
-    history = append_scrape_history(
-        payload["scrape_latency"], payload["profile_overhead"]
-    )
     print(report(payload))
     print(f"wrote {path}")
-    print(f"appended exporter_scrape entry to {history}")
     failed = False
     if not payload["flight_overhead"]["passed"]:
         print(

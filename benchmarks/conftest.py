@@ -37,18 +37,9 @@ def config():
     return default_config()
 
 
-_DEFAULT_HISTORY_PATH = Path(__file__).resolve().parents[1] / "BENCH_history.jsonl"
-
-
 @pytest.fixture(scope="session")
 def _bench_collector():
-    """Session-wide accumulator; writes ``BENCH_telemetry.json`` at teardown.
-
-    Each opted-in bench is also appended to the shared append-only
-    ``BENCH_history.jsonl`` (``BENCH_HISTORY_PATH`` env override) as a
-    ``telemetry/<test>`` entry, so the ``bench-report`` regression
-    sentinel sees its wall-time trajectory alongside the other benches.
-    """
+    """Session-wide accumulator; writes ``BENCH_telemetry.json`` at teardown."""
     entries = []
     yield entries
     if not entries:
@@ -60,20 +51,6 @@ def _bench_collector():
         "benches": entries,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    from repro.telemetry import append_history
-
-    history = Path(os.environ.get("BENCH_HISTORY_PATH", _DEFAULT_HISTORY_PATH))
-    for entry in entries:
-        append_history(
-            history,
-            f"telemetry/{entry['test']}",
-            {
-                "wall_seconds": entry["wall_seconds"],
-                "n_spans": entry["n_spans"],
-            },
-            context={"schema": BENCH_TELEMETRY_SCHEMA},
-        )
 
 
 @pytest.fixture

@@ -24,12 +24,10 @@ Perfetto / chrome://tracing) plus a validated run report::
 traced simulated campaign, fits the machine constants from the measured
 span durations, joins the cost model's predictions against the
 measurements (per phase and per cycle, retry spend broken out), prints
-the attribution dashboard with drift flags, and feeds the bench
-regression sentinel; ``bench-report`` renders the sentinel verdicts of
-the accumulated ``BENCH_history.jsonl`` on its own::
+the attribution dashboard with drift flags and writes the validated
+artifacts::
 
     senkf-experiments doctor --out doctor-out
-    senkf-experiments bench-report --history BENCH_history.jsonl
 """
 
 from __future__ import annotations
@@ -425,13 +423,10 @@ def _run_doctor_profile(args) -> int:
         RunReport,
         SamplingProfiler,
         Tracer,
-        append_history,
         build_profile_report,
-        check_regression,
         default_memory_rules,
         footprint_attribution,
         publish_memory_gauges,
-        read_history,
         use_metrics,
         use_profiler,
         use_tracer,
@@ -623,24 +618,6 @@ def _run_doctor_profile(args) -> int:
     print(f"wrote {speedscope_path}  (open at speedscope.app)")
     print(f"wrote {report_path}  (schema {run_report.schema})")
 
-    history_path = Path(args.history)
-    values = {
-        "wall_seconds": timer.elapsed,
-        "peak_rss_bytes": float(memory_slice["peak_rss_bytes"]),
-    }
-    verdicts = check_regression(
-        read_history(history_path, bench="doctor-profile"),
-        "doctor-profile",
-        values,
-    )
-    append_history(
-        history_path,
-        "doctor-profile",
-        values,
-        context={"schema": PROFILE_SCHEMA, "n_cycles": n_cycles},
-    )
-    print(f"appended doctor-profile entry to {history_path}")
-
     failures = []
     if not identical:
         failures.append("profiled run is not bit-identical to the reference")
@@ -656,9 +633,6 @@ def _run_doctor_profile(args) -> int:
         failures.append(
             f"memory alert(s) fired: {', '.join(a.rule for a in engine.fired)}"
         )
-    for v in verdicts:
-        if v.status == "fail":
-            failures.append(f"sentinel FAIL: doctor-profile.{v.key} {v.reason}")
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     return 1 if failures else 0
@@ -670,9 +644,9 @@ def _run_doctor(args) -> int:
     Runs a short traced simulated campaign (an L sweep plus one chaos
     cycle under disk faults), fits ``a, b, c, θ`` from the measured span
     durations, prints the predicted-vs-measured attribution dashboard
-    with drift flags, writes the schema-validated ``attribution.json``
-    and a :class:`~repro.telemetry.RunReport` embedding it, and appends
-    the run to the bench regression sentinel's history.  Two other
+    with drift flags, and writes the schema-validated ``attribution.json``
+    and a :class:`~repro.telemetry.RunReport` embedding it; exit 0 once
+    both are written.  Two other
     modes: ``--report PATH`` validates an existing report artifact and
     renders every panel it carries (:func:`_render_report`), and
     ``--profile`` runs the resource observatory over a *real* profiled
@@ -698,14 +672,9 @@ def _run_doctor(args) -> int:
     from repro.telemetry import (
         MetricsRegistry,
         RunReport,
-        append_history,
         attribute_sim_reports,
-        check_regression,
-        read_history,
-        sentinel_report,
     )
     from repro.tuning import read_inflation_from_schedule
-    from repro.util.timing import WallTimer
 
     out = Path(args.out or "doctor-out")
     out.mkdir(parents=True, exist_ok=True)
@@ -721,40 +690,39 @@ def _run_doctor(args) -> int:
     metrics = MetricsRegistry()
     cycle_seconds = metrics.histogram("doctor.cycle_seconds")
 
-    with WallTimer() as timer:
-        clean_reports = []
-        for cfg in _DOCTOR_CLEAN_CONFIGS:
-            report = simulate_senkf(spec, scenario, *cfg)
-            clean_reports.append(report)
-            cycle_seconds.observe(report.total_time)
-            metrics.counter("doctor.cycles").inc()
-        chaos_report = simulate_senkf(
-            spec, scenario, *_DOCTOR_CHAOS_CONFIG, faults=faults, retry=retry
-        )
-        cycle_seconds.observe(chaos_report.total_time)
+    clean_reports = []
+    for cfg in _DOCTOR_CLEAN_CONFIGS:
+        report = simulate_senkf(spec, scenario, *cfg)
+        clean_reports.append(report)
+        cycle_seconds.observe(report.total_time)
         metrics.counter("doctor.cycles").inc()
-        metrics.counter("doctor.chaos_retries").inc(
-            chaos_report.resilience.retries
-        )
+    chaos_report = simulate_senkf(
+        spec, scenario, *_DOCTOR_CHAOS_CONFIG, faults=faults, retry=retry
+    )
+    cycle_seconds.observe(chaos_report.total_time)
+    metrics.counter("doctor.cycles").inc()
+    metrics.counter("doctor.chaos_retries").inc(
+        chaos_report.resilience.retries
+    )
 
-        fit = fit_constants(clean_reports, template)
-        inflation = read_inflation_from_schedule(faults, retry)
-        attribution = attribute_sim_reports(
-            clean_reports + [chaos_report],
-            fit.params,
-            fit=fit,
-            metrics=metrics.snapshot(),
-            notes=[
-                f"cycles 0..{len(clean_reports) - 1}: fault-free L sweep "
-                f"(calibration set)",
-                f"cycle {len(clean_reports)}: disk_fault_rate="
-                f"{faults.disk_fault_rate} (seed {faults.seed})",
-                f"expected read inflation {inflation:.3f} "
-                f"(tuning-side factor; retries are broken out, not folded "
-                f"into the read prediction)",
-                f"engine: executor strategy {engine_strategy}",
-            ],
-        )
+    fit = fit_constants(clean_reports, template)
+    inflation = read_inflation_from_schedule(faults, retry)
+    attribution = attribute_sim_reports(
+        clean_reports + [chaos_report],
+        fit.params,
+        fit=fit,
+        metrics=metrics.snapshot(),
+        notes=[
+            f"cycles 0..{len(clean_reports) - 1}: fault-free L sweep "
+            f"(calibration set)",
+            f"cycle {len(clean_reports)}: disk_fault_rate="
+            f"{faults.disk_fault_rate} (seed {faults.seed})",
+            f"expected read inflation {inflation:.3f} "
+            f"(tuning-side factor; retries are broken out, not folded "
+            f"into the read prediction)",
+            f"engine: executor strategy {engine_strategy}",
+        ],
+    )
 
     print(attribution.ascii_table())
     print()
@@ -787,47 +755,12 @@ def _run_doctor(args) -> int:
     )
     report_path = run_report.write(out / "run_report.json")
 
-    history_path = Path(args.history)
-    aggregate = {p.phase: p for p in attribution.aggregate()}
-    values = {
-        "wall_seconds": timer.elapsed,
-        **{
-            f"{phase}_rel_err": abs(aggregate[phase].rel_error)
-            for phase in ("read", "comm", "comp")
-        },
-    }
-    verdicts = check_regression(
-        read_history(history_path, bench="doctor"), "doctor", values
-    )
-    append_history(
-        history_path,
-        "doctor",
-        values,
-        context={"schema": attribution.schema, "n_cycles": run_report.n_cycles},
-    )
-    text, _ = sentinel_report(history_path)
-    print(text)
-    print()
     print(f"wrote {attribution_path}  (schema {attribution.schema})")
     print(f"wrote {report_path}  (schema {run_report.schema})")
-    print(f"appended doctor entry to {history_path}")
-
-    failed = [v for v in verdicts if v.status == "fail"]
-    for v in failed:
-        print(f"sentinel FAIL: doctor.{v.key} {v.reason}", file=sys.stderr)
     drifted = attribution.drift_flags()
     if drifted:
         print(f"{len(drifted)} drift flag(s) raised", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _run_bench_report(args) -> int:
-    """``senkf-experiments bench-report``: sentinel verdicts over history."""
-    from repro.telemetry import sentinel_report
-
-    text, verdicts = sentinel_report(args.history)
-    print(text)
-    return 1 if any(v.status == "fail" for v in verdicts) else 0
+    return 0
 
 
 def _run_serve(args) -> int:
@@ -1018,7 +951,7 @@ def main(argv: list[str] | None = None) -> int:
         default=["all"],
         help="figure ids (fig01 fig05 fig09 fig10 fig11 fig12 fig13), "
              "'all', 'scorecard', 'campaign', 'trace', 'doctor', "
-             "'bench-report', 'serve', 'submit', or 'jobs'",
+             "'serve', 'submit', or 'jobs'",
     )
     parser.add_argument(
         "--full",
@@ -1088,7 +1021,7 @@ def main(argv: list[str] | None = None) -> int:
         help="seed of the deterministic fault schedule",
     )
     doctor = parser.add_argument_group(
-        "doctor / bench-report (attribution + regression sentinel)"
+        "doctor (cost-model attribution, resource observatory, report panels)"
     )
     doctor.add_argument(
         "--doctor-fault-rate",
@@ -1111,12 +1044,6 @@ def main(argv: list[str] | None = None) -> int:
         default=0.002,
         metavar="SECONDS",
         help="sampling interval of doctor --profile (default 0.002)",
-    )
-    doctor.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help="append-only bench history consumed by the regression sentinel",
     )
     doctor.add_argument(
         "--report",
@@ -1218,8 +1145,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_trace(args)
     if "doctor" in names:
         return _run_doctor(args)
-    if "bench-report" in names:
-        return _run_bench_report(args)
     if "serve" in names:
         return _run_serve(args)
     if "submit" in names:

@@ -37,16 +37,6 @@ from repro.telemetry.attribution import (
     cycle_from_spans,
     validate_attribution_report,
 )
-from repro.telemetry.bench import (
-    BENCH_HISTORY_SCHEMA,
-    BenchEntry,
-    SentinelVerdict,
-    append_history,
-    check_regression,
-    read_history,
-    robust_baseline,
-    sentinel_report,
-)
 from repro.telemetry.chrome import (
     chrome_trace,
     spans_from_chrome,
@@ -127,8 +117,6 @@ __all__ = [
     "AlertEngine",
     "AlertRule",
     "AttributionReport",
-    "BENCH_HISTORY_SCHEMA",
-    "BenchEntry",
     "Counter",
     "CycleAttribution",
     "DEFAULT_TIME_BUCKETS",
@@ -151,15 +139,12 @@ __all__ = [
     "RUN_REPORT_SCHEMA",
     "RunReport",
     "SamplingProfiler",
-    "SentinelVerdict",
     "Span",
     "SpanRing",
     "TraceEvent",
     "Tracer",
-    "append_history",
     "attribute_sim_reports",
     "build_profile_report",
-    "check_regression",
     "chrome_trace",
     "current_rss_bytes",
     "cycle_from_sim_report",
@@ -176,16 +161,13 @@ __all__ = [
     "percentiles_from_buckets",
     "prometheus_text",
     "publish_memory_gauges",
-    "read_history",
     "render_health",
     "render_histograms",
     "render_phase_totals",
     "render_spans",
     "render_supervision",
     "render_timeline",
-    "robust_baseline",
     "sanitize_metric_name",
-    "sentinel_report",
     "set_metrics",
     "set_profiler",
     "set_tracer",

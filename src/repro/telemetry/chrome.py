@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.sim.trace import Timeline
+from repro.telemetry.schema import dump_json
 from repro.telemetry.tracer import Span, TraceEvent, Tracer
 
 __all__ = [
@@ -172,14 +173,8 @@ def write_chrome_trace(
     payload = chrome_trace(
         spans=spans, events=events, timeline=timeline, metadata=metadata
     )
-    path.write_text(json.dumps(payload, default=_coerce))
+    path.write_text(dump_json(payload, indent=None))
     return path
-
-
-def _coerce(value):
-    if hasattr(value, "item"):  # numpy scalars leaking into attrs
-        return value.item()
-    return str(value)
 
 
 def spans_from_chrome(payload: dict | str | Path) -> list[Span]:

@@ -31,7 +31,7 @@ view stays self-consistent.
 
 Scrapes are observed into the exporter's private registry
 (``exporter.scrape_seconds``), which is itself exported — the health
-plane watches its own overhead, and the bench sentinel guards it.
+plane watches its own overhead.
 """
 
 from __future__ import annotations

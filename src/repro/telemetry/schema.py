@@ -265,14 +265,12 @@ def validate(payload: Any, schema: str | None = None) -> Any:
 
 
 def _coerce(value):
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    if hasattr(value, "tolist"):  # numpy array
+    if hasattr(value, "tolist"):  # numpy array or scalar
         return value.tolist()
     return str(value)
 
 
-def dump_json(payload: Any, indent: int = 2) -> str:
+def dump_json(payload: Any, indent: int | None = 2) -> str:
     """JSON text of ``payload``; numpy scalars/arrays become plain values."""
     return json.dumps(payload, indent=indent, default=_coerce)
 

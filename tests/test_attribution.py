@@ -1,6 +1,7 @@
 """Tests for the predicted-vs-measured attribution layer (cost-model
-observatory): per-phase joins, drift flags, schema validation, and the
-fitted-constants accuracy acceptance criterion."""
+observatory): per-phase joins, drift flags, schema validation, the
+fitted-constants accuracy acceptance criterion, and the ``doctor`` verb
+that runs them end to end."""
 
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 
 from repro.cluster.params import MachineSpec
 from repro.costmodel import fit_constants
+from repro.experiments.cli import main
 from repro.filters.base import PerfScenario
 from repro.filters.senkf import simulate_senkf
 from repro.telemetry import (
@@ -246,3 +248,28 @@ class TestRunReportEmbedding:
         payload = RunReport(kind="plain").to_dict()
         assert payload["attribution"] is None
         validate_run_report(json.loads(json.dumps(payload)))
+
+
+class TestDoctorCli:
+    def test_doctor_writes_valid_artifacts_and_nothing_else(
+        self, tmp_path, monkeypatch
+    ):
+        """The calibration ``doctor`` end to end: exit 0 once its two
+        artifacts are written, every aggregate phase attributed within
+        the threshold, and nothing left in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(["doctor", "--out", str(out)]) == 0
+        attribution = validate_attribution_report(
+            json.loads((out / "attribution.json").read_text())
+        )
+        validate_run_report(json.loads((out / "run_report.json").read_text()))
+        for row in attribution["aggregate"]:
+            rel = row["rel_error"]
+            assert rel is not None and abs(rel) <= attribution["threshold"], row
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_history_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["doctor", "--history", str(tmp_path / "history.jsonl")])
+        assert exc.value.code == 2

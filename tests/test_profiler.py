@@ -401,10 +401,7 @@ class TestThreadFanoutIntegration:
         from repro.experiments.cli import main
 
         out = tmp_path / "doctor"
-        main([
-            "doctor", "--profile", "--out", str(out),
-            "--history", str(tmp_path / "history.jsonl"),
-        ])
+        main(["doctor", "--profile", "--out", str(out)])
         payload = validate_profile_report(
             json.loads((out / "profile.json").read_text())
         )

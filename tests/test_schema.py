@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments.cli import main
@@ -23,6 +24,7 @@ from repro.telemetry.schema import (
     RUN_REPORT_SCHEMA,
     SCHEMAS,
     SERVICE_REPORT_SCHEMA,
+    dump_json,
     validate,
 )
 
@@ -105,6 +107,26 @@ class TestNaNIsNotNonNegative:
         with pytest.raises(ValueError, match="invalid service report"):
             report.write(target)
         assert not target.exists()
+
+
+class TestNumpyValues:
+    def test_array_diagnostics_write_and_read_back(self, tmp_path):
+        report = RunReport(kind="x", diagnostics={"rmse": np.arange(3.0)})
+        path = report.write(tmp_path / "report.json")
+        restored = RunReport.from_dict(json.loads(path.read_text()))
+        assert restored.diagnostics == {"rmse": [0.0, 1.0, 2.0]}
+
+    def test_empty_array_dumps_as_empty_list(self):
+        assert json.loads(dump_json({"a": np.zeros(0)})) == {"a": []}
+
+    def test_numpy_scalars_write_the_same_bytes(self, tmp_path):
+        def write(name, total, n):
+            report = RunReport(kind="x", n_cycles=n, phase_totals={"io": total})
+            return report.write(tmp_path / name).read_bytes()
+
+        assert write("np.json", np.float64(1.5), np.int64(3)) == write(
+            "py.json", 1.5, 3
+        )
 
 
 class TestFromDictIgnoresExtraKeys:

@@ -4,6 +4,7 @@ import json
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.telemetry import (
@@ -383,6 +384,14 @@ class TestChromeExport:
             assert span.track == ref.track
             assert span.start == pytest.approx(ref.start - t0, abs=1e-9)
             assert span.duration == pytest.approx(ref.duration, abs=1e-9)
+
+    def test_numpy_attrs_export_as_plain_values(self, tmp_path):
+        tracer = Tracer(clock=FakeClock())
+        with tracer.span("x", n=np.int64(3), sizes=np.arange(2)):
+            pass
+        path = write_chrome_trace(tmp_path / "trace.json", tracer=tracer)
+        (span,) = spans_from_chrome(path)
+        assert span.attrs == {"n": 3, "sizes": [0, 1]}
 
     def test_round_trip_preserves_worker_tracks_and_nesting(self, tmp_path):
         """Multi-track captures — a dispatch span plus spans recorded

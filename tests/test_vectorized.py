@@ -15,8 +15,6 @@ readers of payloads that carry engine-metadata fields (``strategy``, and
 the ``backend`` older writers recorded).
 """
 
-import json
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -57,8 +55,6 @@ from repro.parallel.vectorized import (
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
-    append_history,
-    read_history,
     use_metrics,
     use_tracer,
 )
@@ -636,47 +632,3 @@ class TestPayloadCompat:
         data["quantum_fault_rate"] = 0.5
         with pytest.raises(ValueError, match="unknown FaultSchedule"):
             FaultSchedule.from_dict(data)
-
-    def test_bench_history_roundtrips_strategy_context(self, tmp_path):
-        path = tmp_path / "hist.jsonl"
-        append_history(
-            path, "parallel",
-            {"vectorized_warm_seconds": 0.1, "serial_warm_seconds": 0.3},
-            context={
-                "backend": "numpy", "strategy": "vectorized",
-                "speedup_asserted": True, "cpu_count": 1,
-            },
-        )
-        (entry,) = read_history(path)
-        assert entry.context["backend"] == "numpy"
-        assert entry.context["speedup_asserted"] is True
-        assert entry.values["vectorized_warm_seconds"] == 0.1
-
-    def test_bench_history_reader_tolerates_old_and_odd_lines(self, tmp_path):
-        """Old entries without the new fields and newer entries carrying
-        extra top-level keys must both read back without KeyError."""
-        path = tmp_path / "hist.jsonl"
-        old_line = {
-            "schema": "senkf-bench-history/1", "bench": "parallel",
-            "timestamp": 1.0,
-            "values": {"serial_warm_seconds": 0.5},
-            "context": {},
-        }
-        new_line = {
-            "schema": "senkf-bench-history/1", "bench": "parallel",
-            "timestamp": 2.0,
-            "values": {
-                "serial_warm_seconds": 0.4,
-                "backend": "numpy",  # non-numeric: dropped, not fatal
-            },
-            "context": {"strategy": "vectorized"},
-            "strategy": "vectorized",  # unknown top-level key: ignored
-        }
-        path.write_text(
-            json.dumps(old_line) + "\n" + json.dumps(new_line) + "\n"
-        )
-        entries = read_history(path, bench="parallel")
-        assert len(entries) == 2
-        assert entries[0].context == {}
-        assert entries[1].values == {"serial_warm_seconds": 0.4}
-        assert entries[1].context["strategy"] == "vectorized"
