@@ -8,13 +8,21 @@ writes/reads such files, and :func:`read_plan_from_disk` executes any
 read per extent, so the strategies are exercised end-to-end against a real
 file system as well as against the simulated one.
 :func:`stage_plan_from_disk` runs the same reads straight into the
-``(n, N)`` background the filters take.
+``(n, N)`` background the filters take, and :func:`write_plan_to_disk`
+writes the analysis back along a write plan, one positional write per
+extent.
 """
 
 from repro.data.store import (
     EnsembleStore,
     read_plan_from_disk,
     stage_plan_from_disk,
+    write_plan_to_disk,
 )
 
-__all__ = ["EnsembleStore", "read_plan_from_disk", "stage_plan_from_disk"]
+__all__ = [
+    "EnsembleStore",
+    "read_plan_from_disk",
+    "stage_plan_from_disk",
+    "write_plan_to_disk",
+]

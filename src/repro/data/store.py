@@ -1,4 +1,4 @@
-"""Raw-binary ensemble files and extent-based reading.
+"""Raw-binary ensemble files, extent-based reading and writing.
 
 File format: member ``k`` lives in ``member_0000k.bin`` as ``grid.n``
 little-endian float64 values, latitude-row-major (one latitude row of
@@ -13,7 +13,10 @@ keeps one 2-D level per file (``h = 8``) because the numerics operate on
 
 from __future__ import annotations
 
+import errno
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from pathlib import Path
 
@@ -22,12 +25,17 @@ import numpy as np
 from repro.core.grid import Grid
 from repro.faults.errors import CorruptMemberError
 from repro.io.layout import FileLayout
-from repro.io.plan import ReadPlan
-from repro.telemetry.metrics import get_metrics
-from repro.telemetry.tracer import get_tracer
+from repro.io.plan import ReadOp, ReadPlan
+from repro.telemetry.metrics import get_metrics, use_thread_metrics
+from repro.telemetry.tracer import get_tracer, use_thread_tracer
 
 _DTYPE = np.dtype("<f8")
 _ITEM = _DTYPE.itemsize
+#: Member rows gathered and not yet committed, at most, and the writer
+#: threads.  They mostly wait in ``fsync``, so this is not a core count;
+#: each row is a whole member, so it bounds the memory a write holds.
+#: 4 measured best (docs/PERFORMANCE.md §9).
+_WRITE_WINDOW = 4
 
 
 class EnsembleStore:
@@ -49,55 +57,41 @@ class EnsembleStore:
         return self.directory / f"member_{k:05d}.bin"
 
     # -- writing -----------------------------------------------------------
+    # Both go through ExtentWriter, the one write body (its docstring has the
+    # atomic protocol); FaultyStore borrows them and so injects its faults
+    # through its own extent_writer().
     def write_member(self, k: int, state: np.ndarray) -> Path:
-        """Write one member's flat state vector atomically.
-
-        The bytes land in a sibling ``member_*.bin.tmp`` file which is
-        fsynced and then ``os.replace``d over the real name, so a crashed
-        writer can never leave a torn member file: a reader sees either
-        the previous complete member or the new complete one, never a
-        partial write.  A stale ``.tmp`` from an earlier crash is simply
-        overwritten (and never matches the ``member_*.bin`` glob).
-        """
+        """Write one member's flat state vector atomically."""
         state = np.asarray(state, dtype=float)
         if state.shape != (self.grid.n,):
             raise ValueError(
                 f"state must have shape ({self.grid.n},), got {state.shape}"
             )
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return self._write_member(k, state)
-        nbytes = state.size * _DTYPE.itemsize
-        with tracer.span(
-            "store.write_member", category="io", member=k, bytes=nbytes
-        ):
-            path = self._write_member(k, state)
-        metrics = get_metrics()
-        metrics.counter("io.members_written").inc()
-        metrics.counter("io.bytes_written").inc(nbytes)
-        return path
-
-    def _write_member(self, k: int, state: np.ndarray) -> Path:
-        path = self.member_path(k)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            # one copy at most: the buffer itself is written, not a bytes twin
-            fh.write(np.ascontiguousarray(state, dtype=_DTYPE).data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return path
+        with self.extent_writer() as writer:
+            writer.write(k, (tuple(self.layout.full_file_extent()),), state)
+        return self.member_path(k)
 
     def write_ensemble(self, states: np.ndarray) -> list[Path]:
-        """Write an (n, N) ensemble as N member files."""
+        """Write an (n, N) ensemble as N member files: one extent each."""
         states = np.asarray(states, dtype=float)
         if states.ndim != 2 or states.shape[0] != self.grid.n:
             raise ValueError(
                 f"ensemble must be ({self.grid.n}, N), got {states.shape}"
             )
-        return [
-            self.write_member(k, states[:, k]) for k in range(states.shape[1])
+        plan = ReadPlan("whole-member", self.layout, states.shape[1])
+        whole = tuple(self.layout.full_file_extent())
+        plan.rank_plan(0).reads = [
+            ReadOp._trusted(k, whole) for k in range(states.shape[1])
         ]
+        return write_plan_to_disk(plan, states, self)
+
+    def extent_writer(self, before_write=None) -> "ExtentWriter":
+        """An :class:`ExtentWriter` committing this store's member files.
+
+        ``before_write(k)`` runs before member ``k`` is written (how
+        :class:`~repro.faults.store.FaultyStore` injects its torn writes).
+        """
+        return ExtentWriter(self, before_write)
 
     # -- reading ------------------------------------------------------------
     def n_members(self) -> int:
@@ -211,7 +205,23 @@ class _Extents:
         return int(start), int(length)
 
 
-class ExtentReader:
+class _ExtentTables:
+    """Every distinct extents tuple, range-checked once per instance."""
+
+    def __init__(self, store: EnsembleStore):
+        self._store = store
+        self._extents: dict[tuple, _Extents] = {}
+
+    def _checked(self, extents: tuple) -> _Extents:
+        checked = self._extents.get(extents)
+        if checked is None:
+            checked = self._extents[extents] = _Extents(
+                extents, self._store.grid.n
+            )
+        return checked
+
+
+class ExtentReader(_ExtentTables):
     """Executes extent reads against one store's member files.
 
     For the life of the ``with`` block every member file is opened and
@@ -226,10 +236,9 @@ class ExtentReader:
     """
 
     def __init__(self, store: EnsembleStore, before_read=None):
-        self._store = store
+        super().__init__(store)
         self._before_read = before_read
         self._files: dict[int, tuple[int, int]] = {}  # k -> fd, elements
-        self._extents: dict[tuple, _Extents] = {}
 
     def __enter__(self) -> "ExtentReader":
         return self
@@ -258,14 +267,6 @@ class ExtentReader:
                 f"({self._store.grid.n},)"
             )
         self._traced(k, extents, mirror)
-
-    def _checked(self, extents: tuple) -> _Extents:
-        checked = self._extents.get(extents)
-        if checked is None:
-            checked = self._extents[extents] = _Extents(
-                extents, self._store.grid.n
-            )
-        return checked
 
     def _file(self, k: int) -> tuple[int, int]:
         entry = self._files.get(k)
@@ -326,6 +327,114 @@ class ExtentReader:
         return None if out is None else out.astype(float, copy=False)
 
 
+class ExtentWriter(_ExtentTables):
+    """Commits whole member files from their ``(n,)`` rows: the one write
+    body behind :func:`write_plan_to_disk`, ``write_ensemble`` and
+    ``write_member``.
+
+    :meth:`write` gathers member ``k``'s row on the calling thread and
+    hands it to a writer thread, which opens ``member_k.bin.tmp``, makes
+    one positional write per extent at the extent's own offset, ``fsync``s
+    and closes it, and only then ``os.replace``s it over ``member_k.bin``.
+    Members commit concurrently, but each rename follows its own
+    ``fsync``, so a reader sees the previous complete member file or the
+    new complete one, never a torn one; a stale ``.tmp`` from an earlier
+    crash is simply overwritten (and never matches ``member_*.bin``).  A
+    short write is an ``OSError``.  At most :data:`_WRITE_WINDOW` rows are
+    alive at once: the caller gathers the next member while the writers
+    wait on the disk.
+
+    ``before_write(k)`` runs on the calling thread before member ``k`` is
+    gathered.  After any failure no further member is started; the end of
+    the ``with`` block lets the commits in flight finish, then re-raises
+    the first failing member's exception in member order.  The writer
+    threads record into the caller's tracer and metrics.  Not thread-safe.
+    """
+
+    def __init__(self, store: EnsembleStore, before_write=None):
+        super().__init__(store)
+        self._before_write = before_write
+        self._tracer, self._metrics = get_tracer(), get_metrics()
+        self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
+            _WRITE_WINDOW, thread_name_prefix="senkf-write"
+        )
+        self._slots = threading.Semaphore(_WRITE_WINDOW)
+        self._commits: list = []  # (k, future), in submit order
+
+    def __enter__(self) -> "ExtentWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Wait for every commit; re-raise the first failure in member
+        order (idempotent)."""
+        if self._pool is None:
+            return
+        pool, self._pool = self._pool, None
+        pool.shutdown(wait=True)
+        for _, commit in sorted(self._commits, key=lambda entry: entry[0]):
+            commit.result()
+
+    def write(self, k: int, extents_tuples, row: np.ndarray) -> None:
+        """Commit member ``k`` from ``row``, its ``grid.n`` values, over
+        every extent of every tuple in ``extents_tuples``."""
+        self._slots.acquire()
+        try:
+            if any(
+                commit.done() and commit.exception() is not None
+                for _, commit in self._commits
+            ):
+                self.close()  # raises
+            if self._before_write is not None:
+                self._before_write(k)
+            writes = [self._checked(e).in_place for e in extents_tuples]
+            row = np.ascontiguousarray(row, dtype=_DTYPE)
+            commit = self._pool.submit(self._commit, k, writes, row)
+        except BaseException:
+            self._slots.release()
+            raise
+        commit.add_done_callback(lambda _: self._slots.release())
+        self._commits.append((k, commit))
+
+    def _commit(self, k: int, writes, row: np.ndarray) -> None:
+        # Both may be thread-scoped in the caller; a pool thread would
+        # otherwise see the process-global defaults.
+        with use_thread_tracer(self._tracer), use_thread_metrics(self._metrics):
+            tracer = get_tracer()
+            if not tracer.enabled:  # hot path: no span/dict allocations
+                return self._write_file(k, writes, row)
+            with tracer.span(
+                "store.write_member", category="io", member=k,
+                bytes=row.nbytes,
+            ):
+                self._write_file(k, writes, row)
+            metrics = get_metrics()
+            metrics.counter("io.members_written").inc()
+            metrics.counter("io.bytes_written").inc(row.nbytes)
+
+    def _write_file(self, k: int, writes, row: np.ndarray) -> None:
+        path = self._store.member_path(k)
+        tmp = path.with_name(path.name + ".tmp")
+        view = memoryview(row).cast("B")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            for in_place in writes:
+                for offset, lo, hi in in_place:
+                    wrote = os.pwritev(fd, (view[lo:hi],), offset)
+                    if wrote != hi - lo:
+                        raise OSError(
+                            errno.EIO,
+                            f"short write on {tmp}: {wrote} of {hi - lo} "
+                            f"bytes at element {offset // _ITEM}",
+                        )
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+
+
 def read_plan_from_disk(
     plan: ReadPlan, store: EnsembleStore
 ) -> dict[int, dict[int, np.ndarray]]:
@@ -364,34 +473,73 @@ def stage_plan_from_disk(plan: ReadPlan, store: EnsembleStore) -> np.ndarray:
     n, n_files = store.grid.n, plan.n_files
     ops = [op for rank_plan in plan.per_rank.values() for op in rank_plan.reads]
     with store.extent_reader() as reader:
-        _check_covers(ops, reader, n, n_files)
+        _check_covers(ops, reader, n_files, "unread")
         mirror = np.empty((n_files, n), dtype=_DTYPE)
         for op in ops:
             reader.read_into(op.file_id, op.extents, mirror[op.file_id])
     return np.ascontiguousarray(mirror.T).astype(float, copy=False)
 
 
-def _check_covers(ops, reader: ExtentReader, n: int, n_files: int) -> None:
-    """Raise ``ValueError`` unless ``ops`` read every element of every file:
-    one difference-array pass per distinct extents tuple for each set of
-    files that share their tuples (one set in the planners' plans)."""
+def write_plan_to_disk(
+    plan: ReadPlan, states: np.ndarray, store: EnsembleStore
+) -> list[Path]:
+    """Commit the ``(n, N)`` analysis along a write plan; the mirror of
+    :func:`stage_plan_from_disk`.
+
+    ``plan`` is any plan whose ops tile the files
+    (:func:`~repro.io.writers.bar_gather_write_plan`,
+    :func:`~repro.io.writers.block_write_plan`, a read plan's overlapping
+    halos rewrite equal values).  Member ``k`` is written from
+    ``states[:, k]``, one positional write per extent of every op on file
+    ``k``, and committed by the store's :class:`ExtentWriter`.  A plan that
+    leaves any element of any file unwritten raises ``ValueError`` before
+    any file is opened.  Returns the member paths.
+    """
+    n, n_files = store.grid.n, plan.n_files
+    states = np.asarray(states, dtype=float)
+    if states.shape != (n, n_files):
+        raise ValueError(
+            f"ensemble must be ({n}, {n_files}), got {states.shape}"
+        )
+    ops = [op for rank_plan in plan.per_rank.values() for op in rank_plan.reads]
+    tuples_of: list[list[tuple]] = [[] for _ in range(n_files)]
+    for op in ops:
+        tuples_of[op.file_id].append(op.extents)
+    with store.extent_writer() as writer:
+        _check_covers(ops, writer, n_files, "unwritten")
+        for k, tuples in enumerate(tuples_of):
+            writer.write(k, tuples, states[:, k])
+    return [store.member_path(k) for k in range(n_files)]
+
+
+def _check_covers(
+    ops, tables: _ExtentTables, n_files: int, missing: str
+) -> None:
+    """Raise ``ValueError`` unless ``ops`` cover every element of every
+    file: one sweep over the extents sorted by start for each set of files
+    that share their extents tuples (one set in the planners' plans)."""
+    n = tables._store.grid.n
     tuples_of: list[set] = [set() for _ in range(n_files)]
     for op in ops:
         tuples_of[op.file_id].add(op.extents)
     first_hole: dict[frozenset, int | None] = {}
     for file_id, tuples in enumerate(map(frozenset, tuples_of)):
         if tuples not in first_hole:
-            edges = np.zeros(n + 1, dtype=np.int64)
-            for extents in tuples:
-                table = reader._checked(extents).table
-                np.add.at(edges, table[:, 0], 1)
-                np.subtract.at(edges, table[:, 0] + table[:, 1], 1)
-            covered = np.cumsum(edges[:-1]) > 0
-            first_hole[tuples] = (
-                None if covered.all() else int(covered.argmin())
+            table = np.concatenate(
+                [tables._checked(extents).table for extents in tuples]
+                or [np.zeros((0, 2), dtype=np.int64)]
             )
+            table = table[np.argsort(table[:, 0], kind="stable")]
+            # reach[i]: the furthest end of the first i extents by start; the
+            # first extent starting beyond it leaves a hole at reach[i]
+            reach = np.concatenate(
+                ([0], np.maximum.accumulate(table[:, 0] + table[:, 1]))
+            )
+            gaps = np.flatnonzero(table[:, 0] > reach[:-1])
+            hole = reach[gaps[0]] if gaps.size else reach[-1]
+            first_hole[tuples] = None if hole >= n else int(hole)
         if first_hole[tuples] is not None:
             raise ValueError(
                 f"plan leaves element {first_hole[tuples]} of file "
-                f"{file_id} unread"
+                f"{file_id} {missing}"
             )

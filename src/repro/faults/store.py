@@ -41,7 +41,8 @@ __all__ = [
 
 
 class FaultyStore:
-    """An :class:`EnsembleStore` view that injects scheduled read faults."""
+    """An :class:`EnsembleStore` view that injects scheduled read and
+    torn-write faults."""
 
     def __init__(
         self,
@@ -71,49 +72,43 @@ class FaultyStore:
     def n_members(self) -> int:
         return self.inner.n_members()
 
-    def write_member(self, k: int, state: np.ndarray) -> Path:
-        """Write one member, subject to scheduled torn-write faults.
+    # The store's own write surface: through this store's extent_writer(),
+    # and so through its torn-write faults, pooled writes included.
+    write_member = EnsembleStore.write_member
+    write_ensemble = EnsembleStore.write_ensemble
 
-        An injected write fault emulates a writer killed mid-file under
-        the store's atomic protocol: a *partial* payload is left in the
-        ``.tmp`` sibling (never the real member file) and the attempt
-        raises :class:`TransientIOError`.  Attempts are counted per
-        member, so a retrying writer succeeds once the schedule's
-        ``member_write_attempts`` leading failures are spent.
-        """
-        attempt = self._write_attempts.get(k, 0) + 1
-        self._write_attempts[k] = attempt
-        if attempt <= self.schedule.member_write_failures(k):
-            state = np.asarray(state, dtype=float)
-            path = self.inner.member_path(k)
-            torn = state[: max(1, state.size // 2)].astype("<f8").tobytes()
-            with open(path.with_name(path.name + ".tmp"), "wb") as fh:
-                fh.write(torn)
-            self.report.disk_faults += 1
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "fault.injected", category="fault",
-                    kind="torn_write", member=k, attempt=attempt,
-                )
-                get_metrics().counter("fault.injected").inc()
-            raise TransientIOError(
-                f"injected torn write of member {k} (attempt {attempt})"
-            )
-        return self.inner.write_member(k, state)
-
-    def write_ensemble(self, states: np.ndarray) -> list[Path]:
-        states = np.asarray(states, dtype=float)
-        if states.ndim != 2 or states.shape[0] != self.inner.grid.n:
-            raise ValueError(
-                f"ensemble must be ({self.inner.grid.n}, N), got {states.shape}"
-            )
-        # Route through write_member so scheduled write faults apply.
-        return [
-            self.write_member(k, states[:, k]) for k in range(states.shape[1])
-        ]
+    def extent_writer(self):
+        """The inner store's writer, with this store's faults on every
+        member write."""
+        return self.inner.extent_writer(before_write=self._check_write_faults)
 
     # -- fault machinery ----------------------------------------------------
+    def _check_write_faults(self, k: int) -> None:
+        """A scheduled write fault emulates a writer killed mid-file under
+        the store's atomic protocol: a half-length ``.tmp`` sibling is left
+        behind (never the real member file) and the attempt
+        raises :class:`TransientIOError`.  Attempts are counted per member,
+        so a retrying writer succeeds once the schedule's
+        ``member_write_attempts`` leading failures are spent."""
+        attempt = self._write_attempts.get(k, 0) + 1
+        self._write_attempts[k] = attempt
+        if attempt > self.schedule.member_write_failures(k):
+            return
+        path = self.inner.member_path(k)
+        with open(path.with_name(path.name + ".tmp"), "wb") as fh:
+            fh.truncate(max(1, self.grid.n // 2) * 8)
+        self.report.disk_faults += 1
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(
+                "fault.injected", category="fault",
+                kind="torn_write", member=k, attempt=attempt,
+            )
+            get_metrics().counter("fault.injected").inc()
+        raise TransientIOError(
+            f"injected torn write of member {k} (attempt {attempt})"
+        )
+
     def _truncate_on_disk(self, k: int) -> None:
         """Physically corrupt member ``k``: chop the file short once."""
         if k in self._truncated:

@@ -23,9 +23,11 @@ from repro.checkpoint import (
 )
 from repro.checkpoint.format import MANIFEST_NAME
 from repro.core import Decomposition, Grid, ObservationNetwork, radius_to_halo
+from repro.data import EnsembleStore
 from repro.faults import (
     CorruptMemberError,
     FaultSchedule,
+    FaultyStore,
     RetryPolicy,
     TransientIOError,
 )
@@ -216,6 +218,36 @@ class TestKillAndResume:
         resumed = CampaignRunner(twin, tmp_path, interval=INTERVAL)
         resumed.resume(N_CYCLES)
         assert np.array_equal(resumed.store.load(N_CYCLES).ensemble, ref_final)
+
+    def test_torn_member_in_a_pooled_write_ensemble(self, tmp_path):
+        """Scheduled torn writes fire in the pooled ``write_ensemble`` too.
+        Under ``member_write_fault_rate=1.0`` every member's first attempt
+        dies, so the ``v``-th call tears member ``v``: it raises, no member
+        after it is started, the ones before it finish, and every member
+        file reads back either old- or new-complete."""
+        n_members = 6
+        store = EnsembleStore(tmp_path, Grid(n_x=12, n_y=6))
+        rng = np.random.default_rng(0)
+        old = rng.normal(size=(store.grid.n, n_members))
+        new = rng.normal(size=(store.grid.n, n_members))
+        store.write_ensemble(old)
+        faulty = FaultyStore(store, FaultSchedule(5, member_write_fault_rate=1.0))
+
+        for victim in range(n_members):
+            with pytest.raises(
+                TransientIOError, match=f"torn write of member {victim} "
+            ):
+                faulty.write_ensemble(new)
+            assert faulty.report.disk_faults == victim + 1
+            files = store.read_ensemble()
+            assert np.array_equal(files[:, :victim], new[:, :victim])
+            assert np.array_equal(files[:, victim:], old[:, victim:])
+            torn = tmp_path / f"member_{victim:05d}.bin.tmp"
+            assert torn.stat().st_size == store.grid.n // 2 * 8
+        # every member's one scheduled attempt is spent: all of them land
+        faulty.write_ensemble(new)
+        assert np.array_equal(store.read_ensemble(), new)
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_resume_skips_completed_cycles(self, tmp_path):
         twin, truth0, ensemble0 = make_twin()

@@ -1,6 +1,9 @@
 """Tests for the on-disk ensemble store and real-file plan execution."""
 
 import os
+import sys
+import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -10,18 +13,33 @@ from hypothesis import strategies as st
 
 import repro.data.store as store_mod
 from repro.core import Decomposition, Grid
-from repro.data import EnsembleStore, read_plan_from_disk, stage_plan_from_disk
+from repro.data import (
+    EnsembleStore,
+    read_plan_from_disk,
+    stage_plan_from_disk,
+    write_plan_to_disk,
+)
 from repro.faults import CorruptMemberError
 from repro.io import (
     FileLayout,
     ReadOp,
+    ReadPlan,
+    bar_gather_write_plan,
     bar_read_plan,
     block_read_plan,
+    block_write_plan,
     concurrent_access_plan,
     execute_read_plan_inline,
     single_reader_plan,
 )
-from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.telemetry import (
+    MetricsRegistry,
+    Tracer,
+    use_metrics,
+    use_thread_metrics,
+    use_thread_tracer,
+    use_tracer,
+)
 
 
 @pytest.fixture()
@@ -308,6 +326,39 @@ class TestStagePlanFromDisk:
         with pytest.raises(ValueError, match="element 0 of file 4 unread"):
             stage_plan_from_disk(plan, store)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_plan_is_staged_or_names_its_first_hole(self, read_only, data):
+        store, states = read_only
+        n = store.grid.n
+        extent = st.integers(0, n - 1).flatmap(
+            lambda start: st.tuples(st.just(start), st.integers(1, n - start))
+        )
+        ops = data.draw(st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.lists(extent, min_size=1, max_size=4).map(tuple),
+            ),
+            max_size=8,
+        ))
+        plan = ReadPlan("drawn", store.layout, n_files=2)
+        plan.rank_plan(0).reads = [ReadOp(f, extents) for f, extents in ops]
+        covered = np.zeros((2, n), dtype=bool)
+        for f, extents in ops:
+            covered[f, FileLayout.extent_indices(list(extents))] = True
+        holes = [
+            (f, int(covered[f].argmin()))
+            for f in range(2) if not covered[f].all()
+        ]
+        if holes:
+            f, hole = holes[0]
+            with pytest.raises(
+                ValueError, match=f"leaves element {hole} of file {f} unread$"
+            ):
+                stage_plan_from_disk(plan, store)
+        else:
+            assert np.array_equal(stage_plan_from_disk(plan, store), states[:, :2])
+
 
 class TestReadTelemetry:
     def test_traced_run_is_the_untraced_run_plus_spans(self, filled):
@@ -368,3 +419,225 @@ class TestAtomicWrites:
         state = np.arange(float(store.grid.n))
         store.write_member(0, state)
         assert np.array_equal(store.read_member(0), state)
+
+
+WRITE_PLANS = {
+    "bar_gather[1]": partial(bar_gather_write_plan, n_cg=1),
+    "bar_gather[2]": partial(bar_gather_write_plan, n_cg=2),
+    "block": block_write_plan,
+    "bar_read (overlapping halos)": bar_read_plan,
+}
+
+
+class TestWritePlanToDisk:
+    """Every write commits through one body: one positional write per
+    extent, then fsync, then the rename, members on a writer pool."""
+
+    N = 8
+
+    @pytest.fixture()
+    def old(self, store):
+        states = np.random.default_rng(2).normal(size=(store.grid.n, self.N))
+        store.write_ensemble(states)
+        return states
+
+    @pytest.fixture()
+    def new(self, store):
+        return np.random.default_rng(3).normal(size=(store.grid.n, self.N))
+
+    @pytest.fixture()
+    def decomp(self, store):
+        return Decomposition(store.grid, n_sdx=4, n_sdy=3, xi=2, eta=1)
+
+    def assert_old_or_new(self, store, old, new):
+        """The torn-write contract: each member file is either the
+        previous complete one or the new complete one."""
+        files = store.read_ensemble()
+        for k in range(self.N):
+            assert np.array_equal(files[:, k], old[:, k]) or np.array_equal(
+                files[:, k], new[:, k]
+            ), f"member {k} is neither old nor new"
+        return files
+
+    @pytest.mark.parametrize("name", WRITE_PLANS)
+    def test_plan_reads_back_bit_identical(self, store, decomp, old, new, name):
+        plan = WRITE_PLANS[name](decomp, store.layout, n_files=self.N)
+        paths = write_plan_to_disk(plan, new, store)
+        assert paths == [store.member_path(k) for k in range(self.N)]
+        assert np.array_equal(store.read_ensemble(), new)
+        assert not list(store.directory.glob("*.tmp"))
+
+    def test_write_ensemble_reads_back_bit_identical(self, store, old, new):
+        assert store.write_ensemble(new) == [
+            store.member_path(k) for k in range(self.N)
+        ]
+        assert np.array_equal(store.read_ensemble(), new)
+        assert not list(store.directory.glob("*.tmp"))
+
+    def test_gap_raises_before_any_file_is_opened(
+        self, store, decomp, old, new
+    ):
+        plan = block_write_plan(decomp, store.layout, n_files=self.N)
+        victim = plan.per_rank[decomp.rank_of(1, 1)].reads
+        victim[:] = [op for op in victim if op.file_id != 3]
+        sd = decomp.subdomain(1, 1)
+        hole = sd.iy0 * store.grid.n_x + sd.ix0
+        with pytest.raises(
+            ValueError, match=f"leaves element {hole} of file 3 unwritten$"
+        ):
+            write_plan_to_disk(plan, new, store)
+        assert not list(store.directory.glob("*.tmp"))
+        assert np.array_equal(store.read_ensemble(), old)
+
+    def test_states_must_match_the_plan(self, store, decomp, old, new):
+        plan = block_write_plan(decomp, store.layout, n_files=self.N)
+        with pytest.raises(ValueError, match=r"ensemble must be \(288, 8\)"):
+            write_plan_to_disk(plan, new[:, :5], store)
+
+    def test_each_fsync_precedes_its_own_replace(
+        self, store, decomp, old, new, monkeypatch
+    ):
+        events, opened = [], {}
+        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+        def record_open(path, flags, mode=0o777):
+            fd = real_open(path, flags, mode)
+            opened[fd] = str(path)  # an fd is reused only after its close
+            return fd
+
+        def record_fsync(fd):
+            events.append(("fsync", opened[fd]))
+            real_fsync(fd)
+
+        def record_replace(src, dst):
+            events.append(("replace", str(src)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_mod.os, "open", record_open)
+        monkeypatch.setattr(store_mod.os, "fsync", record_fsync)
+        monkeypatch.setattr(store_mod.os, "replace", record_replace)
+        plan = bar_gather_write_plan(decomp, store.layout, self.N, n_cg=2)
+        write_plan_to_disk(plan, new, store)
+        monkeypatch.undo()
+        assert len(events) == 2 * self.N
+        for k in range(self.N):
+            tmp = f"{store.member_path(k)}.tmp"
+            assert events.count(("fsync", tmp)) == 1
+            assert events.index(("fsync", tmp)) < events.index(("replace", tmp))
+        assert np.array_equal(store.read_ensemble(), new)
+
+    def test_failed_replace_propagates_and_leaks_nothing(
+        self, store, old, new, monkeypatch
+    ):
+        fds, threads = open_descriptors(), threading.active_count()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst == store.member_path(5):
+                raise OSError("injected: rename of member 5 failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_mod.os, "replace", replace)
+        with pytest.raises(OSError, match="rename of member 5 failed"):
+            store.write_ensemble(new)
+        monkeypatch.undo()
+        assert open_descriptors() == fds
+        assert threading.active_count() == threads
+        files = self.assert_old_or_new(store, old, new)
+        # the members before the failure were in flight and finished
+        assert np.array_equal(files[:, :5], new[:, :5])
+        assert np.array_equal(files[:, 5], old[:, 5])
+
+    def test_first_failure_in_member_order_is_raised(
+        self, store, old, new, monkeypatch
+    ):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst == store.member_path(1):
+                time.sleep(0.05)  # fails after member 2 has failed
+                raise OSError("injected: member 1")
+            if dst == store.member_path(2):
+                raise OSError("injected: member 2")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_mod.os, "replace", replace)
+        with pytest.raises(OSError, match="member 1$"):
+            store.write_ensemble(new)
+        monkeypatch.undo()
+        self.assert_old_or_new(store, old, new)
+
+    def test_no_member_starts_after_a_failure(
+        self, store, old, new, monkeypatch
+    ):
+        def replace(src, dst):
+            raise OSError("injected: every rename fails")
+
+        # a window of one: writing member 1 waits until member 0 is done
+        monkeypatch.setattr(store_mod, "_WRITE_WINDOW", 1)
+        monkeypatch.setattr(store_mod.os, "replace", replace)
+        started = []
+        whole = (((0, store.grid.n),),)
+        with pytest.raises(OSError, match="every rename fails"):
+            with store.extent_writer(before_write=started.append) as writer:
+                for k in range(self.N):
+                    writer.write(k, whole, new[:, k])
+        monkeypatch.undo()
+        assert started == [0]
+        assert np.array_equal(store.read_ensemble(), old)
+
+    def test_short_positional_write_raises(self, store, old, new, monkeypatch):
+        real = os.pwritev
+
+        def short(fd, buffers, offset):
+            (buffer,) = buffers
+            return real(fd, [buffer[: len(buffer) - 8]], offset)
+
+        monkeypatch.setattr(store_mod.os, "pwritev", short)
+        before = open_descriptors()
+        with pytest.raises(
+            OSError,
+            match="short write on .*member_00000.bin.tmp: 2296 of 2304 bytes "
+            "at element 0",
+        ):
+            store.write_ensemble(new)
+        monkeypatch.undo()
+        assert open_descriptors() == before
+        assert np.array_equal(store.read_ensemble(), old)
+
+
+class TestWriteTelemetry:
+    def test_writer_threads_record_into_the_callers_tracer(self, store):
+        n, n_members = store.grid.n, 6
+        states = np.random.default_rng(4).normal(size=(n, n_members))
+        job, job_metrics, ambient = Tracer(), MetricsRegistry(), Tracer()
+        with use_tracer(ambient), use_thread_tracer(job), use_thread_metrics(
+            job_metrics
+        ):
+            store.write_ensemble(states)
+        spans = [s for s in job.spans if s.name == "store.write_member"]
+        assert sorted(s.attrs["member"] for s in spans) == list(range(n_members))
+        assert all(s.attrs["bytes"] == n * 8 for s in spans)
+        assert all(s.track.startswith("senkf-write") for s in spans)
+        assert not ambient.spans
+        assert job_metrics.counter("io.members_written").value == n_members
+        assert job_metrics.counter("io.bytes_written").value == n * n_members * 8
+
+    def test_counts_hold_under_fast_thread_switching(self, store):
+        """More members than writer threads, threads switched every
+        microsecond: no span or count is lost and every file lands."""
+        n, n_members = store.grid.n, 64
+        states = np.random.default_rng(5).normal(size=(n, n_members))
+        metrics = MetricsRegistry()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_tracer(Tracer()) as tracer, use_metrics(metrics):
+                store.write_ensemble(states)
+        finally:
+            sys.setswitchinterval(interval)
+        spans = [s for s in tracer.spans if s.name == "store.write_member"]
+        assert sorted(s.attrs["member"] for s in spans) == list(range(n_members))
+        assert metrics.counter("io.members_written").value == n_members
+        assert metrics.counter("io.bytes_written").value == n * n_members * 8
+        assert np.array_equal(store.read_ensemble(), states)

@@ -424,11 +424,15 @@ class TestPropertyEquivalence:
     )
     def test_random_shapes(self, kind, n_sdx, n_sdy, cell_x, cell_y,
                            halo, m, radius, seed):
+        n_x, n_y = n_sdx * cell_x, n_sdy * cell_y
+        # A network holds at most one observation per grid point: the
+        # smallest grid (24 points) is below the largest drawn ``m``.
+        m = min(m, n_x * n_y)
         plan = make_plan(
             kind,
             n_sdx=n_sdx, n_sdy=n_sdy, xi=halo, eta=halo, m=m,
             radius=radius, seed=seed,
-            n_x=n_sdx * cell_x, n_y=n_sdy * cell_y, n_members=8,
+            n_x=n_x, n_y=n_y, n_members=8,
         )
         ref = serial_reference(plan)
         stats = run_vectorized(plan)
