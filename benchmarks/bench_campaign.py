@@ -11,7 +11,7 @@ from repro.cluster import MachineSpec
 from repro.filters import CycleCosts, PerfScenario, ReanalysisCampaign
 
 
-def test_campaign_amortisation(benchmark, bench_telemetry):
+def test_campaign_amortisation(benchmark):
     def run():
         scenario = PerfScenario.small()
         spec = MachineSpec.small_cluster()

@@ -5,5 +5,5 @@ from repro.experiments.fig09 import run_fig09
 from conftest import run_and_report
 
 
-def test_fig09(benchmark, config, bench_telemetry):
+def test_fig09(benchmark, config):
     run_and_report(benchmark, run_fig09, config)

@@ -5,5 +5,5 @@ from repro.experiments.fig12 import run_fig12
 from conftest import run_and_report
 
 
-def test_fig12(benchmark, config, bench_telemetry):
+def test_fig12(benchmark, config):
     run_and_report(benchmark, run_fig12, config)

@@ -5,5 +5,5 @@ from repro.experiments.fig13 import run_fig13
 from conftest import run_and_report
 
 
-def test_fig13(benchmark, config, bench_telemetry):
+def test_fig13(benchmark, config):
     run_and_report(benchmark, run_fig13, config)

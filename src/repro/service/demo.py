@@ -9,8 +9,8 @@ queueing, preemption, chaos restarts and cancellation must never change
 an answer.
 
 :func:`run_acceptance_scenario` is that test, shared verbatim by
-``tests/test_service_e2e.py``, ``benchmarks/bench_service.py`` and the
-``senkf-experiments serve`` CLI demo.
+``tests/test_service_e2e.py`` and the ``senkf-experiments serve`` CLI
+demo.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ A :class:`MetricsRegistry` is the numeric companion of the
 *how much* (bytes read, seeks issued, retries spent, per-cycle RMSE).
 Instruments are created on first use and are safe to update from many
 threads; :meth:`MetricsRegistry.snapshot` returns a plain JSON-safe dict
-that lands in run reports and ``BENCH_telemetry.json``.
+that lands in run reports.
 
 Like the tracer, metric updates at instrumented call sites are guarded by
 ``get_tracer().enabled`` so a telemetry-off run pays nothing.

@@ -6,9 +6,9 @@ A :class:`RunReport` is the durable record of a
 seeds, fault accounting, per-category phase totals, the metrics snapshot
 and the per-cycle diagnostic series.  The schema is versioned
 (:data:`RUN_REPORT_SCHEMA`, declared in :mod:`repro.telemetry.schema`) and
-:func:`validate_run_report` checks a parsed payload against it — CI runs
-that validation on every traced smoke run so the artifact contract can't
-drift silently.
+:func:`validate_run_report` checks a parsed payload against it — tier-1
+tests run that validation on the reports the CLI verbs write, so the
+artifact contract can't drift silently.
 """
 
 from __future__ import annotations

@@ -263,7 +263,10 @@ class TestDoctorCli:
         attribution = validate_attribution_report(
             json.loads((out / "attribution.json").read_text())
         )
-        validate_run_report(json.loads((out / "run_report.json").read_text()))
+        run_report = validate_run_report(
+            json.loads((out / "run_report.json").read_text())
+        )
+        assert run_report["attribution"]["schema"] == attribution["schema"]
         for row in attribution["aggregate"]:
             rel = row["rel_error"]
             assert rel is not None and abs(rel) <= attribution["threshold"], row

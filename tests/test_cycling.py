@@ -9,7 +9,7 @@ from repro.filters import CycleCosts, PerfScenario, ReanalysisCampaign
 def campaign(**kw):
     scenario = PerfScenario(n_x=48, n_y=24, n_members=8, h_bytes=240,
                             xi=2, eta=1)
-    spec = MachineSpec.small_cluster()
+    spec = kw.pop("spec", MachineSpec.small_cluster())
     costs = CycleCosts(model_step_cost=1e-6, steps_per_cycle=kw.pop("steps", 5))
     return ReanalysisCampaign(spec, scenario, costs=costs, **kw)
 
@@ -151,3 +151,25 @@ class TestCheckpointPricing:
         assert [r["interval"] for r in out["rows"]] == [1, 5, 20]
         for row in out["rows"]:
             assert row["overhead"] >= row["commit_share"] > 0
+
+    @pytest.mark.parametrize("spec", [
+        MachineSpec(alpha=1e-5, beta=1e-9, theta=5e-9, c_point=1e-5,
+                    seek_time=1e-3, n_storage_nodes=4, disk_concurrency=4),
+        MachineSpec.small_cluster(),
+    ], ids=["tiny", "small_cluster"])
+    def test_acceptance_k5_under_ten_percent_and_young_at_curve_bottom(
+        self, spec
+    ):
+        """The checkpoint acceptance: committing every 5 cycles costs under
+        10 % of the cycle, and no tabulated interval further from Young's
+        optimum beats the one closest to it."""
+        c = campaign(spec=spec)
+        rep = c.run_senkf(n_p=12, n_cycles=100, checkpoint_interval=5)
+        assert rep.checkpoint_overhead < 0.10
+        out = c.checkpoint_tradeoff(rep, mttf=3600.0)
+        best = min(out["rows"], key=lambda r: r["overhead"])
+        closest = min(
+            out["rows"],
+            key=lambda r: abs(r["interval"] - out["optimal_interval"]),
+        )
+        assert best["interval"] == closest["interval"], out

@@ -547,6 +547,17 @@ class TestSEnKFChaos:
         )
         assert slow.total_time > clean.total_time
 
+    def test_disk_slowdown_stretches_makespan(self):
+        clean = self.clean_run()
+        sched = FaultSchedule(seed=2019, disk_slowdown_rate=0.2,
+                              disk_slowdown_factor=4.0)
+        slow = simulate_senkf(
+            tiny_spec(), tiny_scenario(), **self.SENKF_ARGS,
+            faults=sched, retry=RetryPolicy(max_retries=8),
+        )
+        assert slow.resilience.disk_slowdowns > 0
+        assert slow.total_time > clean.total_time
+
     def test_killed_compute_rank_rejected(self):
         with pytest.raises(ValueError, match="I/O rank"):
             simulate_senkf(

@@ -412,3 +412,8 @@ class TestThreadFanoutIntegration:
             t.startswith("senkf-analysis") for t in payload["sampler"]["tracks"]
         )
         assert "bit-identical to the unprofiled reference: yes" in payload["notes"]
+        assert payload["memory"]["peak_rss_bytes"] > 0
+        run_report = json.loads((out / "run_report.json").read_text())
+        assert run_report["profile"]["schema"] == "senkf-profile/2"
+        collapsed = (out / "profile.collapsed").read_text().splitlines()
+        assert any(line.startswith("senkf-analysis") for line in collapsed)

@@ -13,6 +13,8 @@ import pytest
 
 from repro.checkpoint import CampaignRunner, SimulatedCrash
 from repro.core import Decomposition, Grid, ObservationNetwork
+from repro.experiments.cli import main
+from repro.faults import RetryPolicy
 from repro.models import correlated_ensemble
 from repro.telemetry import RunReport, validate_run_report
 
@@ -117,13 +119,18 @@ class TestCampaignSupervise:
                 fired.append(state.cycle)
                 raise SimulatedCrash("boom after cycle 2")
 
+        # The default 50 ms backoff is sized for campaigns of minutes; on
+        # this sub-second one it alone would trip doctor's 15 % flag.
         result = runner.supervise(
             truth0, ensemble0, 3, max_restarts=1, on_cycle=kill_once,
-            sleep=lambda s: None,
+            backoff=RetryPolicy(max_retries=1, base_delay=0.001),
         )
         assert result.n_cycles == 3
         assert runner.supervision.restarts == 1
         assert np.array_equal(ref_final, runner.store.load(3).ensemble)
+        # Its run report passes doctor's supervision gate.
+        path = runner.run_report(result).write(tmp_path / "run_report.json")
+        assert main(["doctor", "--report", str(path)]) == 0
 
     def test_budget_exhaustion_reraises_with_report(self, tmp_path):
         runner, truth0, ensemble0 = _campaign(tmp_path, "doomed")

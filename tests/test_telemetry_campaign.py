@@ -199,6 +199,24 @@ class TestTracedChaosCampaign:
         assert result.analysis_rmse == pytest.approx(clean.analysis_rmse)
 
 
+class TestTraceCli:
+    def test_trace_writes_a_valid_report_and_every_span_family(
+        self, tmp_path
+    ):
+        """``senkf-experiments trace`` stages the same story from the
+        command line: its two artifacts on disk are a valid run report
+        and a Chrome trace carrying retry, failover, commit and analysis
+        spans."""
+        from repro.experiments.cli import main
+
+        out = tmp_path / "trace-out"
+        assert main(["trace", "--out", str(out)]) == 0
+        validate_run_report(json.loads((out / "run_report.json").read_text()))
+        names = {s.name for s in spans_from_chrome(out / "trace.json")}
+        assert names >= {"fault.retry", "checkpoint.failover",
+                         "checkpoint.save", "cycle.analysis"}
+
+
 class TestDisabledOverhead:
     def test_untraced_runner_records_nothing(self, tmp_path):
         from repro.telemetry import NULL_TRACER, get_tracer
