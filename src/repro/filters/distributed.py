@@ -30,9 +30,10 @@ class DistributedEnKF:
     """Domain-decomposed stochastic EnKF (numerics shared by L/P/S-EnKF).
 
     Each observed piece is one :func:`repro.core.analysis.local_analysis`:
-    the banded modified-Cholesky ``B̂⁻¹`` stays sparse through a single
-    sparse-LU solve (the ``vectorized`` strategy batches dense stacks of
-    small pieces instead).
+    the modified-Cholesky ``B̂⁻¹`` is assembled as a band and solved with
+    one banded ``pbsv`` through
+    :func:`repro.core.analysis.analysis_modified_cholesky` (the
+    ``vectorized`` strategy stacks small pieces into one batched call).
 
     Parameters
     ----------

@@ -24,7 +24,6 @@ from repro.io.execute import (
     simulate_op_read,
     simulate_read_plan,
 )
-from repro.io.failover import failover_replan
 from repro.io.writers import (
     bar_gather_write_plan,
     block_write_plan,
@@ -50,7 +49,6 @@ __all__ = [
     "concurrent_access_plan",
     "contiguous_runs",
     "execute_read_plan_inline",
-    "failover_replan",
     "simulate_op_read",
     "simulate_read_plan",
     "simulate_write_plan",

@@ -17,7 +17,6 @@ import numpy as np
 from repro.cluster.machine import Machine
 from repro.faults.errors import DiskFaultError, MemberUnrecoverableError
 from repro.faults.policy import RetryPolicy
-from repro.faults.report import ResilienceReport
 from repro.io.plan import ReadPlan
 from repro.sim import Timeline
 from repro.sim.trace import PHASE_FAILED, PHASE_READ, PHASE_RETRY, PHASE_WAIT
@@ -71,22 +70,17 @@ def simulate_read_plan(
     machine: Machine,
     plan: ReadPlan,
     retry: RetryPolicy | None = None,
-    on_unrecoverable: str = "raise",
-    report: ResilienceReport | None = None,
 ) -> tuple[Timeline, float]:
     """Run every reader rank's op list on the DES; return (timeline, makespan).
 
     On a fault-injecting machine, each failed read is retried under
-    ``retry`` (``None`` = fail on first error).  Once retries are exhausted,
-    ``on_unrecoverable`` picks the posture: ``"raise"`` surfaces a
-    :class:`MemberUnrecoverableError` from :meth:`Environment.run`;
-    ``"drop"`` records the member in ``report.members_dropped`` and carries
-    on — the degraded-mode posture of the filters.
+    ``retry`` (``None`` = fail on first error), and retries and failed ops
+    are counted in the injector's report.  Once retries are exhausted,
+    a :class:`MemberUnrecoverableError` surfaces from
+    :meth:`Environment.run`.  Dropping the member and carrying on is the
+    filters' degraded posture; it lives in their own orchestrations.
     """
-    if on_unrecoverable not in ("raise", "drop"):
-        raise ValueError(f"unknown on_unrecoverable {on_unrecoverable!r}")
-    if report is None and machine.faults is not None:
-        report = machine.faults.report
+    report = machine.faults.report if machine.faults is not None else None
     timeline = Timeline()
     env = machine.env
     start_time = env.now
@@ -98,10 +92,7 @@ def simulate_read_plan(
                 op.nbytes(plan.layout), retry=retry, report=report,
             )
             if outcome is None:
-                if on_unrecoverable == "raise":
-                    raise MemberUnrecoverableError(op.file_id, rank=rank)
-                if report is not None:
-                    report.drop_member(op.file_id)
+                raise MemberUnrecoverableError(op.file_id, rank=rank)
 
     for rank, rank_plan in plan.per_rank.items():
         if rank_plan.reads:

@@ -1,10 +1,16 @@
-"""Simulated MPI: ranks, matched point-to-point messaging, collectives.
+"""Simulated MPI: ranks and matched point-to-point messaging.
 
 Each MPI rank is a DES process; messages cost ``a + b * bytes`` of sender
 time (Table 1's startup/transfer constants) and are matched at the receiver
-by ``(source, tag)`` with wildcards, like real MPI.  Collectives are built
-from point-to-point messages with the same tree shapes the paper's cost
-model assumes (binomial trees — the ``log`` factors in Eqs. 7–8).
+by ``(source, tag)`` with wildcards, like real MPI.
+
+Only point-to-point messages exist, because they are all the simulated
+filters send: S-EnKF's I/O ranks send one aggregated block message per
+compute rank per stage, L-EnKF's single reader sends member blocks one
+after another, and P-EnKF sends nothing.  No simulated filter sends a
+collective, so the ``log(n_cg + 1)`` factor of Eq. 8 is an assumption of
+the cost model (:mod:`repro.costmodel`), not something a simulated tree
+reproduces.
 
 The layer is SPMD-flavoured: you write one generator per rank (or one
 parameterised by rank) and ``spawn`` it::
@@ -27,7 +33,6 @@ from repro.mpisim.comm import (
     Communicator,
     Message,
     RankContext,
-    SubCommunicator,
 )
 
 __all__ = [
@@ -36,5 +41,4 @@ __all__ = [
     "Communicator",
     "Message",
     "RankContext",
-    "SubCommunicator",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -123,8 +122,6 @@ class Communicator:
         self.machine = machine
         self.size = int(size)
         self._mailboxes = [_Mailbox() for _ in range(self.size)]
-        self._barrier_count = 0
-        self._barrier_event: Optional[Event] = None
         self._msg_serial = 0
         # Liveness watchdog: if the event queue fully drains while any rank
         # is still blocked in a receive, that receive can never be matched —
@@ -185,46 +182,6 @@ class Communicator:
             procs.append(self.env.process(fn(ctx), name=label))
         return procs
 
-    def split(self, assignments: dict[int, tuple[int, int]]) -> "SubCommunicator":
-        """MPI_Comm_split-style sub-communicators.
-
-        ``assignments`` maps each world rank to ``(color, key)``: ranks
-        sharing a color form one group, ordered by key (ties by world
-        rank).  Returns a :class:`SubCommunicator` from which each rank's
-        group view is obtained — the natural way to express the paper's
-        ``n_cg`` concurrent I/O groups.
-        """
-        if set(assignments) != set(range(self.size)):
-            raise ValueError("assignments must cover every rank exactly once")
-        groups: dict[int, list[int]] = {}
-        for world_rank, (color, key) in assignments.items():
-            groups.setdefault(color, []).append(world_rank)
-        ordered = {
-            color: sorted(members, key=lambda r: (assignments[r][1], r))
-            for color, members in groups.items()
-        }
-        return SubCommunicator(self, assignments, ordered)
-
-    # -- internal barrier machinery (centralised, log-cost) -----------------
-    def _barrier_arrive(self) -> Event:
-        if self._barrier_event is None:
-            self._barrier_event = self.env.event()
-        done = self._barrier_event
-        self._barrier_count += 1
-        if self._barrier_count == self.size:
-            # Dissemination barrier completes in ceil(log2 p) latency rounds.
-            rounds = max(1, math.ceil(math.log2(self.size))) if self.size > 1 else 0
-            delay = rounds * self.machine.spec.alpha
-            self._barrier_count = 0
-            self._barrier_event = None
-
-            def _release(env, event, delay):
-                yield env.timeout(delay)
-                event.succeed()
-
-            self.env.process(_release(self.env, done, delay), name="barrier-release")
-        return done
-
 
 class RankContext:
     """Per-rank API: the object a rank's generator communicates through."""
@@ -237,11 +194,6 @@ class RankContext:
     def env(self) -> Environment:
         return self.comm.env
 
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
-    # -- point-to-point ------------------------------------------------------
     def send(self, dest: int, nbytes: float, tag: int = 0, payload: Any = None):
         """Blocking send: occupies the sender for ``a + b * nbytes``.
 
@@ -340,137 +292,3 @@ class RankContext:
             f"rank {self.rank} recv(source={src}, tag={tg}) unmatched after "
             f"{timeout} s watchdog",
         )
-
-    # -- collectives (delegated) ----------------------------------------------
-    def barrier(self):
-        """Block until all ranks of the communicator arrive."""
-        yield self.comm._barrier_arrive()
-
-    def bcast(self, root: int, nbytes: float, payload: Any = None, tag: int = -1):
-        """Binomial-tree broadcast; returns the payload on every rank."""
-        from repro.mpisim.collectives import bcast
-
-        result = yield from bcast(self, root, nbytes, payload, tag)
-        return result
-
-    def scatter_serial(self, root: int, nbytes_per_rank, payloads=None, tag: int = -2):
-        """Root sends each rank its block one after another (L-EnKF style)."""
-        from repro.mpisim.collectives import scatter_serial
-
-        result = yield from scatter_serial(self, root, nbytes_per_rank, payloads, tag)
-        return result
-
-    def gather_serial(self, root: int, nbytes: float, payload: Any = None, tag: int = -3):
-        """Every rank sends to root; root receives serially."""
-        from repro.mpisim.collectives import gather_serial
-
-        result = yield from gather_serial(self, root, nbytes, payload, tag)
-        return result
-
-    def allreduce(self, nbytes: float, value: float = 0.0, op=None, tag: int = -4):
-        """Recursive-doubling allreduce; returns the reduced value."""
-        from repro.mpisim.collectives import allreduce
-
-        result = yield from allreduce(self, nbytes, value, op, tag)
-        return result
-
-    def reduce(self, root: int, nbytes: float, value: Any = 0.0, op=None,
-               tag: int = -5):
-        """Binomial-tree reduce; root gets the combined value."""
-        from repro.mpisim.collectives import reduce as _reduce
-
-        result = yield from _reduce(self, root, nbytes, value, op, tag)
-        return result
-
-    def gather_binomial(self, root: int, nbytes: float, payload: Any = None,
-                        tag: int = -6):
-        """Binomial-tree gather; root gets the rank-indexed list."""
-        from repro.mpisim.collectives import gather_binomial
-
-        result = yield from gather_binomial(self, root, nbytes, payload, tag)
-        return result
-
-    def alltoall(self, nbytes_per_pair: float, payloads=None, tag: int = -7):
-        """Pairwise-exchange all-to-all; returns received blocks."""
-        from repro.mpisim.collectives import alltoall
-
-        result = yield from alltoall(self, nbytes_per_pair, payloads, tag)
-        return result
-
-    def waitall(self, requests, timeout: float | None = None):
-        """Block until every request (e.g. isend process) completes.
-
-        ``timeout`` arms a watchdog like :meth:`recv`: if any request is
-        still pending after that much simulated time, a
-        :class:`DeadlockError` is raised naming this rank and the stuck
-        requests.
-        """
-        requests = list(requests)
-        if timeout is None:
-            yield self.env.all_of(requests)
-            return
-        if timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        done = self.env.all_of(requests)
-        timer = self.env.timeout(timeout)
-        yield self.env.any_of([done, timer])
-        if done.triggered:
-            timer.cancel()
-            return
-        pending = [
-            getattr(r, "name", repr(r)) for r in requests if not r.triggered
-        ]
-        raise DeadlockError(
-            [self.rank],
-            f"rank {self.rank} waitall incomplete after {timeout} s watchdog; "
-            f"pending: {pending}",
-        )
-
-
-class SubCommunicator:
-    """Group views produced by :meth:`Communicator.split`.
-
-    For each world rank, :meth:`group_of` gives the ordered member list of
-    its group and :meth:`local_rank_of` its position within it.
-    :meth:`translate` maps a group-local rank back to the world rank, so
-    group collectives can be built from world-communicator point-to-point
-    calls.
-    """
-
-    def __init__(
-        self,
-        parent: Communicator,
-        assignments: dict[int, tuple[int, int]],
-        groups: dict[int, list[int]],
-    ):
-        self.parent = parent
-        self._assignments = assignments
-        self._groups = groups
-
-    @property
-    def colors(self) -> list[int]:
-        return sorted(self._groups)
-
-    def color_of(self, world_rank: int) -> int:
-        self.parent._check_rank("world_rank", world_rank)
-        return self._assignments[world_rank][0]
-
-    def group_of(self, world_rank: int) -> list[int]:
-        """Ordered world ranks of ``world_rank``'s group."""
-        return list(self._groups[self.color_of(world_rank)])
-
-    def group_size_of(self, world_rank: int) -> int:
-        return len(self._groups[self.color_of(world_rank)])
-
-    def local_rank_of(self, world_rank: int) -> int:
-        """Position of ``world_rank`` within its group."""
-        return self.group_of(world_rank).index(world_rank)
-
-    def translate(self, world_rank: int, local_rank: int) -> int:
-        """World rank of ``local_rank`` within ``world_rank``'s group."""
-        group = self.group_of(world_rank)
-        if not 0 <= local_rank < len(group):
-            raise ValueError(
-                f"local_rank={local_rank} out of range [0, {len(group)})"
-            )
-        return group[local_rank]

@@ -152,10 +152,10 @@ class Timeout(Event):
     def cancel(self) -> None:
         """Void this timeout: it never fires and never advances the clock.
 
-        Used by watchdog races (``recv``/``waitall`` with ``timeout=``): when
-        the awaited event wins, the losing timer must not keep the simulation
-        alive until its deadline, or every watchdog would inflate the measured
-        makespan.  The queue entry is discarded lazily (see ``_purge_head``).
+        Used by watchdog races (``recv`` with ``timeout=``): when the awaited
+        event wins, the losing timer must not keep the simulation alive until
+        its deadline, or every watchdog would inflate the measured makespan.
+        The queue entry is discarded lazily (see ``_purge_head``).
         """
         if self._processed:
             raise SimulationError("cannot cancel a processed timeout")

@@ -12,7 +12,7 @@ class DeadlockError(SimulationError):
 
     Raised instead of silently returning from :meth:`Environment.run` when a
     registered drain hook finds processes stuck on receives that can never be
-    matched, and by the ``timeout=`` watchdogs on blocking ``recv``/``waitall``.
+    matched, and by the ``timeout=`` watchdog on a blocking ``recv``.
     ``ranks`` names the stuck ranks so a 12,000-rank run points at the culprit
     instead of just hanging.
     """

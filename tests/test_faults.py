@@ -3,8 +3,8 @@
 Covers the seeded :class:`FaultSchedule` (determinism properties via
 hypothesis), the retry policy, the machine-layer injection points (disk
 faults, outages, slowdowns, message delay/drop), the resilient plan
-executor, failover re-planning, the deadlock watchdogs, and the chaos
-acceptance criteria for the fault-aware S-EnKF orchestration.
+executor, the deadlock watchdogs, and the chaos acceptance criteria for
+the fault-aware S-EnKF orchestration, including its failover.
 """
 
 import pytest
@@ -29,12 +29,10 @@ from repro.filters.senkf import simulate_senkf
 from repro.io import (
     FileLayout,
     bar_read_plan,
-    concurrent_access_plan,
-    failover_replan,
     simulate_read_plan,
 )
-from repro.mpisim import Communicator
-from repro.sim.trace import PHASE_RETRY
+from repro.mpisim import Communicator, RankContext
+from repro.sim.trace import PHASE_READ, PHASE_RETRY
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -276,19 +274,6 @@ class TestSimulateReadPlanResilient:
         with pytest.raises(MemberUnrecoverableError):
             simulate_read_plan(machine, plan, retry=RetryPolicy(max_retries=1))
 
-    def test_unrecoverable_drop_records_members(self):
-        _, _, plan = setup_plan()
-        sched = FaultSchedule(seed=5, disk_fault_rate=1.0)
-        machine = Machine(tiny_spec(), faults=FaultInjector(sched))
-        _, makespan = simulate_read_plan(
-            machine, plan, retry=RetryPolicy(max_retries=1),
-            on_unrecoverable="drop",
-        )
-        report = machine.faults.report
-        assert makespan > 0
-        assert sorted(report.members_dropped) == list(range(plan.n_files))
-        assert report.failed_ops > 0
-
     def test_deterministic_under_same_seed(self):
         _, _, plan = setup_plan()
 
@@ -313,82 +298,6 @@ class TestSimulateReadPlanResilient:
             null_machine, plan, retry=RetryPolicy(max_retries=3)
         )
         assert null == clean
-
-
-# ---------------------------------------------------------------------------
-# Failover re-planning
-# ---------------------------------------------------------------------------
-class TestFailoverReplan:
-    def test_preserves_total_work(self):
-        decomp, layout, _ = setup_plan()
-        plan = concurrent_access_plan(decomp, layout, n_files=8, n_cg=2)
-        victim = plan.reader_ranks[1]
-        replanned = failover_replan(plan, [victim])
-        assert victim not in replanned.reader_ranks
-        assert replanned.total_seeks == plan.total_seeks
-        assert replanned.total_elems_read == plan.total_elems_read
-
-        def delivered(p):
-            out = {}
-            for rp in p.per_rank.values():
-                for s in rp.sends:
-                    key = (s.dest, s.tag)
-                    out[key] = out.get(key, 0) + s.n_elems
-            return out
-
-        assert delivered(replanned) == delivered(plan)
-
-    def test_sends_follow_their_read(self):
-        decomp, layout, _ = setup_plan()
-        plan = concurrent_access_plan(decomp, layout, n_files=8, n_cg=2)
-        victim = plan.reader_ranks[0]
-        replanned = failover_replan(plan, [victim])
-        # Every send is issued by its own rank, for a file that rank reads
-        # (the adopted sends followed their read to the adopter).
-        for rank, rp in replanned.per_rank.items():
-            own_files = {op.file_id for op in rp.reads}
-            for s in rp.sends:
-                assert s.source == rank
-                assert s.tag in own_files
-
-    def test_round_robin_spreads_adopted_reads(self):
-        decomp, layout, _ = setup_plan()
-        plan = concurrent_access_plan(decomp, layout, n_files=8, n_cg=2)
-        victim = plan.reader_ranks[0]
-        n_victim_reads = len(plan.per_rank[victim].reads)
-        replanned = failover_replan(plan, [victim])
-        extra = {
-            rank: len(replanned.per_rank[rank].reads) - len(plan.per_rank[rank].reads)
-            for rank in replanned.reader_ranks
-        }
-        assert sum(extra.values()) == n_victim_reads
-        assert max(extra.values()) <= n_victim_reads // len(
-            [v for v in extra.values() if v > 0]
-        ) + 1
-
-    def test_no_surviving_peer_raises(self):
-        decomp, layout, plan = setup_plan()
-        with pytest.raises(ValueError):
-            failover_replan(plan, plan.reader_ranks)
-
-    def test_peers_of_restricts_adopters(self):
-        decomp, layout, _ = setup_plan()
-        plan = concurrent_access_plan(decomp, layout, n_files=8, n_cg=2)
-        group = plan.reader_ranks[:3]  # first concurrent group (n_sdy=3)
-        victim = group[0]
-        replanned = failover_replan(
-            plan, [victim], peers_of=lambda r: [p for p in group if p != r]
-        )
-        adopters = {
-            rank
-            for rank, rp in replanned.per_rank.items()
-            for op in rp.reads
-            if op.file_id in {o.file_id for o in plan.per_rank[victim].reads}
-            and op in rp.reads
-            and rank not in (victim,)
-            and len(rp.reads) > len(plan.per_rank.get(rank).reads)
-        }
-        assert adopters <= set(group[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -466,26 +375,6 @@ class TestWatchdogs:
             machine.run()
         assert machine.faults.report.messages_dropped == 1
 
-    def test_waitall_watchdog(self):
-        machine, comm = self.make_comm(size=3)
-
-        def main(ctx):
-            if ctx.rank == 0:
-                reqs = [ctx.isend(1, nbytes=100, tag=0)]
-                # rank 2 never receives, but isend completes eagerly; add a
-                # never-completing request via a recv-backed process.
-                def stuck():
-                    yield ctx.irecv(source=2, tag=5)
-
-                reqs.append(ctx.env.process(stuck(), name="stuck-recv"))
-                yield from ctx.waitall(reqs, timeout=0.25)
-
-        comm.spawn(main, ranks=[0])
-        with pytest.raises(DeadlockError) as err:
-            machine.run()
-        assert err.value.ranks == (0,)
-
-
 # ---------------------------------------------------------------------------
 # Chaos acceptance: fault-aware S-EnKF / P-EnKF
 # ---------------------------------------------------------------------------
@@ -517,6 +406,40 @@ class TestSEnKFChaos:
         assert report.total_time <= 2 * clean.total_time
         res.finalize(report.total_time, clean.total_time)
         assert res.slowdown <= 2.0
+
+    def test_failover_sends_the_same_stage_messages(self, monkeypatch):
+        """Failover changes which rank does the work, not the work.
+
+        A killed I/O rank's remaining stages are re-read and re-sent by a
+        band peer, so the stage messages (dest, tag, bytes) equal the clean
+        run's as a multiset, and the dead rank starts no send once killed.
+        """
+        sent = []
+        real_send = RankContext.send
+
+        def recording_send(ctx, dest, nbytes, tag=0, payload=None):
+            if tag >= 0:  # stage data; flow-control acks use negative tags
+                sent.append((ctx.rank, ctx.env.now, (dest, tag, nbytes)))
+            return real_send(ctx, dest, nbytes, tag=tag, payload=payload)
+
+        monkeypatch.setattr(RankContext, "send", recording_send)
+        clean = self.clean_run()
+        clean_msgs = sorted(msg for _, _, msg in sent)
+
+        victim = self.SENKF_ARGS["n_sdx"] * self.SENKF_ARGS["n_sdy"] + 1
+        # Kill the victim in the middle of a stage-0 read.
+        t0, t1 = clean.timeline.intervals(PHASE_READ, ranks=[victim])[1]
+        kill_at = (t0 + t1) / 2
+        sent.clear()
+        report = simulate_senkf(
+            tiny_spec(), tiny_scenario(), **self.SENKF_ARGS,
+            faults=FaultSchedule(seed=7, disk_fault_rate=0.0,
+                                 killed_ranks=((victim, kill_at),)),
+        )
+        assert report.resilience.failovers >= 1
+        assert report.resilience.ranks_killed == [victim]
+        assert sorted(msg for _, _, msg in sent) == clean_msgs
+        assert all(t < kill_at for rank, t, _ in sent if rank == victim)
 
     def test_chaos_run_is_deterministic(self):
         def run():

@@ -147,325 +147,3 @@ class TestPointToPoint:
         machine = Machine()
         with pytest.raises(ValueError):
             Communicator(machine, size=0)
-
-
-class TestCollectives:
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 13])
-    def test_bcast_delivers_payload_everywhere(self, size):
-        machine, comm = make_comm(size)
-        got = {}
-
-        def main(ctx):
-            value = yield from ctx.bcast(root=0, nbytes=100, payload="data")
-            got[ctx.rank] = value
-
-        comm.spawn(main)
-        machine.run()
-        assert got == {r: "data" for r in range(size)}
-
-    @pytest.mark.parametrize("root", [0, 1, 3])
-    def test_bcast_nonzero_root(self, root):
-        machine, comm = make_comm(4)
-        got = {}
-
-        def main(ctx):
-            payload = f"from-{ctx.rank}" if ctx.rank == root else None
-            value = yield from ctx.bcast(root=root, nbytes=10, payload=payload)
-            got[ctx.rank] = value
-
-        comm.spawn(main)
-        machine.run()
-        assert set(got.values()) == {f"from-{root}"}
-
-    def test_bcast_log_cost(self):
-        """Binomial tree over p ranks completes in ~ceil(log2 p) message times."""
-        machine, comm = make_comm(8, alpha=1.0, beta=0.0)
-        finish = []
-
-        def main(ctx):
-            yield from ctx.bcast(root=0, nbytes=0)
-            finish.append(ctx.env.now)
-
-        comm.spawn(main)
-        machine.run()
-        assert max(finish) == pytest.approx(3.0)  # log2(8) rounds
-
-    @pytest.mark.parametrize("size", [2, 3, 4, 7])
-    def test_scatter_serial_delivers_blocks(self, size):
-        machine, comm = make_comm(size)
-        got = {}
-
-        def main(ctx):
-            payloads = [f"block{r}" for r in range(size)] if ctx.rank == 0 else None
-            block = yield from ctx.scatter_serial(
-                root=0, nbytes_per_rank=50, payloads=payloads
-            )
-            got[ctx.rank] = block
-
-        comm.spawn(main)
-        machine.run()
-        assert got == {r: f"block{r}" for r in range(size)}
-
-    def test_scatter_serial_linear_cost(self):
-        machine, comm = make_comm(5, alpha=1.0, beta=0.0)
-        root_done = []
-
-        def main(ctx):
-            yield from ctx.scatter_serial(root=0, nbytes_per_rank=0)
-            if ctx.rank == 0:
-                root_done.append(ctx.env.now)
-
-        comm.spawn(main)
-        machine.run()
-        assert root_done == [pytest.approx(4.0)]  # p-1 serial sends
-
-    @pytest.mark.parametrize("size", [2, 3, 6])
-    def test_gather_serial_collects_in_rank_order(self, size):
-        machine, comm = make_comm(size)
-        result = {}
-
-        def main(ctx):
-            out = yield from ctx.gather_serial(root=0, nbytes=10, payload=ctx.rank * 10)
-            result[ctx.rank] = out
-
-        comm.spawn(main)
-        machine.run()
-        assert result[0] == [r * 10 for r in range(size)]
-        assert all(result[r] is None for r in range(1, size))
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 9])
-    def test_allreduce_sum(self, size):
-        machine, comm = make_comm(size)
-        got = {}
-
-        def main(ctx):
-            total = yield from ctx.allreduce(nbytes=8, value=ctx.rank + 1)
-            got[ctx.rank] = total
-
-        comm.spawn(main)
-        machine.run()
-        expected = size * (size + 1) // 2
-        assert got == {r: expected for r in range(size)}
-
-    def test_allreduce_custom_op(self):
-        machine, comm = make_comm(4)
-        got = {}
-
-        def main(ctx):
-            top = yield from ctx.allreduce(nbytes=8, value=ctx.rank, op=max)
-            got[ctx.rank] = top
-
-        comm.spawn(main)
-        machine.run()
-        assert set(got.values()) == {3}
-
-    def test_barrier_synchronises(self):
-        machine, comm = make_comm(4, alpha=1e-6)
-        after = {}
-
-        def main(ctx):
-            yield ctx.env.timeout(float(ctx.rank))  # stagger arrivals
-            yield from ctx.barrier()
-            after[ctx.rank] = ctx.env.now
-
-        comm.spawn(main)
-        machine.run()
-        assert min(after.values()) >= 3.0
-        assert max(after.values()) - min(after.values()) < 1e-9
-
-    def test_barrier_reusable(self):
-        machine, comm = make_comm(3)
-        counts = []
-
-        def main(ctx):
-            for _ in range(3):
-                yield from ctx.barrier()
-            counts.append(ctx.env.now)
-
-        comm.spawn(main)
-        machine.run()
-        assert len(counts) == 3
-
-
-class TestExtendedCollectives:
-    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 11])
-    @pytest.mark.parametrize("root", [0, 1])
-    def test_reduce_sum_to_root(self, size, root):
-        if root >= size:
-            pytest.skip("root outside communicator")
-        machine, comm = make_comm(size)
-        got = {}
-
-        def main(ctx):
-            result = yield from ctx.reduce(root=root, nbytes=8,
-                                           value=ctx.rank + 1)
-            got[ctx.rank] = result
-
-        comm.spawn(main)
-        machine.run()
-        expected = size * (size + 1) // 2
-        assert got[root] == expected
-        assert all(got[r] is None for r in range(size) if r != root)
-
-    def test_reduce_custom_op(self):
-        machine, comm = make_comm(6)
-        got = {}
-
-        def main(ctx):
-            result = yield from ctx.reduce(root=0, nbytes=8, value=ctx.rank,
-                                           op=max)
-            got[ctx.rank] = result
-
-        comm.spawn(main)
-        machine.run()
-        assert got[0] == 5
-
-    def test_reduce_log_rounds(self):
-        """Binomial reduce over 8 ranks finishes in 3 message times."""
-        machine, comm = make_comm(8, alpha=1.0, beta=0.0)
-        done = {}
-
-        def main(ctx):
-            yield from ctx.reduce(root=0, nbytes=0, value=1)
-            done[ctx.rank] = ctx.env.now
-
-        comm.spawn(main)
-        machine.run()
-        assert done[0] == pytest.approx(3.0)
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
-    def test_gather_binomial_rank_order(self, size):
-        machine, comm = make_comm(size)
-        got = {}
-
-        def main(ctx):
-            out = yield from ctx.gather_binomial(root=0, nbytes=10,
-                                                 payload=f"r{ctx.rank}")
-            got[ctx.rank] = out
-
-        comm.spawn(main)
-        machine.run()
-        assert got[0] == [f"r{r}" for r in range(size)]
-        assert all(got[r] is None for r in range(1, size))
-
-    @pytest.mark.parametrize("root", [0, 2, 4])
-    def test_gather_binomial_nonzero_root(self, root):
-        machine, comm = make_comm(5)
-        got = {}
-
-        def main(ctx):
-            out = yield from ctx.gather_binomial(root=root, nbytes=10,
-                                                 payload=ctx.rank * 10)
-            got[ctx.rank] = out
-
-        comm.spawn(main)
-        machine.run()
-        assert got[root] == [r * 10 for r in range(5)]
-
-    @pytest.mark.parametrize("size", [2, 3, 4, 5, 8])
-    def test_alltoall_everyone_gets_everyone(self, size):
-        machine, comm = make_comm(size)
-        got = {}
-
-        def main(ctx):
-            payloads = [f"{ctx.rank}->{d}" for d in range(size)]
-            out = yield from ctx.alltoall(nbytes_per_pair=16, payloads=payloads)
-            got[ctx.rank] = out
-
-        comm.spawn(main)
-        machine.run()
-        for r in range(size):
-            assert got[r] == [f"{s}->{r}" for s in range(size)]
-
-    def test_alltoall_payload_length_checked(self):
-        machine, comm = make_comm(3)
-
-        def main(ctx):
-            yield from ctx.alltoall(nbytes_per_pair=1, payloads=[1, 2])
-
-        comm.spawn(main, ranks=[0])
-        with pytest.raises(ValueError):
-            machine.run()
-
-    def test_waitall_blocks_until_all_sends_complete(self):
-        machine, comm = make_comm(4, alpha=1.0, beta=0.0)
-        done = []
-
-        def main(ctx):
-            if ctx.rank == 0:
-                reqs = [ctx.isend(d, nbytes=0) for d in (1, 2, 3)]
-                yield from ctx.waitall(reqs)
-                done.append(ctx.env.now)
-            else:
-                yield from ctx.recv(source=0)
-
-        comm.spawn(main)
-        machine.run()
-        # Three concurrent zero-byte sends of 1 s each finish together.
-        assert done == [pytest.approx(1.0)]
-
-
-class TestCommSplit:
-    def make_split(self, size=6, n_colors=2):
-        machine, comm = make_comm(size)
-        assignments = {r: (r % n_colors, r) for r in range(size)}
-        return machine, comm, comm.split(assignments)
-
-    def test_groups_partition_ranks(self):
-        _, comm, sub = self.make_split()
-        seen = []
-        for color in sub.colors:
-            group = sub._groups[color]
-            seen.extend(group)
-        assert sorted(seen) == list(range(6))
-
-    def test_group_of_and_local_rank(self):
-        _, _, sub = self.make_split()
-        assert sub.group_of(0) == [0, 2, 4]
-        assert sub.group_of(3) == [1, 3, 5]
-        assert sub.local_rank_of(4) == 2
-        assert sub.local_rank_of(1) == 0
-
-    def test_translate_roundtrip(self):
-        _, _, sub = self.make_split()
-        for world in range(6):
-            local = sub.local_rank_of(world)
-            assert sub.translate(world, local) == world
-
-    def test_key_orders_group(self):
-        machine, comm = make_comm(4)
-        # Reverse ordering within one color via keys.
-        sub = comm.split({0: (0, 3), 1: (0, 2), 2: (0, 1), 3: (0, 0)})
-        assert sub.group_of(0) == [3, 2, 1, 0]
-        assert sub.local_rank_of(0) == 3
-
-    def test_incomplete_assignment_rejected(self):
-        machine, comm = make_comm(4)
-        with pytest.raises(ValueError):
-            comm.split({0: (0, 0), 1: (0, 1)})
-
-    def test_translate_bad_local_rank(self):
-        _, _, sub = self.make_split()
-        with pytest.raises(ValueError):
-            sub.translate(0, 5)
-
-    def test_group_communication_through_world(self):
-        """Exchange within a split group via translated world ranks."""
-        machine, comm = make_comm(6)
-        sub = comm.split({r: (r % 2, r) for r in range(6)})
-        got = {}
-
-        def main(ctx):
-            group = sub.group_of(ctx.rank)
-            local = sub.local_rank_of(ctx.rank)
-            if local == 0:
-                for other in group[1:]:
-                    yield from ctx.send(other, nbytes=8,
-                                        payload=f"g{sub.color_of(ctx.rank)}")
-            else:
-                msg = yield from ctx.recv(source=group[0])
-                got[ctx.rank] = msg.payload
-
-        comm.spawn(main)
-        machine.run()
-        assert got == {2: "g0", 4: "g0", 3: "g1", 5: "g1"}

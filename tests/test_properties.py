@@ -244,71 +244,3 @@ class TestSimProperties:
             env.process(user(env, s))
         env.run()
         assert env.now == pytest.approx(sum(services))
-
-
-# ---------------------------------------------------------------------------
-# Simulated MPI collectives
-# ---------------------------------------------------------------------------
-class TestCollectiveProperties:
-    @given(
-        st.integers(1, 12),
-        st.integers(0, 11),
-        st.lists(st.integers(-100, 100), min_size=12, max_size=12),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_allreduce_equals_plain_sum(self, size, root_seed, values):
-        from repro.cluster import Machine, MachineSpec
-        from repro.mpisim import Communicator
-
-        machine = Machine(MachineSpec())
-        comm = Communicator(machine, size=size)
-        got = {}
-
-        def main(ctx):
-            total = yield from ctx.allreduce(nbytes=8, value=values[ctx.rank])
-            got[ctx.rank] = total
-
-        comm.spawn(main)
-        machine.run()
-        expected = sum(values[:size])
-        assert got == {r: expected for r in range(size)}
-
-    @given(st.integers(1, 12), st.integers(0, 11))
-    @settings(max_examples=30, deadline=None)
-    def test_bcast_reaches_all_from_any_root(self, size, root):
-        from repro.cluster import Machine, MachineSpec
-        from repro.mpisim import Communicator
-
-        root = root % size
-        machine = Machine(MachineSpec())
-        comm = Communicator(machine, size=size)
-        got = {}
-
-        def main(ctx):
-            payload = "x" if ctx.rank == root else None
-            value = yield from ctx.bcast(root=root, nbytes=1, payload=payload)
-            got[ctx.rank] = value
-
-        comm.spawn(main)
-        machine.run()
-        assert got == {r: "x" for r in range(size)}
-
-    @given(st.integers(2, 10))
-    @settings(max_examples=20, deadline=None)
-    def test_alltoall_is_a_transpose(self, size):
-        from repro.cluster import Machine, MachineSpec
-        from repro.mpisim import Communicator
-
-        machine = Machine(MachineSpec())
-        comm = Communicator(machine, size=size)
-        got = {}
-
-        def main(ctx):
-            payloads = [(ctx.rank, d) for d in range(size)]
-            out = yield from ctx.alltoall(nbytes_per_pair=8, payloads=payloads)
-            got[ctx.rank] = out
-
-        comm.spawn(main)
-        machine.run()
-        for r in range(size):
-            assert got[r] == [(s, r) for s in range(size)]
