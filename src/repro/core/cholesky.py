@@ -168,7 +168,8 @@ def _regress_rows(u, groups, ridge: float, min_variance: float):
         x_row = u[:, rows, :]  # (B, G, N)
         gram = x_pred @ x_pred.transpose(0, 1, 3, 2)  # (B, G, s, s)
         lam = ridge * (np.einsum("bgii->bg", gram) / s + 1.0)
-        gram = gram + lam[:, :, None, None] * np.eye(s)
+        diagonal = np.arange(s)
+        gram[:, :, diagonal, diagonal] += lam[:, :, None]
         rhs = x_pred @ x_row[:, :, :, None]
         beta = np.linalg.solve(gram, rhs)[:, :, :, 0]
         resid = x_row - (beta[:, :, None, :] @ x_pred)[:, :, 0, :]

@@ -70,6 +70,20 @@ class SendOp:
         if self.n_elems < 0:
             raise ValueError(f"n_elems must be >= 0, got {self.n_elems}")
 
+    @classmethod
+    def _trusted(
+        cls, source: int, dest: int, n_elems: int, tag: int
+    ) -> "SendOp":
+        """Fast-path constructor for planners whose ``n_elems`` are sizes
+        of index arrays (never negative) — the bar planner builds one send
+        per (group, bar, file, compute rank)."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "source", source)
+        object.__setattr__(op, "dest", dest)
+        object.__setattr__(op, "n_elems", n_elems)
+        object.__setattr__(op, "tag", tag)
+        return op
+
     def nbytes(self, layout: FileLayout) -> int:
         return layout.nbytes(self.n_elems)
 

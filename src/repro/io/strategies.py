@@ -107,26 +107,30 @@ def concurrent_access_plan(
     check_divides("n_files", n_files, "n_cg", n_cg)
     plan = ReadPlan(strategy=f"concurrent[{n_cg}]", layout=layout, n_files=n_files)
     io_base = decomp.n_subdomains
+    # Per bar: its extents and its (dest, n_elems) send list, the same for
+    # every file and every group.
+    bars = []
+    for j in range(decomp.n_sdy):
+        iy0, iy1 = decomp.bar_read_rows(j)
+        targets = [
+            (
+                decomp.rank_of(i, j),
+                len(decomp.subdomain(i, j).exp_x_indices) * (iy1 - iy0),
+            )
+            for i in range(decomp.n_sdx)
+        ]
+        bars.append((tuple(layout.bar_extents(iy0, iy1)), targets))
     for g in range(n_cg):
         files = range(g, n_files, n_cg)
-        for j in range(decomp.n_sdy):
+        for j, (extents, targets) in enumerate(bars):
             io_rank = io_base + g * decomp.n_sdy + j
             rp = plan.rank_plan(io_rank)
-            iy0, iy1 = decomp.bar_read_rows(j)
-            extents = tuple(layout.bar_extents(iy0, iy1))
             for f in files:
                 rp.reads.append(ReadOp(file_id=f, extents=extents))
-                for i in range(decomp.n_sdx):
-                    sd = decomp.subdomain(i, j)
-                    n_elems = len(sd.exp_x_indices) * (iy1 - iy0)
-                    rp.sends.append(
-                        SendOp(
-                            source=io_rank,
-                            dest=decomp.rank_of(i, j),
-                            n_elems=n_elems,
-                            tag=f,
-                        )
-                    )
+                rp.sends.extend(
+                    SendOp._trusted(io_rank, dest, n_elems, f)
+                    for dest, n_elems in targets
+                )
     return plan
 
 

@@ -9,9 +9,10 @@
 ``thread``
     A persistent :class:`~concurrent.futures.ThreadPoolExecutor` over the
     same loop body: one task per observed piece, each writing its own
-    disjoint interior rows of ``plan.out``.  The per-piece regressions
-    spend their time in LAPACK calls that release the GIL, which is what
-    the threads overlap.
+    disjoint interior rows of ``plan.out``.  What the threads overlap is
+    the per-piece regressions (stacked ``np.linalg.solve`` and ``matmul``,
+    which release the GIL); the banded closing (SciPy's ``dpbsv``) holds
+    the GIL and runs one piece at a time (docs/PERFORMANCE.md §1).
 ``vectorized``
     In-process batched kernels over structurally equal pieces
     (:mod:`repro.parallel.vectorized`).

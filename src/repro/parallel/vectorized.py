@@ -24,14 +24,24 @@ exceed :data:`MAX_PAD_WASTE`.  The realised waste is recorded
 (``vectorized.pad_slots`` / ``vectorized.obs_slots`` counters,
 ``vectorized.pad_waste`` gauge) so the policy is observable.
 
+A bucket is one cached :class:`~repro.parallel.geometry.BucketGeometry`
+and one ``vectorized.bucket`` span, but it is analysed in *runs* of
+consecutive pieces, each a slice of that geometry: as many pieces as keep
+the regressions' largest temporary, the ``(B, G, s, N)`` predecessor
+gather, within :data:`_RUN_BYTES` (``n̄ · s_max · N`` doubles a piece).
+The kernels' working set is then bounded by the run, not by the number
+of structurally equal pieces the decomposition produces; the span's
+``runs`` attribute records how many there were.
+
 Pieces with no observations are never prepared or batched: their
 "analysis" is a copy (plus ETKF inflation), written for all of them at
 once by :meth:`~repro.parallel.executor.AnalysisPlan.fill_unobserved`.
 
-Numerics: stacking reorders reductions, so results match the serial
-reference to rtol ≤ 1e-10, not bit-for-bit — the tolerance-checked
-equivalence suite in ``tests/test_vectorized.py`` pins this contract for
-every filter × localization combination.  The serial and thread
+Numerics: stacking reorders reductions (and each run's band is its own
+``pbsv``), so results match the serial reference to rtol ≤ 1e-10, not
+bit-for-bit — the tolerance-checked equivalence suite in
+``tests/test_vectorized.py`` pins this contract for every filter ×
+localization combination and for split runs.  The serial and thread
 strategies are untouched and stay bit-identical.
 """
 
@@ -48,6 +58,10 @@ __all__ = ["run_vectorized"]
 #: Largest padded fraction of a sub-batch's observation slots; admitting
 #: a piece that would exceed it starts a new sub-batch instead.
 MAX_PAD_WASTE = 0.25
+
+#: Bytes one run of a bucket's pieces may spend on its largest regression
+#: temporary, the predecessor gather (see :func:`_compute_bucket`).
+_RUN_BYTES = 8 * 2**20
 
 
 def _structural_groups(prepared: list[tuple]) -> list[list[tuple]]:
@@ -97,25 +111,49 @@ def _split_by_waste(
     return batches
 
 
-def _compute_bucket(plan, bucket) -> None:
-    """Analyse one stacked bucket into ``plan.out``."""
-    xb = plan.states[bucket.exp_index]  # (B, n̄, N)
-    if plan.kind == KIND_ENKF:
-        ys = plan.obs[bucket.obs_index] * bucket.obs_mask[:, :, None]
-        analysed = analysis_modified_cholesky(
-            xb, bucket.stencil, bucket.h_block, bucket.r_diag,
-            ys.reshape(-1, ys.shape[2]), ridge=plan.params["ridge"],
+def _compute_bucket(plan, bucket) -> int:
+    """Analyse one stacked bucket into ``plan.out``, one run of
+    consecutive pieces at a time; returns the number of runs.
+
+    A run is a slice of the bucket's cached geometry — pieces
+    ``[lo, hi)`` are rows ``[lo·m_max, hi·m_max)`` × columns
+    ``[lo·n̄, hi·n̄)`` of the block-diagonal ``h_block`` — so no run
+    rebuilds geometry, and the kernels' temporaries are bounded by the
+    run, not by the bucket.
+    """
+    n_batch, n_exp = bucket.exp_index.shape
+    m_max = bucket.r_diag.shape[1]
+    n_int = bucket.interior_positions.size
+    n_members = plan.states.shape[1]
+    # A run holds as many pieces as keep the largest regression temporary,
+    # the (b, G, s, N) predecessor gather (G <= n̄, s <= s_max), in budget.
+    s_max = 1
+    if bucket.stencil is not None and bucket.stencil.groups:
+        s_max = bucket.stencil.groups[-1][1].shape[1]  # counts ascend
+    per_run = max(1, _RUN_BYTES // (n_exp * s_max * n_members * 8))
+    for lo in range(0, n_batch, per_run):
+        hi = min(lo + per_run, n_batch)
+        xb = plan.states[bucket.exp_index[lo:hi]]  # (b, n̄, N)
+        h_block = bucket.h_block[lo * m_max:hi * m_max, lo * n_exp:hi * n_exp]
+        obs_index = bucket.obs_index[lo:hi]
+        obs_mask = bucket.obs_mask[lo:hi]
+        if plan.kind == KIND_ENKF:
+            ys = plan.obs[obs_index] * obs_mask[:, :, None]
+            analysed = analysis_modified_cholesky(
+                xb, bucket.stencil, h_block, bucket.r_diag[lo:hi],
+                ys.reshape(-1, n_members), ridge=plan.params["ridge"],
+            )
+        else:
+            y = plan.obs.ravel()[obs_index] * obs_mask
+            analysed = analysis_etkf(
+                xb, h_block, bucket.r_diag[lo:hi], y,
+                inflation=plan.params["inflation"],
+            )
+        interior = analysed[:, bucket.interior_positions, :]
+        plan.out[bucket.interior_flat_cat[lo * n_int:hi * n_int]] = (
+            interior.reshape(-1, n_members)
         )
-    else:
-        y = plan.obs.ravel()[bucket.obs_index] * bucket.obs_mask
-        analysed = analysis_etkf(
-            xb, bucket.h_block, bucket.r_diag, y,
-            inflation=plan.params["inflation"],
-        )
-    interior = analysed[:, bucket.interior_positions, :]
-    plan.out[bucket.interior_flat_cat] = interior.reshape(
-        -1, plan.states.shape[1]
-    )
+    return -(-n_batch // per_run)
 
 
 def run_vectorized(plan) -> dict:
@@ -125,7 +163,8 @@ def run_vectorized(plan) -> dict:
     :class:`GeometryCache` (per-piece entries carry the structural
     digests), grouped, padded or split (:data:`MAX_PAD_WASTE`), stacked
     via cached :class:`~repro.parallel.geometry.BucketGeometry` entries
-    and updated as stacks.  Empty-observation pieces are one
+    and updated as stacks, one run of pieces at a time
+    (:data:`_RUN_BYTES`).  Empty-observation pieces are one
     bulk fill (exact).  Writes land in ``plan.out`` exactly like every
     other strategy.
     """
@@ -157,8 +196,8 @@ def run_vectorized(plan) -> dict:
                     m_max=int(bucket.r_diag.shape[1]),
                     pad_waste=round(bucket.pad_waste, 4),
                     cached=cached,
-                ):
-                    _compute_bucket(plan, bucket)
+                ) as span:
+                    span.set(runs=_compute_bucket(plan, bucket))
             else:
                 _compute_bucket(plan, bucket)
 

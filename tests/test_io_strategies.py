@@ -7,6 +7,9 @@ from repro.cluster import Machine, MachineSpec
 from repro.core import Decomposition, Grid
 from repro.io import (
     FileLayout,
+    ReadOp,
+    ReadPlan,
+    SendOp,
     bar_read_plan,
     block_read_plan,
     concurrent_access_plan,
@@ -128,6 +131,40 @@ class TestConcurrentAccessPlan:
         for f in range(2):
             dests = sorted(s.dest for s in sends if s.tag == f)
             assert dests == list(range(decomp.n_subdomains))
+
+    @pytest.mark.parametrize(
+        "shape,n_files,n_cg",
+        [((24, 12, 4, 3, 2, 1), 6, 3), ((600, 300, 20, 10, 2, 2), 24, 2)],
+        ids=["small", "io_bar"],
+    )
+    def test_plan_equals_per_file_construction(self, shape, n_files, n_cg):
+        """Per-bar send lists are built once and reused across files and
+        groups; the plan equals the one built op by op, per (group, bar,
+        file, compute rank), with every op validated."""
+        n_x, n_y, n_sdx, n_sdy, xi, eta = shape
+        _, decomp, layout = setup(n_x, n_y, n_sdx, n_sdy, xi, eta)
+        oracle = ReadPlan(
+            strategy=f"concurrent[{n_cg}]", layout=layout, n_files=n_files
+        )
+        for g in range(n_cg):
+            for j in range(decomp.n_sdy):
+                io_rank = decomp.n_subdomains + g * decomp.n_sdy + j
+                rp = oracle.rank_plan(io_rank)
+                iy0, iy1 = decomp.bar_read_rows(j)
+                extents = tuple(layout.bar_extents(iy0, iy1))
+                for f in range(g, n_files, n_cg):
+                    rp.reads.append(ReadOp(file_id=f, extents=extents))
+                    for i in range(decomp.n_sdx):
+                        sd = decomp.subdomain(i, j)
+                        rp.sends.append(SendOp(
+                            source=io_rank,
+                            dest=decomp.rank_of(i, j),
+                            n_elems=len(sd.exp_x_indices) * (iy1 - iy0),
+                            tag=f,
+                        ))
+        plan = concurrent_access_plan(decomp, layout, n_files, n_cg)
+        assert list(plan.per_rank) == list(oracle.per_rank)
+        assert plan == oracle
 
     def test_send_sizes_match_expansion_blocks(self):
         _, decomp, layout = setup()

@@ -320,12 +320,45 @@ def test_local_analysis_allocates_no_dense_n_by_n():
     assert peak < 8 * sd.exp_size**2
 
 
+def test_vectorized_assimilate_footprint_is_bounded_by_a_run():
+    """One warm ``vectorized`` S-EnKF ``assimilate`` on the end-to-end
+    benchmark's ``small_pieces_static`` shape (256 pieces of 20 × 6
+    points, 20 observations per sub-domain) keeps its traced peak within
+    24 MiB: buckets are analysed in runs of pieces, so the regressions'
+    predecessor gathers and Gram stacks no longer grow with the bucket
+    (analysing each bucket whole traced 68 MiB here)."""
+    grid = Grid(n_x=128, n_y=64, dx_km=25.0, dy_km=25.0)
+    decomp = Decomposition(grid, n_sdx=8, n_sdy=8, xi=HALO, eta=HALO)
+    rng = np.random.default_rng(3)
+    states = correlated_ensemble(grid, N_MEMBERS, 40.0, rng=rng)
+    cells = [
+        (sd, rng.choice(sd.size, size=20, replace=False)) for sd in decomp
+    ]
+    net = ObservationNetwork(
+        grid,
+        np.concatenate([sd.ix0 + c % sd.n_cols for sd, c in cells]),
+        np.concatenate([sd.iy0 + c // sd.n_cols for sd, c in cells]),
+        0.5,
+    )
+    y = rng.standard_normal(net.m)
+    with AnalysisExecutor(strategy="vectorized") as ex:
+        filt = SEnKF(radius_km=RADIUS_KM, n_layers=4, ridge=1e-2, executor=ex)
+        filt.assimilate(decomp, states, net, y, rng=1)  # warm the cache
+        tracemalloc.start()
+        try:
+            filt.assimilate(decomp, states, net, y, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
 def test_vectorized_enkf_factorises_bands_not_dense_stacks(monkeypatch):
     """Shape spy on a ``vectorized`` S-EnKF cycle (64 pieces of 20 × 6 and
-    20 × 4 points): every bucket is closed by one banded solve over its
-    ``B · n̄`` stacked points at the stencil's bandwidth, and the only
-    dense solves are the regressions' ``s × s`` Gram systems — no
-    ``(B, n̄, n̄)`` operand reaches LAPACK."""
+    20 × 4 points): every run of a bucket's pieces is closed by one banded
+    solve over its ``B · n̄`` stacked points at the stencil's bandwidth,
+    and the only dense solves are the regressions' ``s × s`` Gram
+    systems — no ``(B, n̄, n̄)`` operand reaches LAPACK."""
     banded, dense = [], []
     real_banded, real_solve = scipy.linalg.solveh_banded, np.linalg.solve
 

@@ -47,6 +47,8 @@ from repro.parallel import (
     KIND_ETKF,
     run_vectorized,
 )
+from repro.parallel import executor as executor_module
+from repro.parallel import vectorized
 from repro.parallel.vectorized import (
     MAX_PAD_WASTE,
     _split_by_waste,
@@ -105,6 +107,16 @@ def make_plan(kind, n_sdx=4, n_sdy=4, xi=2, eta=2, m=40, radius=2.0,
 def observed_groups(plan):
     """The plan's observed pieces grouped as ``run_vectorized`` groups them."""
     return _structural_groups([plan.prepare(i) for i in plan.observed])
+
+
+def piece_bytes(bucket, n_members):
+    """One piece's charge against the run budget: its share of the
+    largest regression temporary, ``n̄ · s_max · N`` doubles."""
+    s_max = max(
+        [1] + ([len(p) for p in bucket.stencil.predecessors]
+               if bucket.stencil is not None else [])
+    )
+    return bucket.exp_index.shape[1] * s_max * n_members * 8
 
 
 def serial_reference(plan):
@@ -288,6 +300,60 @@ class TestFilterEquivalence:
         with AnalysisExecutor(strategy="vectorized") as ex:
             out = make_filter(ex).assimilate(decomp, states, net, y, rng=5)
         assert np.allclose(ref, out, rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize(
+        "budget", ["default", "one-piece", "three-pieces"]
+    )
+    @pytest.mark.parametrize("label", ["senkf-L2-r2.0", "letkf"])
+    def test_split_buckets_match_serial(self, monkeypatch, label, budget):
+        """Buckets analysed in runs of pieces stay within the contract at
+        every run budget — one run per bucket, one piece per run, and three
+        per run on buckets of 4 and 8 (a short last run) — and the budget
+        moves neither the bucketing nor its padding."""
+        make_filter = dict(_filter_cases())[label]
+        grid, truth, states, net, y = problem()
+        decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
+        stats, runs = [], []
+        real_run, real_bucket = run_vectorized, vectorized._compute_bucket
+
+        def spy_run(plan):
+            stats.append(real_run(plan))
+            return stats[-1]
+
+        def spy_bucket(plan, bucket):
+            runs.append((bucket, real_bucket(plan, bucket)))
+            return runs[-1][1]
+
+        def analyse():
+            stats.clear()
+            runs.clear()
+            with AnalysisExecutor(strategy="vectorized") as ex:
+                out = make_filter(ex).assimilate(decomp, states, net, y, rng=5)
+            return out, [(s["n_buckets"], s["pad_waste"]) for s in stats]
+
+        monkeypatch.setattr(executor_module, "run_vectorized", spy_run)
+        monkeypatch.setattr(vectorized, "_compute_bucket", spy_bucket)
+        _, whole = analyse()
+        n_members = states.shape[1]
+        widest = max(piece_bytes(b, n_members) for b, _ in runs)
+        if budget == "one-piece":
+            monkeypatch.setattr(vectorized, "_RUN_BYTES", 1)
+        elif budget == "three-pieces":
+            monkeypatch.setattr(vectorized, "_RUN_BYTES", 3 * widest)
+        out, split = analyse()
+
+        ref = make_filter(None).assimilate(decomp, states, net, y, rng=5)
+        assert np.allclose(ref, out, rtol=RTOL, atol=ATOL)
+        assert split == whole
+        if budget == "one-piece":
+            assert all(n_runs == b.n_batch for b, n_runs in runs)
+        elif budget == "three-pieces":
+            sizes = [
+                (b.n_batch, n_runs) for b, n_runs in runs
+                if piece_bytes(b, n_members) == widest
+            ]
+            assert any(n % 3 for n, _ in sizes)
+            assert all(n_runs == -(-n // 3) for n, n_runs in sizes)
 
     def test_fanout_strategies_stay_bit_identical(self):
         """The vectorized layer must not perturb the existing contract."""
