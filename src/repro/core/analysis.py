@@ -23,9 +23,12 @@ between (3) and (5).
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import cython_lapack
 
 from repro.core.cholesky import (
     MIN_VARIANCE,
@@ -41,6 +44,25 @@ from repro.core.observations import ObservationNetwork
 _NON_FINITE = (
     "non-finite values in the precision-form system "
     "(background, observations, H or B̂⁻¹)"
+)
+
+#: LAPACK ``dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)``, called
+#: through the C pointer SciPy exports for Cython: a ``ctypes`` foreign
+#: call releases the GIL for its length, SciPy's f2py wrapper holds it, so
+#: pool threads close their pieces at once (docs/PERFORMANCE.md §1).
+_DPBSV = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, *[ctypes.POINTER(ctypes.c_int)] * 3,
+    ctypes.c_void_p, ctypes.POINTER(ctypes.c_int),
+    ctypes.c_void_p, *[ctypes.POINTER(ctypes.c_int)] * 2,
+)(
+    ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )(
+        cython_lapack.__pyx_capi__["dpbsv"],
+        ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi)
+        )(cython_lapack.__pyx_capi__["dpbsv"]),
+    )
 )
 
 
@@ -146,23 +168,41 @@ def _add_lower_band(band: np.ndarray, matrix) -> np.ndarray:
 
 def _solve_band(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the SPD system held in lower band storage (LAPACK ``pbsv``),
-    all right-hand sides at once; ``band`` and ``rhs`` are overwritten.
+    all ``(n, N)`` right-hand sides at once; returns the ``(n, N)``
+    solution.
 
-    ``check_finite`` is off, so the checks are here: LAPACK would carry
-    NaN/inf through to the analysis silently.
+    LAPACK checks nothing, so the checks are here: it would carry NaN/inf
+    through to the analysis silently.  ``band`` and ``rhs`` are read, not
+    written: LAPACK works on Fortran-ordered copies (as SciPy's wrapper
+    does), and every argument is built per call, so concurrent calls
+    share no mutable state.
     """
     if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
         raise ValueError(_NON_FINITE)
-    try:
-        return scipy.linalg.solveh_banded(
-            band, rhs, lower=True, check_finite=False,
-            overwrite_ab=True, overwrite_b=True,
-        )
-    except np.linalg.LinAlgError as exc:
+    ab = np.array(band, dtype=float, order="F")
+    x = np.array(rhs, dtype=float, order="F")
+    if ab.ndim != 2 or x.ndim != 2 or x.shape[0] != ab.shape[1]:
         raise ValueError(
-            f"precision-form system of size {band.shape[1]} is not "
-            f"positive definite: {exc}"
-        ) from exc
+            f"band {ab.shape} and right-hand sides {x.shape} do not match"
+        )
+    n = ab.shape[1]
+    info = ctypes.c_int(0)
+    _DPBSV(
+        b"L", ctypes.byref(ctypes.c_int(n)),
+        ctypes.byref(ctypes.c_int(ab.shape[0] - 1)),
+        ctypes.byref(ctypes.c_int(x.shape[1])),
+        ab.ctypes.data, ctypes.byref(ctypes.c_int(ab.shape[0])),
+        x.ctypes.data, ctypes.byref(ctypes.c_int(max(1, n))),
+        ctypes.byref(info),
+    )
+    if info.value > 0:
+        raise ValueError(
+            f"precision-form system of size {n} is not positive definite: "
+            f"{info.value}th leading minor not positive definite"
+        )
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of dpbsv")
+    return x
 
 
 def analysis_precision_form(

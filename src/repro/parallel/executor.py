@@ -9,10 +9,12 @@
 ``thread``
     A persistent :class:`~concurrent.futures.ThreadPoolExecutor` over the
     same loop body: one task per observed piece, each writing its own
-    disjoint interior rows of ``plan.out``.  What the threads overlap is
-    the per-piece regressions (stacked ``np.linalg.solve`` and ``matmul``,
-    which release the GIL); the banded closing (SciPy's ``dpbsv``) holds
-    the GIL and runs one piece at a time (docs/PERFORMANCE.md §1).
+    disjoint interior rows of ``plan.out``.  Both halves of a piece
+    overlap across threads: the regressions (stacked ``np.linalg.solve``
+    and ``matmul``) and the banded closing (LAPACK ``dpbsv`` through a
+    ``ctypes`` call) release the GIL; only the Python glue between them
+    holds it (docs/PERFORMANCE.md §1).  A pool of ``w > 1`` threads warns
+    once when ``w ×`` BLAS threads exceeds the CPU count.
 ``vectorized``
     In-process batched kernels over structurally equal pieces
     (:mod:`repro.parallel.vectorized`).
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import os
 import threading
+import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -80,6 +83,43 @@ _SERIAL_POINTS_CEILING = 8_192
 #: core-count independent, so this check runs before the worker check.
 _VECTORIZED_MIN_PIECES = 16
 _VECTORIZED_MEAN_POINTS_CEILING = 512
+
+#: the variables BLAS libraries read their thread count from
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_oversubscription_lock = threading.Lock()
+_oversubscription_warned = False
+
+
+def _warn_if_oversubscribed(workers: int) -> None:
+    """One ``RuntimeWarning`` per process when a pool of ``workers > 1``
+    threads, each running a BLAS with its own threads, asks for more
+    threads than there are CPUs (docs/PERFORMANCE.md §1).
+
+    The BLAS thread count is the smallest of the set thread variables, or
+    the CPU count when none is set (what OpenBLAS and MKL default to).
+    Nothing is changed: the warning names the variable to set.
+    """
+    global _oversubscription_warned
+    cpus = os.cpu_count() or 1
+    pinned = [
+        int(value) for value in map(os.environ.get, _BLAS_THREAD_VARS)
+        if value and value.strip().isdigit() and int(value) > 0
+    ]
+    blas_threads = min(pinned, default=cpus)
+    if workers < 2 or workers * blas_threads <= cpus:
+        return
+    with _oversubscription_lock:
+        if _oversubscription_warned:
+            return
+        _oversubscription_warned = True
+    warnings.warn(
+        f"{workers} analysis threads x {blas_threads} BLAS thread(s) each "
+        f"oversubscribe {cpus} CPUs; start Python with "
+        f"OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 "
+        f"for other BLAS builds) and use at most {cpus} workers",
+        RuntimeWarning,
+        stacklevel=4,
+    )
 
 
 @dataclass
@@ -279,6 +319,7 @@ class AnalysisExecutor:
         """
         with self._lock:  # persistent: created on the first threaded run
             if self._pool is None:
+                _warn_if_oversubscribed(self._max_workers)
                 self._pool = ThreadPoolExecutor(
                     self._max_workers, thread_name_prefix="senkf-analysis"
                 )

@@ -12,9 +12,11 @@ threads into the submitting thread's tracer.
 """
 
 import gc
+import os
 import pickle
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -33,6 +35,7 @@ from repro.parallel import (
     GeometryCache,
     KIND_ENKF,
 )
+from repro.parallel import executor as executor_module
 from repro.parallel.executor import STRATEGIES
 from repro.telemetry import (
     MetricsRegistry,
@@ -313,6 +316,45 @@ class TestExecutorConfig:
         clone = pickle.loads(pickle.dumps(sd))
         assert "expansion_flat" not in vars(clone)  # rebuilt lazily, not shipped
         assert np.array_equal(clone.expansion_flat, sd.expansion_flat)
+
+
+class TestOversubscriptionWarning:
+    """A pool of threads each running a multi-threaded BLAS oversubscribes
+    the CPUs; the executor says so once per process and changes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "_oversubscription_warned", False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for name in executor_module._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+
+    @staticmethod
+    def runtime_warnings(workers=2):
+        """Two executors, two threaded runs each."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                with AnalysisExecutor(strategy="thread", workers=workers) as ex:
+                    ex.run(enkf_plan())
+                    ex.run(enkf_plan())
+        return [w for w in caught if w.category is RuntimeWarning]
+
+    def test_unpinned_blas_warns_once(self):
+        (warning,) = self.runtime_warnings()
+        assert "OPENBLAS_NUM_THREADS=1" in str(warning.message)
+
+    def test_one_blas_thread_is_silent(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert self.runtime_warnings() == []
+
+    def test_smallest_set_variable_counts(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        assert self.runtime_warnings() == []
+
+    def test_one_worker_is_silent(self):
+        assert self.runtime_warnings(workers=1) == []
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.analysis as core_analysis
 from repro.core import (
     Decomposition,
     Grid,
@@ -40,7 +41,7 @@ from repro.core import (
     perturb_observations,
 )
 from repro.core.cholesky import Stencil, neighbour_predecessors
-from repro.filters import SEnKF
+from repro.filters import PEnKF, SEnKF
 from repro.models import correlated_ensemble
 from repro.parallel import AnalysisExecutor
 
@@ -360,17 +361,17 @@ def test_vectorized_enkf_factorises_bands_not_dense_stacks(monkeypatch):
     and the only dense solves are the regressions' ``s × s`` Gram
     systems — no ``(B, n̄, n̄)`` operand reaches LAPACK."""
     banded, dense = [], []
-    real_banded, real_solve = scipy.linalg.solveh_banded, np.linalg.solve
+    real_banded, real_solve = core_analysis._solve_band, np.linalg.solve
 
-    def spy_banded(ab, b, **kwargs):
-        banded.append((ab.shape, b.shape))
-        return real_banded(ab, b, **kwargs)
+    def spy_banded(band, rhs):
+        banded.append((band.shape, rhs.shape))
+        return real_banded(band, rhs)
 
     def spy_solve(a, b):
         dense.append(a.shape)
         return real_solve(a, b)
 
-    monkeypatch.setattr(scipy.linalg, "solveh_banded", spy_banded)
+    monkeypatch.setattr(core_analysis, "_solve_band", spy_banded)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     grid = Grid(n_x=128, n_y=16, dx_km=25.0, dy_km=25.0)
     decomp = Decomposition(grid, n_sdx=8, n_sdy=2, xi=HALO, eta=HALO)
@@ -476,3 +477,103 @@ class TestInputBoundary:
             ValueError, match=f"size {n} is not positive definite"
         ):
             analysis_precision_form(xb, h, r_diag, y_local, flipped)
+
+
+#: smoke-size analogues of the end-to-end benchmark's four workloads:
+#: (grid n_x, n_y, n_sdx, n_sdy, n_layers, observations, side of the box
+#: in one sub-domain that holds them (None: spread evenly), block read)
+WORKLOAD_SHAPES = {
+    "small_pieces_static": (64, 32, 4, 4, 4, 320, None, False),
+    "large_pieces_moving": (48, 24, 2, 2, 1, 180, None, False),
+    "io_bar": (120, 60, 8, 4, 1, 32, 8, False),
+    "io_block": (120, 60, 8, 4, 1, 32, 8, True),
+}
+
+
+def captured_bands(monkeypatch, workload):
+    """Every ``(band, rhs)`` the closing is handed during one cycle of
+    ``workload`` under ``auto`` with two workers."""
+    n_x, n_y, n_sdx, n_sdy, n_layers, m, box, block = WORKLOAD_SHAPES[workload]
+    grid = Grid(n_x=n_x, n_y=n_y, dx_km=25.0, dy_km=25.0)
+    decomp = Decomposition(grid, n_sdx, n_sdy, xi=HALO, eta=HALO)
+    rng = np.random.default_rng(36)
+    states = correlated_ensemble(grid, 12, 40.0, rng=rng)
+    if box is None:
+        cells = [(sd, rng.choice(sd.size, size=m // decomp.n_subdomains,
+                                 replace=False)) for sd in decomp]
+    else:
+        sd = decomp.subdomain(n_sdx // 2, n_sdy // 2)
+        inset_x, inset_y = (sd.n_cols - box) // 2, (sd.n_rows - box) // 2
+        picked = rng.choice(box * box, size=m, replace=False)
+        cells = [(sd, (inset_y + picked // box) * sd.n_cols
+                  + inset_x + picked % box)]
+    net = ObservationNetwork(
+        grid,
+        np.concatenate([sd.ix0 + c % sd.n_cols for sd, c in cells]),
+        np.concatenate([sd.iy0 + c // sd.n_cols for sd, c in cells]),
+        0.5,
+    )
+    captured, real = [], core_analysis._solve_band
+
+    def spy(band, rhs):
+        captured.append((band.copy(), rhs.copy()))
+        return real(band, rhs)
+
+    monkeypatch.setattr(core_analysis, "_solve_band", spy)
+    common = dict(radius_km=RADIUS_KM, inflation=1.05, ridge=1e-2, workers=2)
+    filt = PEnKF(**common) if block else SEnKF(n_layers=n_layers, **common)
+    try:
+        filt.assimilate(decomp, states, net, rng.standard_normal(net.m), rng=1)
+    finally:
+        filt.close()
+    monkeypatch.undo()
+    assert captured
+    return captured
+
+
+class TestLapackCall:
+    """The closing calls LAPACK ``dpbsv`` through SciPy's Cython pointer,
+    not SciPy's wrapper; only the GIL handling may differ, not a bit of
+    the result."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_bit_identical_to_solveh_banded(self, monkeypatch, workload):
+        for band, rhs in captured_bands(monkeypatch, workload):
+            assert band.shape[0] > 2  # SciPy's pbsv path, not ?ptsv
+            want = scipy.linalg.solveh_banded(band, rhs, lower=True)
+            assert np.array_equal(core_analysis._solve_band(band, rhs), want)
+
+    @pytest.mark.parametrize("kd", [0, 1])
+    def test_narrow_bands_match_a_dense_solve(self, kd):
+        """SciPy sends 2-row bands to ``?ptsv``, so on ``kd = 1`` the two
+        may differ in the last bit (1e-16 seen); the dense solve is the
+        oracle here, for ``kd = 0`` and ``kd = 1`` alike."""
+        n = 40
+        rng = np.random.default_rng(kd)
+        band = np.zeros((kd + 1, n))
+        band[0] = 2.0 + rng.random(n)
+        if kd:
+            band[1, :-1] = rng.uniform(-0.9, 0.9, n - 1)
+        dense = np.diag(band[0])
+        if kd:
+            dense += np.diag(band[1, :-1], -1) + np.diag(band[1, :-1], 1)
+        rhs = rng.standard_normal((n, N_MEMBERS))
+        got = core_analysis._solve_band(band, rhs)
+        np.testing.assert_allclose(
+            got, np.linalg.solve(dense, rhs), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("rhs_shape", [(29, 3), (31, 3), (30,)])
+    def test_mismatched_shapes_never_reach_lapack(self, rhs_shape):
+        band = np.vstack([np.full(30, 4.0), np.full(30, -1.0)])
+        with pytest.raises(ValueError, match="do not match"):
+            core_analysis._solve_band(band, np.ones(rhs_shape))
+
+    def test_inputs_are_left_as_given(self):
+        n = 30
+        band = np.vstack([np.full(n, 4.0), np.full(n, -1.0)])
+        rhs = np.ones((n, 3))
+        before = band.copy(), rhs.copy()
+        core_analysis._solve_band(band, rhs)
+        assert np.array_equal(band, before[0])
+        assert np.array_equal(rhs, before[1])
