@@ -129,9 +129,9 @@ class CampaignRunner:
         is installed as the *calling thread's* tracer for the duration
         of ``run``/``resume`` so every instrumented layer underneath
         (stores, filters, fault retries, checkpoint commits) records
-        into one capture — and concurrent campaigns in other threads
-        (the service) keep theirs separate; when omitted the ambient
-        tracer (null by default) applies.
+        into one capture — and campaigns driven from other threads
+        keep theirs separate; when omitted the ambient tracer (null by
+        default) applies.
     """
 
     def __init__(
@@ -307,8 +307,8 @@ class CampaignRunner:
         n_cycles: int,
         on_cycle: Callable[[CampaignState], None] | None,
     ) -> TwinResult:
-        # Thread-scoped install: concurrent campaigns (service worker
-        # threads) each keep their own capture instead of clobbering the
+        # Thread-scoped install: campaigns driven from concurrent threads
+        # each keep their own capture instead of clobbering the
         # process-global slot.
         with use_thread_tracer(self.tracer), self._graceful_sigterm():
             tracer = get_tracer()
@@ -336,9 +336,8 @@ class CampaignRunner:
     def _graceful_sigterm(self):
         """Convert SIGTERM into ``KeyboardInterrupt`` while driving, so a
         ``kill`` gets the same graceful drain as a Ctrl-C.  Signal
-        handlers are a main-thread privilege — worker threads (the
-        service) skip the install and rely on their own preempt/cancel
-        protocol."""
+        handlers are a main-thread privilege — a campaign driven from
+        another thread skips the install and is stopped by its caller."""
         if threading.current_thread() is not threading.main_thread():
             yield
             return

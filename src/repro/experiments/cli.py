@@ -100,34 +100,11 @@ def _campaign_problem(workers: int | None = None,
 
 def _run_campaign(args) -> int:
     """``senkf-experiments campaign``: checkpointed cycling with restart."""
-    from contextlib import ExitStack
-
     from repro.checkpoint import CampaignRunner, NoCheckpointError, SimulatedCrash
 
     twin, truth0, ensemble0, filt = _campaign_problem(
         workers=args.workers, strategy=args.strategy
     )
-    stack = ExitStack()
-    if args.metrics_port is not None:
-        from repro.telemetry import (
-            HealthProbe,
-            MetricsExporter,
-            get_metrics,
-        )
-
-        # Filter-health gauges stream into the ambient registry every
-        # cycle; the exporter serves that registry live on /metrics.
-        twin.health = HealthProbe(always_publish=True)
-        exporter = stack.enter_context(MetricsExporter(
-            [get_metrics()],
-            health_source=lambda: {
-                "alerts_active": [a.message for a in twin.health.engine.active],
-                "evaluations": twin.health.engine.evaluations,
-            },
-            port=args.metrics_port,
-        ))
-        print(f"metrics exposition at {exporter.url}/metrics "
-              f"(health: {exporter.url}/healthz)")
     try:
         runner = CampaignRunner(
             twin,
@@ -180,7 +157,6 @@ def _run_campaign(args) -> int:
                 return 0
     finally:
         filt.close()
-        stack.close()
 
     print(f"campaign complete: {result.n_cycles} cycles "
           f"(checkpoints at {runner.store.cycles()})")
@@ -189,12 +165,6 @@ def _run_campaign(args) -> int:
 
         print()
         print(render_supervision(runner.supervision.to_dict()))
-    probe = getattr(twin, "health", None)
-    if probe is not None and probe.engine.evaluations:
-        from repro.telemetry import render_health
-
-        print()
-        print(render_health(probe.report(kind="filter").to_dict()))
     print("  cycle   background-RMSE   analysis-RMSE")
     for k in range(0, result.n_cycles, max(1, args.interval)):
         print(f"  {k + 1:5d}   {result.background_rmse[k]:15.3f}   "
@@ -345,22 +315,17 @@ def _render_report(path, threshold: float = 0.15) -> int:
 
     Reads the JSON file and validates it against the spec its own
     ``schema`` id names (:mod:`repro.telemetry.schema`): a run report, a
-    service report, a bare ``senkf-health/1`` payload, ...  Then renders
-    each panel the payload carries — the supervision rollup, the service
-    dashboard, the health panel.  Exit status 1 when any tripwire fires:
-    recovery spend above ``threshold`` of the campaign's wall time, a
-    failed job, or a critical alert — the command doubles as a CI gate.
+    bare ``senkf-health/1`` payload, ...  Then renders each panel the
+    payload carries — the supervision rollup, the health panel.  Exit
+    status 1 when any tripwire fires: recovery spend above ``threshold``
+    of the campaign's wall time, or a critical alert — the command
+    doubles as a CI gate.
     """
     import json
     from pathlib import Path
 
-    from repro.service.report import render_service_report
     from repro.telemetry import render_health, render_supervision
-    from repro.telemetry.schema import (
-        HEALTH_SCHEMA,
-        SERVICE_REPORT_SCHEMA,
-        validate,
-    )
+    from repro.telemetry.schema import HEALTH_SCHEMA, validate
 
     payload = validate(json.loads(Path(path).read_text()))
     schema = payload["schema"]
@@ -375,14 +340,8 @@ def _render_report(path, threshold: float = 0.15) -> int:
                 "inspect the fault regime or raise the budgets"
             )
     health = payload if schema == HEALTH_SCHEMA else payload.get("health")
-    if schema == SERVICE_REPORT_SCHEMA:
-        print(render_service_report(payload))  # embeds the health panel
-        failed = sum(u["failed"] for u in payload["tenants"].values())
-        if failed:
-            tripped.append(f"{failed} job(s) failed")
-    elif health is not None:
-        print(render_health(health))
     if health is not None:
+        print(render_health(health))
         critical = sum(a["severity"] == "critical" for a in health["alerts"])
         if critical:
             tripped.append(
@@ -654,11 +613,6 @@ def _run_doctor(args) -> int:
     """
     if args.report:
         return _render_report(args.report)
-    if args.service_report:
-        # A stale gate must fail loudly, not run the calibration doctor.
-        print("doctor reads a report with --report PATH; --service-report "
-              "belongs to 'jobs'", file=sys.stderr)
-        return 2
     if args.profile:
         return _run_doctor_profile(args)
 
@@ -763,182 +717,6 @@ def _run_doctor(args) -> int:
     return 0
 
 
-def _run_serve(args) -> int:
-    """``senkf-experiments serve``: the multi-tenant service demo session.
-
-    Runs the acceptance scenario — three tenants' P-EnKF campaigns on a
-    bounded-slot service, one high-priority preemption mid-campaign,
-    chaos faults optional — then verifies every job's final checkpointed
-    ensemble bit-for-bit against a solo run of the same seed, renders
-    the tenant dashboard and writes the validated
-    ``service-report.json``.  Exit status 1 when any result diverged.
-    """
-    from pathlib import Path
-
-    from repro.service.demo import run_acceptance_scenario
-    from repro.service.report import render_service_report
-
-    out = Path(args.out or "service-out")
-    out.mkdir(parents=True, exist_ok=True)
-    cycles = max(2, args.cycles)
-    scenario = run_acceptance_scenario(
-        out / "campaigns",
-        n_cycles=cycles,
-        total_slots=args.slots,
-        chaos=args.chaos,
-        exporter_port=args.metrics_port,
-    )
-    if scenario["healthz"] is not None:
-        hz = scenario["healthz"]
-        print(
-            f"mid-run /healthz: status={hz.get('status')} "
-            f"queue_depth={hz.get('queue_depth')} "
-            f"running={hz.get('running')} "
-            f"alerts_active={len(hz.get('alerts_active') or [])}"
-        )
-        n_series = sum(
-            1 for line in (scenario["metrics_text"] or "").splitlines()
-            if line and not line.startswith("#")
-        )
-        print(f"mid-run /metrics scrape: {n_series} samples")
-        print()
-    print(render_service_report(scenario["report"]))
-    print()
-    all_identical = all(scenario["identical"].values())
-    print(
-        f"preemptions: {scenario['preemptions']}   "
-        f"bit-identical to solo runs: "
-        + ("yes, all 4" if all_identical else f"NO — {scenario['identical']}")
-    )
-    path = scenario["report"].write(out / "service-report.json")
-    print(f"wrote {path}")
-    return 0 if all_identical else 1
-
-
-def _run_submit(args) -> int:
-    """``senkf-experiments submit``: one campaign through the service.
-
-    Builds the demo campaign for ``--tenant``/``--seed``, prices it with
-    the cost model, submits it to an in-process service and waits for
-    the result; the session's ``service-report.json`` lands in
-    ``--out`` for ``jobs`` / ``doctor --report`` to inspect.
-    """
-    from pathlib import Path
-
-    from repro.service import ServiceClient
-    from repro.service.demo import campaign_spec, demo_faults
-
-    out = Path(args.out or "service-out")
-    faults = demo_faults() if args.chaos else None
-    cycles = max(2, args.cycles)
-    with ServiceClient(
-        total_slots=args.slots, root=out / "campaigns"
-    ) as client:
-        job_id = client.submit(campaign_spec(
-            args.tenant, args.seed, cycles,
-            priority=args.priority, faults=faults,
-        ))
-        print(f"submitted {job_id} (tenant {args.tenant!r}, "
-              f"seed {args.seed}, {cycles} cycles)")
-        result = client.result(job_id, timeout=600)
-        status = client.status(job_id)
-        report = client.report()
-    print(
-        f"{job_id}: {status['state']} after {status['progress']} cycle(s), "
-        f"mean analysis RMSE {result.mean_analysis_rmse():.4f}, "
-        f"{status['slot_seconds']:.3f} slot-seconds "
-        f"(predicted {status['predicted_seconds']:.3f})"
-    )
-    path = report.write(out / "service-report.json")
-    print(f"wrote {path}")
-    return 0 if status["state"] == "done" else 1
-
-
-def _jobs_table(payload: dict) -> str:
-    """The queue/quota table of one service-report payload."""
-    lines = [
-        f"  {'job':<10} {'tenant':<10} {'name':<20} {'state':<11} "
-        f"{'prio':>4} {'prog':>5} {'preempt':>8} {'restart':>8} "
-        f"{'wait (s)':>9} {'spent (ss)':>11}"
-    ]
-    for job in payload["jobs"]:
-        lines.append(
-            f"  {job['job_id']:<10} {job['tenant']:<10} "
-            f"{(job.get('name') or '-'):<20} {job['state']:<11} "
-            f"{job['priority']:>4} {job['progress']:>5} "
-            f"{job['preemptions']:>8} {job['restarts']:>8} "
-            f"{job['queue_wait_seconds']:>9.3f} {job['slot_seconds']:>11.3f}"
-        )
-    return "\n".join(lines)
-
-
-def _scrape_healthz(port: int) -> str:
-    """One line of live service health from a running exporter."""
-    import json
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}/healthz", timeout=5
-        ) as resp:
-            hz = json.loads(resp.read().decode())
-    except OSError as exc:
-        return f"  /healthz (port {port}): unreachable ({exc})"
-    active = hz.get("alerts_active") or []
-    line = (
-        f"  /healthz: status={hz.get('status')} "
-        f"uptime={hz.get('uptime_seconds', 0.0):.1f}s "
-        f"queue_depth={hz.get('queue_depth')} "
-        f"running={hz.get('running')} "
-        f"last_cycle_age={hz.get('last_cycle_age_seconds')}"
-    )
-    for message in active:
-        line += f"\n  ALERT {message}"
-    return line
-
-
-def _run_jobs(args) -> int:
-    """``senkf-experiments jobs``: the job table of a service report.
-
-    With ``--watch SECONDS`` the table re-renders in place every period
-    (re-reading the report from disk); with ``--metrics-port`` each
-    refresh also scrapes the live service's ``/healthz``.
-    """
-    import json
-    import time as _time
-    from pathlib import Path
-
-    from repro.service.report import validate_service_report
-
-    path = Path(
-        args.service_report
-        or Path(args.out or "service-out") / "service-report.json"
-    )
-
-    def render_once() -> None:
-        payload = validate_service_report(json.loads(path.read_text()))
-        print(_jobs_table(payload))
-        if args.metrics_port is not None:
-            print(_scrape_healthz(args.metrics_port))
-
-    if args.watch is None:
-        render_once()
-        return 0
-    period = max(0.1, args.watch)
-    try:
-        while True:
-            # ANSI clear + home, same contract as watch(1).
-            print("\x1b[2J\x1b[H", end="")
-            print(f"{path}  (refreshing every {period:g}s, ^C to stop)")
-            try:
-                render_once()
-            except (OSError, ValueError) as exc:
-                print(f"  {type(exc).__name__}: {exc}")
-            _time.sleep(period)
-    except KeyboardInterrupt:
-        return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="senkf-experiments",
@@ -950,8 +728,7 @@ def main(argv: list[str] | None = None) -> int:
         nargs="*",
         default=["all"],
         help="figure ids (fig01 fig05 fig09 fig10 fig11 fig12 fig13), "
-             "'all', 'scorecard', 'campaign', 'trace', 'doctor', "
-             "'serve', 'submit', or 'jobs'",
+             "'all', 'scorecard', 'campaign', 'trace', or 'doctor'",
     )
     parser.add_argument(
         "--full",
@@ -1050,69 +827,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="validate a report artifact by its schema id and render "
-             "every panel it carries: supervision, service dashboard, "
-             "health (exit 1 when recovery spend exceeds 15%% of wall "
-             "time, a job failed or a critical alert fired)",
-    )
-    service = parser.add_argument_group(
-        "serve / submit / jobs (assimilation-as-a-service)"
-    )
-    service.add_argument(
-        "--slots",
-        type=int,
-        default=2,
-        metavar="N",
-        help="service worker-slot budget (default 2)",
-    )
-    service.add_argument(
-        "--tenant",
-        default="cli",
-        help="tenant name for 'submit' (default cli)",
-    )
-    service.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        metavar="N",
-        help="campaign master seed for 'submit' (default 7)",
-    )
-    service.add_argument(
-        "--priority",
-        type=int,
-        default=0,
-        metavar="N",
-        help="priority class for 'submit' (higher may preempt lower)",
-    )
-    service.add_argument(
-        "--chaos",
-        action="store_true",
-        help="run service campaigns under the demo fault schedule",
-    )
-    service.add_argument(
-        "--service-report",
-        default=None,
-        metavar="PATH",
-        help="service report artifact for 'jobs' (default: service-out/"
-             "service-report.json)",
-    )
-    service.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="bind the live metrics exporter: 'serve' exposes the "
-             "service's /metrics + /healthz (0 = ephemeral port), "
-             "'campaign' attaches a filter HealthProbe and serves the "
-             "process registry, 'jobs --watch' scrapes /healthz on each "
-             "refresh",
-    )
-    service.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with 'jobs': re-render the table every SECONDS instead of "
-             "printing once",
+             "every panel it carries: supervision, health (exit 1 when "
+             "recovery spend exceeds 15%% of wall time or a critical "
+             "alert fired)",
     )
     parser.add_argument(
         "--workers",
@@ -1145,12 +862,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_trace(args)
     if "doctor" in names:
         return _run_doctor(args)
-    if "serve" in names:
-        return _run_serve(args)
-    if "submit" in names:
-        return _run_submit(args)
-    if "jobs" in names:
-        return _run_jobs(args)
     if "scorecard" in names:
         from repro.experiments.scorecard import format_scorecard, run_scorecard
 

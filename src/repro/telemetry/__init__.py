@@ -20,7 +20,6 @@ See ``docs/OBSERVABILITY.md`` for the span/metric taxonomy.
 """
 
 from repro.telemetry.ascii import (
-    render_histograms,
     render_phase_totals,
     render_spans,
     render_supervision,
@@ -43,12 +42,6 @@ from repro.telemetry.chrome import (
     spans_from_timeline,
     write_chrome_trace,
 )
-from repro.telemetry.exporter import (
-    MetricsExporter,
-    merge_snapshots,
-    prometheus_text,
-    sanitize_metric_name,
-)
 from repro.telemetry.flightrec import FlightRecorder, SpanRing
 from repro.telemetry.health import (
     HEALTH_SCHEMA,
@@ -58,7 +51,6 @@ from repro.telemetry.health import (
     HealthProbe,
     HealthReport,
     default_filter_rules,
-    default_service_rules,
     render_health,
     validate_health_report,
 )
@@ -128,7 +120,6 @@ __all__ = [
     "Histogram",
     "MemoryAttribution",
     "MemoryProfiler",
-    "MetricsExporter",
     "MetricsRegistry",
     "NULL_PROFILER",
     "NULL_TRACER",
@@ -151,23 +142,18 @@ __all__ = [
     "cycle_from_spans",
     "default_filter_rules",
     "default_memory_rules",
-    "default_service_rules",
     "footprint_attribution",
     "get_metrics",
     "get_profiler",
     "get_tracer",
-    "merge_snapshots",
     "peak_rss_bytes",
     "percentiles_from_buckets",
-    "prometheus_text",
     "publish_memory_gauges",
     "render_health",
-    "render_histograms",
     "render_phase_totals",
     "render_spans",
     "render_supervision",
     "render_timeline",
-    "sanitize_metric_name",
     "set_metrics",
     "set_profiler",
     "set_tracer",

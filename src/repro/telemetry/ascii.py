@@ -20,7 +20,6 @@ from repro.telemetry.tracer import Span, Tracer
 # import would make `import repro.filters` circular.
 
 __all__ = [
-    "render_histograms",
     "render_phase_totals",
     "render_spans",
     "render_supervision",
@@ -125,50 +124,6 @@ def render_supervision(
         lines.append(f"  restart cause: {err}")
     if len(errors) > 5:
         lines.append(f"  ... {len(errors) - 5} more restart causes")
-    return "\n".join(lines)
-
-
-def render_histograms(
-    metrics: dict,
-    names: Sequence[str] | None = None,
-    title: str = "histogram percentiles",
-) -> str:
-    """Percentile table of a metrics snapshot's histograms.
-
-    ``metrics`` is a :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`
-    payload (live or round-tripped through a report); each selected
-    histogram renders as one row of count / mean / p50–p99 / max, the
-    distribution view the gauges can't give.  ``names`` restricts and
-    orders the rows (unknown names are skipped); the default shows every
-    histogram alphabetically.  Empty histograms show dashes.
-    """
-    histograms = (metrics or {}).get("histograms") or {}
-    selected = list(names) if names is not None else sorted(histograms)
-    rows = [(name, histograms[name]) for name in selected if name in histograms]
-    if not rows:
-        return f"{title}: (no histograms)"
-    width = max(len(name) for name, _ in rows)
-    header = (
-        f"  {'histogram'.ljust(width)}  {'count':>7} {'mean':>9} "
-        f"{'p50':>9} {'p90':>9} {'p95':>9} {'p99':>9} {'max':>9}"
-    )
-    lines = [title, header]
-    for name, entry in rows:
-        if not entry.get("count"):
-            lines.append(
-                f"  {name.ljust(width)}  {0:>7} " + " ".join(["        -"] * 6)
-            )
-            continue
-        pct = entry.get("percentiles") or {}
-        cells = [
-            f"{entry.get('mean', 0.0):>9.4f}",
-            *(f"{pct.get(p, float('nan')):>9.4f}"
-              for p in ("p50", "p90", "p95", "p99")),
-            f"{entry.get('max', 0.0):>9.4f}",
-        ]
-        lines.append(
-            f"  {name.ljust(width)}  {entry['count']:>7} " + " ".join(cells)
-        )
     return "\n".join(lines)
 
 

@@ -1,7 +1,7 @@
-"""Bounded flight recorder: the tracer a long-running service can afford.
+"""Bounded flight recorder: the tracer a long campaign can afford.
 
 A plain :class:`~repro.telemetry.tracer.Tracer` accumulates every span
-forever — right for a 40-cycle traced experiment, fatal for a service
+forever — right for a 40-cycle traced experiment, fatal for a campaign
 that assimilates for days: a week of 1 s cycles is tens of millions of
 spans held live.  A :class:`FlightRecorder` is a drop-in ``Tracer``
 whose span and event sinks are fixed-capacity rings (``collections.deque
@@ -14,11 +14,12 @@ minutes before the incident* — which is the part anyone ever reads.
 :meth:`FlightRecorder.dump` freezes the window into a normal Chrome
 trace plus a small validated :class:`~repro.telemetry.report.RunReport`
 slice (phase totals, metrics snapshot, drop accounting, the reason for
-the dump).  Dumps are triggered by the health plane — an
-:class:`~repro.telemetry.health.AlertRule` firing, a worker crash in the
-service, or an explicit ``dump`` request through the service API — so
-the trace on disk covers the moments *before* the failure, not a
-truncated prefix of the run.
+the dump).  Wire the dump to the health plane — give a
+:class:`~repro.telemetry.health.HealthProbe` an ``on_alert`` hook that
+calls :meth:`FlightRecorder.dump` — and an
+:class:`~repro.telemetry.health.AlertRule` firing leaves a trace on disk
+that covers the moments *before* the failure, not a truncated prefix of
+the run.
 
 All ``Tracer`` aggregation (``phase_totals``, ``span_tree``,
 ``write_chrome_trace(tracer=...)``) works unchanged: those paths only
@@ -132,7 +133,7 @@ class FlightRecorder(Tracer):
         return self.events.dropped
 
     def window(self) -> dict:
-        """Drop/retention accounting for reports and ``/healthz``."""
+        """Drop/retention accounting for reports."""
         with self._lock:
             return {
                 "capacity": self.spans.capacity,
@@ -152,17 +153,13 @@ class FlightRecorder(Tracer):
         *,
         prefix: str = "flight",
         notes: tuple | list = (),
-        extra_metrics=None,
     ) -> dict[str, Path]:
         """Freeze the current window to ``directory``.
 
         Writes ``<prefix>-<seq>.trace.json`` (Chrome trace of the
         retained spans/events) and ``<prefix>-<seq>.report.json`` (a
         validated run-report slice carrying the reason, drop accounting
-        and a metrics snapshot).  ``extra_metrics`` is an optional
-        :class:`~repro.telemetry.metrics.MetricsRegistry` to snapshot
-        into the slice (e.g. the job registry at the moment of the
-        alert); it falls back to the recorder's own ``metrics`` handle.
+        and a snapshot of the recorder's own ``metrics`` handle).
         Returns ``{"trace": path, "report": path}``.  Serialised — two
         triggers racing produce two complete, distinct dumps.
         """
@@ -192,13 +189,12 @@ class FlightRecorder(Tracer):
                 events=events,
                 metadata={"flight_recorder": dict(window, reason=reason)},
             )
-            registry = extra_metrics if extra_metrics is not None else self.metrics
             slice_report = RunReport(
                 kind="flight-dump",
                 config={"reason": reason, **{k: window[k] for k in sorted(window)}},
                 n_cycles=0,
                 phase_totals=self.phase_totals(),
-                metrics=registry.snapshot() if registry is not None else {},
+                metrics={} if self.metrics is None else self.metrics.snapshot(),
                 notes=[f"flight-recorder dump: {reason}", *map(str, notes)],
             )
             report_path = directory / f"{prefix}-{seq:03d}.report.json"

@@ -25,9 +25,9 @@ the probe's ``on_alert`` hook — which is how a
 automatically at the moment of failure, not minutes later.
 
 The rollup is a versioned :class:`HealthReport` (``senkf-health/1``)
-embedded in :class:`~repro.telemetry.report.RunReport` (``health`` key)
-and :class:`~repro.service.report.ServiceReport`, rendered by
-:func:`render_health` and ``senkf-experiments doctor --report``.
+embedded in :class:`~repro.telemetry.report.RunReport` (``health`` key),
+rendered by :func:`render_health` and ``senkf-experiments doctor
+--report``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "HealthProbe",
     "HealthReport",
     "default_filter_rules",
-    "default_service_rules",
     "render_health",
     "validate_health_report",
 ]
@@ -156,30 +155,13 @@ def default_filter_rules() -> tuple[AlertRule, ...]:
     )
 
 
-def default_service_rules() -> tuple[AlertRule, ...]:
-    """The stock service-level rules over :class:`AlertEngine` stats fed
-    by ``AssimilationService._dispatch`` — deliberately loose: a healthy
-    acceptance run (including mild chaos absorbed by retries) fires
-    nothing, while failed jobs, restart storms and runaway backlogs do.
-    """
-    return (
-        AlertRule("job_failures", "failed", ">", 0.0,
-                  sustained=1, severity="warning"),
-        AlertRule("restart_storm", "restarts", ">", 10.0,
-                  sustained=1, severity="warning"),
-        AlertRule("queue_backlog", "queue_depth", ">", 50.0,
-                  sustained=3, severity="warning"),
-    )
-
-
 class AlertEngine:
     """Evaluates a rule set against successive stats dicts.
 
     Stateless rules + per-rule streak/latch state; generic over what the
-    stats describe (per-cycle filter statistics, a service's queue
-    snapshot), which is how one engine serves both
-    :class:`HealthProbe` and
-    :class:`~repro.service.api.AssimilationService`.
+    stats describe: :class:`HealthProbe` feeds it per-cycle filter
+    statistics, and ``doctor --profile`` feeds it resource gauges under
+    :func:`~repro.telemetry.memprof.default_memory_rules`.
     """
 
     def __init__(self, rules: Sequence[AlertRule] = ()):
@@ -293,16 +275,12 @@ class HealthProbe:
         *,
         on_alert: Callable[[list[Alert], dict], None] | None = None,
         history: bool = True,
-        always_publish: bool = False,
     ):
         self.engine = AlertEngine(
             default_filter_rules() if rules is None else rules
         )
         self.on_alert = on_alert
         self._keep_history = bool(history)
-        #: publish gauges even with no tracer enabled (the service's
-        #: event-loop probe has no tracer but does have a registry).
-        self._always_publish = bool(always_publish)
         self.series: dict[str, list[float]] = {}
         self.last: dict[str, float] = {}
         self._best_rmse = math.inf
@@ -382,9 +360,9 @@ class HealthProbe:
         }
 
     def observe_stats(self, cycle: int, stats: dict[str, float]) -> list[Alert]:
-        """Evaluate caller-computed statistics (the non-ensemble path —
-        e.g. a service feeding queue depths); publishes and alerts the
-        same way :meth:`observe_cycle` does."""
+        """Evaluate caller-computed statistics (the non-ensemble path:
+        the caller has the numbers, not the ensembles); publishes and
+        alerts the same way :meth:`observe_cycle` does."""
         return self._publish(cycle, dict(stats))
 
     def _publish(self, cycle: int, stats: dict[str, float]) -> list[Alert]:
@@ -394,7 +372,7 @@ class HealthProbe:
                 self.series.setdefault(name, []).append(
                     None if math.isnan(value) else float(value)
                 )
-        publish = self._always_publish or get_tracer().enabled
+        publish = get_tracer().enabled
         if publish:
             metrics = get_metrics()
             for name, value in stats.items():

@@ -228,9 +228,8 @@ def publish_memory_gauges(metrics=None, geometry_cache_bytes: float | None = Non
                           tracemalloc_peak: float | None = None) -> None:
     """Set the resource gauges on ``metrics`` (ambient registry when None).
 
-    Exports as ``process_rss_bytes``, ``tracemalloc_peak_bytes`` and
-    ``geometry_cache_bytes`` after the exporter's
-    name sanitisation (dots become underscores).
+    Sets ``process.rss_bytes`` and, when given,
+    ``tracemalloc.peak_bytes`` and ``geometry.cache_bytes``.
     """
     registry = metrics if metrics is not None else get_metrics()
     registry.gauge("process.rss_bytes").set(current_rss_bytes())

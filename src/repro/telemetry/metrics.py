@@ -142,10 +142,9 @@ def percentiles_from_buckets(
     """Interpolated quantiles from raw fixed-bucket state.
 
     The estimator :meth:`Histogram.percentiles` uses, exposed as a pure
-    function so merged snapshots (several registries summed bucket-wise,
-    see :func:`repro.telemetry.exporter.merge_snapshots`) can recompute
-    percentiles without a live :class:`Histogram`.  Zero ``count`` →
-    empty dict.
+    function so a snapshot's raw bucket state (e.g. read back from a
+    report) can be turned into percentiles without a live
+    :class:`Histogram`.  Zero ``count`` → empty dict.
     """
     if not count:
         return {}
@@ -286,15 +285,16 @@ def use_thread_metrics(
     """Scope ``registry`` for the *calling thread only*.
 
     The metrics twin of
-    :func:`~repro.telemetry.tracer.use_thread_tracer`: concurrent
-    service jobs each instrument the same call sites, and without a
-    thread-local override their counters all bleed into the one shared
-    process registry — job A's ``cycle.count`` becomes indistinguishable
-    from job B's.  Installing a per-job registry confines each job's
-    accounting to its worker thread; it wins over the global in
-    :func:`get_metrics` and nests (the previous override is restored on
-    exit).  ``None`` is a no-op pass-through to whatever was ambient.
-    Threads the job spawns itself do not inherit the override and fall through to the global registry.
+    :func:`~repro.telemetry.tracer.use_thread_tracer`: the
+    :class:`~repro.parallel.executor.AnalysisExecutor` pool threads and
+    the :class:`~repro.data.store.ExtentWriter` write threads install the
+    submitting thread's registry, so the work they run counts into the
+    caller's registry rather than the one shared process registry.  The
+    override wins over the global in :func:`get_metrics` and nests (the
+    previous override is restored on exit).  ``None`` is a no-op
+    pass-through to whatever was ambient.  Threads spawned inside the
+    scope do not inherit the override and fall through to the global
+    registry.
     """
     if registry is None:
         yield get_metrics()

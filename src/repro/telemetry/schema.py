@@ -1,15 +1,14 @@
 """The report artifacts' format: one schema table, one validator, one writer.
 
 :data:`SCHEMAS` declares every versioned JSON artifact the package writes
-— run report, attribution, health, profile and service report — as one
-:class:`Rule` per schema id: the payload's required fields and its
-optional ones.  A run report's ``attribution`` / ``health`` / ``profile``
-and a service report's ``health`` are *sections*: rules that name another
-spec of the table.  :func:`validate` walks a payload against its spec and
-names every violation at once; :func:`write_report` is the one
-validate-then-write path, so an invalid report never reaches disk;
-:class:`Artifact` gives the dataclass reports their one ``write`` and
-``from_dict``.  The module imports nothing from the rest of the
+— run report, attribution, health and profile — as one :class:`Rule` per
+schema id: the payload's required fields and its optional ones.  A run
+report's ``attribution`` / ``health`` / ``profile`` are *sections*: rules
+that name another spec of the table.  :func:`validate` walks a payload
+against its spec and names every violation at once; :func:`write_report`
+is the one validate-then-write path, so an invalid report never reaches
+disk; :class:`Artifact` gives the dataclass reports their one ``write``
+and ``from_dict``.  The module imports nothing from the rest of the
 package, so every artifact's module can import it.
 docs/OBSERVABILITY.md §5 tabulates the specs.
 """
@@ -27,7 +26,6 @@ __all__ = [
     "PROFILE_SCHEMA",
     "RUN_REPORT_SCHEMA",
     "SCHEMAS",
-    "SERVICE_REPORT_SCHEMA",
     "Artifact",
     "dump_json",
     "validate",
@@ -38,7 +36,6 @@ RUN_REPORT_SCHEMA = "senkf-run-report/1"
 ATTRIBUTION_SCHEMA = "senkf-attribution/1"
 HEALTH_SCHEMA = "senkf-health/1"
 PROFILE_SCHEMA = "senkf-profile/2"
-SERVICE_REPORT_SCHEMA = "senkf-service-report/1"
 
 #: the phases the cost model prices, in display order.
 MODEL_PHASES = ("read", "comm", "comp")
@@ -178,25 +175,6 @@ SCHEMAS: dict[str, Rule] = {
             "threshold", "drift_flags", rel_error=NUMBER_OR_NULL,
         )),
         notes=array(STR),
-    ),
-    SERVICE_REPORT_SCHEMA: obj(
-        what="service report",
-        schema=STR,
-        kind=STR,
-        total_slots=COUNT,
-        wall_seconds=NON_NEGATIVE,
-        jobs=array(obj("job_id")),
-        tenants=obj(each=obj(
-            submitted=COUNT, done=COUNT, failed=COUNT, cancelled=COUNT,
-            preemptions=COUNT, restarts=COUNT,
-            predicted_slot_seconds=NON_NEGATIVE,
-            actual_slot_seconds=NON_NEGATIVE,
-            queue_wait_seconds=NON_NEGATIVE,
-        )),
-        metrics=OBJ,
-        phase_totals=obj(each=NON_NEGATIVE),
-        notes=LIST,
-        optional={"health": section(HEALTH_SCHEMA)},
     ),
 }
 

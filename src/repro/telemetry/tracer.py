@@ -376,14 +376,17 @@ def use_tracer(tracer: Tracer | None) -> Iterator[NullTracer | Tracer]:
 def use_thread_tracer(tracer: Tracer | None) -> Iterator[NullTracer | Tracer]:
     """Scope ``tracer`` for the *calling thread only*.
 
-    Concurrent captures — the service running several jobs in worker
-    threads, each with its own job-scoped tracer — cannot share the
-    process-global slot: the installs would clobber each other and spans
-    from different jobs would interleave into one capture.  A
-    thread-local override confines each capture to its thread, wins over
-    the global in :func:`get_tracer`, and nests (the previous override
-    is restored on exit).  ``None`` is a no-op pass-through to whatever
-    was ambient.
+    Concurrent captures cannot share the process-global slot: the
+    installs would clobber each other and spans from different runs
+    would interleave into one capture.
+    :class:`~repro.checkpoint.runner.CampaignRunner` installs its
+    campaign's tracer this way, and the
+    :class:`~repro.parallel.executor.AnalysisExecutor` pool threads and
+    :class:`~repro.data.store.ExtentWriter` write threads install the
+    submitting thread's tracer, so a piece's spans land in the capture
+    of the cycle that submitted it.  The override wins over the global
+    in :func:`get_tracer` and nests (the previous override is restored
+    on exit).  ``None`` is a no-op pass-through to whatever was ambient.
     """
     if tracer is None:
         yield get_tracer()

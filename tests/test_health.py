@@ -1,19 +1,22 @@
-"""The live health plane: probes, alert rules, flight recorder, exporter.
+"""The live health plane: probes, alert rules, flight recorder.
 
 Fast tier: everything here runs on tiny ensembles or synthetic stats.
-The slow service-integration half (scraping ``/metrics`` mid-acceptance)
-lives in ``tests/test_service_e2e.py``.
 """
 
 import json
 import math
 import threading
-import urllib.request
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import Decomposition, Grid, ObservationNetwork, radius_to_halo
+from repro.filters import PEnKF
+from repro.models import (
+    AdvectionDiffusionModel,
+    TwinExperiment,
+    correlated_ensemble,
+)
 from repro.telemetry import (
     HEALTH_SCHEMA,
     Alert,
@@ -22,17 +25,12 @@ from repro.telemetry import (
     FlightRecorder,
     HealthProbe,
     HealthReport,
-    MetricsExporter,
     MetricsRegistry,
     RunReport,
     SpanRing,
     Tracer,
     default_filter_rules,
-    default_service_rules,
-    merge_snapshots,
-    prometheus_text,
     render_health,
-    sanitize_metric_name,
     use_metrics,
     use_tracer,
     validate_health_report,
@@ -104,7 +102,7 @@ class TestAlertEngine:
         assert len(engine.fired) == 2
 
     def test_default_rule_sets_validate(self):
-        for rule in (*default_filter_rules(), *default_service_rules()):
+        for rule in default_filter_rules():
             assert rule.severity in ("warning", "critical")
 
 
@@ -176,7 +174,7 @@ class TestHealthProbe:
         probe.observe_stats(1, {"x": 0.5})  # latched: hook not re-invoked
         assert seen == [["low"]]
 
-    def test_gauges_published_only_with_tracer_or_always(self):
+    def test_gauges_published_only_with_tracer(self):
         registry = MetricsRegistry()
         probe = HealthProbe(rules=())
         with use_metrics(registry):
@@ -188,11 +186,6 @@ class TestHealthProbe:
                 probe.observe_stats(1, {"x": 2.0})
         assert registry.snapshot()["gauges"]["health.x"] == 2.0
 
-        always = HealthProbe(rules=(), always_publish=True)
-        with use_metrics(registry):
-            always.observe_stats(0, {"y": 3.0})
-        assert registry.snapshot()["gauges"]["health.y"] == 3.0
-
     def test_alert_counter_bumped_even_without_tracer(self):
         registry = MetricsRegistry()
         probe = HealthProbe(rules=[AlertRule("low", "x", "<", 1.0)])
@@ -201,23 +194,52 @@ class TestHealthProbe:
         assert registry.snapshot()["counters"]["health.alerts_fired"] == 1
 
 
+def demo_campaign(master_seed, *, inflation=1.05, n_members=8):
+    """A tiny-ocean twin (16×8 grid, 2×2 P-EnKF, 30 observations) with
+    the stock filter-health probe attached; a pure function of
+    ``master_seed``.  ``inflation``/``n_members`` build the pathological
+    variant (inflation off, tiny ensemble) whose collapse the probe must
+    catch.  Returns ``(twin, truth0, ensemble0)``."""
+    grid = Grid(n_x=16, n_y=8, dx_km=5.0, dy_km=5.0)
+    model = AdvectionDiffusionModel(grid, u_max=1.0, kappa=0.05, dt=0.2)
+    radius_km = 12.0
+    xi, eta = radius_to_halo(radius_km, grid.dx_km, grid.dy_km)
+    decomp = Decomposition(grid, n_sdx=2, n_sdy=2, xi=xi, eta=eta)
+    network = ObservationNetwork.random(
+        grid, m=30, obs_error_std=0.2,
+        rng=np.random.default_rng(master_seed + 1),
+    )
+    filt = PEnKF(radius_km=radius_km, inflation=inflation, ridge=1e-2)
+    twin = TwinExperiment(
+        model,
+        network,
+        lambda states, y, rng: filt.assimilate(
+            decomp, states, network, y, rng=rng
+        ),
+        steps_per_cycle=2,
+        master_seed=master_seed,
+        health=HealthProbe(),
+    )
+    rng = np.random.default_rng(master_seed + 2)
+    truth0 = correlated_ensemble(grid, 1, length_scale_km=15.0, rng=rng)[:, 0]
+    ensemble0 = correlated_ensemble(
+        grid, n_members, length_scale_km=15.0, mean=np.zeros(grid.n),
+        std=0.8, rng=rng,
+    )
+    return twin, truth0, ensemble0
+
+
 class TestDemoCampaignHealth:
     """The seeded scenarios of the acceptance criteria, on the demo twin."""
 
     def test_healthy_demo_campaign_fires_zero_alerts(self):
-        from repro.service.demo import campaign_builder
-
-        twin, truth0, ensemble0 = campaign_builder(5)()
+        twin, truth0, ensemble0 = demo_campaign(5)
         twin.run(truth0, ensemble0, 5)
         assert twin.health.engine.fired == []
         assert twin.health.engine.evaluations == 5
 
     def test_seeded_collapse_fires_within_three_cycles(self):
-        from repro.service.demo import campaign_builder
-
-        twin, truth0, ensemble0 = campaign_builder(
-            9, inflation=1.0, n_members=3
-        )()
+        twin, truth0, ensemble0 = demo_campaign(9, inflation=1.0, n_members=3)
         twin.run(truth0, ensemble0, 3)
         collapse = [
             a for a in twin.health.engine.fired
@@ -226,9 +248,7 @@ class TestDemoCampaignHealth:
         assert collapse and collapse[0].cycle < 3
 
     def test_run_report_embeds_validating_health(self):
-        from repro.service.demo import campaign_builder
-
-        twin, truth0, ensemble0 = campaign_builder(5)()
+        twin, truth0, ensemble0 = demo_campaign(5)
         result = twin.run(truth0, ensemble0, 3)
         report = twin.run_report(result)
         payload = json.loads(report.to_json())
@@ -374,161 +394,3 @@ class TestFlightRecorder:
             t.join()
         traces = {r["trace"] for r in results}
         assert len(traces) == 4  # no clobbered sequence numbers
-
-
-class TestPrometheusText:
-    def test_sanitize(self):
-        assert sanitize_metric_name("service.jobs-done") == "service_jobs_done"
-        assert sanitize_metric_name("9lives") == "_9lives"
-
-    def test_counters_gauges_histograms_render(self):
-        registry = MetricsRegistry()
-        registry.counter("svc.done").inc(3)
-        registry.gauge("svc.depth").set(1.5)
-        hist = registry.histogram("svc.wait", (1.0, 2.0))
-        hist.observe(0.5)
-        hist.observe(1.5)
-        hist.observe(5.0)
-        text = prometheus_text(registry.snapshot())
-        assert "# TYPE svc_done counter\nsvc_done 3.0" in text
-        assert "# TYPE svc_depth gauge\nsvc_depth 1.5" in text
-        # Buckets are cumulative and close with +Inf/_sum/_count.
-        assert 'svc_wait_bucket{le="1.0"} 1' in text
-        assert 'svc_wait_bucket{le="2.0"} 2' in text
-        assert 'svc_wait_bucket{le="+Inf"} 3' in text
-        assert "svc_wait_count 3" in text
-        assert "svc_wait_p50" in text
-        assert text.endswith("\n")
-
-
-class TestMergeSnapshots:
-    def test_counters_sum_and_gauges_last_win(self):
-        a = {"counters": {"c": 1.0}, "gauges": {"g": 1.0}, "histograms": {}}
-        b = {"counters": {"c": 2.0}, "gauges": {"g": 7.0}, "histograms": {}}
-        merged = merge_snapshots(a, b)
-        assert merged["counters"]["c"] == 3.0
-        assert merged["gauges"]["g"] == 7.0
-
-    def test_histograms_sum_bucketwise_with_recomputed_percentiles(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        for value in (0.5, 1.5):
-            r1.histogram("h", (1.0, 2.0)).observe(value)
-        for value in (0.2, 5.0):
-            r2.histogram("h", (1.0, 2.0)).observe(value)
-        merged = merge_snapshots(r1.snapshot(), r2.snapshot())
-        hist = merged["histograms"]["h"]
-        assert hist["count"] == 4
-        assert hist["counts"] == [2, 1, 1]
-        assert hist["min"] == 0.2 and hist["max"] == 5.0
-        assert "p50" in hist["percentiles"]
-
-    def test_bound_mismatch_recorded_not_misbinned(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.histogram("h", (1.0,)).observe(0.5)
-        r2.histogram("h", (9.0,)).observe(0.5)
-        merged = merge_snapshots(r1.snapshot(), r2.snapshot())
-        assert merged["histograms"]["h"]["bounds"] == [1.0]
-        assert merged["histograms"]["h"]["count"] == 1
-        assert any("bounds mismatch" in c for c in merged["conflicts"])
-
-    def test_empty_sources_ignored(self):
-        assert merge_snapshots({}, None or {})["counters"] == {}
-
-
-class TestMetricsExporter:
-    def _get(self, url):
-        with urllib.request.urlopen(url, timeout=10) as resp:
-            return resp.status, resp.headers.get("Content-Type"), resp.read()
-
-    def test_metrics_and_healthz_served_live(self):
-        registry = MetricsRegistry()
-        registry.counter("svc.done").inc(2)
-        with MetricsExporter(
-            [registry],
-            health_source=lambda: {"queue_depth": 3},
-        ) as exporter:
-            status, ctype, body = self._get(f"{exporter.url}/metrics")
-            assert status == 200 and "text/plain" in ctype
-            assert "svc_done 2.0" in body.decode()
-
-            status, ctype, body = self._get(f"{exporter.url}/healthz")
-            doc = json.loads(body)
-            assert status == 200 and doc["status"] == "ok"
-            assert doc["queue_depth"] == 3
-            assert doc["uptime_seconds"] >= 0.0
-
-            # The exporter observes its own scrapes (visible one scrape
-            # later, since timing lands after the response is sent).
-            _, _, body = self._get(f"{exporter.url}/metrics")
-            assert "exporter_scrapes" in body.decode()
-            assert "exporter_scrape_seconds_bucket" in body.decode()
-
-    def test_unknown_path_404s(self):
-        with MetricsExporter() as exporter:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                self._get(f"{exporter.url}/nope")
-            assert err.value.code == 404
-
-    def test_broken_source_degrades_not_dies(self):
-        def broken():
-            raise RuntimeError("boom")
-
-        with MetricsExporter(
-            [broken], health_source=broken
-        ) as exporter:
-            _, _, body = self._get(f"{exporter.url}/metrics")
-            assert "exporter_broken_source 1.0" in body.decode()
-            _, _, body = self._get(f"{exporter.url}/healthz")
-            doc = json.loads(body)
-            assert doc["status"] == "degraded"
-            assert "boom" in doc["health_source_error"]
-
-    def test_stop_is_idempotent_and_releases_port(self):
-        exporter = MetricsExporter([MetricsRegistry()])
-        exporter.start()
-        exporter.stop()
-        exporter.stop()
-        with pytest.raises(OSError):
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{exporter.port}/metrics", timeout=1
-            )
-
-
-class TestServiceFlightDumps:
-    """Alert → automatic flight dump, end to end through the service."""
-
-    def test_collapsing_job_dumps_flight_on_alert(self, tmp_path):
-        from repro.service import ServiceClient
-        from repro.service.demo import campaign_spec
-
-        with ServiceClient(total_slots=1, root=tmp_path / "svc") as client:
-            job_id = client.submit(campaign_spec(
-                "lab", 9, 3, inflation=1.0, n_members=3, name="collapse",
-            ))
-            client.result(job_id, timeout=300)
-            report = client.report()
-        flight_dir = tmp_path / "svc" / "lab" / job_id / "flight"
-        traces = sorted(flight_dir.glob("*.trace.json"))
-        assert traces, "alert should have dumped the flight recorder"
-        meta = json.loads(traces[0].read_text())["metadata"]["flight_recorder"]
-        assert meta["reason"].startswith("alert:ensemble_collapse")
-        payload = json.loads(sorted(flight_dir.glob("*.report.json"))[0]
-                             .read_text())
-        validate_run_report(payload)
-        # The job still completed: alerts observe, they never interfere.
-        assert report.to_dict()["tenants"]["lab"]["done"] == 1
-
-    def test_explicit_dump_request_via_client(self, tmp_path):
-        from repro.service import ServiceClient
-        from repro.service.demo import campaign_spec
-
-        with ServiceClient(total_slots=1, root=tmp_path / "svc") as client:
-            job_id = client.submit(campaign_spec("ops", 5, 2))
-            client.result(job_id, timeout=300)
-            dumps = client.dump(reason="operator-request")
-        assert dumps, "a finished job's recorder is still dumpable"
-        for entry in dumps:
-            meta = json.loads(
-                Path(entry["trace"]).read_text()
-            )["metadata"]["flight_recorder"]
-            assert meta["reason"] == "operator-request"

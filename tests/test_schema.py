@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.cli import main
-from repro.service.report import ServiceReport
 from repro.telemetry import (
     AlertRule,
     AttributionReport,
@@ -23,7 +22,6 @@ from repro.telemetry.schema import (
     PROFILE_SCHEMA,
     RUN_REPORT_SCHEMA,
     SCHEMAS,
-    SERVICE_REPORT_SCHEMA,
     dump_json,
     validate,
 )
@@ -34,17 +32,7 @@ MINIMAL = {
     ATTRIBUTION_SCHEMA: lambda: AttributionReport(cycles=[]).to_dict(),
     HEALTH_SCHEMA: lambda: HealthReport().to_dict(),
     PROFILE_SCHEMA: lambda: build_profile_report(),
-    SERVICE_REPORT_SCHEMA: lambda: ServiceReport().to_dict(),
 }
-
-
-def _tenant(failed=0):
-    return {
-        "submitted": 1, "done": 1 - failed, "failed": failed,
-        "cancelled": 0, "preemptions": 0, "restarts": 0,
-        "predicted_slot_seconds": 1.0, "actual_slot_seconds": 1.2,
-        "queue_wait_seconds": 0.1,
-    }
 
 
 def _supervision(recovery_fraction):
@@ -62,7 +50,7 @@ def _critical_health():
 
 
 class TestSchemaTable:
-    def test_table_covers_the_five_artifacts(self):
+    def test_table_covers_the_four_artifacts(self):
         assert set(SCHEMAS) == set(MINIMAL)
 
     @pytest.mark.parametrize(
@@ -89,22 +77,6 @@ class TestNaNIsNotNonNegative:
         target = tmp_path / "report.json"
         report = RunReport(kind="x", phase_totals={"io": math.nan})
         with pytest.raises(ValueError, match="phase_totals"):
-            report.write(target)
-        assert not target.exists()
-
-    @pytest.mark.parametrize(
-        "field", ["wall_seconds", "phase_totals", "tenant"]
-    )
-    def test_nan_service_numbers_rejected(self, tmp_path, field):
-        report = ServiceReport(total_slots=1, tenants={"a": _tenant()})
-        if field == "wall_seconds":
-            report.wall_seconds = math.nan
-        elif field == "phase_totals":
-            report.phase_totals = {"compute": math.nan}
-        else:
-            report.tenants["a"]["queue_wait_seconds"] = math.nan
-        target = tmp_path / "service-report.json"
-        with pytest.raises(ValueError, match="invalid service report"):
             report.write(target)
         assert not target.exists()
 
@@ -135,7 +107,6 @@ class TestFromDictIgnoresExtraKeys:
         [
             (RunReport, RUN_REPORT_SCHEMA),
             (HealthReport, HEALTH_SCHEMA),
-            (ServiceReport, SERVICE_REPORT_SCHEMA),
         ],
     )
     def test_extra_top_level_key(self, cls, schema):
@@ -169,15 +140,6 @@ class TestDoctorReport:
         clean = HealthReport()
         assert self.run(tmp_path, "clean.json", clean.write) == 0
 
-    def test_clean_service_report_exits_zero(self, tmp_path, capsys):
-        report = ServiceReport(total_slots=2, tenants={"a": _tenant()})
-        assert self.run(tmp_path, "service.json", report.write) == 0
-        assert "2 slot(s)" in capsys.readouterr().out
-
-    def test_failed_tenant_job_exits_one(self, tmp_path):
-        report = ServiceReport(total_slots=2, tenants={"a": _tenant(failed=1)})
-        assert self.run(tmp_path, "service.json", report.write) == 1
-
     def test_other_artifacts_validate_and_exit_zero(self, tmp_path):
         assert self.run(
             tmp_path, "profile.json",
@@ -198,12 +160,16 @@ class TestDoctorReport:
         with pytest.raises(ValueError, match="invalid run report"):
             main(["doctor", "--report", str(path)])
 
-    @pytest.mark.parametrize("flag", ["--run-report", "--health"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--run-report", "--health", "--service-report", "--metrics-port",
+         "--slots", "--watch"],
+    )
     def test_old_flags_are_gone(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             main(["doctor", flag, str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
-    def test_service_report_flag_is_refused_by_doctor(self, tmp_path):
-        path = str(tmp_path / "x.json")
-        assert main(["doctor", "--service-report", path]) == 2
+    @pytest.mark.parametrize("verb", ["serve", "submit", "jobs"])
+    def test_old_verbs_are_gone(self, verb):
+        assert main([verb]) == 2
