@@ -16,8 +16,12 @@
     holds it (docs/PERFORMANCE.md §1).  A pool of ``w > 1`` threads warns
     once when ``w ×`` BLAS threads exceeds the CPU count.
 ``vectorized``
-    In-process batched kernels over structurally equal pieces
-    (:mod:`repro.parallel.vectorized`).
+    Batched kernels over structurally equal pieces
+    (:mod:`repro.parallel.vectorized`), analysed in runs of pieces: the
+    calling thread groups the pieces and looks up bucket geometry, and
+    every run goes to the same pool as one task (the runs' byte budget
+    is shared by the runs in flight).  With one worker, or one run, the
+    runs stay on the calling thread.
 ``auto``
     Picks one of the above from the shape of the plan's *observed* work
     (see :meth:`resolve`).
@@ -35,17 +39,19 @@ stencil) through the :class:`~repro.parallel.geometry.GeometryCache` and
 submits the piece the moment it is prepared, so pool threads compute
 piece ``k`` while the caller prepares piece ``k+1`` — with S-EnKF's
 layer-major piece order, stage ``l+1`` prepared while stage ``l``
-computes.
+computes.  Both fan-outs — per-piece tasks and vectorized runs — go
+through one body, :meth:`AnalysisExecutor._fan_out`, on one pool.
 
 Determinism: serial and thread call the same
 :func:`~repro.parallel.worker.compute_piece` on the same inputs, pieces
 own disjoint interior rows, and all randomness (observation
 perturbation) is consumed *before* the plan is built — so their results
 are bit-identical.  The vectorized strategy reorders BLAS reductions
-and is held to rtol 1e-10 instead.
+and is held to rtol 1e-10 instead; at one pool width its runs are fixed,
+so it is bit-identical run to run.
 
-A piece that raises fails the run with that exception, as in the serial
-loop; nothing is retried here.  Recovery is checkpoint-restart
+A piece or run that raises fails the run with that exception, as in the
+serial loop; nothing is retried here.  Recovery is checkpoint-restart
 (:meth:`repro.checkpoint.runner.CampaignRunner.supervise`).
 """
 
@@ -56,7 +62,7 @@ import threading
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -79,8 +85,9 @@ _SERIAL_POINTS_CEILING = 8_192
 #: auto-strategy thresholds for the vectorized (batched-kernel) path: it
 #: needs enough pieces for stacking to amortise, and small-enough mean
 #: expansions that per-piece Python/BLAS-dispatch overhead — not the
-#: solves themselves — dominates the fan-out strategy.  The win is
-#: core-count independent, so this check runs before the worker check.
+#: solves themselves — dominates the fan-out strategy.  Batching wins on
+#: one core too (its runs fan out when there are more), so this check
+#: runs before the worker check.
 _VECTORIZED_MIN_PIECES = 16
 _VECTORIZED_MEAN_POINTS_CEILING = 512
 
@@ -235,9 +242,10 @@ class AnalysisExecutor:
             return self.strategy
         n_pieces = len(plan.observed)
         points = sum(plan.pieces[i].exp_size for i in plan.observed)
-        # Batched kernels beat fan-out when many small pieces make the
-        # per-piece dispatch overhead dominate — a core-count-independent
-        # win, so it is tested before the worker-availability checks.
+        # Batched kernels beat per-piece fan-out when many small pieces
+        # make the per-piece dispatch overhead dominate.  That win needs no
+        # second core (with one, the runs just stay on this thread), so it
+        # is tested before the worker-availability checks.
         if (
             plan.kind in (KIND_ENKF, KIND_ETKF)
             and n_pieces >= _VECTORIZED_MIN_PIECES
@@ -268,16 +276,25 @@ class AnalysisExecutor:
             n_pieces=n_pieces,
             n_observed=n_observed,
             workers=workers,
-        ):
+        ) as span:
             if strategy == "vectorized":
-                run_vectorized(plan)
+                # the runs' width is known once their buckets are looked up
+                workers = run_vectorized(
+                    plan, self.effective_workers(n_observed), self._fan_out
+                )["workers"]
+                span.set(workers=workers)
             else:
                 plan.fill_unobserved()
                 if strategy == "serial":
                     for i in plan.observed:
                         self._compute_into(plan, plan.prepare(i))
                 elif n_observed:  # nothing observed: no pool
-                    self._run_thread(plan)
+                    # submit as prepared: the generator prepares piece k+1
+                    # on this thread while the pool computes piece k
+                    self._fan_out(
+                        partial(self._compute_into, plan, plan.prepare(i))
+                        for i in plan.observed
+                    )
         if tracer.enabled:
             metrics = get_metrics()
             metrics.counter("parallel.runs").inc()
@@ -306,18 +323,20 @@ class AnalysisExecutor:
             )
 
     # -- thread pool -----------------------------------------------------------
-    def _run_thread(self, plan: AnalysisPlan) -> None:
-        """Thread fan-out: one task per observed piece, submitted the
-        moment the calling thread has prepared it.
+    def _fan_out(self, tasks) -> None:
+        """The one fan-out body: run each zero-argument task of ``tasks`` on
+        the persistent pool, submitted the moment it is drawn.
 
-        Only the calling thread touches the geometry cache; pool threads
-        write their own piece's interior rows of ``plan.out``.  A failure
-        — a task's or the caller's own — cancels every task that has not
-        started and waits for the running ones (they hold ``plan.out``)
-        before it propagates.  The pool starts tasks in submit order, so
-        the exception re-raised is the one the serial loop would raise.
+        ``tasks`` is drawn on the calling thread, so whatever builds a task
+        (a piece's geometry lookup) runs there while the pool computes the
+        tasks already submitted.  Tasks must write disjoint rows of
+        ``plan.out``.  A failure — a task's or the caller's
+        own — cancels every task that has not started and waits for the
+        running ones (they hold ``plan.out``) before it propagates.  The
+        pool starts tasks in submit order, so the exception re-raised is
+        the first failure in that order, the one a loop would raise.
         """
-        with self._lock:  # persistent: created on the first threaded run
+        with self._lock:  # persistent: created on the first fanned-out run
             if self._pool is None:
                 _warn_if_oversubscribed(self._max_workers)
                 self._pool = ThreadPoolExecutor(
@@ -328,14 +347,14 @@ class AnalysisExecutor:
         # otherwise see the process-global defaults.
         tracer, metrics = get_tracer(), get_metrics()
 
-        def task(prepared) -> None:
+        def call(task) -> None:
             with use_thread_tracer(tracer), use_thread_metrics(metrics):
-                self._compute_into(plan, prepared)
+                task()
 
         futures = []
         try:
-            for i in plan.observed:
-                futures.append(pool.submit(task, plan.prepare(i)))
+            for task in tasks:
+                futures.append(pool.submit(call, task))
             wait(futures, return_when=FIRST_EXCEPTION)
         finally:
             for future in futures:

@@ -11,9 +11,8 @@ function a single piece runs with ``B = 1``.  For the EnKF
 regressions are one LAPACK call per distinct stencil size and its
 systems the diagonal blocks of one banded system; for the ETKF
 (:func:`~repro.core.etkf.analysis_etkf`) the stack's ensemble-space
-matrices are one batched ``eigh``.  The win is therefore independent of
-core count, which is what lets the parallel bench assert its speedup on
-a 1-CPU CI runner.
+matrices are one batched ``eigh``.  Batching wins on one core; the
+runs of a plan (below) then also fan out over the executor's pool.
 
 Bucketing policy: pieces first group by structural signature; within a
 group, observation counts may differ, so the group is *padded* to the
@@ -24,14 +23,23 @@ exceed :data:`MAX_PAD_WASTE`.  The realised waste is recorded
 (``vectorized.pad_slots`` / ``vectorized.obs_slots`` counters,
 ``vectorized.pad_waste`` gauge) so the policy is observable.
 
-A bucket is one cached :class:`~repro.parallel.geometry.BucketGeometry`
-and one ``vectorized.bucket`` span, but it is analysed in *runs* of
-consecutive pieces, each a slice of that geometry: as many pieces as keep
-the regressions' largest temporary, the ``(B, G, s, N)`` predecessor
-gather, within :data:`_RUN_BYTES` (``n̄ · s_max · N`` doubles a piece).
-The kernels' working set is then bounded by the run, not by the number
-of structurally equal pieces the decomposition produces; the span's
-``runs`` attribute records how many there were.
+A bucket is one cached :class:`~repro.parallel.geometry.BucketGeometry`,
+analysed in *runs* of consecutive pieces, each a slice of that geometry.
+:data:`_RUN_BYTES` bounds the bytes of all runs in flight: with ``w``
+runs in flight a run holds as many pieces as keep the regressions'
+largest temporary, the ``(B, G, s, N)`` predecessor gather
+(``n̄ · s_max · N`` doubles a piece), within ``_RUN_BYTES // w``.  The
+kernels' working set is then bounded by the budget, not by the number
+of structurally equal pieces the decomposition produces, nor by the
+width of the fan-out.
+
+Runs are independent and write disjoint interior rows of ``plan.out``,
+so the executor sends every run of every bucket to its thread pool as
+one task (both LAPACK halves of a run release the GIL).  Only the
+calling thread prepares pieces, groups them and looks up bucket
+geometry; each run opens its own ``vectorized.bucket`` span, with its
+``lo``/``hi`` and its bucket's ``runs`` count, on the thread that
+computes it.
 
 Pieces with no observations are never prepared or batched: their
 "analysis" is a copy (plus ETKF inflation), written for all of them at
@@ -41,11 +49,15 @@ Numerics: stacking reorders reductions (and each run's band is its own
 ``pbsv``), so results match the serial reference to rtol ≤ 1e-10, not
 bit-for-bit — the tolerance-checked equivalence suite in
 ``tests/test_vectorized.py`` pins this contract for every filter ×
-localization combination and for split runs.  The serial and thread
+localization combination and for split runs.  Run boundaries depend on
+``w``, so results are bit-identical run to run at one width, and at
+``w = 1`` equal the plan-alone call's.  The serial and thread
 strategies are untouched and stay bit-identical.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.core.analysis import analysis_modified_cholesky
 from repro.core.etkf import analysis_etkf
@@ -59,8 +71,8 @@ __all__ = ["run_vectorized"]
 #: a piece that would exceed it starts a new sub-batch instead.
 MAX_PAD_WASTE = 0.25
 
-#: Bytes one run of a bucket's pieces may spend on its largest regression
-#: temporary, the predecessor gather (see :func:`_compute_bucket`).
+#: Bytes all runs in flight may spend on their largest regression
+#: temporary, the predecessor gather (see :func:`_pieces_per_run`).
 _RUN_BYTES = 8 * 2**20
 
 
@@ -111,28 +123,35 @@ def _split_by_waste(
     return batches
 
 
-def _compute_bucket(plan, bucket) -> int:
-    """Analyse one stacked bucket into ``plan.out``, one run of
-    consecutive pieces at a time; returns the number of runs.
-
-    A run is a slice of the bucket's cached geometry — pieces
-    ``[lo, hi)`` are rows ``[lo·m_max, hi·m_max)`` × columns
-    ``[lo·n̄, hi·n̄)`` of the block-diagonal ``h_block`` — so no run
-    rebuilds geometry, and the kernels' temporaries are bounded by the
-    run, not by the bucket.
-    """
-    n_batch, n_exp = bucket.exp_index.shape
-    m_max = bucket.r_diag.shape[1]
-    n_int = bucket.interior_positions.size
-    n_members = plan.states.shape[1]
-    # A run holds as many pieces as keep the largest regression temporary,
-    # the (b, G, s, N) predecessor gather (G <= n̄, s <= s_max), in budget.
+def _pieces_per_run(plan, bucket, budget: int) -> int:
+    """How many of ``bucket``'s pieces one run holds: as many as keep the
+    largest regression temporary, the ``(b, G, s, N)`` predecessor gather
+    (``G <= n̄``, ``s <= s_max``), within ``budget`` bytes."""
     s_max = 1
     if bucket.stencil is not None and bucket.stencil.groups:
         s_max = bucket.stencil.groups[-1][1].shape[1]  # counts ascend
-    per_run = max(1, _RUN_BYTES // (n_exp * s_max * n_members * 8))
-    for lo in range(0, n_batch, per_run):
-        hi = min(lo + per_run, n_batch)
+    n_exp = bucket.exp_index.shape[1]
+    return max(1, budget // (n_exp * s_max * plan.states.shape[1] * 8))
+
+
+def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
+    """Analyse pieces ``[lo, hi)`` of one stacked bucket into their
+    interior rows of ``plan.out``, under one ``vectorized.bucket`` span
+    opened on the thread that computes them.
+
+    A run is a slice of the bucket's cached geometry — pieces ``[lo, hi)``
+    are rows ``[lo·m_max, hi·m_max)`` × columns ``[lo·n̄, hi·n̄)`` of the
+    block-diagonal ``h_block`` — so no run rebuilds geometry, the kernels'
+    temporaries are bounded by the run, not by the bucket, and runs share
+    nothing they write.
+    """
+    n_exp = bucket.exp_index.shape[1]
+    m_max = bucket.r_diag.shape[1]
+    n_int = bucket.interior_positions.size
+    n_members = plan.states.shape[1]
+    with get_tracer().span(
+        "vectorized.bucket", category="parallel", lo=lo, hi=hi, **span_attrs
+    ):
         xb = plan.states[bucket.exp_index[lo:hi]]  # (b, n̄, N)
         h_block = bucket.h_block[lo * m_max:hi * m_max, lo * n_exp:hi * n_exp]
         obs_index = bucket.obs_index[lo:hi]
@@ -153,20 +172,27 @@ def _compute_bucket(plan, bucket) -> int:
         plan.out[bucket.interior_flat_cat[lo * n_int:hi * n_int]] = (
             interior.reshape(-1, n_members)
         )
-    return -(-n_batch // per_run)
 
 
-def run_vectorized(plan) -> dict:
+def run_vectorized(plan, workers: int = 1, fan_out=None) -> dict:
     """Run one plan under the vectorized strategy; returns bucket stats.
 
     The plan's observed pieces are prepared through the
     :class:`GeometryCache` (per-piece entries carry the structural
     digests), grouped, padded or split (:data:`MAX_PAD_WASTE`), stacked
     via cached :class:`~repro.parallel.geometry.BucketGeometry` entries
-    and updated as stacks, one run of pieces at a time
-    (:data:`_RUN_BYTES`).  Empty-observation pieces are one
-    bulk fill (exact).  Writes land in ``plan.out`` exactly like every
-    other strategy.
+    and updated as stacks, one run of pieces at a time.  Empty-observation
+    pieces are one bulk fill (exact).  Writes land in ``plan.out`` exactly
+    like every other strategy.
+
+    ``workers`` runs may be in flight at once, so each run gets
+    ``_RUN_BYTES // workers`` of the budget.  ``fan_out`` is the
+    executor's fan-out body (it runs an iterable of zero-argument tasks
+    on the pool); the runs go to it when ``workers > 1`` and there is
+    more than one run, and otherwise run here, in order.  Called with the
+    plan alone, runs span the whole budget on the calling thread.  Only
+    the calling thread touches the cache.  ``stats["workers"]`` is the
+    width the runs actually had.
     """
     if plan.kind not in (KIND_ENKF, KIND_ETKF):
         raise ValueError(
@@ -177,6 +203,8 @@ def run_vectorized(plan) -> dict:
     prepared = [plan.prepare(i) for i in plan.observed]
     n_empty = len(plan.pieces) - len(prepared)
 
+    budget = _RUN_BYTES // workers
+    runs = []
     n_buckets = 0
     pad_slots = 0
     total_slots = 0
@@ -188,18 +216,29 @@ def run_vectorized(plan) -> dict:
             n_buckets += 1
             pad_slots += bucket.pad_slots
             total_slots += bucket.total_slots
-            if tracer.enabled:
-                with tracer.span(
-                    "vectorized.bucket", category="parallel",
-                    n_batch=bucket.n_batch,
-                    n_exp=int(bucket.exp_index.shape[1]),
-                    m_max=int(bucket.r_diag.shape[1]),
-                    pad_waste=round(bucket.pad_waste, 4),
-                    cached=cached,
-                ) as span:
-                    span.set(runs=_compute_bucket(plan, bucket))
-            else:
-                _compute_bucket(plan, bucket)
+            n_batch = bucket.n_batch
+            per_run = _pieces_per_run(plan, bucket, budget)
+            span_attrs = dict(
+                n_batch=n_batch,
+                n_exp=int(bucket.exp_index.shape[1]),
+                m_max=int(bucket.r_diag.shape[1]),
+                pad_waste=round(bucket.pad_waste, 4),
+                cached=cached,
+                runs=-(-n_batch // per_run),
+            )
+            runs += [
+                partial(
+                    _compute_run, plan, bucket, lo,
+                    min(lo + per_run, n_batch), span_attrs,
+                )
+                for lo in range(0, n_batch, per_run)
+            ]
+    width = max(1, min(workers, len(runs))) if fan_out is not None else 1
+    if width > 1:
+        fan_out(runs)
+    else:
+        for run in runs:
+            run()
 
     stats = {
         "n_buckets": n_buckets,
@@ -208,6 +247,7 @@ def run_vectorized(plan) -> dict:
         "pad_slots": pad_slots,
         "obs_slots": total_slots,
         "pad_waste": pad_slots / total_slots if total_slots else 0.0,
+        "workers": width,
     }
     if tracer.enabled:
         metrics = get_metrics()

@@ -197,10 +197,9 @@ class TestMemoryProfiler:
         validate_profile_report(build_profile_report(memory=report))
 
     def test_observe_cycle_growth(self):
-        mem = MemoryProfiler()
-        mem.start()
-        first = mem.observe_cycle()
-        second = mem.observe_cycle()
+        with MemoryProfiler() as mem:  # stop() ends the tracemalloc it started
+            first = mem.observe_cycle()
+            second = mem.observe_cycle()
         for stats in (first, second):
             assert set(stats) == {"rss_bytes", "rss_growth_bytes"}
         assert first["rss_bytes"] > 0

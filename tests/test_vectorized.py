@@ -9,11 +9,19 @@ is normwise) — for every filter kind, localization, chaos/degraded
 combination and bucketing policy, including the edge geometry: pieces
 with no observations, single-piece buckets, and ragged buckets that
 exercise the pad-or-split policy.  On top sit the shape-bucketer's
-padding exactness proof, auto-strategy selection, the ``vectorized.*``
-telemetry, the per-kernel cost-model calibration, and the tolerant
-readers of payloads that carry engine-metadata fields (``strategy``, and
-the ``backend`` older writers recorded).
+padding exactness proof, auto-strategy selection, the runs' fan-out
+over the executor's pool (determinism at one width, the failure path,
+the footprint at every width, and a ``-m hammer`` race check), the
+``vectorized.*`` telemetry, the per-kernel cost-model calibration, and
+the tolerant readers of payloads that carry engine-metadata fields
+(``strategy``, and the ``backend`` older writers recorded).
 """
+
+import hashlib
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,20 +317,23 @@ class TestFilterEquivalence:
         """Buckets analysed in runs of pieces stay within the contract at
         every run budget — one run per bucket, one piece per run, and three
         per run on buckets of 4 and 8 (a short last run) — and the budget
-        moves neither the bucketing nor its padding."""
+        moves neither the bucketing nor its padding.  The budget bounds
+        the bytes of all runs in flight, so a run gets ``_RUN_BYTES // w``
+        of it with ``w`` runs in flight."""
         make_filter = dict(_filter_cases())[label]
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
-        stats, runs = [], []
-        real_run, real_bucket = run_vectorized, vectorized._compute_bucket
+        stats, widths, runs = [], [], []
+        real_run, real_compute = run_vectorized, vectorized._compute_run
 
-        def spy_run(plan):
-            stats.append(real_run(plan))
+        def spy_run(plan, workers, fan_out):
+            widths.append(workers)
+            stats.append(real_run(plan, workers, fan_out))
             return stats[-1]
 
-        def spy_bucket(plan, bucket):
-            runs.append((bucket, real_bucket(plan, bucket)))
-            return runs[-1][1]
+        def spy_compute(plan, bucket, lo, hi, span_attrs):
+            runs.append((bucket, lo, hi))
+            real_compute(plan, bucket, lo, hi, span_attrs)
 
         def analyse():
             stats.clear()
@@ -331,29 +342,47 @@ class TestFilterEquivalence:
                 out = make_filter(ex).assimilate(decomp, states, net, y, rng=5)
             return out, [(s["n_buckets"], s["pad_waste"]) for s in stats]
 
+        def runs_by_bucket():
+            """Each bucket with the sorted ``(lo, hi)`` of its runs."""
+            found = {}
+            for bucket, lo, hi in runs:
+                found.setdefault(id(bucket), (bucket, []))[1].append((lo, hi))
+            return [(b, sorted(spans)) for b, spans in found.values()]
+
         monkeypatch.setattr(executor_module, "run_vectorized", spy_run)
-        monkeypatch.setattr(vectorized, "_compute_bucket", spy_bucket)
+        monkeypatch.setattr(vectorized, "_compute_run", spy_compute)
         _, whole = analyse()
         n_members = states.shape[1]
-        widest = max(piece_bytes(b, n_members) for b, _ in runs)
+        widest = max(piece_bytes(b, n_members) for b, _, _ in runs)
+        w = widths[-1]
         if budget == "one-piece":
             monkeypatch.setattr(vectorized, "_RUN_BYTES", 1)
         elif budget == "three-pieces":
-            monkeypatch.setattr(vectorized, "_RUN_BYTES", 3 * widest)
+            monkeypatch.setattr(vectorized, "_RUN_BYTES", 3 * w * widest)
+        pieces_per_run = max(1, (vectorized._RUN_BYTES // w) // widest)
         out, split = analyse()
 
         ref = make_filter(None).assimilate(decomp, states, net, y, rng=5)
         assert np.allclose(ref, out, rtol=RTOL, atol=ATOL)
         assert split == whole
+        for bucket, spans in runs_by_bucket():  # each piece in one run
+            starts = [lo for lo, _ in spans]
+            assert starts == [0] + [hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == bucket.n_batch
         if budget == "one-piece":
-            assert all(n_runs == b.n_batch for b, n_runs in runs)
+            for bucket, spans in runs_by_bucket():
+                assert len(spans) == bucket.n_batch
+                assert all(hi - lo == 1 for lo, hi in spans)
         elif budget == "three-pieces":
+            assert pieces_per_run == 3
             sizes = [
-                (b.n_batch, n_runs) for b, n_runs in runs
+                (b.n_batch, len(spans)) for b, spans in runs_by_bucket()
                 if piece_bytes(b, n_members) == widest
             ]
-            assert any(n % 3 for n, _ in sizes)
-            assert all(n_runs == -(-n // 3) for n, n_runs in sizes)
+            assert any(n % pieces_per_run for n, _ in sizes)
+            assert all(
+                n_runs == -(-n // pieces_per_run) for n, n_runs in sizes
+            )
 
     def test_fanout_strategies_stay_bit_identical(self):
         """The vectorized layer must not perturb the existing contract."""
@@ -582,6 +611,228 @@ class TestExecutorIntegration:
             s for s in tracer.spans if s.name == "vectorized.bucket"
         ]
         assert bucket_spans and all(s.attrs["cached"] for s in bucket_spans)
+
+
+# ---------------------------------------------------------------------------
+# Runs fan out over the executor's pool
+# ---------------------------------------------------------------------------
+def static_problem(seed=3):
+    """The end-to-end benchmark's ``small_pieces_static`` shape: a 128 × 64
+    grid in 8 × 8 sub-domains with two-cell halos, 24 members and 20
+    observations in every sub-domain (S-EnKF in four layers: 256 pieces,
+    most of them in one bucket)."""
+    grid = Grid(n_x=128, n_y=64, dx_km=25.0, dy_km=25.0)
+    decomp = Decomposition(grid, n_sdx=8, n_sdy=8, xi=2, eta=2)
+    rng = np.random.default_rng(seed)
+    states = correlated_ensemble(grid, 24, 40.0, rng=rng)
+    cells = [
+        (sd, rng.choice(sd.size, size=20, replace=False)) for sd in decomp
+    ]
+    net = ObservationNetwork(
+        grid,
+        np.concatenate([sd.ix0 + c % sd.n_cols for sd, c in cells]),
+        np.concatenate([sd.iy0 + c // sd.n_cols for sd, c in cells]),
+        0.5,
+    )
+    return decomp, states, net, rng.standard_normal(net.m)
+
+
+def static_filter(executor):
+    return SEnKF(radius_km=60.0, n_layers=4, ridge=1e-2, executor=executor)
+
+
+def static_plan(seed=3):
+    """One S-EnKF analysis plan over :func:`static_problem`'s pieces."""
+    decomp, states, net, y = static_problem(seed)
+    rng = np.random.default_rng(seed + 1)
+    return AnalysisPlan(
+        kind=KIND_ENKF,
+        pieces=static_filter(None)._plan_pieces(decomp),
+        states=states,
+        obs=y[:, None] + 0.5 * rng.standard_normal((net.m, states.shape[1])),
+        out=np.zeros_like(states),
+        network=net,
+        params={"radius_km": 60.0, "ridge": 1e-2},
+    )
+
+
+class TestRunFanOut:
+    def test_static_shape_is_deterministic_and_within_contract(self):
+        """On the ``small_pieces_static`` shape two runs in flight hash the
+        same over five repeated runs and hold the rtol contract against
+        serial; one worker keeps the run boundaries of the plan-alone
+        call, so its result is that call's bit for bit."""
+        plan = static_plan()
+        ref = serial_reference(plan)
+        digests = set()
+        with AnalysisExecutor(strategy="vectorized", workers=2) as ex:
+            for _ in range(5):
+                plan.out[:] = 0.0
+                ex.run(plan)
+                digests.add(hashlib.sha256(plan.out.tobytes()).hexdigest())
+        assert len(digests) == 1
+        assert np.allclose(plan.out, ref, rtol=RTOL, atol=ATOL)
+
+        plan.out[:] = 0.0
+        run_vectorized(plan)
+        alone = plan.out.copy()
+        plan.out[:] = 0.0
+        with AnalysisExecutor(strategy="vectorized", workers=1) as ex:
+            ex.run(plan)
+        assert np.array_equal(plan.out, alone)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_telemetry_reports_the_fan_out_width(self, workers):
+        """``parallel.run``'s ``workers`` and the ``parallel.workers`` gauge
+        are the number of runs in flight, and every run has its own
+        ``vectorized.bucket`` span, opened on the thread that computed it;
+        the runs' ``[lo, hi)`` cover every batched piece once."""
+        plan = make_plan(KIND_ENKF)
+        metrics = MetricsRegistry()
+        tracer = Tracer(metrics=metrics)
+        with use_tracer(tracer), use_metrics(metrics):
+            with AnalysisExecutor(
+                strategy="vectorized", workers=workers
+            ) as ex:
+                ex.run(plan)
+        (run_span,) = [s for s in tracer.spans if s.name == "parallel.run"]
+        assert run_span.attrs["workers"] == workers
+        snap = metrics.snapshot()
+        assert snap["gauges"]["parallel.workers"] == workers
+        bucket_spans = [
+            s for s in tracer.spans if s.name == "vectorized.bucket"
+        ]
+        assert len(bucket_spans) > 1
+        tracks = {s.track for s in bucket_spans}
+        if workers == 1:
+            assert tracks == {run_span.track}
+        else:
+            assert run_span.track not in tracks
+        assert all(
+            0 <= s.attrs["lo"] < s.attrs["hi"] <= s.attrs["n_batch"]
+            for s in bucket_spans
+        )
+        assert sum(s.attrs["hi"] - s.attrs["lo"] for s in bucket_spans) == (
+            snap["counters"]["vectorized.batched_pieces"]
+        )
+
+    def test_run_error_surfaces_as_itself_and_executor_stays_usable(
+        self, monkeypatch
+    ):
+        """A non-finite background fails the banded closing of the runs
+        that see it: ``run()`` raises the first failing run's
+        ``ValueError`` in submit order, as itself; runs that had not
+        started never run; nothing writes ``plan.out`` after the raise;
+        and the same executor then analyses a clean plan correctly."""
+        monkeypatch.setattr(vectorized, "_RUN_BYTES", 1)  # a piece a run
+        plan = make_plan(KIND_ENKF)
+        order = []
+        real_compute = vectorized._compute_run
+
+        def recording(plan, bucket, lo, hi, span_attrs):
+            order.append((bucket.exp_index[lo][0], lo))
+            real_compute(plan, bucket, lo, hi, span_attrs)
+
+        monkeypatch.setattr(vectorized, "_compute_run", recording)
+        run_vectorized(plan)  # the calling thread runs in submit order
+        first_point, _ = order[0]
+        plan.states[first_point] = np.nan
+        with pytest.raises(ValueError) as serial_error:
+            serial_reference(plan)
+
+        started, finished, raised = [], [], {}
+        release = threading.Event()
+
+        def gated(plan, bucket, lo, hi, span_attrs):
+            # Hold every run until the caller has submitted them all, so
+            # "not yet started" is a fixed set: the first two run, the
+            # rest wait in the queue.
+            key = (bucket.exp_index[lo][0], lo)
+            started.append(key)
+            try:
+                assert release.wait(timeout=30.0)
+                if key != order[0]:
+                    time.sleep(0.05)  # still writing when the first fails
+                real_compute(plan, bucket, lo, hi, span_attrs)
+            except ValueError as error:
+                raised[key] = error
+                raise
+            finally:
+                finished.append(key)
+
+        real_wait = executor_module.wait
+
+        def releasing_wait(futures, **kwargs):
+            release.set()
+            return real_wait(futures, **kwargs)
+
+        monkeypatch.setattr(vectorized, "_compute_run", gated)
+        monkeypatch.setattr(executor_module, "wait", releasing_wait)
+        ex = AnalysisExecutor(strategy="vectorized", workers=2)
+        with pytest.raises(ValueError) as run_error:
+            ex.run(plan)
+        assert sorted(finished) == sorted(started)  # joined before raising
+        snapshot = plan.out.copy()
+        assert run_error.value is raised[order[0]]
+        assert run_error.traceback[-1].name == "_solve_band"
+        assert str(run_error.value) == str(serial_error.value)
+        assert order[0] in started
+        assert len(started) < len(order)  # the queue behind was cancelled
+        monkeypatch.undo()
+
+        clean = make_plan(KIND_ENKF)
+        ex.run(clean)
+        assert np.allclose(clean.out, serial_reference(clean), rtol=RTOL,
+                           atol=ATOL)
+        ex.close()
+        assert np.array_equal(plan.out, snapshot, equal_nan=True)
+
+    @pytest.mark.hammer
+    def test_hammer_fresh_network_every_run_matches_inline_runs(self):
+        """The race check for concurrent runs: four pool threads
+        (oversubscribed on purpose), a 1 µs switch interval and a fresh
+        network every run; each fanned-out analysis must equal, bit for
+        bit, the same runs executed one after another on the calling
+        thread.  Deselected in tier-1, run by CI's parallel-smoke
+        (``-m hammer``)."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with AnalysisExecutor(strategy="vectorized", workers=4) as ex:
+                for seed in range(20):
+                    plan = static_plan(seed)
+                    ex.run(plan)
+                    plan_inline = AnalysisPlan(
+                        kind=plan.kind, pieces=plan.pieces,
+                        states=plan.states, obs=plan.obs,
+                        out=np.zeros_like(plan.out), network=plan.network,
+                        params=plan.params, cache=plan.cache,
+                    )
+                    stats = run_vectorized(plan_inline, workers=4)
+                    assert stats["workers"] == 1
+                    assert np.array_equal(plan.out, plan_inline.out), (
+                        f"run {seed} diverged"
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_footprint_is_bounded_at_every_width(self, workers):
+        """One warm vectorized S-EnKF ``assimilate`` on the
+        ``small_pieces_static`` shape keeps its traced peak within 24 MiB
+        with one, two or four runs in flight: ``_RUN_BYTES`` bounds the
+        bytes of all runs in flight, not of one run."""
+        decomp, states, net, y = static_problem()
+        with AnalysisExecutor(strategy="vectorized", workers=workers) as ex:
+            filt = static_filter(ex)
+            filt.assimilate(decomp, states, net, y, rng=1)  # warm the cache
+            tracemalloc.start()
+            try:
+                filt.assimilate(decomp, states, net, y, rng=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 # ---------------------------------------------------------------------------
