@@ -36,7 +36,6 @@ from repro.core.analysis import (
 )
 from repro.core.adaptive import innovation_inflation_factor, rtps
 from repro.core.diagnostics import DesroziersStats, desroziers_diagnostics
-from repro.core.etkf import analysis_etkf, local_analysis_etkf
 from repro.core.inflation import inflate
 from repro.core.verification import ensemble_spread, rmse
 
@@ -49,7 +48,6 @@ __all__ = [
     "LocalBox",
     "ObservationNetwork",
     "SubDomain",
-    "analysis_etkf",
     "analysis_gain_form",
     "analysis_modified_cholesky",
     "analysis_precision_form",
@@ -60,7 +58,6 @@ __all__ = [
     "inflate",
     "innovation_inflation_factor",
     "local_analysis",
-    "local_analysis_etkf",
     "local_box",
     "modified_cholesky_inverse",
     "perturb_observations",

@@ -25,7 +25,6 @@ from repro.filters.cycling import CampaignReport, CycleCosts, ReanalysisCampaign
 from repro.filters.serial import SerialEnKF
 from repro.filters.distributed import DistributedEnKF
 from repro.filters.lenkf import LEnKF, simulate_lenkf
-from repro.filters.letkf import LETKF
 from repro.filters.penkf import PEnKF, simulate_penkf
 from repro.filters.senkf import SEnKF, simulate_senkf, simulate_senkf_autotuned
 
@@ -33,7 +32,6 @@ __all__ = [
     "CampaignReport",
     "CycleCosts",
     "DistributedEnKF",
-    "LETKF",
     "LEnKF",
     "PEnKF",
     "PerfScenario",

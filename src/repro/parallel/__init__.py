@@ -24,7 +24,7 @@ reference).
 from repro.parallel.executor import AnalysisExecutor, AnalysisPlan, serial_executor
 from repro.parallel.geometry import BucketGeometry, GeometryCache, PieceGeometry
 from repro.parallel.vectorized import run_vectorized
-from repro.parallel.worker import KIND_ENKF, KIND_ETKF, compute_piece
+from repro.parallel.worker import KIND_ENKF, compute_piece
 
 __all__ = [
     "AnalysisExecutor",
@@ -32,7 +32,6 @@ __all__ = [
     "BucketGeometry",
     "GeometryCache",
     "KIND_ENKF",
-    "KIND_ETKF",
     "PieceGeometry",
     "compute_piece",
     "run_vectorized",

@@ -26,11 +26,15 @@
     Picks one of the above from the shape of the plan's *observed* work
     (see :meth:`resolve`).
 
+Every strategy runs the one analysis kind, the stochastic
+modified-Cholesky local analysis of Eq. 6 (``KIND_ENKF``); a plan of any
+other kind is rejected before anything is written.
+
 Only observed pieces are work.  A piece whose expansion holds no
-observation has the (inflated) background as its analysis, so
-:meth:`AnalysisPlan.fill_unobserved` writes all of them in one bulk pass
-and every strategy prepares, submits and counts the observed pieces
-alone — by their plan indices, never re-numbered.
+observation has its background (already inflated by the filter) as its
+analysis, so :meth:`AnalysisPlan.fill_unobserved` writes all of them in
+one bulk copy and every strategy prepares, submits and counts the
+observed pieces alone — by their plan indices, never re-numbered.
 
 The paper's helper-thread overlap (Sec. 4.2) is the thread strategy's
 *submit-as-prepared* loop: the calling thread resolves each piece's
@@ -58,6 +62,7 @@ serial loop; nothing is retried here.  Recovery is checkpoint-restart
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -66,10 +71,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from repro.core.inflation import inflate
 from repro.parallel.geometry import GeometryCache, PieceGeometry
 from repro.parallel.vectorized import run_vectorized
-from repro.parallel.worker import KIND_ENKF, KIND_ETKF, compute_piece
+from repro.parallel.worker import KIND_ENKF, compute_piece
 from repro.telemetry.metrics import get_metrics, use_thread_metrics
 from repro.telemetry.tracer import get_tracer, use_thread_tracer
 
@@ -104,7 +108,10 @@ def _warn_if_oversubscribed(workers: int) -> None:
 
     The BLAS thread count is the smallest of the set thread variables, or
     the CPU count when none is set (what OpenBLAS and MKL default to).
-    Nothing is changed: the warning names the variable to set.
+    Nothing is changed: the warning names the variable to set.  It points
+    at the first frame outside this package — the caller of
+    :meth:`AnalysisExecutor.run` — however deep the fan-out that starts
+    the pool.
     """
     global _oversubscription_warned
     cpus = os.cpu_count() or 1
@@ -119,13 +126,17 @@ def _warn_if_oversubscribed(workers: int) -> None:
         if _oversubscription_warned:
             return
         _oversubscription_warned = True
+    here = os.path.dirname(__file__)
+    frame, stacklevel = sys._getframe(), 1
+    while os.path.dirname(frame.f_code.co_filename) == here:
+        frame, stacklevel = frame.f_back, stacklevel + 1
     warnings.warn(
         f"{workers} analysis threads x {blas_threads} BLAS thread(s) each "
         f"oversubscribe {cpus} CPUs; start Python with "
         f"OPENBLAS_NUM_THREADS=1 (OMP_NUM_THREADS=1 or MKL_NUM_THREADS=1 "
         f"for other BLAS builds) and use at most {cpus} workers",
         RuntimeWarning,
-        stacklevel=4,
+        stacklevel=stacklevel,
     )
 
 
@@ -133,10 +144,11 @@ def _warn_if_oversubscribed(workers: int) -> None:
 class AnalysisPlan:
     """One assimilation call's work-list, data and parameters.
 
-    ``obs`` is the full observation payload (perturbed ``Yˢ`` for the
-    EnKF kinds, plain ``y`` for the ETKF); ``params`` are the
-    scalars :func:`~repro.parallel.worker.compute_piece` needs; ``out``
-    is filled in place (each piece owns its interior rows).
+    ``kind`` must be ``KIND_ENKF``; ``obs`` is the full perturbed
+    observation matrix ``Yˢ``; ``params`` are the scalars
+    :func:`~repro.parallel.worker.compute_piece` needs (``radius_km``,
+    which also keys the geometry, and ``ridge``); ``out`` is filled in
+    place (each piece owns its interior rows).
     """
 
     kind: str
@@ -148,11 +160,6 @@ class AnalysisPlan:
     params: dict
     cache: GeometryCache = field(default_factory=GeometryCache)
 
-    @property
-    def cache_radius(self) -> float | None:
-        """Radius to key geometry on (the EnKF kinds cache the stencil)."""
-        return self.params.get("radius_km") if self.kind == KIND_ENKF else None
-
     @cached_property
     def observed(self) -> tuple[int, ...]:
         """Plan indices of the pieces that see at least one observation
@@ -162,20 +169,14 @@ class AnalysisPlan:
     def fill_unobserved(self) -> None:
         """Fill every observation-free piece at once.
 
-        With no local observation the analysis is the background — as
-        given for the EnKF kinds (``states`` already carries the
-        inflation), inflated row-wise for the ETKF — so one contiguous
-        pass writes all of ``out`` and the observed pieces then overwrite
-        their interiors.  A plan with no unobserved piece fills nothing.
+        With no local observation the analysis is the background as
+        given (``states`` already carries the inflation), so one
+        contiguous copy writes all of ``out`` and the observed pieces then
+        overwrite their interiors.  A plan with no unobserved piece fills
+        nothing.
         """
         if len(self.observed) < len(self.pieces):
-            inflation = (
-                self.params["inflation"] if self.kind == KIND_ETKF else 1.0
-            )
-            if inflation != 1.0:
-                inflate(self.states, inflation, out=self.out)
-            else:
-                np.copyto(self.out, self.states)
+            np.copyto(self.out, self.states)
 
     def prepare(self, index: int) -> tuple[int, object, PieceGeometry]:
         """Resolve one piece's geometry (cached)."""
@@ -186,11 +187,13 @@ class AnalysisPlan:
                 "parallel.prepare", category="parallel", piece=index
             ) as span:
                 geometry, cached = self.cache.get(
-                    self.network, piece, self.cache_radius
+                    self.network, piece, self.params["radius_km"]
                 )
                 span.set(cached=cached)
         else:
-            geometry, _ = self.cache.get(self.network, piece, self.cache_radius)
+            geometry, _ = self.cache.get(
+                self.network, piece, self.params["radius_km"]
+            )
         return index, piece, geometry
 
 
@@ -231,6 +234,7 @@ class AnalysisExecutor:
     def resolve(self, plan: AnalysisPlan) -> str:
         """The concrete strategy this plan will run under.
 
+        A plan whose kind is not ``KIND_ENKF`` raises ``ValueError``.
         ``auto`` sizes the plan by its observed pieces — their count and
         their expansion points — since the rest is one bulk fill under
         any strategy: many small observed pieces batch (``vectorized``),
@@ -238,6 +242,8 @@ class AnalysisExecutor:
         stay on the calling thread (``serial``), anything larger fans
         out (``thread``).
         """
+        if plan.kind != KIND_ENKF:
+            raise ValueError(f"unknown analysis kind {plan.kind!r}")
         if self.strategy != "auto":
             return self.strategy
         n_pieces = len(plan.observed)
@@ -247,8 +253,7 @@ class AnalysisExecutor:
         # second core (with one, the runs just stay on this thread), so it
         # is tested before the worker-availability checks.
         if (
-            plan.kind in (KIND_ENKF, KIND_ETKF)
-            and n_pieces >= _VECTORIZED_MIN_PIECES
+            n_pieces >= _VECTORIZED_MIN_PIECES
             and points <= n_pieces * _VECTORIZED_MEAN_POINTS_CEILING
         ):
             return "vectorized"

@@ -88,14 +88,13 @@ class PieceStructure:
 
     #: interior positions inside the expansion ordering (``P_ij``)
     interior_positions: np.ndarray
-    #: modified-Cholesky stencil and its derived artefacts (None when no
-    #: radius was requested — the ETKF kind has no precision estimate)
-    stencil: Stencil | None
+    #: modified-Cholesky stencil and its derived artefacts
+    stencil: Stencil
     #: structural digest of (expansion size, interior projection) — two
     #: pieces with equal digests can be stacked into one batched update
     interior_sig: str
-    #: structural digest of the predecessor stencil ("" when absent);
-    #: batching the modified Cholesky additionally requires equal stencils
+    #: structural digest of the predecessor stencil; batching the
+    #: modified Cholesky additionally requires equal stencils
     stencil_sig: str
 
 
@@ -121,14 +120,13 @@ class PieceGeometry:
         return self.structure.interior_positions
 
     @property
-    def stencil(self) -> Stencil | None:
+    def stencil(self) -> Stencil:
         return self.structure.stencil
 
     @property
-    def predecessors(self) -> list[np.ndarray] | None:
-        """The modified-Cholesky predecessor stencil (None when absent)."""
-        stencil = self.structure.stencil
-        return stencil.predecessors if stencil is not None else None
+    def predecessors(self) -> list[np.ndarray]:
+        """The modified-Cholesky predecessor stencil."""
+        return self.structure.stencil.predecessors
 
     @property
     def interior_sig(self) -> str:
@@ -144,8 +142,8 @@ class BucketGeometry:
     """Stacked, padded geometry for one batch of structurally equal pieces.
 
     Built (and cached) by :meth:`GeometryCache.get_bucket` from pieces
-    whose :attr:`PieceGeometry.interior_sig` (and, for the EnKF kind,
-    :attr:`PieceGeometry.stencil_sig`) agree — so every per-piece array
+    whose :attr:`PieceGeometry.interior_sig` and
+    :attr:`PieceGeometry.stencil_sig` agree — so every per-piece array
     stacks into a ``(B, ...)`` operand.  Observation counts may differ
     inside a bucket; shorter pieces are padded to ``m_max`` with *exact
     no-op* slots (zero ``H`` rows, unit ``R``, masked-to-zero
@@ -153,7 +151,7 @@ class BucketGeometry:
     ``vectorized.pad_waste`` metric.
 
     The local operators are held as the one block-diagonal CSR over the
-    stacked state that both kinds' closings take.
+    stacked state that the closing takes.
     """
 
     #: piece indices (into the originating plan) in stack order
@@ -174,8 +172,8 @@ class BucketGeometry:
     obs_mask: np.ndarray
     #: real observation count per piece (B,)
     obs_counts: np.ndarray
-    #: shared modified-Cholesky stencil (None for the ETKF kind)
-    stencil: Stencil | None
+    #: shared modified-Cholesky stencil
+    stencil: Stencil
     #: padded-out slots (sum over pieces of m_max − m̄_b)
     pad_slots: int
 
@@ -249,16 +247,16 @@ class GeometryCache:
         self,
         network,
         piece: SubDomain,
-        radius_km: float | None = None,
+        radius_km: float,
     ) -> tuple[PieceGeometry, bool]:
         """``(geometry, was_cached)`` for one piece.
 
-        ``radius_km`` requests the modified-Cholesky stencil as part of
-        the geometry (EnKF path); ``None`` skips it (ETKF path, which
-        has no precision estimate).  A miss rebuilds the network half
-        only; the structure is looked up by shape.
+        ``radius_km`` is the localization radius of the modified-Cholesky
+        stencil the geometry carries; it is part of the key.  A miss
+        rebuilds the network half only; the structure is looked up by
+        shape.
         """
-        radius = float(radius_km) if radius_km is not None else None
+        radius = float(radius_km)
         key = (id(network), id(piece.grid), self._piece_key(piece), radius)
         cached = self._lookup(key)
         if cached is not None:
@@ -316,7 +314,7 @@ class GeometryCache:
                 del self._entries[key]
         del recent[:-_NETWORKS_KEPT]
 
-    def _structure(self, piece: SubDomain, radius: float | None) -> PieceStructure:
+    def _structure(self, piece: SubDomain, radius: float) -> PieceStructure:
         """The shape-only half of ``piece``'s geometry, built once per shape.
 
         The expansion is taken to its canonical position — first column
@@ -339,23 +337,19 @@ class GeometryCache:
             if structure is not None:
                 self.structure_hits += 1
                 return structure
-        stencil, stencil_sig = None, ""
-        if radius is not None:
-            predecessors = neighbour_predecessors(grid, rel_ix, rel_iy, radius)
-            stencil = Stencil.from_predecessors(predecessors, piece.exp_size)
-            stencil_sig = _digest(
-                np.concatenate(predecessors).astype(np.int64).tobytes(),
-                np.asarray([p.size for p in predecessors],
-                           dtype=np.int64).tobytes(),
-            )
+        predecessors = neighbour_predecessors(grid, rel_ix, rel_iy, radius)
         structure = PieceStructure(
             interior_positions=interior,
-            stencil=stencil,
+            stencil=Stencil.from_predecessors(predecessors, piece.exp_size),
             interior_sig=_digest(
                 np.asarray([piece.exp_size], dtype=np.int64).tobytes(),
                 np.ascontiguousarray(interior, dtype=np.int64).tobytes(),
             ),
-            stencil_sig=stencil_sig,
+            stencil_sig=_digest(
+                np.concatenate(predecessors).astype(np.int64).tobytes(),
+                np.asarray([p.size for p in predecessors],
+                           dtype=np.int64).tobytes(),
+            ),
         )
         with self._lock:
             self.structure_misses += 1
@@ -363,7 +357,7 @@ class GeometryCache:
         return structure
 
     def local_geometry(
-        self, network, piece: SubDomain, radius_km: float | None = None
+        self, network, piece: SubDomain, radius_km: float
     ) -> PieceGeometry:
         """Like :meth:`get` without the cache-status flag."""
         return self.get(network, piece, radius_km)[0]
@@ -404,7 +398,7 @@ class GeometryCache:
         self,
         network,
         items: list[tuple[int, SubDomain, PieceGeometry]],
-        radius_km: float | None = None,
+        radius_km: float,
     ) -> tuple[BucketGeometry, bool]:
         """``(bucket, was_cached)`` for one batch of prepared pieces.
 
@@ -432,7 +426,7 @@ class GeometryCache:
             id(grid),
             "bucket",
             tuple(self._piece_key(piece) for _, piece, _ in items),
-            float(radius_km) if radius_km is not None else None,
+            float(radius_km),
         )
         plan_indices = tuple(i for i, _, _ in items)
         cached = self._lookup(key)
@@ -500,9 +494,7 @@ class GeometryCache:
         with self._lock:
             entries = [entry for entry, _ in self._entries.values()]
             structures = list(self._structures.values())
-        owned = entries + structures + [
-            s.stencil for s in structures if s.stencil is not None
-        ]
+        owned = entries + structures + [s.stencil for s in structures]
         return sum(_geometry_nbytes(entry) for entry in owned)
 
     @property

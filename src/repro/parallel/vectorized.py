@@ -3,16 +3,15 @@
 Where the fan-out strategies hide the per-piece Python/BLAS-dispatch
 cost behind concurrency, this strategy *removes* it: pieces whose
 geometry is structurally identical — same expansion size, same interior
-projection and (for the EnKF kind) the same modified-Cholesky stencil,
-compared by digest, never assumed from translation symmetry — are
-stacked into ``(B, ...)`` operands and updated as one stack by the same
-function a single piece runs with ``B = 1``.  For the EnKF
-(:func:`~repro.core.analysis.analysis_modified_cholesky`) the stack's
+projection and the same modified-Cholesky stencil, compared by digest,
+never assumed from translation symmetry — are stacked into ``(B, ...)``
+operands and updated as one stack by the same function a single piece
+runs with ``B = 1``,
+:func:`~repro.core.analysis.analysis_modified_cholesky`: the stack's
 regressions are one LAPACK call per distinct stencil size and its
-systems the diagonal blocks of one banded system; for the ETKF
-(:func:`~repro.core.etkf.analysis_etkf`) the stack's ensemble-space
-matrices are one batched ``eigh``.  Batching wins on one core; the
-runs of a plan (below) then also fan out over the executor's pool.
+systems the diagonal blocks of one banded system.  Batching wins on one
+core; the runs of a plan (below) then also fan out over the executor's
+pool.
 
 Bucketing policy: pieces first group by structural signature; within a
 group, observation counts may differ, so the group is *padded* to the
@@ -42,7 +41,7 @@ geometry; each run opens its own ``vectorized.bucket`` span, with its
 computes it.
 
 Pieces with no observations are never prepared or batched: their
-"analysis" is a copy (plus ETKF inflation), written for all of them at
+"analysis" is a copy of the background, written for all of them at
 once by :meth:`~repro.parallel.executor.AnalysisPlan.fill_unobserved`.
 
 Numerics: stacking reorders reductions (and each run's band is its own
@@ -60,8 +59,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.core.analysis import analysis_modified_cholesky
-from repro.core.etkf import analysis_etkf
-from repro.parallel.worker import KIND_ENKF, KIND_ETKF
+from repro.parallel.worker import KIND_ENKF
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
 
@@ -128,7 +126,7 @@ def _pieces_per_run(plan, bucket, budget: int) -> int:
     largest regression temporary, the ``(b, G, s, N)`` predecessor gather
     (``G <= n̄``, ``s <= s_max``), within ``budget`` bytes."""
     s_max = 1
-    if bucket.stencil is not None and bucket.stencil.groups:
+    if bucket.stencil.groups:
         s_max = bucket.stencil.groups[-1][1].shape[1]  # counts ascend
     n_exp = bucket.exp_index.shape[1]
     return max(1, budget // (n_exp * s_max * plan.states.shape[1] * 8))
@@ -154,20 +152,12 @@ def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
     ):
         xb = plan.states[bucket.exp_index[lo:hi]]  # (b, n̄, N)
         h_block = bucket.h_block[lo * m_max:hi * m_max, lo * n_exp:hi * n_exp]
-        obs_index = bucket.obs_index[lo:hi]
-        obs_mask = bucket.obs_mask[lo:hi]
-        if plan.kind == KIND_ENKF:
-            ys = plan.obs[obs_index] * obs_mask[:, :, None]
-            analysed = analysis_modified_cholesky(
-                xb, bucket.stencil, h_block, bucket.r_diag[lo:hi],
-                ys.reshape(-1, n_members), ridge=plan.params["ridge"],
-            )
-        else:
-            y = plan.obs.ravel()[obs_index] * obs_mask
-            analysed = analysis_etkf(
-                xb, h_block, bucket.r_diag[lo:hi], y,
-                inflation=plan.params["inflation"],
-            )
+        obs_mask = bucket.obs_mask[lo:hi, :, None]
+        ys = plan.obs[bucket.obs_index[lo:hi]] * obs_mask
+        analysed = analysis_modified_cholesky(
+            xb, bucket.stencil, h_block, bucket.r_diag[lo:hi],
+            ys.reshape(-1, n_members), ridge=plan.params["ridge"],
+        )
         interior = analysed[:, bucket.interior_positions, :]
         plan.out[bucket.interior_flat_cat[lo * n_int:hi * n_int]] = (
             interior.reshape(-1, n_members)
@@ -194,10 +184,8 @@ def run_vectorized(plan, workers: int = 1, fan_out=None) -> dict:
     the calling thread touches the cache.  ``stats["workers"]`` is the
     width the runs actually had.
     """
-    if plan.kind not in (KIND_ENKF, KIND_ETKF):
-        raise ValueError(
-            f"vectorized strategy cannot run kind {plan.kind!r}"
-        )
+    if plan.kind != KIND_ENKF:
+        raise ValueError(f"unknown analysis kind {plan.kind!r}")
     tracer = get_tracer()
     plan.fill_unobserved()
     prepared = [plan.prepare(i) for i in plan.observed]
@@ -211,7 +199,7 @@ def run_vectorized(plan, workers: int = 1, fan_out=None) -> dict:
     for group in _structural_groups(prepared):
         for batch in _split_by_waste(group, MAX_PAD_WASTE):
             bucket, cached = plan.cache.get_bucket(
-                plan.network, batch, plan.cache_radius
+                plan.network, batch, plan.params["radius_km"]
             )
             n_buckets += 1
             pad_slots += bucket.pad_slots

@@ -160,11 +160,11 @@ class TestMultiplicativeInflation:
             inflate(states, factor), self.textbook(states, factor)
         )
 
-    def test_out_buffer_is_filled_and_input_untouched(self):
+    def test_new_array_returned_and_input_untouched(self):
         rng = np.random.default_rng(21)
         states = rng.normal(size=(50, 8))
         before = states.copy()
-        out = np.empty_like(states)
-        assert inflate(states, 1.1, out=out) is out
+        out = inflate(states, 1.1)
+        assert out is not states
         assert np.array_equal(out, self.textbook(before, 1.1))
         assert np.array_equal(states, before)

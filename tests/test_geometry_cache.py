@@ -101,11 +101,9 @@ class TestShapeKey:
         cache, net = GeometryCache(), network(grid)
         with_stencil = cache.get(net, pieces[5], RADIUS_KM)[0]
         wider = cache.get(net, pieces[5], 80.0)[0]
-        without = cache.get(net, pieces[5], None)[0]
-        assert cache.stats["structure_misses"] == 3
+        assert cache.stats["structure_misses"] == 2
         assert with_stencil.stencil_sig != wider.stencil_sig
-        assert without.stencil is None and without.stencil_sig == ""
-        assert without.interior_sig == with_stencil.interior_sig
+        assert wider.interior_sig == with_stencil.interior_sig
 
     def test_new_network_rebuilds_no_structure(self):
         """A new network object on the same decomposition: every

@@ -2,8 +2,8 @@
 
 The load-bearing guarantee is *bit-identity*: both per-piece execution
 strategies — serial loop, thread pool — must produce byte-for-byte the
-same analysis as the classic serial engine, for every filter kind
-(DistributedEnKF, layered S-EnKF, LETKF), including the degenerate
+same analysis as the classic serial engine, for every filter
+(DistributedEnKF, layered S-EnKF), including the degenerate
 configurations (one worker, more workers than pieces, sub-domains with
 no observations).  On top sit the geometry cache's reuse semantics (a
 cycling campaign must never re-derive cycle-invariant geometry), the
@@ -26,7 +26,7 @@ import pytest
 
 from repro.core import Decomposition, Grid, ObservationNetwork
 from repro.core.domain import SubDomain
-from repro.filters import LETKF, PEnKF, SEnKF
+from repro.filters import PEnKF, SEnKF
 from repro.filters.distributed import DistributedEnKF
 from repro.models import correlated_ensemble
 from repro.parallel import (
@@ -140,7 +140,6 @@ class TestGeometryCache:
         cache.get(net, sd, radius_km=2.0)
         assert not cache.get(other_net, sd, radius_km=2.0)[1]
         assert not cache.get(net, sd, radius_km=3.0)[1]
-        assert not cache.get(net, sd, None)[1]
 
     def test_maxsize_evicts_oldest(self):
         decomp, net = self._setup()
@@ -238,6 +237,30 @@ class TestExecutorConfig:
             AnalysisExecutor(strategy="process")  # deleted, no alias
         assert STRATEGIES == ("auto", "serial", "thread", "vectorized")
 
+    @pytest.mark.parametrize("strategy", ["serial", "thread", "vectorized"])
+    def test_deleted_kind_is_rejected_not_run_as_enkf(self, strategy):
+        """A plan of the deleted ensemble-transform kind, as its filter
+        built it (raw ``y``, an ``inflation`` parameter), raises before
+        anything is written or cached; the same executor then runs a
+        clean EnKF plan exactly as a fresh one does."""
+        stale = enkf_plan(n_sdx=4, n_sdy=2)
+        stale.kind = "etkf"
+        stale.obs = stale.obs[:, 0]
+        stale.params = {"inflation": 1.03}
+        stale.out[:] = np.nan
+        with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+            with pytest.raises(
+                ValueError, match=f"unknown analysis kind {stale.kind!r}"
+            ):
+                ex.run(stale)
+            assert np.isnan(stale.out).all() and len(stale.cache) == 0
+            clean = enkf_plan(n_sdx=4, n_sdy=2)
+            ex.run(clean)
+        ref = enkf_plan(n_sdx=4, n_sdy=2)
+        with AnalysisExecutor(strategy=strategy, workers=2) as fresh:
+            fresh.run(ref)
+        assert np.array_equal(clean.out, ref.out)
+
     def test_closed_executor_refuses_work(self):
         ex = AnalysisExecutor(strategy="serial")
         ex.close()
@@ -330,12 +353,12 @@ class TestOversubscriptionWarning:
             monkeypatch.delenv(name, raising=False)
 
     @staticmethod
-    def runtime_warnings(workers=2):
-        """Two executors, two threaded runs each."""
+    def runtime_warnings(workers=2, strategy="thread"):
+        """Two executors, two fanned-out runs each."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for _ in range(2):
-                with AnalysisExecutor(strategy="thread", workers=workers) as ex:
+                with AnalysisExecutor(strategy=strategy, workers=workers) as ex:
                     ex.run(enkf_plan())
                     ex.run(enkf_plan())
         return [w for w in caught if w.category is RuntimeWarning]
@@ -343,6 +366,13 @@ class TestOversubscriptionWarning:
     def test_unpinned_blas_warns_once(self):
         (warning,) = self.runtime_warnings()
         assert "OPENBLAS_NUM_THREADS=1" in str(warning.message)
+
+    @pytest.mark.parametrize("strategy", ["thread", "vectorized"])
+    def test_warning_points_at_the_caller_of_run(self, strategy):
+        """Per-piece tasks and vectorized runs reach the pool through
+        frames of different depth; both name the line calling ``run``."""
+        (warning,) = self.runtime_warnings(strategy=strategy)
+        assert warning.filename == __file__
 
     def test_one_blas_thread_is_silent(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -388,17 +418,6 @@ class TestBitIdentity:
             parallel = SEnKF(radius_km=2.0, n_layers=2, inflation=1.02,
                              executor=ex)
             out = parallel.assimilate(decomp, states, net, y, rng=5)
-        assert np.array_equal(ref, out)
-
-    @pytest.mark.parametrize("strategy", BIT_IDENTICAL)
-    def test_letkf(self, strategy):
-        grid, truth, states, net, y = problem()
-        decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
-        ref = LETKF(inflation=1.03).assimilate(decomp, states, net, y)
-        with AnalysisExecutor(strategy=strategy, workers=2) as ex:
-            out = LETKF(inflation=1.03, executor=ex).assimilate(
-                decomp, states, net, y
-            )
         assert np.array_equal(ref, out)
 
     def test_workers_one_is_bitwise_serial(self):
@@ -452,13 +471,6 @@ class TestBitIdentity:
                 decomp, states, net, y, rng=6
             )
         assert np.array_equal(ref, out)
-        # LETKF's empty branch applies inflation to the anomalies.
-        lref = LETKF(inflation=1.1).assimilate(decomp, states, net, y)
-        with AnalysisExecutor(strategy="thread", workers=2) as ex:
-            lout = LETKF(inflation=1.1, executor=ex).assimilate(
-                decomp, states, net, y
-            )
-        assert np.array_equal(lref, lout)
 
     def test_repeated_calls_reuse_pool_and_stay_identical(self):
         grid, truth, states, net, y = problem()

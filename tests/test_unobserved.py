@@ -1,14 +1,14 @@
 """Observation-free pieces: one bulk fill, and work sized by the rest.
 
-A piece whose expansion holds no observation has the (inflated)
-background as its analysis.  The executor fills all such pieces in one
-pass (:meth:`AnalysisPlan.fill_unobserved`) and prepares, submits and
-counts only the observed ones, by their plan indices.  The contract
-pinned here: whatever the observation placement, every filter under
-every strategy equals an oracle that loops
-:func:`~repro.parallel.worker.compute_piece` over **all** pieces —
-bit for bit on the per-piece strategies, to the vectorized tolerance
-tier otherwise.
+A piece whose expansion holds no observation has its background
+(already inflated by the filter) as its analysis.  The executor fills
+all such pieces in one pass (:meth:`AnalysisPlan.fill_unobserved`) and
+prepares, submits and counts only the observed ones, by their plan
+indices.  The contract pinned here: whatever the observation placement,
+every filter under every strategy equals an oracle that loops
+:func:`~repro.parallel.worker.compute_piece` over **all** pieces — bit
+for bit on the per-piece strategies, to the vectorized tolerance tier
+otherwise.
 """
 
 import numpy as np
@@ -25,11 +25,10 @@ from repro.core import (
 )
 from repro.core.inflation import inflate
 from repro.core.observations import perturb_observations
-from repro.filters import LETKF, SEnKF
+from repro.filters import SEnKF
 from repro.filters.distributed import DistributedEnKF
 from repro.parallel import (
     KIND_ENKF,
-    KIND_ETKF,
     AnalysisExecutor,
     AnalysisPlan,
     GeometryCache,
@@ -54,7 +53,6 @@ ENKF = dict(radius_km=2.0, inflation=1.05, ridge=1e-2)
 FILTERS = {
     "enkf": lambda ex: DistributedEnKF(executor=ex, **ENKF),
     "senkf": lambda ex: SEnKF(n_layers=2, executor=ex, **ENKF),
-    "letkf": lambda ex: LETKF(inflation=1.1, executor=ex),
 }
 
 
@@ -73,23 +71,17 @@ def box_observed(net, piece):
 
 def oracle(name, net, y, seed):
     """The analysis by ``compute_piece`` over every piece, no shortcut."""
-    if name == "letkf":
-        kind, states, obs = KIND_ETKF, STATES, y
-        pieces, radius, params = list(DECOMP), None, {"inflation": 1.1}
-    else:
-        kind, radius = KIND_ENKF, ENKF["radius_km"]
-        states = inflate(STATES, ENKF["inflation"])
-        obs = perturb_observations(
-            y, net.obs_error_std, N_MEMBERS, rng=spawn_rng(seed)
-        )
-        pieces = FILTERS[name](None)._plan_pieces(DECOMP)
-        params = {"radius_km": radius, "ridge": ENKF["ridge"]}
+    states = inflate(STATES, ENKF["inflation"])
+    obs = perturb_observations(
+        y, net.obs_error_std, N_MEMBERS, rng=spawn_rng(seed)
+    )
+    params = {"radius_km": ENKF["radius_km"], "ridge": ENKF["ridge"]}
     out = np.full_like(states, np.nan)
     cache = GeometryCache()
-    for piece in pieces:
-        geometry = cache.local_geometry(net, piece, radius)
+    for piece in FILTERS[name](None)._plan_pieces(DECOMP):
+        geometry = cache.local_geometry(net, piece, ENKF["radius_km"])
         out[geometry.interior_flat] = compute_piece(
-            kind, piece, states[geometry.expansion_flat], obs, geometry,
+            KIND_ENKF, piece, states[geometry.expansion_flat], obs, geometry,
             params,
         )
     return out
@@ -254,49 +246,39 @@ class TestInterpolatingNetwork:
         assert not np.array_equal(out, oracle(name, INTERP_NET, 0 * y, 11))
 
 
-def right_half_plan(kind):
+def right_half_plan():
     """The four right-hand sub-domains of a network observed only in
     column 1 (clear of the periodic seam): a plan with zero observations
     anywhere."""
     net = network([1, 1], [2, 5])
     pieces = [sd for sd in DECOMP if sd.i >= 2]
     assert not any(box_observed(net, p) for p in pieces)
-    if kind == KIND_ENKF:
-        obs = np.zeros((net.m, N_MEMBERS))
-        params = {"radius_km": 2.0, "ridge": 1e-2}
-    else:
-        obs, params = np.zeros(net.m), {"inflation": 1.1}
     return AnalysisPlan(
-        kind=kind, pieces=pieces, states=STATES, obs=obs,
-        out=np.full_like(STATES, np.nan), network=net, params=params,
+        kind=KIND_ENKF, pieces=pieces, states=STATES,
+        obs=np.zeros((net.m, N_MEMBERS)), out=np.full_like(STATES, np.nan),
+        network=net, params={"radius_km": 2.0, "ridge": 1e-2},
     )
 
 
 class TestNothingObservedAnywhere:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("kind", [KIND_ENKF, KIND_ETKF])
-    def test_background_without_pool_or_kernel(
-        self, monkeypatch, kind, strategy
-    ):
+    def test_background_without_pool_or_kernel(self, monkeypatch, strategy):
         def no_kernel(*args, **kwargs):
             raise AssertionError("a kernel ran on a plan with no observation")
 
         monkeypatch.setattr(executor_mod, "compute_piece", no_kernel)
-        plan = right_half_plan(kind)
+        plan = right_half_plan()
         with AnalysisExecutor(strategy=strategy, workers=2) as ex:
             assert ex.run(plan) == len(plan.pieces)  # still counts them all
             assert ex._pool is None
-        expected = STATES if kind == KIND_ENKF else inflate(STATES, 1.1)
-        assert np.array_equal(plan.out, expected)
+        assert np.array_equal(plan.out, STATES)
 
-    @pytest.mark.parametrize("kind", [KIND_ENKF, KIND_ETKF])
-    def test_run_vectorized_called_directly_fills_too(self, kind):
-        plan = right_half_plan(kind)
+    def test_run_vectorized_called_directly_fills_too(self):
+        plan = right_half_plan()
         stats = run_vectorized(plan)
         assert stats["empty_pieces"] == len(plan.pieces)
         assert stats["batched_pieces"] == stats["n_buckets"] == 0
-        expected = STATES if kind == KIND_ENKF else inflate(STATES, 1.1)
-        assert np.array_equal(plan.out, expected)
+        assert np.array_equal(plan.out, STATES)
 
 
 class TestFullyObservedPlanFillsNothing:
@@ -305,9 +287,9 @@ class TestFullyObservedPlanFillsNothing:
         (a fill would be an extra ``n x N`` pass for nothing)."""
         net = network(range(1, GRID.n_x, 4), [3] * 4)  # row 3 + halo: all 8
         plan = AnalysisPlan(
-            kind=KIND_ETKF, pieces=list(DECOMP), states=STATES,
-            obs=np.zeros(net.m), out=np.full_like(STATES, np.nan),
-            network=net, params={"inflation": 1.1},
+            kind=KIND_ENKF, pieces=list(DECOMP), states=STATES,
+            obs=np.zeros((net.m, N_MEMBERS)), out=np.full_like(STATES, np.nan),
+            network=net, params={"radius_km": 2.0, "ridge": 1e-2},
         )
         assert plan.observed == tuple(range(8))
         plan.fill_unobserved()

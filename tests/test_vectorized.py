@@ -5,7 +5,7 @@ is factorised as one block system and the regressions of a stack reduce
 in another order, so the guarantee is *tolerance-checked equivalence*
 — every analysed value matches the serial engine to ``rtol <= 1e-10``
 (with an absolute floor of 1e-11 for near-zero entries; solve accuracy
-is normwise) — for every filter kind, localization, chaos/degraded
+is normwise) — for every filter, localization, chaos/degraded
 combination and bucketing policy, including the edge geometry: pieces
 with no observations, single-piece buckets, and ragged buckets that
 exercise the pad-or-split policy.  On top sit the shape-bucketer's
@@ -35,7 +35,6 @@ from repro.core.analysis import (
     analysis_precision_form,
 )
 from repro.core.cholesky import Stencil, modified_cholesky_inverse
-from repro.core.etkf import analysis_etkf
 from repro.costmodel import (
     CostParams,
     PhaseObservation,
@@ -44,7 +43,7 @@ from repro.costmodel import (
     t_comp,
 )
 from repro.faults import FaultSchedule
-from repro.filters import LETKF, SEnKF
+from repro.filters import SEnKF
 from repro.filters.distributed import DistributedEnKF
 from repro.models import correlated_ensemble
 from repro.parallel import (
@@ -52,7 +51,6 @@ from repro.parallel import (
     AnalysisPlan,
     GeometryCache,
     KIND_ENKF,
-    KIND_ETKF,
     run_vectorized,
 )
 from repro.parallel import executor as executor_module
@@ -86,7 +84,7 @@ def problem(n_x=16, n_y=8, n_members=10, m=40, seed=0):
     return grid, truth, states, net, y
 
 
-def make_plan(kind, n_sdx=4, n_sdy=4, xi=2, eta=2, m=40, radius=2.0,
+def make_plan(n_sdx=4, n_sdy=4, xi=2, eta=2, m=40, radius=2.0,
               seed=0, n_x=16, n_y=8, n_members=10, cache=None):
     """An :class:`AnalysisPlan` over every sub-domain of a fresh problem."""
     grid, truth, states, net, y = problem(
@@ -94,20 +92,14 @@ def make_plan(kind, n_sdx=4, n_sdy=4, xi=2, eta=2, m=40, radius=2.0,
     )
     decomp = Decomposition(grid, n_sdx=n_sdx, n_sdy=n_sdy, xi=xi, eta=eta)
     rng = np.random.default_rng(seed + 1)
-    if kind == KIND_ENKF:
-        obs = y[:, None] + 0.3 * rng.standard_normal((net.m, n_members))
-        params = {"radius_km": radius, "ridge": 1e-3}
-    else:
-        obs = y
-        params = {"inflation": 1.03}
     return AnalysisPlan(
-        kind=kind,
+        kind=KIND_ENKF,
         pieces=list(decomp),
         states=states,
-        obs=obs,
+        obs=y[:, None] + 0.3 * rng.standard_normal((net.m, n_members)),
         out=np.zeros_like(states),
         network=net,
-        params=params,
+        params={"radius_km": radius, "ridge": 1e-3},
         cache=cache if cache is not None else GeometryCache(),
     )
 
@@ -120,10 +112,7 @@ def observed_groups(plan):
 def piece_bytes(bucket, n_members):
     """One piece's charge against the run budget: its share of the
     largest regression temporary, ``n̄ · s_max · N`` doubles."""
-    s_max = max(
-        [1] + ([len(p) for p in bucket.stencil.predecessors]
-               if bucket.stencil is not None else [])
-    )
+    s_max = max([1] + [len(p) for p in bucket.stencil.predecessors])
     return bucket.exp_index.shape[1] * s_max * n_members * 8
 
 
@@ -181,17 +170,6 @@ class TestBatchedKernels:
             ref = analysis_precision_form(xb[b], h[b], r[b], ys[b], b_inv)
             assert np.allclose(out[b], ref, rtol=RTOL, atol=ATOL)
 
-    def test_etkf_matches_per_piece(self):
-        xb, h, r, _ = self._stack(seed=5)
-        y = np.random.default_rng(6).standard_normal(
-            (xb.shape[0], h.shape[1])
-        )
-        block = sp.block_diag(list(h), format="csr")
-        out = analysis_etkf(xb, block, r.ravel(), y.ravel(), inflation=1.04)
-        for b in range(xb.shape[0]):
-            one = analysis_etkf(xb[b:b + 1], h[b], r[b], y[b], inflation=1.04)
-            assert np.allclose(out[b], one[0], rtol=RTOL, atol=ATOL)
-
     def test_modified_cholesky_matches_per_piece(self):
         """A piece is the ``B = 1`` stack of the same function."""
         sd, geo, xb, h, r, ys, block = self._enkf_stack()
@@ -216,7 +194,6 @@ class TestBatchedKernels:
         ys_p = np.concatenate(
             [ys, np.zeros((1, pad, ys.shape[2]))], axis=1
         )
-        rng = np.random.default_rng(9)
         stencil = Stencil.from_predecessors(
             [np.arange(max(i - 3, 0), i) for i in range(xb.shape[1])],
             xb.shape[1],
@@ -228,14 +205,6 @@ class TestBatchedKernels:
             xb, stencil, sp.csr_matrix(h_p[0]), r_p[0], ys_p[0], ridge=1e-3
         )
         assert np.allclose(unpadded, padded, rtol=1e-12, atol=1e-13)
-
-        y = rng.standard_normal((1, 4))
-        y_p = np.concatenate([y, np.zeros((1, pad))], axis=1)
-        etkf_unpadded = analysis_etkf(xb, h[0], r[0], y[0], inflation=1.02)
-        etkf_padded = analysis_etkf(
-            xb, sp.csr_matrix(h_p[0]), r_p[0], y_p[0], inflation=1.02
-        )
-        assert np.allclose(etkf_unpadded, etkf_padded, rtol=1e-12, atol=1e-13)
 
     def test_shape_mismatch_raises(self):
         sd, geo, xb, h, r, ys, block = self._enkf_stack()
@@ -253,13 +222,6 @@ class TestBatchedKernels:
             analysis_modified_cholesky(
                 xb[:, :-1], geo.stencil, block, r.ravel(), flat_ys
             )
-        y = ys[:, :, 0].ravel()
-        with pytest.raises(ValueError):  # H over fewer pieces than stacked
-            analysis_etkf(xb, sp.block_diag(list(h[:-1])), r.ravel(), y)
-        with pytest.raises(ValueError):  # an entry of R missing
-            analysis_etkf(xb, block, r.ravel()[:-1], y)
-        with pytest.raises(ValueError):  # one observation short of B·m
-            analysis_etkf(xb, block, r.ravel()[:-1], y[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +255,6 @@ def _filter_cases():
                 executor=ex,
             ),
         )
-    yield "letkf", lambda ex: LETKF(inflation=1.03, executor=ex)
 
 
 class TestFilterEquivalence:
@@ -312,7 +273,7 @@ class TestFilterEquivalence:
     @pytest.mark.parametrize(
         "budget", ["default", "one-piece", "three-pieces"]
     )
-    @pytest.mark.parametrize("label", ["senkf-L2-r2.0", "letkf"])
+    @pytest.mark.parametrize("label", ["senkf-L2-r2.0"])
     def test_split_buckets_match_serial(self, monkeypatch, label, budget):
         """Buckets analysed in runs of pieces stay within the contract at
         every run budget — one run per bucket, one piece per run, and three
@@ -424,10 +385,9 @@ class TestFilterEquivalence:
 # Bucketing policy: empty pieces, single-piece buckets, pad-or-split
 # ---------------------------------------------------------------------------
 class TestBucketing:
-    @pytest.mark.parametrize("kind", [KIND_ENKF, KIND_ETKF])
-    def test_empty_obs_pieces_run_exact(self, kind):
+    def test_empty_obs_pieces_run_exact(self):
         # 2 observations over 16 pieces: most pieces see nothing.
-        plan = make_plan(kind, m=2, radius=1.5)
+        plan = make_plan(m=2, radius=1.5)
         ref = serial_reference(plan)
         stats = run_vectorized(plan)
         assert stats["empty_pieces"] > 0
@@ -436,9 +396,8 @@ class TestBucketing:
         )
         assert np.allclose(plan.out, ref, rtol=RTOL, atol=ATOL)
 
-    @pytest.mark.parametrize("kind", [KIND_ENKF, KIND_ETKF])
-    def test_zero_waste_policy_forbids_padding(self, kind):
-        plan = make_plan(kind, m=40)
+    def test_zero_waste_policy_forbids_padding(self):
+        plan = make_plan(m=40)
         for group in observed_groups(plan):
             batches = _split_by_waste(group, 0.0)
             assert sorted(i for b in batches for i, _, _ in b) == sorted(
@@ -448,14 +407,14 @@ class TestBucketing:
                 assert len({g.obs_positions.size for _, _, g in batch}) == 1
 
     def test_always_pad_policy_minimises_buckets(self):
-        plan = make_plan(KIND_ENKF, m=40)
+        plan = make_plan(m=40)
         groups = observed_groups(plan)
         # Padding merges ragged shape-groups that splitting keeps apart.
         assert all(len(_split_by_waste(g, 1.0)) == 1 for g in groups)
         assert any(len(_split_by_waste(g, 0.0)) > 1 for g in groups)
 
     def test_default_waste_bound_pads_and_stays_exact(self):
-        plan = make_plan(KIND_ENKF, m=40)
+        plan = make_plan(m=40)
         ref = serial_reference(plan)
         stats = run_vectorized(plan)
         assert stats["pad_slots"] > 0
@@ -465,14 +424,14 @@ class TestBucketing:
     def test_single_piece_buckets(self):
         # A 2x1 split yields 2 structurally distinct pieces -> every
         # bucket holds exactly one piece; batching must still be exact.
-        plan = make_plan(KIND_ENKF, n_sdx=2, n_sdy=1, m=30)
+        plan = make_plan(n_sdx=2, n_sdy=1, m=30)
         ref = serial_reference(plan)
         stats = run_vectorized(plan)
         assert stats["n_buckets"] >= 1
         assert np.allclose(plan.out, ref, rtol=RTOL, atol=ATOL)
 
     def test_unknown_kind_raises(self):
-        plan = make_plan(KIND_ENKF)
+        plan = make_plan()
         plan.kind = "weird"
         with pytest.raises(ValueError, match="kind 'weird'"):
             run_vectorized(plan)
@@ -503,7 +462,6 @@ class TestPropertyEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        kind=st.sampled_from([KIND_ENKF, KIND_ETKF]),
         n_sdx=st.sampled_from([2, 4]),
         n_sdy=st.sampled_from([2, 4]),
         cell_x=st.integers(min_value=3, max_value=5),
@@ -517,14 +475,13 @@ class TestPropertyEquivalence:
         radius=st.sampled_from([1.0, 1.8]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_random_shapes(self, kind, n_sdx, n_sdy, cell_x, cell_y,
-                           halo, m, radius, seed):
+    def test_random_shapes(self, n_sdx, n_sdy, cell_x, cell_y, halo, m,
+                           radius, seed):
         n_x, n_y = n_sdx * cell_x, n_sdy * cell_y
         # A network holds at most one observation per grid point: the
         # smallest grid (24 points) is below the largest drawn ``m``.
         m = min(m, n_x * n_y)
         plan = make_plan(
-            kind,
             n_sdx=n_sdx, n_sdy=n_sdy, xi=halo, eta=halo, m=m,
             radius=radius, seed=seed,
             n_x=n_x, n_y=n_y, n_members=8,
@@ -543,19 +500,19 @@ class TestPropertyEquivalence:
 # ---------------------------------------------------------------------------
 class TestExecutorIntegration:
     def test_auto_selects_vectorized_for_many_small_pieces(self):
-        plan = make_plan(KIND_ENKF, n_sdx=4, n_sdy=4)  # 16 small pieces
+        plan = make_plan(n_sdx=4, n_sdy=4)  # 16 small pieces
         ex = AnalysisExecutor(strategy="auto")
         assert ex.resolve(plan) == "vectorized"
 
     def test_auto_selects_vectorized_even_with_one_worker(self):
         # The batching win is core-count independent: the vectorized
         # check runs before the worker-availability check.
-        plan = make_plan(KIND_ENKF, n_sdx=4, n_sdy=4)
+        plan = make_plan(n_sdx=4, n_sdy=4)
         ex = AnalysisExecutor(strategy="auto", workers=1)
         assert ex.resolve(plan) == "vectorized"
 
     def test_auto_keeps_fanout_for_few_pieces(self):
-        plan = make_plan(KIND_ENKF, n_sdx=2, n_sdy=2)  # 4 pieces < 16
+        plan = make_plan(n_sdx=2, n_sdy=2)  # 4 pieces < 16
         ex = AnalysisExecutor(strategy="auto", workers=1)
         assert ex.resolve(plan) != "vectorized"
 
@@ -563,13 +520,13 @@ class TestExecutorIntegration:
         # 16 pieces but each expansion far beyond the mean-points
         # ceiling: per-piece BLAS dominates, batching buys nothing.
         plan = make_plan(
-            KIND_ENKF, n_sdx=4, n_sdy=4, n_x=128, n_y=128, xi=8, eta=8,
+            n_sdx=4, n_sdy=4, n_x=128, n_y=128, xi=8, eta=8,
         )
         ex = AnalysisExecutor(strategy="auto")
         assert ex.resolve(plan) != "vectorized"
 
     def test_executor_runs_vectorized(self):
-        plan = make_plan(KIND_ENKF)
+        plan = make_plan()
         ref = serial_reference(plan)
         with AnalysisExecutor(strategy="vectorized") as ex:
             n = ex.run(plan)
@@ -577,7 +534,7 @@ class TestExecutorIntegration:
         assert np.allclose(plan.out, ref, rtol=RTOL, atol=ATOL)
 
     def test_metrics_and_spans(self):
-        plan = make_plan(KIND_ENKF)
+        plan = make_plan()
         metrics = MetricsRegistry()
         tracer = Tracer(metrics=metrics)
         with use_tracer(tracer), use_metrics(metrics):
@@ -598,7 +555,7 @@ class TestExecutorIntegration:
 
     def test_bucket_cache_hits_across_cycles(self):
         cache = GeometryCache()
-        plan = make_plan(KIND_ENKF, cache=cache)
+        plan = make_plan(cache=cache)
         run_vectorized(plan)
         entries_after_first = cache.stats["entries"]
         tracer = Tracer()
@@ -687,7 +644,7 @@ class TestRunFanOut:
         are the number of runs in flight, and every run has its own
         ``vectorized.bucket`` span, opened on the thread that computed it;
         the runs' ``[lo, hi)`` cover every batched piece once."""
-        plan = make_plan(KIND_ENKF)
+        plan = make_plan()
         metrics = MetricsRegistry()
         tracer = Tracer(metrics=metrics)
         with use_tracer(tracer), use_metrics(metrics):
@@ -725,7 +682,7 @@ class TestRunFanOut:
         started never run; nothing writes ``plan.out`` after the raise;
         and the same executor then analyses a clean plan correctly."""
         monkeypatch.setattr(vectorized, "_RUN_BYTES", 1)  # a piece a run
-        plan = make_plan(KIND_ENKF)
+        plan = make_plan()
         order = []
         real_compute = vectorized._compute_run
 
@@ -780,7 +737,7 @@ class TestRunFanOut:
         assert len(started) < len(order)  # the queue behind was cancelled
         monkeypatch.undo()
 
-        clean = make_plan(KIND_ENKF)
+        clean = make_plan()
         ex.run(clean)
         assert np.allclose(clean.out, serial_reference(clean), rtol=RTOL,
                            atol=ATOL)
