@@ -302,7 +302,6 @@ def local_analysis(
     network: ObservationNetwork | None,
     y_perturbed_global: np.ndarray,
     radius_km: float,
-    b_inverse: np.ndarray | sp.spmatrix | None = None,
     ridge: float = 1e-8,
     geometry=None,
 ) -> np.ndarray:
@@ -324,9 +323,9 @@ def local_analysis(
         *same* perturbations for the decomposition to be consistent.
     radius_km:
         Localization radius for the modified-Cholesky estimator.
-    b_inverse:
-        Pre-computed local ``B̂⁻¹``, dense or sparse (optional; the banded
-        modified-Cholesky estimate when omitted).
+    ridge:
+        Regularisation of the regressions (see
+        :func:`~repro.core.cholesky.modified_cholesky_inverse`).
     geometry:
         Optional :class:`~repro.parallel.geometry.PieceGeometry` carrying
         the cycle-invariant artifacts (observation restriction, index
@@ -361,18 +360,13 @@ def local_analysis(
         return xb[interior, :]
 
     y_local = np.asarray(y_perturbed_global, dtype=float)[obs_positions, :]
-    if b_inverse is not None:
-        analysed = analysis_precision_form(
-            xb, h_local, r_diag, y_local, b_inverse
+    if stencil is None:
+        ix, iy = subdomain.expansion_coords
+        stencil = Stencil.from_predecessors(
+            neighbour_predecessors(subdomain.grid, ix, iy, radius_km),
+            subdomain.exp_size,
         )
-    else:
-        if stencil is None:
-            ix, iy = subdomain.expansion_coords
-            stencil = Stencil.from_predecessors(
-                neighbour_predecessors(subdomain.grid, ix, iy, radius_km),
-                subdomain.exp_size,
-            )
-        analysed = analysis_modified_cholesky(
-            xb[None], stencil, h_local, r_diag, y_local, ridge=ridge
-        )[0]
+    analysed = analysis_modified_cholesky(
+        xb[None], stencil, h_local, r_diag, y_local, ridge=ridge
+    )[0]
     return analysed[interior, :]

@@ -17,10 +17,8 @@ against the simulator in the Fig. 12 benchmark.
 """
 
 from repro.costmodel.model import (
-    ANALYSIS_KERNELS,
     CostParams,
     expected_read_inflation,
-    kernel_comp_constant,
     predicted_footprint_bytes,
     t_comm,
     t_comp,
@@ -38,7 +36,6 @@ from repro.costmodel.calibrate import (
 )
 
 __all__ = [
-    "ANALYSIS_KERNELS",
     "CostParams",
     "FitResult",
     "PhaseFit",
@@ -46,7 +43,6 @@ __all__ = [
     "calibrate_from_machine",
     "expected_read_inflation",
     "fit_constants",
-    "kernel_comp_constant",
     "observation_from_sim_report",
     "predicted_footprint_bytes",
     "t1",

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from repro.cluster.machine import Machine
 from repro.cluster.params import MachineSpec
 from repro.costmodel.model import (
-    ANALYSIS_KERNELS,
     CostParams,
     t_comm,
     t_comp,
@@ -99,10 +98,6 @@ class PhaseObservation:
     read_seconds: float
     comm_seconds: float
     comp_seconds: float
-    #: analysis kernel the comp phase ran under (see
-    #: :data:`~repro.costmodel.model.ANALYSIS_KERNELS`); ``"fanout"``
-    #: prices into ``c``, ``"vectorized"`` into ``c_vectorized``.
-    kernel: str = "fanout"
 
 
 def observation_from_sim_report(report) -> PhaseObservation:
@@ -166,17 +161,14 @@ class FitResult:
 
     def summary(self) -> dict:
         """JSON-safe rollup for reports and the doctor dashboard."""
-        constants = {
-            "a": self.params.a,
-            "b": self.params.b,
-            "c": self.params.c,
-            "theta": self.params.theta,
-        }
-        if self.params.c_vectorized is not None:
-            constants["c_vectorized"] = self.params.c_vectorized
         return {
             "n_observations": self.n_observations,
-            "constants": constants,
+            "constants": {
+                "a": self.params.a,
+                "b": self.params.b,
+                "c": self.params.c,
+                "theta": self.params.theta,
+            },
             "residuals": {
                 phase: {"rel_rms": fit.rel_rms, "rel_max": fit.rel_max}
                 for phase, fit in self.residuals.items()
@@ -240,16 +232,8 @@ def fit_constants(
 
     x_theta, y_read = [], []
     x_a, x_b, y_comm = [], [], []
-    #: per-kernel comp regressions ("fanout" prices c, "vectorized"
-    #: prices c_vectorized); the structural term of Eq. (9) is shared
-    comp_by_kernel: dict[str, tuple[list[float], list[float]]] = {}
+    x_c, y_comp = [], []
     for o in obs:
-        kernel = getattr(o, "kernel", "fanout") or "fanout"
-        if kernel not in ANALYSIS_KERNELS:
-            raise ValueError(
-                f"unknown analysis kernel {kernel!r} in observation; "
-                f"expected one of {ANALYSIS_KERNELS}"
-            )
         x_theta.append(
             t_read(unit, n_sdy=o.n_sdy, n_layers=o.n_layers, n_cg=o.n_cg)
         )
@@ -269,7 +253,6 @@ def fit_constants(
             )
         )
         y_comm.append(o.comm_seconds)
-        x_c, y_comp = comp_by_kernel.setdefault(kernel, ([], []))
         x_c.append(t_comp(unit, n_sdx=o.n_sdx, n_sdy=o.n_sdy, n_layers=o.n_layers))
         y_comp.append(o.comp_seconds)
 
@@ -279,19 +262,9 @@ def fit_constants(
 
     theta = _ratio_fit(x_theta, y_read)
     a, b = _nonneg_lstsq_2(x_a, x_b, y_comm)
-    # Each kernel's c fits from its own runs; kernels never observed keep
-    # the template's value (c) or stay uncalibrated (c_vectorized=None).
-    c = template.c
-    c_vectorized = template.c_vectorized
-    if "fanout" in comp_by_kernel:
-        c = _ratio_fit(*comp_by_kernel["fanout"])
-    if "vectorized" in comp_by_kernel:
-        c_vectorized = _ratio_fit(*comp_by_kernel["vectorized"])
+    c = _ratio_fit(x_c, y_comp)
 
-    params = template.with_(
-        a=a, b=b, c=c, theta=theta, read_inflation=1.0,
-        c_vectorized=c_vectorized,
-    )
+    params = template.with_(a=a, b=b, c=c, theta=theta, read_inflation=1.0)
     residuals = {
         "read": PhaseFit(
             measured=tuple(y_read),
@@ -301,12 +274,9 @@ def fit_constants(
             measured=tuple(y_comm),
             fitted=tuple(a * xa + b * xb for xa, xb in zip(x_a, x_b)),
         ),
-    }
-    for kernel, (x_c, y_comp) in comp_by_kernel.items():
-        constant = c if kernel == "fanout" else (c_vectorized or 0.0)
-        label = "comp" if kernel == "fanout" else f"comp_{kernel}"
-        residuals[label] = PhaseFit(
+        "comp": PhaseFit(
             measured=tuple(y_comp),
-            fitted=tuple(constant * x for x in x_c),
-        )
+            fitted=tuple(c * x for x in x_c),
+        ),
+    }
     return FitResult(params=params, n_observations=len(obs), residuals=residuals)

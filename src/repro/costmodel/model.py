@@ -18,14 +18,6 @@ from dataclasses import dataclass, replace
 
 from repro.util.validation import check_divides, check_nonnegative, check_positive
 
-#: analysis-kernel names the comp term can price: ``"fanout"`` is the
-#: per-piece local analysis (serial/thread strategies, priced by
-#: ``c``); ``"vectorized"`` is the batched stacked-bucket kernel (priced
-#: by ``c_vectorized``, calibrated separately because batching changes
-#: the per-point cost, not just the concurrency).
-ANALYSIS_KERNELS = ("fanout", "vectorized")
-
-
 @dataclass(frozen=True)
 class CostParams:
     """Table 1's problem + machine constants (decision variables excluded)."""
@@ -46,11 +38,6 @@ class CostParams:
     #: split (see :func:`expected_read_inflation` and
     #: :func:`repro.tuning.autotune.autotune`'s ``faults`` argument).
     read_inflation: float = 1.0
-    #: local-analysis cost per grid point under the *vectorized* (batched)
-    #: kernel (s); ``None`` until calibrated from a vectorized-kernel run
-    #: (:func:`repro.costmodel.calibrate.fit_constants`).  The fan-out
-    #: kernels keep pricing through ``c``.
-    c_vectorized: float | None = None
 
     def __post_init__(self) -> None:
         check_positive("n_x", self.n_x)
@@ -66,10 +53,6 @@ class CostParams:
         if self.read_inflation < 1.0:
             raise ValueError(
                 f"read_inflation must be >= 1, got {self.read_inflation}"
-            )
-        if self.c_vectorized is not None and self.c_vectorized < 0:
-            raise ValueError(
-                f"c_vectorized must be >= 0 or None, got {self.c_vectorized}"
             )
 
     def with_(self, **kwargs) -> "CostParams":
@@ -125,37 +108,9 @@ def t_comm(
     return n_sdx * _log_factor(n_cg) * (p.a + p.b * block_bytes)
 
 
-def kernel_comp_constant(p: CostParams, kernel: str = "fanout") -> float:
-    """The per-point analysis cost for one kernel (see ANALYSIS_KERNELS)."""
-    if kernel == "fanout":
-        return p.c
-    if kernel == "vectorized":
-        if p.c_vectorized is None:
-            raise ValueError(
-                "c_vectorized is not calibrated; fit it from a "
-                "vectorized-kernel run before pricing that kernel"
-            )
-        return p.c_vectorized
-    raise ValueError(
-        f"unknown analysis kernel {kernel!r}; expected one of "
-        f"{ANALYSIS_KERNELS}"
-    )
-
-
-def t_comp(
-    p: CostParams, n_sdx: int, n_sdy: int, n_layers: int,
-    kernel: str = "fanout",
-) -> float:
-    """Eq. (9): local analysis on one layer ``D'_{ij,l}``.
-
-    ``kernel`` selects the per-point constant (Eq. 9's ``c`` for the
-    per-piece fan-out kernels, ``c_vectorized`` for the batched one) —
-    the structural term is kernel-independent.
-    """
-    return (
-        kernel_comp_constant(p, kernel)
-        * (p.n_y / (n_sdy * n_layers)) * (p.n_x / n_sdx)
-    )
+def t_comp(p: CostParams, n_sdx: int, n_sdy: int, n_layers: int) -> float:
+    """Eq. (9): local analysis on one layer ``D'_{ij,l}``."""
+    return p.c * (p.n_y / (n_sdy * n_layers)) * (p.n_x / n_sdx)
 
 
 def t1(p: CostParams, n_sdx: int, n_sdy: int, n_layers: int, n_cg: int) -> float:
@@ -164,8 +119,7 @@ def t1(p: CostParams, n_sdx: int, n_sdy: int, n_layers: int, n_cg: int) -> float
 
 
 def t_total(
-    p: CostParams, n_sdx: int, n_sdy: int, n_layers: int, n_cg: int,
-    kernel: str = "fanout",
+    p: CostParams, n_sdx: int, n_sdy: int, n_layers: int, n_cg: int
 ) -> float:
     """Eq. (10): ``T_read + T_comm + L · T_comp``.
 
@@ -174,13 +128,12 @@ def t_total(
     workflow buys).
     """
     return t1(p, n_sdx, n_sdy, n_layers, n_cg) + n_layers * t_comp(
-        p, n_sdx, n_sdy, n_layers, kernel=kernel
+        p, n_sdx, n_sdy, n_layers
     )
 
 
 def t_total_pipelined(
-    p: CostParams, n_sdx: int, n_sdy: int, n_layers: int, n_cg: int,
-    kernel: str = "fanout",
+    p: CostParams, n_sdx: int, n_sdy: int, n_layers: int, n_cg: int
 ) -> float:
     """Pipelined generalisation of Eq. (10).
 
@@ -201,7 +154,7 @@ def t_total_pipelined(
     """
     read = t_read(p, n_sdy, n_layers, n_cg)
     comm = t_comm(p, n_sdx, n_sdy, n_layers, n_cg)
-    comp = t_comp(p, n_sdx, n_sdy, n_layers, kernel=kernel)
+    comp = t_comp(p, n_sdx, n_sdy, n_layers)
     return read + comm + comp + (n_layers - 1) * max(comp, read, comm)
 
 

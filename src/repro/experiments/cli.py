@@ -40,21 +40,17 @@ from repro.experiments.registry import FIGURES, get_figure
 from repro.experiments.report import format_result
 
 
-def _campaign_problem(workers: int | None = None,
-                      strategy: str | None = None):
+def _campaign_problem(workers: int | None = None):
     """The CLI's fixed mini reanalysis: tiny ocean, P-EnKF numerics.
 
     Deterministic by construction — every invocation builds the same
     truth, ensemble and experiment, so ``--resume`` continues the exact
     run a crashed invocation left behind.  ``workers`` fans the local
     analyses over a filter-owned
-    :class:`~repro.parallel.executor.AnalysisExecutor` — the fan-out
-    analysis is bit-identical to the serial default, so resumes may
-    freely mix ``--workers`` values; ``strategy`` pins the executor's
-    strategy (``"vectorized"`` is equivalent to serial to rtol 1e-10,
-    not bit-identical).  Returns ``(twin, truth0, ensemble0, filt)``;
-    callers that set ``workers`` or ``strategy`` must ``filt.close()``
-    when done.
+    :class:`~repro.parallel.executor.AnalysisExecutor` — the analysis is
+    bit-identical at any worker count, so resumes may freely mix
+    ``--workers`` values.  Returns ``(twin, truth0, ensemble0, filt)``;
+    callers that set ``workers`` must ``filt.close()`` when done.
     """
     import numpy as np
 
@@ -80,7 +76,7 @@ def _campaign_problem(workers: int | None = None,
         grid, m=60, obs_error_std=0.2, rng=np.random.default_rng(1)
     )
     filt = PEnKF(radius_km=radius_km, inflation=1.05, ridge=1e-2,
-                 workers=workers, strategy=strategy)
+                 workers=workers)
     twin = TwinExperiment(
         model,
         network,
@@ -102,9 +98,7 @@ def _run_campaign(args) -> int:
     """``senkf-experiments campaign``: checkpointed cycling with restart."""
     from repro.checkpoint import CampaignRunner, NoCheckpointError, SimulatedCrash
 
-    twin, truth0, ensemble0, filt = _campaign_problem(
-        workers=args.workers, strategy=args.strategy
-    )
+    twin, truth0, ensemble0, filt = _campaign_problem(workers=args.workers)
     try:
         runner = CampaignRunner(
             twin,
@@ -210,9 +204,7 @@ def _run_trace(args) -> int:
         )
         return 2
 
-    twin, truth0, ensemble0, filt = _campaign_problem(
-        workers=args.workers, strategy=args.strategy
-    )
+    twin, truth0, ensemble0, filt = _campaign_problem(workers=args.workers)
     # High enough that transient read faults reliably fire across the few
     # dozen member reads a resume performs (the schedule is a pure
     # function of (seed, site), so a given seed is reproducible).
@@ -358,8 +350,8 @@ def _run_doctor_profile(args) -> int:
 
     Runs the CLI's fixed mini campaign twice — once bare as the
     bit-identity reference, once under the sampling profiler, the
-    memory profiler and a thread fan-out (so pool-thread tracks land in
-    the artifact) — then writes the flamegraph inputs (collapsed stacks
+    memory profiler and a two-worker fan-out (so pool-thread tracks land
+    in the artifact) — then writes the flamegraph inputs (collapsed stacks
     + speedscope JSON), the schema-validated ``senkf-profile/2``
     artifact and a run report embedding it.  The panel prints the
     phase-attributed sample mix, the per-phase memory deltas and the
@@ -424,9 +416,7 @@ def _run_doctor_profile(args) -> int:
     profiler = SamplingProfiler(interval=args.profile_interval)
     mem = MemoryProfiler()
     engine = AlertEngine(default_memory_rules())
-    twin, truth0, ensemble0, filt = _campaign_problem(
-        workers=2, strategy="thread"
-    )
+    twin, truth0, ensemble0, filt = _campaign_problem(workers=2)
     with WallTimer() as timer:
         try:
             with use_tracer(tracer), use_metrics(metrics), \
@@ -482,8 +472,8 @@ def _run_doctor_profile(args) -> int:
     identical = bool(np.array_equal(reference, profiled))
     sampler_slice = profiler.report(top=10)
     notes = [
-        f"{n_cycles}-cycle P-EnKF mini campaign, thread fan-out "
-        f"(2 workers), profiled at {profiler.interval * 1e3:.1f} ms",
+        f"{n_cycles}-cycle P-EnKF mini campaign, fanned out over "
+        f"2 workers, profiled at {profiler.interval * 1e3:.1f} ms",
         f"bit-identical to the unprofiled reference: "
         f"{'yes' if identical else 'NO'}",
         f"memory alerts fired: {len(engine.fired)}",
@@ -502,7 +492,6 @@ def _run_doctor_profile(args) -> int:
         config={
             "n_cycles": n_cycles,
             "workers": 2,
-            "strategy": "thread",
             "profile_interval": profiler.interval,
         },
         seeds={"master_seed": 3, "ensemble_seed": 7, "network_seed": 1},
@@ -639,8 +628,6 @@ def _run_doctor(args) -> int:
         seed=args.fault_seed, disk_fault_rate=args.doctor_fault_rate
     )
     retry = RetryPolicy()
-    # The executor strategy the CLI verbs are configured for.
-    engine_strategy = getattr(args, "strategy", None) or "auto"
     metrics = MetricsRegistry()
     cycle_seconds = metrics.histogram("doctor.cycle_seconds")
 
@@ -674,7 +661,6 @@ def _run_doctor(args) -> int:
             f"expected read inflation {inflation:.3f} "
             f"(tuning-side factor; retries are broken out, not folded "
             f"into the read prediction)",
-            f"engine: executor strategy {engine_strategy}",
         ],
     )
 
@@ -690,7 +676,6 @@ def _run_doctor(args) -> int:
             "clean_configs": [list(c) for c in _DOCTOR_CLEAN_CONFIGS],
             "chaos_config": list(_DOCTOR_CHAOS_CONFIG),
             "disk_fault_rate": faults.disk_fault_rate,
-            "strategy": engine_strategy,
         },
         seeds={"fault_seed": faults.seed},
         n_cycles=len(clean_reports) + 1,
@@ -811,7 +796,7 @@ def main(argv: list[str] | None = None) -> int:
         "--profile",
         action="store_true",
         help="run the resource observatory instead: profile a real "
-             "thread fan-out campaign (flamegraph + per-phase memory + "
+             "two-worker campaign (flamegraph + per-phase memory + "
              "peak-RSS drift verdict); exit 1 when any acceptance check "
              "fails",
     )
@@ -837,20 +822,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="W",
         help="fan campaign/trace local analyses over W workers "
-             "(auto strategy; results are bit-identical to serial)",
-    )
-    from repro.parallel.executor import STRATEGIES
-
-    parser.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default=None,
-        metavar="S",
-        help="execution strategy for campaign/trace local analyses "
-             f"({', '.join(STRATEGIES)}; default auto).  'vectorized' "
-             "runs the batched stacked-bucket kernel — equivalent to "
-             "serial to rtol 1e-10, not bit-identical (see "
-             "docs/PERFORMANCE.md)",
+             "(bit-identical at any worker count)",
     )
     args = parser.parse_args(argv)
 

@@ -29,11 +29,11 @@ from repro.util.validation import check_positive
 class DistributedEnKF:
     """Domain-decomposed stochastic EnKF (numerics shared by L/P/S-EnKF).
 
-    Each observed piece is one :func:`repro.core.analysis.local_analysis`:
-    the modified-Cholesky ``B̂⁻¹`` is assembled as a band and solved with
-    one banded ``pbsv`` through
-    :func:`repro.core.analysis.analysis_modified_cholesky` (the
-    ``vectorized`` strategy stacks small pieces into one batched call).
+    The observed pieces are analysed by the batched engine
+    (:mod:`repro.parallel.vectorized`): structurally equal pieces are
+    stacked, their modified-Cholesky ``B̂⁻¹`` assembled as one band and
+    solved with one banded ``pbsv`` per run through
+    :func:`repro.core.analysis.analysis_modified_cholesky`.
 
     Parameters
     ----------
@@ -47,17 +47,18 @@ class DistributedEnKF:
     executor:
         An :class:`~repro.parallel.executor.AnalysisExecutor` to fan the
         local analyses across; the caller keeps ownership (and closes
-        it).  Default: the shared serial executor — identical numerics,
-        no pools.
+        it).  Default: the shared one-worker executor — identical
+        numerics (results are bit-identical at any width), no pool.
     workers:
         Convenience alternative to ``executor``: the filter builds and
-        *owns* an auto-strategy executor of this width (release it with
+        *owns* an executor of this width (release it with
         :meth:`close`).  Mutually exclusive with ``executor``.
     strategy:
-        Execution strategy for the owned executor (one of
-        :data:`~repro.parallel.executor.STRATEGIES`, e.g.
-        ``"vectorized"``); combinable with ``workers``, mutually
-        exclusive with ``executor``.  Default ``None`` keeps ``"auto"``.
+        ``"auto"`` (an owned executor of ``workers`` width) or
+        ``"serial"`` (an owned one-worker executor; ``workers`` must then
+        be ``None`` or 1); any other value raises ``ValueError``.
+        Mutually exclusive with ``executor``.  Default ``None`` is
+        ``"auto"``.
     geometry_cache:
         A :class:`~repro.parallel.geometry.GeometryCache` to share across
         filters; the filter builds its own when omitted.
@@ -80,16 +81,26 @@ class DistributedEnKF:
         self.radius_km = float(radius_km)
         self.inflation = float(inflation)
         self.ridge = float(ridge)
+        if strategy not in (None, "auto", "serial"):
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected 'auto' "
+                f"(workers wide) or 'serial' (one worker)"
+            )
         if executor is not None and (workers is not None or strategy is not None):
             raise ValueError(
                 "pass either executor or workers/strategy, not both"
             )
+        if strategy == "serial":
+            if workers not in (None, 1):
+                raise ValueError(
+                    f"strategy 'serial' is one worker, got workers={workers}"
+                )
+            workers = 1
         self._owns_executor = executor is None and (
             workers is not None or strategy is not None
         )
         self.executor = (
-            AnalysisExecutor(strategy=strategy or "auto", workers=workers)
-            if self._owns_executor
+            AnalysisExecutor(workers=workers) if self._owns_executor
             else executor
         )
         self.geometry = (
@@ -124,8 +135,8 @@ class DistributedEnKF:
 
         Every sub-domain sees the *same* globally perturbed observations
         (a consistency requirement of domain decomposition).  All
-        randomness is consumed here, before the per-piece fan-out, so the
-        result is identical under every execution strategy.
+        randomness is consumed here, before the fan-out, so the result is
+        identical at every worker count.
 
         ``inflation`` overrides the configured multiplicative inflation
         for this one call (used by graceful degradation to apply its

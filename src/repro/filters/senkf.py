@@ -91,10 +91,11 @@ class SEnKF(DistributedEnKF):
         layer ``l+1``.
 
         This is the multi-stage schedule of Sec. 4.2 expressed as an
-        ordering — under the thread strategy's submit-as-prepared loop,
-        stage ``l+1``'s observation restriction / index arrays / B̂⁻¹
-        stencil are prepared while stage ``l``'s analyses compute.  Pieces write disjoint
-        interiors, so the ordering cannot change the result.
+        ordering.  The batched engine prepares every observed piece
+        before any run computes, so on the real wall clock the stages do
+        not overlap (docs/PAPER_MAP.md); the DES simulation models the
+        overlap.  Pieces write disjoint interiors, so the ordering cannot
+        change the result.
         """
         if self.n_layers == 1:
             return list(decomp)

@@ -1,24 +1,21 @@
 """Parallel execution engine for the inline analysis filters.
 
-Three modules, composable and individually testable, over one numerical
-entry point (:func:`repro.parallel.worker.compute_piece`):
+One engine in three modules, composable and individually testable:
 
 * :mod:`repro.parallel.geometry` — memoised cycle-invariant per-piece
-  geometry (observation restriction, index arrays, Cholesky stencil);
-* :mod:`repro.parallel.executor` — the strategy-selected fan-out
-  (serial / thread / vectorized / auto); the thread loop submits each
-  piece as it is prepared, so piece ``l+1``'s geometry is resolved
-  while piece ``l`` computes (the S-EnKF helper-thread overlap);
-* :mod:`repro.parallel.vectorized` — the batched-kernel strategy:
-  structurally equal pieces stacked into ``(B, ...)`` operands and
-  analysed as one stack per shape bucket (pad-or-split).
+  geometry (observation restriction, index arrays, Cholesky stencil)
+  and the stacked geometry of buckets of structurally equal pieces;
+* :mod:`repro.parallel.vectorized` — the batched kernel: structurally
+  equal pieces stacked into ``(B, ...)`` operands and analysed in runs
+  of a fixed byte size per shape bucket (pad-or-split);
+* :mod:`repro.parallel.executor` — the runs fanned out over one
+  persistent thread pool, ``workers`` wide.
 
-The per-piece strategies (serial/thread) are bit-identical to the
-classic serial loop by construction: one numerical entry point,
-randomness consumed before fan-out, disjoint interior writes.  The
-vectorized strategy reorders BLAS reductions and is instead held to a
-tolerance-checked equivalence contract (rtol ≤ 1e-10 against the serial
-reference).
+Runs are sized from a fixed byte budget, randomness is consumed before
+the fan-out and runs write disjoint interior rows, so the result is
+bit-identical at every worker count.  Against the per-piece reference
+(:func:`repro.parallel.worker.compute_piece`) the batched kernel, which
+reorders BLAS reductions, is held to rtol ≤ 1e-10.
 """
 
 from repro.parallel.executor import AnalysisExecutor, AnalysisPlan, serial_executor

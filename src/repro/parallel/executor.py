@@ -1,61 +1,40 @@
-"""The parallel analysis engine: strategy-selected fan-out.
+"""The parallel analysis engine: one batched kernel over one pool.
 
-:class:`AnalysisExecutor` runs the per-piece local analyses of an
-:class:`AnalysisPlan` under one of three strategies:
+:class:`AnalysisExecutor` runs the local analyses of an
+:class:`AnalysisPlan` through one engine, the batched kernel in runs of
+:mod:`repro.parallel.vectorized`: the calling thread groups the observed
+pieces into buckets of structurally equal pieces and looks up their
+geometry through the :class:`~repro.parallel.geometry.GeometryCache`;
+every run of every bucket is then one task on a persistent
+:class:`~concurrent.futures.ThreadPoolExecutor`.  Both LAPACK halves of
+a run (the stacked regressions and the banded ``dpbsv`` closing, called
+through ``ctypes``) release the GIL, so the runs overlap across threads
+(docs/PERFORMANCE.md §1).  ``workers`` is the only knob; the width is
+capped by the plan's run count, and with one worker, or one run, the
+runs stay on the calling thread and no pool is started.  A pool of
+``w > 1`` threads warns once when ``w ×`` BLAS threads exceeds the CPU
+count.
 
-``serial``
-    The in-process loop — exactly the classic engine, and the reference
-    every other strategy is checked against.
-``thread``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor` over the
-    same loop body: one task per observed piece, each writing its own
-    disjoint interior rows of ``plan.out``.  Both halves of a piece
-    overlap across threads: the regressions (stacked ``np.linalg.solve``
-    and ``matmul``) and the banded closing (LAPACK ``dpbsv`` through a
-    ``ctypes`` call) release the GIL; only the Python glue between them
-    holds it (docs/PERFORMANCE.md §1).  A pool of ``w > 1`` threads warns
-    once when ``w ×`` BLAS threads exceeds the CPU count.
-``vectorized``
-    Batched kernels over structurally equal pieces
-    (:mod:`repro.parallel.vectorized`), analysed in runs of pieces: the
-    calling thread groups the pieces and looks up bucket geometry, and
-    every run goes to the same pool as one task (the runs' byte budget
-    is shared by the runs in flight).  With one worker, or one run, the
-    runs stay on the calling thread.
-``auto``
-    Picks one of the above from the shape of the plan's *observed* work
-    (see :meth:`resolve`).
-
-Every strategy runs the one analysis kind, the stochastic
-modified-Cholesky local analysis of Eq. 6 (``KIND_ENKF``); a plan of any
-other kind is rejected before anything is written.
+There is one analysis kind, the stochastic modified-Cholesky local
+analysis of Eq. 6 (``KIND_ENKF``); a plan of any other kind is rejected
+before anything is written.
 
 Only observed pieces are work.  A piece whose expansion holds no
 observation has its background (already inflated by the filter) as its
 analysis, so :meth:`AnalysisPlan.fill_unobserved` writes all of them in
-one bulk copy and every strategy prepares, submits and counts the
-observed pieces alone — by their plan indices, never re-numbered.
+one bulk copy and the engine prepares, batches and counts the observed
+pieces alone — by their plan indices, never re-numbered.
 
-The paper's helper-thread overlap (Sec. 4.2) is the thread strategy's
-*submit-as-prepared* loop: the calling thread resolves each piece's
-geometry (observation restriction, index arrays, modified-Cholesky
-stencil) through the :class:`~repro.parallel.geometry.GeometryCache` and
-submits the piece the moment it is prepared, so pool threads compute
-piece ``k`` while the caller prepares piece ``k+1`` — with S-EnKF's
-layer-major piece order, stage ``l+1`` prepared while stage ``l``
-computes.  Both fan-outs — per-piece tasks and vectorized runs — go
-through one body, :meth:`AnalysisExecutor._fan_out`, on one pool.
+Determinism: a run is sized from a fixed byte budget, never from the
+pool width, so the runs — and with them every reduction order — are the
+same at any worker count; runs write disjoint interior rows and all
+randomness (observation perturbation) is consumed *before* the plan is
+built.  Results are therefore bit-identical at every width.  Against the
+per-piece reference :func:`~repro.parallel.worker.compute_piece` they
+agree to rtol 1e-10 (stacking reorders BLAS reductions).
 
-Determinism: serial and thread call the same
-:func:`~repro.parallel.worker.compute_piece` on the same inputs, pieces
-own disjoint interior rows, and all randomness (observation
-perturbation) is consumed *before* the plan is built — so their results
-are bit-identical.  The vectorized strategy reorders BLAS reductions
-and is held to rtol 1e-10 instead; at one pool width its runs are fixed,
-so it is bit-identical run to run.
-
-A piece or run that raises fails the run with that exception, as in the
-serial loop; nothing is retried here.  Recovery is checkpoint-restart
+A run that raises fails the plan with that exception, as a loop over the
+runs would; nothing is retried here.  Recovery is checkpoint-restart
 (:meth:`repro.checkpoint.runner.CampaignRunner.supervise`).
 """
 
@@ -67,33 +46,17 @@ import threading
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from repro.parallel.geometry import GeometryCache, PieceGeometry
 from repro.parallel.vectorized import run_vectorized
-from repro.parallel.worker import KIND_ENKF, compute_piece
+from repro.parallel.worker import KIND_ENKF
 from repro.telemetry.metrics import get_metrics, use_thread_metrics
 from repro.telemetry.tracer import get_tracer, use_thread_tracer
 
 __all__ = ["AnalysisExecutor", "AnalysisPlan", "serial_executor"]
-
-STRATEGIES = ("auto", "serial", "thread", "vectorized")
-
-#: auto-strategy ceiling on the plan's total expansion points: below it
-#: fan-out stays off.  Set when fan-out meant processes and shared
-#: memory; not retuned for threads (docs/PERFORMANCE.md §1, open).
-_SERIAL_POINTS_CEILING = 8_192
-
-#: auto-strategy thresholds for the vectorized (batched-kernel) path: it
-#: needs enough pieces for stacking to amortise, and small-enough mean
-#: expansions that per-piece Python/BLAS-dispatch overhead — not the
-#: solves themselves — dominates the fan-out strategy.  Batching wins on
-#: one core too (its runs fan out when there are more), so this check
-#: runs before the worker check.
-_VECTORIZED_MIN_PIECES = 16
-_VECTORIZED_MEAN_POINTS_CEILING = 512
 
 #: the variables BLAS libraries read their thread count from
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -145,10 +108,9 @@ class AnalysisPlan:
     """One assimilation call's work-list, data and parameters.
 
     ``kind`` must be ``KIND_ENKF``; ``obs`` is the full perturbed
-    observation matrix ``Yˢ``; ``params`` are the scalars
-    :func:`~repro.parallel.worker.compute_piece` needs (``radius_km``,
-    which also keys the geometry, and ``ridge``); ``out`` is filled in
-    place (each piece owns its interior rows).
+    observation matrix ``Yˢ``; ``params`` are the scalars the kernel
+    needs (``radius_km``, which also keys the geometry, and ``ridge``);
+    ``out`` is filled in place (each piece owns its interior rows).
     """
 
     kind: str
@@ -198,70 +160,36 @@ class AnalysisPlan:
 
 
 class AnalysisExecutor:
-    """Persistent-pool executor for inline local analyses.
+    """Persistent-pool executor of the batched local analyses.
 
     Parameters
     ----------
-    strategy:
-        ``auto`` (default), ``serial``, ``thread`` or ``vectorized``.
     workers:
-        Pool width; ``None`` uses ``os.cpu_count()``.  Capped by the
-        plan's observed piece count at run time.
+        Pool width; ``None`` uses ``os.cpu_count()``.  Capped at run time
+        by the plan's run count.  Results are bit-identical at any width.
     """
 
-    def __init__(
-        self,
-        strategy: str = "auto",
-        workers: int | None = None,
-    ):
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
+    def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.strategy = strategy
         self.workers = workers
         self._max_workers = int(workers or os.cpu_count() or 1)
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
 
-    # -- strategy selection ----------------------------------------------------
-    def effective_workers(self, n_pieces: int) -> int:
-        return max(1, min(self._max_workers, max(n_pieces, 1)))
+    def effective_workers(self, n_tasks: int) -> int:
+        """The width ``n_tasks`` tasks run at: the pool width, capped by
+        the task count."""
+        return max(1, min(self._max_workers, n_tasks))
 
     def resolve(self, plan: AnalysisPlan) -> str:
-        """The concrete strategy this plan will run under.
-
-        A plan whose kind is not ``KIND_ENKF`` raises ``ValueError``.
-        ``auto`` sizes the plan by its observed pieces — their count and
-        their expansion points — since the rest is one bulk fill under
-        any strategy: many small observed pieces batch (``vectorized``),
-        fewer than two observed pieces or under ``8 192`` observed points
-        stay on the calling thread (``serial``), anything larger fans
-        out (``thread``).
-        """
+        """The engine this plan runs under — there is one, the batched
+        kernel in runs.  A plan whose kind is not ``KIND_ENKF`` raises
+        ``ValueError``."""
         if plan.kind != KIND_ENKF:
             raise ValueError(f"unknown analysis kind {plan.kind!r}")
-        if self.strategy != "auto":
-            return self.strategy
-        n_pieces = len(plan.observed)
-        points = sum(plan.pieces[i].exp_size for i in plan.observed)
-        # Batched kernels beat per-piece fan-out when many small pieces
-        # make the per-piece dispatch overhead dominate.  That win needs no
-        # second core (with one, the runs just stay on this thread), so it
-        # is tested before the worker-availability checks.
-        if (
-            n_pieces >= _VECTORIZED_MIN_PIECES
-            and points <= n_pieces * _VECTORIZED_MEAN_POINTS_CEILING
-        ):
-            return "vectorized"
-        if self.effective_workers(n_pieces) <= 1 or n_pieces < 2:
-            return "serial"
-        if points < _SERIAL_POINTS_CEILING:
-            return "serial"
-        return "thread"
+        return "vectorized"
 
     # -- execution -------------------------------------------------------------
     def run(self, plan: AnalysisPlan) -> int:
@@ -269,37 +197,19 @@ class AnalysisExecutor:
         number of local analyses performed."""
         if self._closed:
             raise ValueError("executor is closed")
-        strategy = self.resolve(plan)
+        self.resolve(plan)
         n_pieces = len(plan.pieces)
         n_observed = len(plan.observed)
-        workers = self.effective_workers(n_observed) if strategy == "thread" else 1
         tracer = get_tracer()
         with tracer.span(
             "parallel.run",
             category="parallel",
-            strategy=strategy,
             n_pieces=n_pieces,
             n_observed=n_observed,
-            workers=workers,
         ) as span:
-            if strategy == "vectorized":
-                # the runs' width is known once their buckets are looked up
-                workers = run_vectorized(
-                    plan, self.effective_workers(n_observed), self._fan_out
-                )["workers"]
-                span.set(workers=workers)
-            else:
-                plan.fill_unobserved()
-                if strategy == "serial":
-                    for i in plan.observed:
-                        self._compute_into(plan, plan.prepare(i))
-                elif n_observed:  # nothing observed: no pool
-                    # submit as prepared: the generator prepares piece k+1
-                    # on this thread while the pool computes piece k
-                    self._fan_out(
-                        partial(self._compute_into, plan, plan.prepare(i))
-                        for i in plan.observed
-                    )
+            # the width is known once the buckets' runs are counted
+            workers = run_vectorized(plan, self._fan_out)["workers"]
+            span.set(workers=workers)
         if tracer.enabled:
             metrics = get_metrics()
             metrics.counter("parallel.runs").inc()
@@ -314,34 +224,25 @@ class AnalysisExecutor:
                 )
         return n_pieces
 
-    @staticmethod
-    def _compute_into(plan: AnalysisPlan, prepared) -> None:
-        """One piece analysed into its interior rows of ``plan.out``: the
-        body of the serial loop and of every pool task."""
-        index, piece, geometry = prepared
-        with get_tracer().span(
-            "parallel.local_analysis", category="parallel", piece=index
-        ):
-            plan.out[geometry.interior_flat] = compute_piece(
-                plan.kind, piece, plan.states[geometry.expansion_flat],
-                plan.obs, geometry, plan.params,
-            )
-
     # -- thread pool -----------------------------------------------------------
-    def _fan_out(self, tasks) -> None:
-        """The one fan-out body: run each zero-argument task of ``tasks`` on
-        the persistent pool, submitted the moment it is drawn.
+    def _fan_out(self, tasks: list) -> int:
+        """Run every zero-argument task of ``tasks`` at
+        :meth:`effective_workers` width; returns that width.
 
-        ``tasks`` is drawn on the calling thread, so whatever builds a task
-        (a piece's geometry lookup) runs there while the pool computes the
-        tasks already submitted.  Tasks must write disjoint rows of
-        ``plan.out``.  A failure — a task's or the caller's
-        own — cancels every task that has not started and waits for the
+        At width one the tasks run here, in order, and no pool is started.
+        Otherwise they go to the persistent pool, created on the first
+        such call.  Tasks must write disjoint rows of ``plan.out``.  A
+        failure cancels every task that has not started and waits for the
         running ones (they hold ``plan.out``) before it propagates.  The
         pool starts tasks in submit order, so the exception re-raised is
         the first failure in that order, the one a loop would raise.
         """
-        with self._lock:  # persistent: created on the first fanned-out run
+        width = self.effective_workers(len(tasks))
+        if width == 1:
+            for task in tasks:
+                task()
+            return width
+        with self._lock:
             if self._pool is None:
                 _warn_if_oversubscribed(self._max_workers)
                 self._pool = ThreadPoolExecutor(
@@ -356,10 +257,8 @@ class AnalysisExecutor:
             with use_thread_tracer(tracer), use_thread_metrics(metrics):
                 task()
 
-        futures = []
+        futures = [pool.submit(call, task) for task in tasks]
         try:
-            for task in tasks:
-                futures.append(pool.submit(call, task))
             wait(futures, return_when=FIRST_EXCEPTION)
         finally:
             for future in futures:
@@ -367,6 +266,7 @@ class AnalysisExecutor:
             wait(futures)
         for future in futures:
             future.result()
+        return width
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -389,8 +289,9 @@ _serial_singleton: AnalysisExecutor | None = None
 
 
 def serial_executor() -> AnalysisExecutor:
-    """The shared pool-free executor backing the filters' default path."""
+    """The shared one-worker executor backing the filters' default path
+    (it never starts a pool)."""
     global _serial_singleton
     if _serial_singleton is None:
-        _serial_singleton = AnalysisExecutor(strategy="serial")
+        _serial_singleton = AnalysisExecutor(workers=1)
     return _serial_singleton

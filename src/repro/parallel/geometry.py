@@ -10,7 +10,7 @@ nothing.  It falls in two halves, cached separately:
   stencil (:func:`~repro.core.cholesky.neighbour_predecessors` — the
   sparsity pattern of ``B̂⁻¹``) and what the kernels derive from it
   (:class:`~repro.core.cholesky.Stencil`: row groups, band offsets), and
-  the digests the vectorized strategy buckets by.  Every piece of a
+  the digests the batched engine buckets by.  Every piece of a
   decomposition with the same shape shares one
   :class:`PieceStructure`, whatever its position and whatever the
   network (a 256-piece decomposition has three);
@@ -19,8 +19,9 @@ nothing.  It falls in two halves, cached separately:
   and the ``R`` diagonal, plus the piece's own flat-index arrays.
 
 :class:`GeometryCache` composes the two into a :class:`PieceGeometry`,
-which :func:`~repro.core.analysis.local_analysis` consumes in place of
-re-deriving the same arrays.
+which the batched engine (:mod:`repro.parallel.vectorized`) stacks and
+the per-piece reference :func:`~repro.core.analysis.local_analysis`
+consumes in place of re-deriving the same arrays.
 
 Invalidation rules (see docs/PERFORMANCE.md §4): structures are keyed by
 what they are a function of — grid spacing and periodicity, the
@@ -122,11 +123,6 @@ class PieceGeometry:
     @property
     def stencil(self) -> Stencil:
         return self.structure.stencil
-
-    @property
-    def predecessors(self) -> list[np.ndarray]:
-        """The modified-Cholesky predecessor stencil."""
-        return self.structure.stencil.predecessors
 
     @property
     def interior_sig(self) -> str:
@@ -356,12 +352,6 @@ class GeometryCache:
             self._structures[key] = structure
         return structure
 
-    def local_geometry(
-        self, network, piece: SubDomain, radius_km: float
-    ) -> PieceGeometry:
-        """Like :meth:`get` without the cache-status flag."""
-        return self.get(network, piece, radius_km)[0]
-
     def observed(self, network, pieces) -> tuple[int, ...]:
         """Indices into ``pieces`` of those that see at least one observation.
 
@@ -404,7 +394,7 @@ class GeometryCache:
 
         ``items`` are ``(plan_index, piece, geometry)`` triples whose
         structural signatures agree (the caller — the vectorized
-        strategy's bucketer — guarantees this; it is re-checked here).
+        engine's bucketer — guarantees this; it is re-checked here).
         The stacked arrays depend only on the geometry, so the entry is
         cached under the same network/grid identity rules as per-piece
         entries, keyed by the structural piece keys in stack order.

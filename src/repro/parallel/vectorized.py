@@ -1,17 +1,15 @@
-"""The vectorized strategy: stacked same-shape pieces, one batched solve.
+"""The analysis engine: stacked same-shape pieces, one batched solve.
 
-Where the fan-out strategies hide the per-piece Python/BLAS-dispatch
-cost behind concurrency, this strategy *removes* it: pieces whose
-geometry is structurally identical — same expansion size, same interior
-projection and the same modified-Cholesky stencil, compared by digest,
-never assumed from translation symmetry — are stacked into ``(B, ...)``
-operands and updated as one stack by the same function a single piece
-runs with ``B = 1``,
-:func:`~repro.core.analysis.analysis_modified_cholesky`: the stack's
-regressions are one LAPACK call per distinct stencil size and its
-systems the diagonal blocks of one banded system.  Batching wins on one
-core; the runs of a plan (below) then also fan out over the executor's
-pool.
+Per-piece analysis pays a Python/BLAS-dispatch cost per piece; this
+engine removes it: pieces whose geometry is structurally identical —
+same expansion size, same interior projection and the same
+modified-Cholesky stencil, compared by digest, never assumed from
+translation symmetry — are stacked into ``(B, ...)`` operands and
+updated as one stack by the same function a single piece runs with
+``B = 1``, :func:`~repro.core.analysis.analysis_modified_cholesky`: the
+stack's regressions are one LAPACK call per distinct stencil size and
+its systems the diagonal blocks of one banded system.  The runs of a
+plan (below) fan out over the executor's pool.
 
 Bucketing policy: pieces first group by structural signature; within a
 group, observation counts may differ, so the group is *padded* to the
@@ -24,34 +22,31 @@ exceed :data:`MAX_PAD_WASTE`.  The realised waste is recorded
 
 A bucket is one cached :class:`~repro.parallel.geometry.BucketGeometry`,
 analysed in *runs* of consecutive pieces, each a slice of that geometry.
-:data:`_RUN_BYTES` bounds the bytes of all runs in flight: with ``w``
-runs in flight a run holds as many pieces as keep the regressions'
-largest temporary, the ``(B, G, s, N)`` predecessor gather
-(``n̄ · s_max · N`` doubles a piece), within ``_RUN_BYTES // w``.  The
-kernels' working set is then bounded by the budget, not by the number
-of structurally equal pieces the decomposition produces, nor by the
-width of the fan-out.
+A run holds as many pieces as keep the regressions' largest temporary,
+the ``(B, G, s, N)`` predecessor gather (``n̄ · s_max · N`` doubles a
+piece), within :data:`_RUN_BYTES`.  The kernels' working set is then
+bounded per run, not by the number of structurally equal pieces the
+decomposition produces; ``w`` workers hold at most ``w`` runs' worth.
 
 Runs are independent and write disjoint interior rows of ``plan.out``,
-so the executor sends every run of every bucket to its thread pool as
-one task (both LAPACK halves of a run release the GIL).  Only the
-calling thread prepares pieces, groups them and looks up bucket
-geometry; each run opens its own ``vectorized.bucket`` span, with its
-``lo``/``hi`` and its bucket's ``runs`` count, on the thread that
-computes it.
+so every run of every bucket is one task for the executor's fan-out
+(both LAPACK halves of a run release the GIL).  Only the calling thread
+prepares pieces, groups them and looks up bucket geometry; each run
+opens its own ``vectorized.bucket`` span, with its ``lo``/``hi`` and its
+bucket's ``runs`` count, on the thread that computes it.
 
 Pieces with no observations are never prepared or batched: their
 "analysis" is a copy of the background, written for all of them at
 once by :meth:`~repro.parallel.executor.AnalysisPlan.fill_unobserved`.
 
 Numerics: stacking reorders reductions (and each run's band is its own
-``pbsv``), so results match the serial reference to rtol ≤ 1e-10, not
-bit-for-bit — the tolerance-checked equivalence suite in
-``tests/test_vectorized.py`` pins this contract for every filter ×
-localization combination and for split runs.  Run boundaries depend on
-``w``, so results are bit-identical run to run at one width, and at
-``w = 1`` equal the plan-alone call's.  The serial and thread
-strategies are untouched and stay bit-identical.
+``pbsv``), so results match the per-piece reference
+(:func:`~repro.parallel.worker.compute_piece`) to rtol ≤ 1e-10, not
+bit-for-bit — ``tests/test_vectorized.py`` pins this contract for every
+filter × localization combination and for split runs.  Run boundaries
+depend on the fixed byte budget alone, never on the pool width, so
+results are bit-identical at every worker count and equal the
+plan-alone call's.
 """
 
 from __future__ import annotations
@@ -69,9 +64,10 @@ __all__ = ["run_vectorized"]
 #: a piece that would exceed it starts a new sub-batch instead.
 MAX_PAD_WASTE = 0.25
 
-#: Bytes all runs in flight may spend on their largest regression
-#: temporary, the predecessor gather (see :func:`_pieces_per_run`).
-_RUN_BYTES = 8 * 2**20
+#: Bytes one run may spend on its largest regression temporary, the
+#: predecessor gather (see :func:`_pieces_per_run`).  Fixed, so that the
+#: runs — and the results — do not depend on the pool width.
+_RUN_BYTES = 4 * 2**20
 
 
 def _structural_groups(prepared: list[tuple]) -> list[list[tuple]]:
@@ -121,15 +117,15 @@ def _split_by_waste(
     return batches
 
 
-def _pieces_per_run(plan, bucket, budget: int) -> int:
+def _pieces_per_run(plan, bucket) -> int:
     """How many of ``bucket``'s pieces one run holds: as many as keep the
     largest regression temporary, the ``(b, G, s, N)`` predecessor gather
-    (``G <= n̄``, ``s <= s_max``), within ``budget`` bytes."""
+    (``G <= n̄``, ``s <= s_max``), within :data:`_RUN_BYTES`."""
     s_max = 1
     if bucket.stencil.groups:
         s_max = bucket.stencil.groups[-1][1].shape[1]  # counts ascend
     n_exp = bucket.exp_index.shape[1]
-    return max(1, budget // (n_exp * s_max * plan.states.shape[1] * 8))
+    return max(1, _RUN_BYTES // (n_exp * s_max * plan.states.shape[1] * 8))
 
 
 def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
@@ -164,25 +160,21 @@ def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
         )
 
 
-def run_vectorized(plan, workers: int = 1, fan_out=None) -> dict:
-    """Run one plan under the vectorized strategy; returns bucket stats.
+def run_vectorized(plan, fan_out=None) -> dict:
+    """Run one plan through the batched engine; returns bucket stats.
 
     The plan's observed pieces are prepared through the
     :class:`GeometryCache` (per-piece entries carry the structural
     digests), grouped, padded or split (:data:`MAX_PAD_WASTE`), stacked
     via cached :class:`~repro.parallel.geometry.BucketGeometry` entries
     and updated as stacks, one run of pieces at a time.  Empty-observation
-    pieces are one bulk fill (exact).  Writes land in ``plan.out`` exactly
-    like every other strategy.
+    pieces are one bulk fill (exact).
 
-    ``workers`` runs may be in flight at once, so each run gets
-    ``_RUN_BYTES // workers`` of the budget.  ``fan_out`` is the
-    executor's fan-out body (it runs an iterable of zero-argument tasks
-    on the pool); the runs go to it when ``workers > 1`` and there is
-    more than one run, and otherwise run here, in order.  Called with the
-    plan alone, runs span the whole budget on the calling thread.  Only
-    the calling thread touches the cache.  ``stats["workers"]`` is the
-    width the runs actually had.
+    ``fan_out`` is the executor's fan-out body: it runs a list of
+    zero-argument tasks and returns the width it ran them at.  Called
+    with the plan alone, the runs go in order on the calling thread.
+    Only the calling thread touches the cache.  ``stats["workers"]`` is
+    the width the runs actually had.
     """
     if plan.kind != KIND_ENKF:
         raise ValueError(f"unknown analysis kind {plan.kind!r}")
@@ -191,7 +183,6 @@ def run_vectorized(plan, workers: int = 1, fan_out=None) -> dict:
     prepared = [plan.prepare(i) for i in plan.observed]
     n_empty = len(plan.pieces) - len(prepared)
 
-    budget = _RUN_BYTES // workers
     runs = []
     n_buckets = 0
     pad_slots = 0
@@ -205,7 +196,7 @@ def run_vectorized(plan, workers: int = 1, fan_out=None) -> dict:
             pad_slots += bucket.pad_slots
             total_slots += bucket.total_slots
             n_batch = bucket.n_batch
-            per_run = _pieces_per_run(plan, bucket, budget)
+            per_run = _pieces_per_run(plan, bucket)
             span_attrs = dict(
                 n_batch=n_batch,
                 n_exp=int(bucket.exp_index.shape[1]),
@@ -221,10 +212,10 @@ def run_vectorized(plan, workers: int = 1, fan_out=None) -> dict:
                 )
                 for lo in range(0, n_batch, per_run)
             ]
-    width = max(1, min(workers, len(runs))) if fan_out is not None else 1
-    if width > 1:
-        fan_out(runs)
+    if fan_out is not None:
+        width = fan_out(runs)
     else:
+        width = 1
         for run in runs:
             run()
 

@@ -1,10 +1,11 @@
-"""The piece-level compute function every per-piece strategy runs.
+"""The analysis kind and the per-piece reference analysis.
 
-The serial loop and the thread pool both funnel through
-:func:`compute_piece`, so the numerics are *one* code path and the
-bit-identical guarantee of the parallel engine reduces to "same inputs,
-same function".  There is one analysis kind, the stochastic
-modified-Cholesky local analysis of Eq. 6.
+There is one analysis kind, the stochastic modified-Cholesky local
+analysis of Eq. 6 (:data:`KIND_ENKF`).  :func:`compute_piece` analyses
+one piece on its own; it is not an engine path (the engine is the
+batched kernel of :mod:`repro.parallel.vectorized`) but the reference
+the engine is held to — rtol 1e-10 — by the equivalence tests and the
+end-to-end benchmark's kernel probe.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def compute_piece(
     geometry: PieceGeometry,
     params: dict,
 ) -> np.ndarray:
-    """One piece's local analysis: the single numerical entry point.
+    """One piece's local analysis, the per-piece reference.
 
     ``obs`` is the full perturbed observation matrix ``Yˢ``, from which
     the geometry's ``obs_positions`` select the local rows.

@@ -29,7 +29,7 @@ Design contract (mirrors the tracer's):
 Exports: collapsed-stack text (``flamegraph.pl`` / speedscope paste
 format, one ``frame;frame;... count`` line per unique stack) and
 speedscope JSON (one sampled profile per track).  The executor's pool
-threads open ``parallel.local_analysis`` spans on the submitting
+threads open ``vectorized.bucket`` spans on the submitting
 thread's tracer, so they are ordinary traced threads: the sweep samples
 them onto their own ``senkf-analysis_<k>`` tracks.
 """

@@ -30,10 +30,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.costmodel.model import (
-    ANALYSIS_KERNELS,
     CostParams,
     expected_read_inflation,
-    kernel_comp_constant,
     t_total,
     t_total_pipelined,
 )
@@ -56,9 +54,6 @@ class AutotuneResult:
     c2: int
     #: the (C1, T1) frontier the earnings rule walked, for the winning C2
     frontier: tuple[tuple[int, float], ...]
-    #: the analysis kernel the winning total was priced under (see
-    #: :data:`~repro.costmodel.model.ANALYSIS_KERNELS`)
-    kernel: str = "fanout"
 
     @property
     def total_processors(self) -> int:
@@ -158,7 +153,6 @@ def autotune(
     objective: str = "paper",
     faults=None,
     retry=None,
-    kernels: Sequence[str] | str = ("fanout",),
 ) -> AutotuneResult | None:
     """Algorithm 2: optimal ``(n_sdx, n_sdy, L, n_cg)`` for ``n_p`` processors.
 
@@ -180,16 +174,6 @@ def autotune(
     :func:`read_inflation_from_metrics`) is used as-is; combining both
     raises, one regime must win.
 
-    ``kernels`` extends the decision space with the *analysis kernel*:
-    each named kernel (see
-    :data:`~repro.costmodel.model.ANALYSIS_KERNELS`) is priced with its
-    own calibrated per-point constant (``c`` for ``"fanout"``,
-    ``c_vectorized`` for ``"vectorized"``) and the best tuple over every
-    kernel wins, with :attr:`AutotuneResult.kernel` recording the choice.
-    ``"auto"`` considers every kernel whose constant is calibrated;
-    naming ``"vectorized"`` explicitly while ``params.c_vectorized`` is
-    ``None`` raises (calibrate first).
-
     Returns ``None`` if no feasible configuration fits in ``n_p``
     processors (needs at least one compute and one I/O rank).
     """
@@ -197,18 +181,6 @@ def autotune(
     check_positive("epsilon", epsilon)
     if objective not in ("paper", "pipelined"):
         raise ValueError(f"unknown objective {objective!r}")
-    if isinstance(kernels, str):
-        if kernels == "auto":
-            kernels = tuple(
-                k for k in ANALYSIS_KERNELS
-                if k == "fanout" or params.c_vectorized is not None
-            )
-        else:
-            kernels = (kernels,)
-    if not kernels:
-        raise ValueError("kernels must name at least one analysis kernel")
-    for kernel in kernels:
-        kernel_comp_constant(params, kernel)  # validates name + calibration
     if faults is not None:
         if params.read_inflation != 1.0:
             raise ValueError(
@@ -226,34 +198,24 @@ def autotune(
 
     total_fn = t_total if objective == "paper" else t_total_pipelined
     best: AutotuneResult | None = None
-    for kernel in kernels:
-        # Algorithm 1/2 price computation through ``params.c``; pricing a
-        # different kernel is exactly a substitution of its constant.
-        kparams = (
-            params if kernel == "fanout"
-            else params.with_(c=kernel_comp_constant(params, kernel))
+    for c2 in c2_values:
+        frontier = _frontier_for_c2(params, c2, n_p - c2, exhaustive, objective)
+        if not frontier:
+            continue
+        choice = economic_choice(frontier, epsilon)
+        total = total_fn(
+            params,
+            n_sdx=choice.n_sdx,
+            n_sdy=choice.n_sdy,
+            n_layers=choice.n_layers,
+            n_cg=choice.n_cg,
         )
-        for c2 in c2_values:
-            frontier = _frontier_for_c2(
-                kparams, c2, n_p - c2, exhaustive, objective
+        if best is None or total < best.t_total:
+            best = AutotuneResult(
+                choice=choice,
+                t_total=total,
+                c1=choice.c1,
+                c2=choice.c2,
+                frontier=tuple((c1, t1v) for c1, t1v, _ in frontier),
             )
-            if not frontier:
-                continue
-            choice = economic_choice(frontier, epsilon)
-            total = total_fn(
-                kparams,
-                n_sdx=choice.n_sdx,
-                n_sdy=choice.n_sdy,
-                n_layers=choice.n_layers,
-                n_cg=choice.n_cg,
-            )
-            if best is None or total < best.t_total:
-                best = AutotuneResult(
-                    choice=choice,
-                    t_total=total,
-                    c1=choice.c1,
-                    c2=choice.c2,
-                    frontier=tuple((c1, t1v) for c1, t1v, _ in frontier),
-                    kernel=kernel,
-                )
     return best

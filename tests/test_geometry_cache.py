@@ -63,8 +63,9 @@ class TestShapeKey:
             geometry, _ = cache.get(net, piece, RADIUS_KM)
             exp_ix, exp_iy = piece.expansion_coords
             want = neighbour_predecessors(grid, exp_ix, exp_iy, RADIUS_KM)
-            assert len(geometry.predecessors) == len(want)
-            for got_row, want_row in zip(geometry.predecessors, want):
+            got = geometry.stencil.predecessors
+            assert len(got) == len(want)
+            for got_row, want_row in zip(got, want):
                 assert np.array_equal(got_row, want_row)
             assert np.array_equal(
                 geometry.interior_positions,
@@ -107,7 +108,7 @@ class TestShapeKey:
 
     def test_new_network_rebuilds_no_structure(self):
         """A new network object on the same decomposition: every
-        structure hits, the digests — and so the vectorized strategy's
+        structure hits, the digests — and so the batched engine's
         buckets — are unchanged."""
         grid, pieces = plan_pieces("small_pieces_static")
         cache = GeometryCache()

@@ -1,14 +1,19 @@
 """Tests for the parallel analysis engine (:mod:`repro.parallel`).
 
-The load-bearing guarantee is *bit-identity*: both per-piece execution
-strategies — serial loop, thread pool — must produce byte-for-byte the
-same analysis as the classic serial engine, for every filter
-(DistributedEnKF, layered S-EnKF), including the degenerate
-configurations (one worker, more workers than pieces, sub-domains with
-no observations).  On top sit the geometry cache's reuse semantics (a
-cycling campaign must never re-derive cycle-invariant geometry), the
-thread loop's failure semantics, and the telemetry flow from pool
-threads into the submitting thread's tracer.
+The load-bearing guarantee is *bit-identity across widths*: the one
+engine — the batched kernel in runs, fanned out over the executor's
+pool — must produce byte-for-byte the same analysis at every worker
+count, for every filter (DistributedEnKF, layered S-EnKF, degraded
+N − k), including the degenerate configurations (one worker, more
+workers than runs, sub-domains with no observations, nothing observed
+at all).  On top sit the geometry cache's reuse semantics (a cycling
+campaign must never re-derive cycle-invariant geometry), the fan-out's
+failure semantics, and the telemetry flow from pool threads into the
+submitting thread's tracer.
+
+Where a parametrisation still carries the ids ``serial`` / ``thread``,
+they name where the runs execute: on the calling thread (one worker) or
+on a pool of two.
 """
 
 import gc
@@ -18,8 +23,6 @@ import sys
 import threading
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,9 +37,10 @@ from repro.parallel import (
     AnalysisPlan,
     GeometryCache,
     KIND_ENKF,
+    run_vectorized,
 )
 from repro.parallel import executor as executor_module
-from repro.parallel.executor import STRATEGIES
+from repro.parallel import vectorized
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -45,10 +49,16 @@ from repro.telemetry import (
     use_tracer,
 )
 
-#: the strategies held to bit-identity with the classic serial engine
-#: (``auto`` only picks among the others; ``vectorized`` is held to
-#: rtol 1e-10 in tests/test_vectorized.py)
-BIT_IDENTICAL = tuple(s for s in STRATEGIES if s not in ("auto", "vectorized"))
+#: where the runs execute, by the historical ids: ``serial`` on the
+#: calling thread (one worker), ``thread`` on a pool of two
+WIDTHS = {"serial": 1, "thread": 2}
+
+
+@pytest.fixture
+def one_piece_runs(monkeypatch):
+    """Every run one piece, so that any plan of two or more observed
+    pieces fans out over the pool."""
+    monkeypatch.setattr(vectorized, "_RUN_BYTES", 1)
 
 
 def problem(n_x=16, n_y=8, n_members=12, m=40, seed=0):
@@ -80,18 +90,6 @@ def enkf_plan(n_sdx=2, n_sdy=2, xi=1, eta=1, obs_columns=None):
         out=np.zeros_like(states), network=net,
         params={"radius_km": 2.0, "ridge": 1e-8},
     )
-
-
-def shape_only_plan(n_pieces, points_per_piece, n_observed):
-    """A plan carrying only what ``resolve()`` reads: kind, expansion
-    sizes and which pieces are observed (the first ``n_observed``)."""
-    pieces = [SimpleNamespace(exp_size=points_per_piece)] * n_pieces
-    plan = AnalysisPlan(
-        kind=KIND_ENKF, pieces=pieces, states=None, obs=None, out=None,
-        network=None, params={},
-    )
-    plan.observed = tuple(range(n_observed))
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +175,7 @@ class TestGeometryCache:
     def test_geometry_matches_direct_derivation(self):
         decomp, net = self._setup()
         sd = next(iter(decomp))
-        geo = GeometryCache().local_geometry(net, sd, radius_km=2.0)
+        geo = GeometryCache().get(net, sd, radius_km=2.0)[0]
         positions, h_local = net.restrict_to_box(
             sd.exp_x_indices, sd.exp_y_indices
         )
@@ -185,7 +183,7 @@ class TestGeometryCache:
         assert (geo.h_local != h_local).nnz == 0
         assert np.array_equal(geo.interior_positions,
                               sd.interior_positions_in_expansion)
-        assert geo.predecessors is not None
+        assert geo.stencil.predecessors is not None
 
     def test_cycling_never_rederives_geometry(self, monkeypatch):
         """Across cycles, restrict_to_box and the Cholesky stencil are
@@ -230,75 +228,65 @@ class TestGeometryCache:
 class TestExecutorConfig:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            AnalysisExecutor(strategy="gpu")
-        with pytest.raises(ValueError):
             AnalysisExecutor(workers=0)
-        with pytest.raises(ValueError, match="unknown strategy"):
-            AnalysisExecutor(strategy="process")  # deleted, no alias
-        assert STRATEGIES == ("auto", "serial", "thread", "vectorized")
+        with pytest.raises(TypeError):
+            AnalysisExecutor(strategy="serial")  # one engine, no strategy
+        # Filters keep ``auto`` (workers wide) and ``serial`` (one worker)
+        # and refuse the deleted strategy names, with no alias.
+        for name in ("thread", "vectorized", "process", "gpu"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                DistributedEnKF(radius_km=2.0, strategy=name)
+        with pytest.raises(ValueError, match="one worker"):
+            DistributedEnKF(radius_km=2.0, strategy="serial", workers=2)
+        with AnalysisExecutor(workers=2) as ex:
+            assert ex.resolve(enkf_plan()) == "vectorized"
 
-    @pytest.mark.parametrize("strategy", ["serial", "thread", "vectorized"])
-    def test_deleted_kind_is_rejected_not_run_as_enkf(self, strategy):
+    @pytest.mark.parametrize("entry", ["serial", "thread", "vectorized"])
+    def test_deleted_kind_is_rejected_not_run_as_enkf(self, entry):
         """A plan of the deleted ensemble-transform kind, as its filter
         built it (raw ``y``, an ``inflation`` parameter), raises before
-        anything is written or cached; the same executor then runs a
-        clean EnKF plan exactly as a fresh one does."""
+        anything is written or cached — entered through a one-worker
+        executor, a two-worker one, or :func:`run_vectorized` directly —
+        and a clean EnKF plan then runs exactly as on a fresh entry."""
+
+        def enter():
+            if entry == "vectorized":
+                return None, run_vectorized
+            ex = AnalysisExecutor(workers=WIDTHS[entry])
+            return ex, ex.run
+
         stale = enkf_plan(n_sdx=4, n_sdy=2)
         stale.kind = "etkf"
         stale.obs = stale.obs[:, 0]
         stale.params = {"inflation": 1.03}
         stale.out[:] = np.nan
-        with AnalysisExecutor(strategy=strategy, workers=2) as ex:
-            with pytest.raises(
-                ValueError, match=f"unknown analysis kind {stale.kind!r}"
-            ):
-                ex.run(stale)
-            assert np.isnan(stale.out).all() and len(stale.cache) == 0
-            clean = enkf_plan(n_sdx=4, n_sdy=2)
-            ex.run(clean)
+        ex, run = enter()
+        with pytest.raises(
+            ValueError, match=f"unknown analysis kind {stale.kind!r}"
+        ):
+            run(stale)
+        assert np.isnan(stale.out).all() and len(stale.cache) == 0
+        clean = enkf_plan(n_sdx=4, n_sdy=2)
+        run(clean)
         ref = enkf_plan(n_sdx=4, n_sdy=2)
-        with AnalysisExecutor(strategy=strategy, workers=2) as fresh:
-            fresh.run(ref)
+        fresh, fresh_run = enter()
+        fresh_run(ref)
+        for executor in (ex, fresh):
+            if executor is not None:
+                executor.close()
         assert np.array_equal(clean.out, ref.out)
 
     def test_closed_executor_refuses_work(self):
-        ex = AnalysisExecutor(strategy="serial")
+        ex = AnalysisExecutor(workers=1)
         ex.close()
         with pytest.raises(ValueError):
             ex.run(enkf_plan())
 
-    def test_auto_resolves_serial_for_tiny_plans(self):
-        plan = enkf_plan()
-        with AnalysisExecutor(strategy="auto", workers=4) as ex:
-            assert ex.resolve(plan) == "serial"
-        with AnalysisExecutor(strategy="auto", workers=1) as ex:
-            assert ex.resolve(plan) == "serial"
-
-    @pytest.mark.parametrize("n_pieces,points,n_observed,expected", [
-        (256, 120, 256, "vectorized"),  # small_pieces_static
-        (16, 880, 16, "thread"),        # large_pieces_moving
-        (200, 1156, 200, "thread"),     # the io_* grid, observed everywhere
-        (200, 1156, 1, "serial"),       # io_bar / io_block: one observed
-        (4, 1000, 4, "serial"),     # under the serial ceiling (8 192 points)
-        (4, 2048, 4, "thread"),     # first plan at the serial ceiling
-    ], ids=[
-        "256-120-vectorized", "16-880-thread", "200-1156-thread",
-        "200-1156-one-observed-serial", "4-1000-serial", "4-2048-thread",
-    ])
-    def test_auto_pinned_on_the_benchmark_plan_shapes(
-        self, n_pieces, points, n_observed, expected
-    ):
-        """What ``auto`` picks on BENCHMARK.json's four workloads with
-        two workers, sized by the observed pieces.  A PR that retunes
-        ``resolve()`` must change this table on purpose."""
-        with AnalysisExecutor(strategy="auto", workers=2) as ex:
-            plan = shape_only_plan(n_pieces, points, n_observed)
-            assert ex.resolve(plan) == expected
-
     def test_auto_on_the_io_shape_starts_no_pool(self):
-        """200 pieces of 34 x 34 points with one observed cluster (the
-        ``io_*`` workloads' plan): ``auto`` runs it on the calling
-        thread — no pool is started."""
+        """One run starts no pool: 200 pieces of 34 x 34 points with one
+        observed cluster (the ``io_*`` workloads' plan) make one bucket
+        of one run, which a two-worker filter runs on the calling
+        thread."""
         grid = Grid(n_x=600, n_y=300, dx_km=25.0, dy_km=25.0)
         decomp = Decomposition(grid, n_sdx=20, n_sdy=10, xi=2, eta=2)
         rng = np.random.default_rng(15)
@@ -323,14 +311,16 @@ class TestExecutorConfig:
         assert np.array_equal(out, ref)
 
     def test_effective_workers_capped_by_pieces(self):
+        """The width is the pool width capped by the task (run) count."""
         ex = AnalysisExecutor(workers=16)
         assert ex.effective_workers(3) == 3
+        assert ex.effective_workers(0) == 1
         ex.close()
 
     def test_filter_rejects_executor_and_workers(self):
         with pytest.raises(ValueError):
             DistributedEnKF(radius_km=2.0, workers=2,
-                            executor=AnalysisExecutor(strategy="serial"))
+                            executor=AnalysisExecutor(workers=1))
 
     def test_subdomain_pickles_without_cached_arrays(self):
         grid = Grid(n_x=8, n_y=4, dx_km=1.0, dy_km=1.0)
@@ -346,32 +336,39 @@ class TestOversubscriptionWarning:
     the CPUs; the executor says so once per process and changes nothing."""
 
     @pytest.fixture(autouse=True)
-    def fresh_process(self, monkeypatch):
+    def fresh_process(self, monkeypatch, one_piece_runs):
         monkeypatch.setattr(executor_module, "_oversubscription_warned", False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for name in executor_module._BLAS_THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
 
     @staticmethod
-    def runtime_warnings(workers=2, strategy="thread"):
-        """Two executors, two fanned-out runs each."""
+    def runtime_warnings(workers=2, entry="thread"):
+        """Two executors, two fanned-out runs each, entered through
+        :meth:`AnalysisExecutor.run` (``thread``) or through
+        :func:`run_vectorized` handed the executor's fan-out
+        (``vectorized``)."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for _ in range(2):
-                with AnalysisExecutor(strategy=strategy, workers=workers) as ex:
-                    ex.run(enkf_plan())
-                    ex.run(enkf_plan())
+                with AnalysisExecutor(workers=workers) as ex:
+                    for _ in range(2):
+                        if entry == "thread":
+                            ex.run(enkf_plan())
+                        else:
+                            run_vectorized(enkf_plan(), ex._fan_out)
         return [w for w in caught if w.category is RuntimeWarning]
 
     def test_unpinned_blas_warns_once(self):
         (warning,) = self.runtime_warnings()
         assert "OPENBLAS_NUM_THREADS=1" in str(warning.message)
 
-    @pytest.mark.parametrize("strategy", ["thread", "vectorized"])
-    def test_warning_points_at_the_caller_of_run(self, strategy):
-        """Per-piece tasks and vectorized runs reach the pool through
-        frames of different depth; both name the line calling ``run``."""
-        (warning,) = self.runtime_warnings(strategy=strategy)
+    @pytest.mark.parametrize("entry", ["thread", "vectorized"])
+    def test_warning_points_at_the_caller_of_run(self, entry):
+        """The executor's ``run`` and a direct :func:`run_vectorized`
+        reach the pool through frames of different depth; both name the
+        line of this file that entered the engine."""
+        (warning,) = self.runtime_warnings(entry=entry)
         assert warning.filename == __file__
 
     def test_one_blas_thread_is_silent(self, monkeypatch):
@@ -388,7 +385,7 @@ class TestOversubscriptionWarning:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity across strategies and filters
+# Bit-identity across widths and filters
 # ---------------------------------------------------------------------------
 def _enkf_pair(executor):
     serial = DistributedEnKF(radius_km=2.0, inflation=1.05)
@@ -397,28 +394,103 @@ def _enkf_pair(executor):
     return serial, parallel
 
 
+def dense_problem():
+    """32 sub-domains of 4 x 4 points on a 32 x 16 grid, two-cell halos,
+    every one observed: 32 pieces of up to 64 expansion points (64 layers
+    of S-EnKF), in a handful of structural buckets."""
+    grid, truth, states, net, y = problem(n_x=32, n_y=16, m=160, seed=3)
+    decomp = Decomposition(grid, n_sdx=8, n_sdy=4, xi=2, eta=2)
+    return decomp, states, net, y
+
+
+def _width_cases():
+    """``(label, analyse)``: each ``analyse(executor)`` analyses one fixed
+    problem through the given executor and returns the analysis."""
+    decomp, states, net, y = dense_problem()
+    enkf = dict(radius_km=2.0, inflation=1.05, ridge=1e-3)
+
+    def unobserved(ex):
+        # one observation at (1, 1): sub-domain columns 2-6 (grid columns
+        # 8-27, halos 6-29) are clear of it, and of the periodic seam
+        lone = ObservationNetwork(
+            net.grid, ix=np.array([1]), iy=np.array([1]), obs_error_std=0.3
+        )
+        plan = AnalysisPlan(
+            kind=KIND_ENKF, pieces=[sd for sd in decomp if 2 <= sd.i <= 6],
+            states=states, obs=np.ones((1, states.shape[1])),
+            out=np.full_like(states, np.nan), network=lone,
+            params={"radius_km": 2.0, "ridge": 1e-3},
+        )
+        assert plan.observed == ()
+        ex.run(plan)
+        return plan.out
+
+    yield "distributed", lambda ex: DistributedEnKF(
+        executor=ex, **enkf
+    ).assimilate(decomp, states, net, y, rng=5)
+    yield "senkf-L2", lambda ex: SEnKF(
+        n_layers=2, executor=ex, **enkf
+    ).assimilate(decomp, states, net, y, rng=5)
+    yield "degraded", lambda ex: DistributedEnKF(
+        executor=ex, **enkf
+    ).assimilate_degraded(decomp, states, net, y, dropped=(1, 4), rng=5)[0]
+    yield "unobserved", unobserved
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("strategy", BIT_IDENTICAL)
-    def test_distributed_enkf(self, strategy):
+    @pytest.mark.parametrize("where", sorted(WIDTHS))
+    def test_distributed_enkf(self, where):
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)
-        with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+        with AnalysisExecutor(workers=WIDTHS[where]) as ex:
             serial, parallel = _enkf_pair(ex)
             ref = serial.assimilate(decomp, states, net, y, rng=7)
             out = parallel.assimilate(decomp, states, net, y, rng=7)
         assert np.array_equal(ref, out)
 
-    @pytest.mark.parametrize("strategy", BIT_IDENTICAL)
-    def test_senkf_layered(self, strategy):
+    @pytest.mark.parametrize("where", sorted(WIDTHS))
+    def test_senkf_layered(self, where):
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=1, eta=1)
         serial = SEnKF(radius_km=2.0, n_layers=2, inflation=1.02)
         ref = serial.assimilate(decomp, states, net, y, rng=5)
-        with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+        with AnalysisExecutor(workers=WIDTHS[where]) as ex:
             parallel = SEnKF(radius_km=2.0, n_layers=2, inflation=1.02,
                              executor=ex)
             out = parallel.assimilate(decomp, states, net, y, rng=5)
         assert np.array_equal(ref, out)
+
+    @pytest.mark.parametrize(
+        "label,analyse", list(_width_cases()),
+        ids=lambda c: c if isinstance(c, str) else "",
+    )
+    def test_bit_identical_at_every_width(self, monkeypatch, label, analyse):
+        """w = 1, 2 and 3 give the same bits, on buckets split into three
+        or more runs.  Runs are sized from a fixed byte budget, so their
+        boundaries — and with them every reduction order — do not move
+        with the pool width."""
+        runs_per_bucket = []
+        real_compute = vectorized._compute_run
+
+        def spy_compute(plan, bucket, lo, hi, span_attrs):
+            runs_per_bucket.append(span_attrs["runs"])
+            real_compute(plan, bucket, lo, hi, span_attrs)
+
+        monkeypatch.setattr(vectorized, "_compute_run", spy_compute)
+        # three of the widest pieces (64 points x 6 predecessors x 12
+        # members x 8 bytes): buckets of four or more split into runs
+        monkeypatch.setattr(vectorized, "_RUN_BYTES", 3 * 64 * 6 * 12 * 8)
+        outs = {}
+        for workers in (1, 2, 3):
+            runs_per_bucket.clear()
+            with AnalysisExecutor(workers=workers) as ex:
+                outs[workers] = analyse(ex)
+        if label == "unobserved":
+            assert runs_per_bucket == []
+        else:
+            assert max(runs_per_bucket) >= 3
+        assert np.array_equal(outs[1], outs[2])
+        assert np.array_equal(outs[1], outs[3])
 
     def test_workers_one_is_bitwise_serial(self):
         grid, truth, states, net, y = problem()
@@ -438,15 +510,17 @@ class TestBitIdentity:
         ref = DistributedEnKF(radius_km=2.0).assimilate(
             decomp, states, net, y, rng=2
         )
-        with AnalysisExecutor(strategy="thread", workers=16) as ex:
+        with AnalysisExecutor(workers=16) as ex:
             out = DistributedEnKF(radius_km=2.0, executor=ex).assimilate(
                 decomp, states, net, y, rng=2
             )
         assert np.array_equal(ref, out)
 
-    def test_empty_observation_subdomains_under_thread_pool(self):
+    def test_empty_observation_subdomains_under_thread_pool(
+        self, one_piece_runs
+    ):
         """Sub-domains whose expansion sees no observation return the
-        (inflated) background — also under the thread pool."""
+        (inflated) background — also when the observed ones fan out."""
         grid = Grid(n_x=16, n_y=8, dx_km=1.0, dy_km=1.0)
         rng = np.random.default_rng(4)
         states = rng.standard_normal((grid.n, 8))
@@ -465,23 +539,29 @@ class TestBitIdentity:
         ref = DistributedEnKF(radius_km=2.0, inflation=1.1).assimilate(
             decomp, states, net, y, rng=6
         )
-        with AnalysisExecutor(strategy="thread", workers=2) as ex:
+        with AnalysisExecutor(workers=2) as ex:
             out = DistributedEnKF(radius_km=2.0, inflation=1.1,
                                   executor=ex).assimilate(
                 decomp, states, net, y, rng=6
             )
+            assert ex._pool is not None  # the observed pieces fanned out
         assert np.array_equal(ref, out)
 
-    def test_repeated_calls_reuse_pool_and_stay_identical(self):
+    def test_repeated_calls_reuse_pool_and_stay_identical(
+        self, one_piece_runs
+    ):
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=1, eta=1)
         serial = DistributedEnKF(radius_km=2.0)
-        with AnalysisExecutor(strategy="thread", workers=2) as ex:
+        with AnalysisExecutor(workers=2) as ex:
             filt = DistributedEnKF(radius_km=2.0, executor=ex)
+            pools = set()
             for seed in (1, 2, 3):
                 ref = serial.assimilate(decomp, states, net, y, rng=seed)
                 out = filt.assimilate(decomp, states, net, y, rng=seed)
+                pools.add(id(ex._pool))
                 assert np.array_equal(ref, out)
+            assert len(pools) == 1 and ex._pool is not None
 
     def test_degraded_analysis_matches_inflation_override(self):
         """Satellite: graceful degradation no longer copies the filter —
@@ -501,7 +581,7 @@ class TestBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# The thread loop
+# The fan-out over the pool
 # ---------------------------------------------------------------------------
 def large_pieces_problem(seed, n_x=144, n_y=72):
     """The ``large_pieces_moving`` shape: 16 pieces of 880 expansion
@@ -517,14 +597,14 @@ def large_pieces_problem(seed, n_x=144, n_y=72):
     return decomp, states, net, y
 
 
-def hammer_thread_loop(n_runs, **grid_size):
-    """Thread fan-out on four pool threads (oversubscribed on purpose)
-    with a short switch interval and a fresh network every run; each run
-    must be ``array_equal`` to serial."""
+def hammer_engine(n_runs, **grid_size):
+    """The engine on four pool threads (oversubscribed on purpose) with a
+    short switch interval and a fresh network every run; each run must
+    be ``array_equal`` to the same engine at one worker."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with AnalysisExecutor(strategy="thread", workers=4) as ex:
+        with AnalysisExecutor(workers=4) as ex:
             threaded = DistributedEnKF(
                 radius_km=60.0, inflation=1.05, ridge=1e-2, executor=ex
             )
@@ -538,53 +618,19 @@ def hammer_thread_loop(n_runs, **grid_size):
                 out = threaded.assimilate(decomp, states, net, y, rng=seed)
                 ref = serial.assimilate(decomp, states, net, y, rng=seed)
                 assert np.array_equal(out, ref), f"run {seed} diverged"
+            assert ex._pool is not None  # the runs really fanned out
     finally:
         sys.setswitchinterval(interval)
 
 
 class TestThreadLoop:
-    def test_submits_as_prepared(self, monkeypatch):
-        """Piece k goes to the pool before piece k+1's geometry is
-        resolved — the prepare/compute overlap — one task per *observed*
-        piece: observation-free pieces are one bulk fill, neither
-        prepared nor submitted."""
-        prepared_at_submit = []
-        real_prepare = AnalysisPlan.prepare
-        real_submit = ThreadPoolExecutor.submit
-
-        def counting_prepare(self, index):
-            prepared_so_far.append(index)
-            return real_prepare(self, index)
-
-        def recording_submit(self, fn, *args, **kwargs):
-            prepared_at_submit.append(len(prepared_so_far))
-            return real_submit(self, fn, *args, **kwargs)
-
-        monkeypatch.setattr(AnalysisPlan, "prepare", counting_prepare)
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", recording_submit)
-        for obs_columns, observed in [
-            (None, list(range(8))),  # every piece observed
-            # columns 9-10 lie in sub-domain column 2 alone (one-cell
-            # halos): plan indices 2 and 6
-            ([9, 10], [2, 6]),
-        ]:
-            plan = enkf_plan(n_sdx=4, n_sdy=2, obs_columns=obs_columns)
-            prepared_so_far = []
-            prepared_at_submit.clear()
-            with AnalysisExecutor(strategy="thread", workers=2) as ex:
-                ex.run(plan)
-            assert prepared_at_submit == list(range(1, len(observed) + 1))
-            assert prepared_so_far == list(plan.observed) == observed
-
     def test_piece_error_surfaces_as_itself_and_executor_stays_usable(
-        self, monkeypatch
+        self, monkeypatch, one_piece_runs
     ):
-        """A NaN background at an observed point fails that piece's
-        kernel: ``run()`` raises the serial loop's exception, tasks that
-        had not started never run, and the next clean run on the same
-        executor is bit-identical to serial."""
-        import repro.parallel.executor as executor_mod
-
+        """A NaN background at an observed point fails that piece's run:
+        ``run()`` raises the one-worker loop's exception, runs that had
+        not started never run, and the next clean run on the same
+        executor is bit-identical to one worker."""
         decomp, states, net, y = large_pieces_problem(seed=3)
         bad = states.copy()
         first = next(iter(decomp))
@@ -592,49 +638,50 @@ class TestThreadLoop:
         assert seen.any(), "fixture must observe the first piece's interior"
         bad[net.flat_locations[seen][0]] = np.nan
 
-        def run(strategy, background):
-            with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+        def run(workers, background):
+            with AnalysisExecutor(workers=workers) as ex:
                 return DistributedEnKF(
                     radius_km=60.0, ridge=1e-2, executor=ex
                 ).assimilate(decomp, background, net, y, rng=5)
 
         with pytest.raises(ValueError) as serial_error:
-            run("serial", bad)
+            run(1, bad)
 
         started = []
         release = threading.Event()
-        real_compute = executor_mod.compute_piece
+        real_compute = vectorized._compute_run
 
-        def gated_compute(kind, piece, *args):
-            # Hold every piece until the caller has submitted them all,
-            # so "not yet started" is a fixed set: with two pool threads,
-            # pieces 0 and 1 run and the other fourteen wait in the queue.
-            started.append((piece.i, piece.j))
+        def gated_compute(plan, bucket, lo, hi, span_attrs):
+            # Hold every run until the caller has submitted them all, so
+            # "not yet started" is a fixed set: with two pool threads,
+            # two runs start and the other fourteen wait in the queue.
+            started.append(bucket.plan_indices[lo])
             assert release.wait(timeout=30.0)
-            return real_compute(kind, piece, *args)
+            real_compute(plan, bucket, lo, hi, span_attrs)
 
-        real_wait = executor_mod.wait
+        real_wait = executor_module.wait
 
         def releasing_wait(futures, **kwargs):
             release.set()
             return real_wait(futures, **kwargs)
 
-        monkeypatch.setattr(executor_mod, "compute_piece", gated_compute)
-        monkeypatch.setattr(executor_mod, "wait", releasing_wait)
-        ex = AnalysisExecutor(strategy="thread", workers=2)
+        monkeypatch.setattr(vectorized, "_compute_run", gated_compute)
+        monkeypatch.setattr(executor_module, "wait", releasing_wait)
+        ex = AnalysisExecutor(workers=2)
         filt = DistributedEnKF(radius_km=60.0, ridge=1e-2, executor=ex)
         with pytest.raises(ValueError) as thread_error:
             filt.assimilate(decomp, bad, net, y, rng=5)
         assert type(thread_error.value) is type(serial_error.value)
         assert str(thread_error.value) == str(serial_error.value)
-        # Piece 0 failed; whatever was queued behind the two running
-        # pieces was cancelled, not computed.
-        assert (first.i, first.j) in started
+        # The failing piece ran; whatever was queued behind the two
+        # running runs was cancelled, not computed.
+        assert 0 in started
         assert len(started) < decomp.n_subdomains
-        monkeypatch.undo()
+        monkeypatch.setattr(vectorized, "_compute_run", real_compute)
+        monkeypatch.setattr(executor_module, "wait", real_wait)
 
         out = filt.assimilate(decomp, states, net, y, rng=5)
-        assert np.array_equal(out, run("serial", states))
+        assert np.array_equal(out, run(1, states))
 
         threads = list(ex._pool._threads)
         ex.close()
@@ -644,84 +691,93 @@ class TestThreadLoop:
             ex.run(enkf_plan())
 
     def test_hammer_fresh_network_every_run_matches_serial(self):
-        """The race check for concurrent pieces through the shared
+        """The race check for concurrent runs through the shared
         structures (one stencil, many threads) and the banded closing:
-        8 runs x 16 pieces of 240 points."""
-        hammer_thread_loop(8, n_x=64, n_y=32)
+        8 runs x 16 pieces of 240 points, four workers against one."""
+        hammer_engine(8, n_x=64, n_y=32)
 
     @pytest.mark.hammer
     def test_hammer_50_runs_at_benchmark_size(self):
         """The same at ``large_pieces_moving``'s size, 50 runs x 16 pieces
         of 880 points; deselected in tier-1, run by CI's parallel-smoke
         (``-m hammer``)."""
-        hammer_thread_loop(50)
+        hammer_engine(50)
 
 
 # ---------------------------------------------------------------------------
 # Telemetry flow
 # ---------------------------------------------------------------------------
+def _run_pieces(spans) -> list[int]:
+    """Plan indices of the pieces the ``vectorized.bucket`` spans cover."""
+    return sorted(
+        index for s in spans
+        for index in range(s.attrs["lo"], s.attrs["hi"])
+    )
+
+
 class TestParallelTelemetry:
-    def _run(self, strategy, cycles=1):
+    def _run(self, workers, cycles=1):
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=1, eta=1)
         metrics = MetricsRegistry()
         tracer = Tracer(metrics=metrics)
         with use_tracer(tracer), use_metrics(metrics):
-            with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+            with AnalysisExecutor(workers=workers) as ex:
                 filt = DistributedEnKF(radius_km=2.0, executor=ex)
                 for seed in range(cycles):
                     filt.assimilate(decomp, states, net, y, rng=seed)
         return tracer, metrics, decomp
 
     def test_run_and_prepare_spans_recorded(self):
-        """One ``parallel.prepare`` and one ``parallel.local_analysis``
-        per *observed* piece — restated on purpose: an observation-free
-        piece is filled in bulk and never prepared (before the split the
-        count was ``decomp.n_subdomains``; this network observes every
-        piece, so the number is the same and ``parallel.pieces`` still
-        counts them all)."""
-        tracer, metrics, decomp = self._run("serial")
+        """One ``parallel.prepare`` per *observed* piece and one
+        ``vectorized.bucket`` per run; ``parallel.run`` carries no
+        strategy (there is one engine) and no per-piece
+        ``parallel.local_analysis`` span is emitted."""
+        tracer, metrics, decomp = self._run(1)
         names = [s.name for s in tracer.spans]
         assert names.count("parallel.run") == 1
         run_span = next(s for s in tracer.spans if s.name == "parallel.run")
-        assert run_span.attrs["strategy"] == "serial"
+        assert "strategy" not in run_span.attrs
+        assert run_span.attrs["workers"] == 1
         n_observed = run_span.attrs["n_observed"]
         assert n_observed == run_span.attrs["n_pieces"] == decomp.n_subdomains
         assert names.count("parallel.prepare") == n_observed
-        assert names.count("parallel.local_analysis") == n_observed
+        assert names.count("parallel.local_analysis") == 0
+        buckets = [s for s in tracer.spans if s.name == "vectorized.bucket"]
+        assert buckets and sum(
+            s.attrs["hi"] - s.attrs["lo"] for s in buckets
+        ) == n_observed
         snap = metrics.snapshot()
         assert snap["counters"]["parallel.pieces"] == decomp.n_subdomains
         assert snap["counters"]["parallel.unobserved_pieces"] == 0
-        assert snap["counters"]["geometry.cache_misses"] == n_observed
+        assert snap["counters"]["geometry.cache_misses"] > n_observed
 
-    def test_worker_spans_flow_to_parent_tracer(self):
-        tracer, metrics, decomp = self._run("thread")
+    def test_worker_spans_flow_to_parent_tracer(self, one_piece_runs):
+        tracer, metrics, decomp = self._run(2)
         worker_spans = [
             s for s in tracer.spans
-            if s.name == "parallel.local_analysis"
+            if s.name == "vectorized.bucket"
             and s.track.startswith("senkf-analysis")
         ]
         assert len(worker_spans) == decomp.n_subdomains
-        assert sorted(s.attrs["piece"] for s in worker_spans) == list(
-            range(decomp.n_subdomains)
-        )
         run_span = next(s for s in tracer.spans if s.name == "parallel.run")
+        assert run_span.attrs["workers"] == 2
         for span in worker_spans:
             assert run_span.start <= span.start <= span.end <= run_span.end
 
-    def test_thread_scoped_telemetry_crosses_into_pool_threads(self, tmp_path):
+    def test_thread_scoped_telemetry_crosses_into_pool_threads(
+        self, tmp_path, one_piece_runs
+    ):
         """A campaign driven under ``use_thread_tracer`` (what
-        ``CampaignRunner._drive`` and the service's worker threads do)
-        with ``strategy="thread"``: every observed piece's
-        ``parallel.local_analysis`` span lands on a pool-thread track of
-        *that* tracer, and the process-global one sees nothing."""
+        ``CampaignRunner._drive`` does) with two workers: every run's
+        ``vectorized.bucket`` span lands on a pool-thread track of *that*
+        tracer, and the process-global one sees nothing."""
         from repro.checkpoint import CampaignRunner
         from repro.models import AdvectionDiffusionModel, TwinExperiment
 
         grid, truth, states, net, y = problem()
         decomp = Decomposition(grid, n_sdx=4, n_sdy=2, xi=1, eta=1)
-        filt = PEnKF(radius_km=2.0, inflation=1.05, ridge=1e-2,
-                     workers=2, strategy="thread")
+        filt = PEnKF(radius_km=2.0, inflation=1.05, ridge=1e-2, workers=2)
         twin = TwinExperiment(
             AdvectionDiffusionModel(grid, u_max=1.0, kappa=0.05, dt=0.2),
             net,
@@ -740,23 +796,25 @@ class TestParallelTelemetry:
         finally:
             filt.close()
         runs = [s for s in scoped.spans if s.name == "parallel.run"]
-        assert [s.attrs["strategy"] for s in runs] == ["thread"] * n_cycles
+        assert [s.attrs["workers"] for s in runs] == [2] * n_cycles
         n_observed = sum(s.attrs["n_observed"] for s in runs)
         analyses = [
-            s for s in scoped.spans if s.name == "parallel.local_analysis"
+            s for s in scoped.spans if s.name == "vectorized.bucket"
         ]
         assert len(analyses) == n_observed == n_cycles * decomp.n_subdomains
         assert all(s.track.startswith("senkf-analysis") for s in analyses)
         assert not [s for s in global_tracer.spans if s.category == "parallel"]
         assert not global_tracer.metrics.snapshot()["counters"]
 
-    def test_worker_spans_survive_chrome_round_trip(self, tmp_path):
-        """A real thread-pool capture — caller spans on "main", piece
-        spans on ``senkf-analysis_<k>`` tracks — must re-import from its
+    def test_worker_spans_survive_chrome_round_trip(
+        self, tmp_path, one_piece_runs
+    ):
+        """A real thread-pool capture — caller spans on "main", run spans
+        on ``senkf-analysis_<k>`` tracks — must re-import from its
         Chrome export with track assignment and nesting intact."""
         from repro.telemetry import spans_from_chrome, write_chrome_trace
 
-        tracer, metrics, decomp = self._run("thread")
+        tracer, metrics, decomp = self._run(2)
         path = write_chrome_trace(tmp_path / "trace.json", tracer=tracer)
         restored = {s.span_id: s for s in spans_from_chrome(path)}
         original = {s.span_id: s for s in tracer.spans}
@@ -771,7 +829,7 @@ class TestParallelTelemetry:
         assert worker_tracks  # the pool really fanned out
         restored_workers = [
             s for s in restored.values()
-            if s.name == "parallel.local_analysis"
+            if s.name == "vectorized.bucket"
             and s.track.startswith("senkf-analysis")
         ]
         assert len(restored_workers) == decomp.n_subdomains
@@ -780,10 +838,9 @@ class TestParallelTelemetry:
         """The telemetry view of the geometry cache: cycle 1 prepares are
         cache misses, every later cycle's are hits.
 
-        Counted over *observed* pieces on purpose (``n`` was
-        ``decomp.n_subdomains`` before the split): only they are
+        Counted over *observed* pieces on purpose: only they are
         prepared, so only they reach the cache."""
-        tracer, metrics, decomp = self._run("serial", cycles=3)
+        tracer, metrics, decomp = self._run(1, cycles=3)
         prepares = [s for s in tracer.spans if s.name == "parallel.prepare"]
         runs = [s for s in tracer.spans if s.name == "parallel.run"]
         n = runs[0].attrs["n_observed"]
@@ -793,4 +850,5 @@ class TestParallelTelemetry:
         assert all(not s.attrs["cached"] for s in ordered[:n])
         assert all(s.attrs["cached"] for s in ordered[n:])
         snap = metrics.snapshot()
-        assert snap["counters"]["geometry.cache_hits"] == 2 * n
+        # piece lookups and bucket lookups both hit from cycle 2 on
+        assert snap["counters"]["geometry.cache_hits"] >= 2 * n

@@ -39,10 +39,11 @@ def chaos_problem(tmp_path):
     return store, states, net, y, decomp
 
 
-@pytest.mark.parametrize("strategy", ["thread"])
-def test_chaos_run_through_parallel_engine(chaos_problem, strategy):
-    """FaultyStore read -> degraded analysis, fanned out: bit-identical
-    to the serial engine and the filter's state untouched."""
+@pytest.mark.parametrize("where", ["thread"])
+def test_chaos_run_through_parallel_engine(chaos_problem, where):
+    """FaultyStore read -> degraded analysis, fanned out over a pool of
+    two (``thread``): bit-identical to one worker and the filter's state
+    untouched."""
     store, states, net, y, decomp = chaos_problem
     sched = FaultSchedule(seed=7, member_fault_rate=0.4,
                           member_fault_attempts=5)
@@ -57,7 +58,7 @@ def test_chaos_run_through_parallel_engine(chaos_problem, strategy):
     ref, ref_result = serial.assimilate_degraded(
         decomp, states, net, y, dropped=dropped, rng=13
     )
-    with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+    with AnalysisExecutor(workers=2) as ex:
         filt = DistributedEnKF(radius_km=2.0, inflation=1.05, executor=ex)
         out, result = filt.assimilate_degraded(
             decomp, states, net, y, dropped=dropped, rng=13
@@ -71,10 +72,10 @@ def test_chaos_run_through_parallel_engine(chaos_problem, strategy):
 
 def test_degraded_cycles_share_one_pool(chaos_problem):
     """Alternating clean and degraded cycles through one thread pool:
-    each matches its serial counterpart exactly."""
+    each matches its one-worker counterpart exactly."""
     store, states, net, y, decomp = chaos_problem
     serial = DistributedEnKF(radius_km=2.0, inflation=1.05)
-    with AnalysisExecutor(strategy="thread", workers=2) as ex:
+    with AnalysisExecutor(workers=2) as ex:
         filt = DistributedEnKF(radius_km=2.0, inflation=1.05, executor=ex)
         clean_ref = serial.assimilate(decomp, states, net, y, rng=1)
         clean_out = filt.assimilate(decomp, states, net, y, rng=1)

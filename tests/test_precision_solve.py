@@ -133,13 +133,22 @@ def line_inverse(xb, predecessors, ridge):
 class TestDenseOracle:
     @pytest.mark.parametrize("supplied", [None, "dense", "csr"])
     def test_local_analysis(self, shape, network, ridge, supplied):
+        """The interior of Eq. 6: ``local_analysis`` (``None``: the banded
+        modified-Cholesky closing) and Eq. 5's ``analysis_precision_form``
+        on the restricted local system with the same ``B̂⁻¹``, dense or
+        CSR, both against the dense oracle."""
         sd, xb, net, ys = piece_problem(shape, network)
         system = local_system(sd, xb, net, ys, ridge)
         want = dense_oracle(xb, *system)
-        b_inv = {None: None, "dense": system[3].toarray(), "csr": system[3]}
-        got = local_analysis(
-            sd, xb, net, ys, RADIUS_KM, b_inverse=b_inv[supplied], ridge=ridge
-        )
+        if supplied is None:
+            got = local_analysis(sd, xb, net, ys, RADIUS_KM, ridge=ridge)
+        else:
+            h, r_diag, y_local, b_inv = system
+            if supplied == "dense":
+                b_inv = b_inv.toarray()
+            got = analysis_precision_form(xb, h, r_diag, y_local, b_inv)[
+                sd.interior_positions_in_expansion
+            ]
         np.testing.assert_allclose(
             got, want[sd.interior_positions_in_expansion],
             rtol=RTOL, atol=ATOL,
@@ -322,12 +331,13 @@ def test_local_analysis_allocates_no_dense_n_by_n():
 
 
 def test_vectorized_assimilate_footprint_is_bounded_by_a_run():
-    """One warm ``vectorized`` S-EnKF ``assimilate`` on the end-to-end
+    """One warm one-worker S-EnKF ``assimilate`` on the end-to-end
     benchmark's ``small_pieces_static`` shape (256 pieces of 20 × 6
     points, 20 observations per sub-domain) keeps its traced peak within
     24 MiB: buckets are analysed in runs of pieces, so the regressions'
     predecessor gathers and Gram stacks no longer grow with the bucket
-    (analysing each bucket whole traced 68 MiB here)."""
+    (analysing each bucket whole traced 68 MiB here).  ``w`` workers
+    hold about ``w`` runs (``tests/test_vectorized.py`` checks 1, 2, 4)."""
     grid = Grid(n_x=128, n_y=64, dx_km=25.0, dy_km=25.0)
     decomp = Decomposition(grid, n_sdx=8, n_sdy=8, xi=HALO, eta=HALO)
     rng = np.random.default_rng(3)
@@ -342,7 +352,7 @@ def test_vectorized_assimilate_footprint_is_bounded_by_a_run():
         0.5,
     )
     y = rng.standard_normal(net.m)
-    with AnalysisExecutor(strategy="vectorized") as ex:
+    with AnalysisExecutor(workers=1) as ex:
         filt = SEnKF(radius_km=RADIUS_KM, n_layers=4, ridge=1e-2, executor=ex)
         filt.assimilate(decomp, states, net, y, rng=1)  # warm the cache
         tracemalloc.start()
@@ -355,7 +365,7 @@ def test_vectorized_assimilate_footprint_is_bounded_by_a_run():
 
 
 def test_vectorized_enkf_factorises_bands_not_dense_stacks(monkeypatch):
-    """Shape spy on a ``vectorized`` S-EnKF cycle (64 pieces of 20 × 6 and
+    """Shape spy on an S-EnKF cycle (64 pieces of 20 × 6 and
     20 × 4 points): every run of a bucket's pieces is closed by one banded
     solve over its ``B · n̄`` stacked points at the stencil's bandwidth,
     and the only dense solves are the regressions' ``s × s`` Gram
@@ -378,7 +388,7 @@ def test_vectorized_enkf_factorises_bands_not_dense_stacks(monkeypatch):
     rng = np.random.default_rng(8)
     states = correlated_ensemble(grid, N_MEMBERS, 40.0, rng=rng)
     net = ObservationNetwork.random(grid, m=320, obs_error_std=0.5, rng=rng)
-    with AnalysisExecutor(strategy="vectorized") as ex:
+    with AnalysisExecutor() as ex:
         SEnKF(
             radius_km=RADIUS_KM, n_layers=4, ridge=1e-2, executor=ex
         ).assimilate(decomp, states, net, rng.standard_normal(net.m), rng=1)
@@ -438,15 +448,13 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("fmt", ["dense", "csr"])
     def test_nan_in_supplied_b_inverse(self, system, fmt):
-        sd, xb, net, ys, h, r_diag, y_local, b_inv = system
+        _, xb, _, _, h, r_diag, y_local, b_inv = system
         b_inv = b_inv.toarray()
         b_inv[5, 5] = np.nan
         if fmt == "csr":
             b_inv = sp.csr_matrix(b_inv)
         with pytest.raises(ValueError, match="non-finite"):
             analysis_precision_form(xb, h, r_diag, y_local, b_inv)
-        with pytest.raises(ValueError, match="non-finite"):
-            local_analysis(sd, xb, net, ys, RADIUS_KM, b_inverse=b_inv)
 
     def test_nan_above_the_diagonal_of_a_supplied_b_inverse(self, system):
         """Only the lower triangle is factorised; the upper is still read."""

@@ -360,7 +360,7 @@ class TestThreadFanoutIntegration:
 
         tracer = Tracer()
         profiler = SamplingProfiler(interval=0.001)
-        filt = DistributedEnKF(workers=2, strategy="thread", **kwargs)
+        filt = DistributedEnKF(workers=2, **kwargs)
         try:
             with use_tracer(tracer), use_profiler(profiler), profiler:
                 profiled = filt.assimilate(decomp, states, net, y, rng=3)

@@ -18,7 +18,7 @@ from repro.faults import RetryPolicy
 from repro.models import correlated_ensemble
 from repro.telemetry import RunReport, validate_run_report
 
-def _campaign(tmp_path, name, strategy=None):
+def _campaign(tmp_path, name, workers=None):
     """A tiny real campaign over the shared fixture problem."""
     from repro.filters import PEnKF
     from repro.models import AdvectionDiffusionModel, TwinExperiment
@@ -36,7 +36,7 @@ def _campaign(tmp_path, name, strategy=None):
     )
     decomp = Decomposition(grid, n_sdx=2, n_sdy=2, xi=2, eta=1)
     filt = PEnKF(radius_km=6.0, inflation=1.05, ridge=1e-2,
-                 strategy=strategy, workers=2 if strategy else None)
+                 workers=workers)
     twin = TwinExperiment(
         model,
         net,
@@ -102,15 +102,15 @@ class TestCampaignSupervise:
         assert np.array_equal(ref_final, final)
 
     def test_supervised_thread_campaign_matches_serial(self, tmp_path):
-        """Thread fan-out inside a supervised campaign: a crash burns a
-        restart, the resumed run fans out again, and the final ensemble
-        is the serial reference's bit for bit."""
+        """Two-worker fan-out inside a supervised campaign: a crash burns
+        a restart, the resumed run fans out again, and the final ensemble
+        is the one-worker reference's bit for bit."""
         ref_runner, truth0, ensemble0 = _campaign(tmp_path, "ref")
         ref_runner.run(truth0, ensemble0, 3)
         ref_final = ref_runner.store.load(3).ensemble
 
         runner, truth0, ensemble0 = _campaign(
-            tmp_path, "threaded", strategy="thread"
+            tmp_path, "threaded", workers=2
         )
         fired = []
 

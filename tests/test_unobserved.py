@@ -1,14 +1,14 @@
 """Observation-free pieces: one bulk fill, and work sized by the rest.
 
 A piece whose expansion holds no observation has its background
-(already inflated by the filter) as its analysis.  The executor fills
-all such pieces in one pass (:meth:`AnalysisPlan.fill_unobserved`) and
-prepares, submits and counts only the observed ones, by their plan
+(already inflated by the filter) as its analysis.  The engine fills all
+such pieces in one pass (:meth:`AnalysisPlan.fill_unobserved`) and
+prepares, batches and counts only the observed ones, by their plan
 indices.  The contract pinned here: whatever the observation placement,
-every filter under every strategy equals an oracle that loops
-:func:`~repro.parallel.worker.compute_piece` over **all** pieces — bit
-for bit on the per-piece strategies, to the vectorized tolerance tier
-otherwise.
+every filter at every width equals an oracle that loops
+:func:`~repro.parallel.worker.compute_piece` over **all** pieces, to the
+batched kernel's tolerance tier, and the widths equal each other bit for
+bit.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.parallel.executor as executor_mod
 from repro.core import (
     Decomposition,
     Grid,
@@ -35,12 +34,17 @@ from repro.parallel import (
     compute_piece,
     run_vectorized,
 )
-from repro.parallel.executor import STRATEGIES
+from repro.parallel import vectorized
 from repro.telemetry import MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.util.seeding import spawn_rng
 
-#: the vectorized strategy's equivalence contract (tests/test_vectorized.py)
+#: the batched kernel's equivalence contract (tests/test_vectorized.py)
 RTOL, ATOL = 1e-10, 1e-11
+
+#: the engine's width under each historical strategy id: ``auto`` is the
+#: executor's default (the CPU count), ``serial`` one worker, ``thread``
+#: two and ``vectorized`` three
+WIDTHS = {"auto": None, "serial": 1, "thread": 2, "vectorized": 3}
 
 GRID = Grid(n_x=16, n_y=8, dx_km=1.0, dy_km=1.0)
 #: 4 x 2 sub-domains of 4 x 4 points, one-cell halos: the expansion of
@@ -79,7 +83,7 @@ def oracle(name, net, y, seed):
     out = np.full_like(states, np.nan)
     cache = GeometryCache()
     for piece in FILTERS[name](None)._plan_pieces(DECOMP):
-        geometry = cache.local_geometry(net, piece, ENKF["radius_km"])
+        geometry, _ = cache.get(net, piece, ENKF["radius_km"])
         out[geometry.interior_flat] = compute_piece(
             KIND_ENKF, piece, states[geometry.expansion_flat], obs, geometry,
             params,
@@ -119,28 +123,36 @@ def placements(draw):
 
 @pytest.fixture(scope="module")
 def executors():
-    """One executor per strategy for the whole module: the hypothesis
+    """One executor per width for the whole module: the hypothesis
     examples reuse the thread pools."""
-    pool = {s: AnalysisExecutor(strategy=s, workers=2) for s in STRATEGIES}
+    pool = {s: AnalysisExecutor(workers=w) for s, w in WIDTHS.items()}
     yield pool
     for ex in pool.values():
         ex.close()
 
 
+def check_width(executors, strategy, out, run):
+    """``out`` holds the contract against the oracle (checked by the
+    caller) and equals the one-worker analysis bit for bit."""
+    if strategy != "serial":
+        assert np.array_equal(out, run(executors["serial"]))
+
+
 class TestEveryPlacementEqualsTheAllPiecesOracle:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", sorted(WIDTHS))
     @pytest.mark.parametrize("name", sorted(FILTERS))
     @settings(max_examples=25, deadline=None)
     @given(net=placements(), seed=st.integers(0, 2**16))
     def test_filter_under_strategy(self, executors, name, strategy, net, seed):
         y = np.random.default_rng(seed).standard_normal(net.m)
         expected = oracle(name, net, y, seed)
-        filt = FILTERS[name](executors[strategy])
-        out = filt.assimilate(DECOMP, STATES, net, y, rng=seed)
-        if strategy in ("serial", "thread"):
-            assert np.array_equal(out, expected)
-        else:  # vectorized, or auto free to pick it
-            assert np.allclose(out, expected, rtol=RTOL, atol=ATOL)
+
+        def run(ex):
+            return FILTERS[name](ex).assimilate(DECOMP, STATES, net, y, rng=seed)
+
+        out = run(executors[strategy])
+        assert np.allclose(out, expected, rtol=RTOL, atol=ATOL)
+        check_width(executors, strategy, out, run)
 
     @settings(max_examples=60, deadline=None)
     @given(net=placements())
@@ -158,15 +170,22 @@ class TestEveryPlacementEqualsTheAllPiecesOracle:
             assert (cache.hits, cache.misses) == (0, 0)  # not a derivation
 
     def test_cheap_answer_takes_no_cache_entry(self):
-        """A cache bounded at the piece count holds every geometry: the
-        second cycle hits on all of them, the answer evicting none."""
+        """A cache bounded at the entries one cycle builds (8 pieces and
+        their buckets) holds every geometry: the second cycle hits on all
+        of them, the answer evicting none."""
         net = network(range(1, GRID.n_x, 4), [3] * 4)  # row 3 + halo: all 8
-        cache = GeometryCache(maxsize=8)
+        unbounded = GeometryCache()
+        DistributedEnKF(geometry_cache=unbounded, **ENKF).assimilate(
+            DECOMP, STATES, net, np.zeros(net.m), rng=1
+        )
+        n_entries = len(unbounded)
+        assert n_entries > 8  # the pieces, and at least one bucket
+        cache = GeometryCache(maxsize=n_entries)
         filt = DistributedEnKF(geometry_cache=cache, **ENKF)
         for _ in range(2):
             filt.assimilate(DECOMP, STATES, net, np.zeros(net.m), rng=1)
-        assert (cache.hits, cache.misses) == (8, 8)
-        assert len(cache) == 8
+        assert (cache.hits, cache.misses) == (n_entries, n_entries)
+        assert len(cache) == n_entries
 
 
 class TestHaloOnlyObservation:
@@ -232,17 +251,20 @@ class TestInterpolatingNetwork:
                 i for i, p in enumerate(pieces) if box_observed(net, p)
             )
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", sorted(WIDTHS))
     @pytest.mark.parametrize("name", sorted(FILTERS))
     def test_filter_under_strategy(self, executors, name, strategy):
         y = np.array([0.4, -0.7])
         expected = oracle(name, INTERP_NET, y, 11)
-        filt = FILTERS[name](executors[strategy])
-        out = filt.assimilate(DECOMP, STATES, INTERP_NET, y, rng=11)
-        if strategy in ("serial", "thread"):
-            assert np.array_equal(out, expected)
-        else:
-            assert np.allclose(out, expected, rtol=RTOL, atol=ATOL)
+
+        def run(ex):
+            return FILTERS[name](ex).assimilate(
+                DECOMP, STATES, INTERP_NET, y, rng=11
+            )
+
+        out = run(executors[strategy])
+        assert np.allclose(out, expected, rtol=RTOL, atol=ATOL)
+        check_width(executors, strategy, out, run)
         assert not np.array_equal(out, oracle(name, INTERP_NET, 0 * y, 11))
 
 
@@ -261,14 +283,14 @@ def right_half_plan():
 
 
 class TestNothingObservedAnywhere:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("strategy", sorted(WIDTHS))
     def test_background_without_pool_or_kernel(self, monkeypatch, strategy):
         def no_kernel(*args, **kwargs):
             raise AssertionError("a kernel ran on a plan with no observation")
 
-        monkeypatch.setattr(executor_mod, "compute_piece", no_kernel)
+        monkeypatch.setattr(vectorized, "analysis_modified_cholesky", no_kernel)
         plan = right_half_plan()
-        with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+        with AnalysisExecutor(workers=WIDTHS[strategy]) as ex:
             assert ex.run(plan) == len(plan.pieces)  # still counts them all
             assert ex._pool is None
         assert np.array_equal(plan.out, STATES)
@@ -311,24 +333,40 @@ class TestPlanIndicesSurviveTheSplit:
         assert GeometryCache().observed(RIGHT_NET, list(DECOMP)) == RIGHT_OBSERVED
 
     @pytest.mark.parametrize("strategy", ["serial", "thread"])
-    def test_spans_and_counters_name_plan_indices(self, strategy):
+    def test_spans_and_counters_name_plan_indices(self, monkeypatch, strategy):
+        """Prepares name plan indices, and so do the runs' buckets (one
+        piece a run, so the pool fans out at two workers)."""
+        monkeypatch.setattr(vectorized, "_RUN_BYTES", 1)
         y = np.linspace(-1.0, 1.0, RIGHT_NET.m)
         metrics = MetricsRegistry()
         tracer = Tracer(metrics=metrics)
+        runs = []
+        real_compute = vectorized._compute_run
+
+        def spy_compute(plan, bucket, lo, hi, span_attrs):
+            runs.extend(bucket.plan_indices[lo:hi])
+            real_compute(plan, bucket, lo, hi, span_attrs)
+
+        monkeypatch.setattr(vectorized, "_compute_run", spy_compute)
         with use_tracer(tracer), use_metrics(metrics):
-            with AnalysisExecutor(strategy=strategy, workers=2) as ex:
+            with AnalysisExecutor(workers=WIDTHS[strategy]) as ex:
                 DistributedEnKF(executor=ex, **ENKF).assimilate(
                     DECOMP, STATES, RIGHT_NET, y, rng=5
                 )
         run = next(s for s in tracer.spans if s.name == "parallel.run")
         assert run.attrs["n_pieces"] == 8
         assert run.attrs["n_observed"] == len(RIGHT_OBSERVED)
-        for name in ("parallel.prepare", "parallel.local_analysis"):
-            pieces = sorted(
-                s.attrs["piece"] for s in tracer.spans if s.name == name
-            )
-            assert pieces == list(RIGHT_OBSERVED)
+        assert run.attrs["workers"] == WIDTHS[strategy]
+        pieces = sorted(
+            s.attrs["piece"] for s in tracer.spans
+            if s.name == "parallel.prepare"
+        )
+        assert pieces == list(RIGHT_OBSERVED)
+        assert sorted(runs) == list(RIGHT_OBSERVED)
         counters = metrics.snapshot()["counters"]
         assert counters["parallel.pieces"] == 8
         assert counters["parallel.unobserved_pieces"] == 4
-        assert counters["geometry.cache_misses"] == len(RIGHT_OBSERVED)
+        # one lookup per observed piece, then one per bucket
+        assert counters["geometry.cache_misses"] == len(RIGHT_OBSERVED) + (
+            counters["vectorized.buckets"]
+        )
