@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from repro.core.domain import Decomposition, SubDomain
-from repro.core.inflation import inflate
 from repro.core.observations import ObservationNetwork, perturb_observations
 from repro.faults.report import DegradedResult
 from repro.parallel.executor import AnalysisExecutor, AnalysisPlan, serial_executor
@@ -162,8 +161,6 @@ class DistributedEnKF:
             n_subdomains=decomp.n_subdomains,
         ):
             rng = spawn_rng(rng)
-            if effective_inflation != 1.0:
-                states = inflate(states, effective_inflation)
             ys = perturb_observations(
                 np.asarray(y, dtype=float),
                 network.obs_error_std,
@@ -178,7 +175,10 @@ class DistributedEnKF:
                 obs=ys,
                 out=analysed,
                 network=network,
-                params={"radius_km": self.radius_km, "ridge": self.ridge},
+                params={
+                    "radius_km": self.radius_km, "ridge": self.ridge,
+                    "inflation": effective_inflation,
+                },
                 cache=self.geometry,
             )
             n_local = self._executor().run(plan)

@@ -20,9 +20,8 @@ analysis of Eq. 6 (``KIND_ENKF``); a plan of any other kind is rejected
 before anything is written.
 
 Only observed pieces are work.  A piece whose expansion holds no
-observation has its background (already inflated by the filter) as its
-analysis, so :meth:`AnalysisPlan.fill_unobserved` writes all of them in
-one bulk copy and the engine prepares, batches and counts the observed
+observation has its inflated background as its analysis, so
+:meth:`AnalysisPlan.fill_unobserved` writes all of them in one bulk pass and the engine prepares, batches and counts the observed
 pieces alone — by their plan indices, never re-numbered.
 
 Determinism: a run is sized from a fixed byte budget, never from the
@@ -50,6 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.core.inflation import inflate
 from repro.parallel.geometry import GeometryCache, PieceGeometry
 from repro.parallel.vectorized import run_vectorized
 from repro.parallel.worker import KIND_ENKF
@@ -107,10 +107,13 @@ def _warn_if_oversubscribed(workers: int) -> None:
 class AnalysisPlan:
     """One assimilation call's work-list, data and parameters.
 
-    ``kind`` must be ``KIND_ENKF``; ``obs`` is the full perturbed
-    observation matrix ``Yˢ``; ``params`` are the scalars the kernel
-    needs (``radius_km``, which also keys the geometry, and ``ridge``);
-    ``out`` is filled in place (each piece owns its interior rows).
+    ``kind`` must be ``KIND_ENKF``; ``states`` is the background as
+    read, *before* inflation; ``obs`` is the full perturbed observation
+    matrix ``Yˢ``; ``params`` are the scalars the kernel needs
+    (``radius_km``, which also keys the geometry, ``ridge`` and the
+    optional ``inflation``, applied to each run's gathered rows and in
+    the bulk fill — never to a copy of ``states``); ``out`` is filled in
+    place (each piece owns its interior rows).
     """
 
     kind: str
@@ -128,17 +131,27 @@ class AnalysisPlan:
         (asked of the cache once per plan; no geometry is built)."""
         return self.cache.observed(self.network, self.pieces)
 
+    @property
+    def inflation(self) -> float:
+        """The multiplicative inflation of ``states`` (``params``'
+        ``"inflation"``, 1.0 when absent)."""
+        return float(self.params.get("inflation", 1.0))
+
     def fill_unobserved(self) -> None:
         """Fill every observation-free piece at once.
 
-        With no local observation the analysis is the background as
-        given (``states`` already carries the inflation), so one
-        contiguous copy writes all of ``out`` and the observed pieces then
-        overwrite their interiors.  A plan with no unobserved piece fills
-        nothing.
+        With no local observation the analysis is the inflated
+        background, so one pass writes ``inflate(states)`` (or a plain
+        copy, at inflation 1) straight into all of ``out`` and the
+        observed pieces then overwrite their interiors.  A plan with no
+        unobserved piece fills nothing.
         """
-        if len(self.observed) < len(self.pieces):
+        if len(self.observed) == len(self.pieces):
+            return
+        if self.inflation == 1.0:
             np.copyto(self.out, self.states)
+        else:
+            inflate(self.states, self.inflation, out=self.out)
 
     def prepare(self, index: int) -> tuple[int, object, PieceGeometry]:
         """Resolve one piece's geometry (cached)."""
@@ -172,7 +185,6 @@ class AnalysisExecutor:
     def __init__(self, workers: int | None = None):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         self._max_workers = int(workers or os.cpu_count() or 1)
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None

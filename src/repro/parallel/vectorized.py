@@ -36,7 +36,7 @@ opens its own ``vectorized.bucket`` span, with its ``lo``/``hi`` and its
 bucket's ``runs`` count, on the thread that computes it.
 
 Pieces with no observations are never prepared or batched: their
-"analysis" is a copy of the background, written for all of them at
+"analysis" is the inflated background, written for all of them at
 once by :meth:`~repro.parallel.executor.AnalysisPlan.fill_unobserved`.
 
 Numerics: stacking reorders reductions (and each run's band is its own
@@ -54,6 +54,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.core.analysis import analysis_modified_cholesky
+from repro.core.inflation import inflate
 from repro.parallel.worker import KIND_ENKF
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
@@ -146,7 +147,10 @@ def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
     with get_tracer().span(
         "vectorized.bucket", category="parallel", lo=lo, hi=hi, **span_attrs
     ):
-        xb = plan.states[bucket.exp_index[lo:hi]]  # (b, n̄, N)
+        xb = plan.states[bucket.exp_index[lo:hi]]  # (b, n̄, N), a copy
+        if plan.inflation != 1.0:
+            rows = xb.reshape(-1, n_members)
+            inflate(rows, plan.inflation, out=rows)
         h_block = bucket.h_block[lo * m_max:hi * m_max, lo * n_exp:hi * n_exp]
         obs_mask = bucket.obs_mask[lo:hi, :, None]
         ys = plan.obs[bucket.obs_index[lo:hi]] * obs_mask

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.analysis import local_analysis
+from repro.core.inflation import inflate
 from repro.parallel.geometry import PieceGeometry
 
 __all__ = ["KIND_ENKF", "compute_piece"]
@@ -30,11 +31,16 @@ def compute_piece(
 ) -> np.ndarray:
     """One piece's local analysis, the per-piece reference.
 
-    ``obs`` is the full perturbed observation matrix ``Yˢ``, from which
-    the geometry's ``obs_positions`` select the local rows.
+    ``expansion_states`` are the piece's background rows before
+    inflation (``params``' optional ``"inflation"``, applied here to a
+    copy); ``obs`` is the full perturbed observation matrix ``Yˢ``, from
+    which the geometry's ``obs_positions`` select the local rows.
     """
     if kind != KIND_ENKF:
         raise ValueError(f"unknown analysis kind {kind!r}")
+    inflation = float(params.get("inflation", 1.0))
+    if inflation != 1.0:
+        expansion_states = inflate(expansion_states, inflation)
     return local_analysis(
         piece,
         expansion_states,
