@@ -10,9 +10,13 @@ Four entry points:
   ``δXᵃ = (B̂⁻¹ + Hᵀ R⁻¹ H)⁻¹ Hᵀ R⁻¹ (Yˢ − H Xᵇ)`` (state-space solve).
 * :func:`analysis_modified_cholesky` — Eq. (5) against the
   modified-Cholesky ``B̂⁻¹ = Lᵀ D⁻¹ L`` of the background itself, for a
-  stack of local problems: the band of the system is assembled from the
-  regression coefficients and factorised as a band.  The one closing
-  behind every local analysis, per-piece and batched.
+  stack of local problems: two banded ``pbsv`` calls, one for every
+  regression of the stack (each a diagonal block of one SPD band) and
+  one for the system, whose band is assembled from the regression
+  coefficients.  The one closing behind every local analysis, per-piece
+  and batched; its observation half (``H``, ``Hᵀ R⁻¹`` and the band
+  entries of ``Hᵀ R⁻¹ H``) is an :class:`ObservationTerms`, built once
+  per operator.
 * :func:`local_analysis` — Eq. (6): that update on one sub-domain
   expansion (the ``B = 1`` stack), projected back to the interior points.
 
@@ -23,17 +27,17 @@ between (3) and (5).
 
 from __future__ import annotations
 
-import ctypes
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import cython_lapack
 
 from repro.core.cholesky import (
     MIN_VARIANCE,
     Stencil,
     _regress_rows,
+    _solve_band,
     neighbour_predecessors,
     precision_band,
 )
@@ -44,25 +48,6 @@ from repro.core.observations import ObservationNetwork
 _NON_FINITE = (
     "non-finite values in the precision-form system "
     "(background, observations, H or B̂⁻¹)"
-)
-
-#: LAPACK ``dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)``, called
-#: through the C pointer SciPy exports for Cython: a ``ctypes`` foreign
-#: call releases the GIL for its length, SciPy's f2py wrapper holds it, so
-#: pool threads close their pieces at once (docs/PERFORMANCE.md §1).
-_DPBSV = ctypes.CFUNCTYPE(
-    None, ctypes.c_char_p, *[ctypes.POINTER(ctypes.c_int)] * 3,
-    ctypes.c_void_p, ctypes.POINTER(ctypes.c_int),
-    ctypes.c_void_p, *[ctypes.POINTER(ctypes.c_int)] * 2,
-)(
-    ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )(
-        cython_lapack.__pyx_capi__["dpbsv"],
-        ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-            ("PyCapsule_GetName", ctypes.pythonapi)
-        )(cython_lapack.__pyx_capi__["dpbsv"]),
-    )
 )
 
 
@@ -138,71 +123,83 @@ def _positive_r_diag(r_diag) -> np.ndarray:
     return r_diag
 
 
-def _observation_terms(xb: np.ndarray, h_operator, r_diag, y_perturbed):
-    """``Hᵀ R⁻¹ H`` (sparse) and ``Hᵀ R⁻¹ (Yˢ − H Xᵇ)`` for an ``(n, N)``
-    background; ``r_diag`` must be finite and positive."""
-    r_diag = _positive_r_diag(r_diag)
-    h = sp.csr_matrix(h_operator)
-    innov = _innovations(h @ xb, np.asarray(y_perturbed, dtype=float))
-    ht_rinv = h.multiply((1.0 / r_diag)[:, None]).T.tocsr()  # (n, m)
-    return ht_rinv @ h, ht_rinv @ innov
+@dataclass(frozen=True)
+class ObservationTerms:
+    """What the closing needs of ``H`` and ``R``, which does not depend on
+    the ensemble: built once per operator, reused by every analysis with
+    it (the engine keeps one per run on its cached bucket geometry).
 
-
-def _add_lower_band(band: np.ndarray, matrix) -> np.ndarray:
-    """``band`` plus the lower triangle of a sparse symmetric ``matrix``.
-
-    ``band`` is ``(rows, n)`` LAPACK lower band storage
-    (``band[i − j, j] = A[i, j]``); it is widened when the matrix reaches
-    further from the diagonal than it does — the bandwidth is read off
-    the matrix, never assumed.
+    A closing then does two CSR products (``H Xᵇ`` and
+    ``Hᵀ R⁻¹ (Yˢ − H Xᵇ)``) and one fancy add of ``Hᵀ R⁻¹ H``'s lower
+    entries onto the band; no sparse matrix is built per analysis.
     """
+
+    #: ``H`` (m × n CSR)
+    h: sp.csr_matrix
+    #: ``Hᵀ R⁻¹`` (n × m CSR)
+    ht_rinv: sp.csr_matrix
+    #: lower-triangle entries of ``Hᵀ R⁻¹ H``, duplicates summed: column
+    #: ``j``, diagonal ``i − j`` and value
+    gram_column: np.ndarray
+    gram_diagonal: np.ndarray
+    gram_value: np.ndarray
+
+    @classmethod
+    def build(cls, h_operator, r_diag) -> "ObservationTerms":
+        """Terms of a dense or sparse ``H`` and the diagonal of ``R``,
+        which must be finite and positive."""
+        r_diag = _positive_r_diag(r_diag)
+        h = sp.csr_matrix(h_operator, dtype=float)
+        if h.shape[0] != r_diag.size:
+            raise ValueError(
+                f"H has {h.shape[0]} rows but r_diag {r_diag.size} entries"
+            )
+        ht_rinv = h.multiply((1.0 / r_diag)[:, None]).T.tocsr()
+        gram = (ht_rinv @ h).tocoo()
+        gram.sum_duplicates()
+        lower = gram.row >= gram.col
+        return cls(
+            h=h,
+            ht_rinv=ht_rinv,
+            gram_column=gram.col[lower],
+            gram_diagonal=(gram.row - gram.col)[lower],
+            gram_value=gram.data[lower],
+        )
+
+    @property
+    def reach(self) -> int:
+        """Sub-diagonals of ``Hᵀ R⁻¹ H`` that hold a non-zero."""
+        return int(self.gram_diagonal.max(initial=0))
+
+    def close(self, band: np.ndarray, xb: np.ndarray, y_perturbed) -> np.ndarray:
+        """Add ``Hᵀ R⁻¹ H`` onto ``band`` (``(n, kd + 1)``, as
+        :func:`~repro.core.cholesky.precision_band` lays it out, ``kd >=
+        reach``) and solve for ``δXᵃ`` of the ``(n, N)`` background."""
+        if self.h.shape[1] != xb.shape[0]:
+            raise ValueError(
+                f"H has {self.h.shape[1]} columns for {xb.shape[0]} points"
+            )
+        band[self.gram_column, self.gram_diagonal] += self.gram_value
+        innovations = _innovations(
+            self.h @ xb, np.asarray(y_perturbed, dtype=float)
+        )
+        return _solve_band(
+            band.T, self.ht_rinv @ innovations, overwrite=True
+        )
+
+
+def _lower_band(matrix, bandwidth: int) -> np.ndarray:
+    """The lower triangle of a sparse symmetric ``matrix`` as the
+    ``(n, kd + 1)`` band :meth:`ObservationTerms.close` takes
+    (``band[j, k] = A[j + k, j]``); ``kd`` is at least ``bandwidth`` and
+    is widened to whatever the matrix reaches — never assumed."""
     coo = matrix.tocoo()
     lower = coo.row >= coo.col
     diagonal, column = (coo.row - coo.col)[lower], coo.col[lower]
-    missing = int(diagonal.max(initial=0)) + 1 - band.shape[0]
-    if missing > 0:
-        band = np.concatenate([band, np.zeros((missing, band.shape[1]))])
-    np.add.at(band, (diagonal, column), coo.data[lower])
+    kd = max(bandwidth, int(diagonal.max(initial=0)))
+    band = np.zeros((matrix.shape[0], kd + 1))
+    np.add.at(band, (column, diagonal), coo.data[lower])
     return band
-
-
-def _solve_band(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD system held in lower band storage (LAPACK ``pbsv``),
-    all ``(n, N)`` right-hand sides at once; returns the ``(n, N)``
-    solution.
-
-    LAPACK checks nothing, so the checks are here: it would carry NaN/inf
-    through to the analysis silently.  ``band`` and ``rhs`` are read, not
-    written: LAPACK works on Fortran-ordered copies (as SciPy's wrapper
-    does), and every argument is built per call, so concurrent calls
-    share no mutable state.
-    """
-    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
-        raise ValueError(_NON_FINITE)
-    ab = np.array(band, dtype=float, order="F")
-    x = np.array(rhs, dtype=float, order="F")
-    if ab.ndim != 2 or x.ndim != 2 or x.shape[0] != ab.shape[1]:
-        raise ValueError(
-            f"band {ab.shape} and right-hand sides {x.shape} do not match"
-        )
-    n = ab.shape[1]
-    info = ctypes.c_int(0)
-    _DPBSV(
-        b"L", ctypes.byref(ctypes.c_int(n)),
-        ctypes.byref(ctypes.c_int(ab.shape[0] - 1)),
-        ctypes.byref(ctypes.c_int(x.shape[1])),
-        ab.ctypes.data, ctypes.byref(ctypes.c_int(ab.shape[0])),
-        x.ctypes.data, ctypes.byref(ctypes.c_int(max(1, n))),
-        ctypes.byref(info),
-    )
-    if info.value > 0:
-        raise ValueError(
-            f"precision-form system of size {n} is not positive definite: "
-            f"{info.value}th leading minor not positive definite"
-        )
-    if info.value < 0:
-        raise ValueError(f"illegal value in argument {-info.value} of dpbsv")
-    return x
 
 
 def analysis_precision_form(
@@ -236,18 +233,17 @@ def analysis_precision_form(
         raise ValueError(
             f"B̂⁻¹ has shape {b_inv.shape}, expected {(n, n)}"
         )
-    gram, rhs = _observation_terms(xb, h_operator, r_diag, y_perturbed)
-    a = b_inv + gram
-    if not np.isfinite(a.data).all():  # either triangle
+    if not np.isfinite(b_inv.data).all():  # either triangle
         raise ValueError(_NON_FINITE)
-    return xb + _solve_band(_add_lower_band(np.zeros((1, n)), a), rhs)
+    terms = ObservationTerms.build(h_operator, r_diag)
+    return xb + terms.close(_lower_band(b_inv, terms.reach), xb, y_perturbed)
 
 
 def analysis_modified_cholesky(
     backgrounds,
     stencil: Stencil,
     h_operator,
-    r_diag: np.ndarray,
+    r_diag: np.ndarray | None,
     y_perturbed: np.ndarray,
     ridge: float = 1e-8,
 ) -> np.ndarray:
@@ -263,19 +259,23 @@ def analysis_modified_cholesky(
     h_operator:
         ``(m, B·n)`` observation operator over the stacked state (dense
         or sparse): block-diagonal, each row observing one piece.  All-zero
-        rows (a bucket's padding) contribute exactly nothing.
+        rows (a bucket's padding) contribute exactly nothing.  Or the
+        :class:`ObservationTerms` already built from it and ``R``, with
+        ``r_diag`` then ``None``.
     r_diag, y_perturbed:
         ``(m,)`` diagonal of ``R`` and ``(m, N)`` perturbed observations.
     ridge:
         Regularisation of the regressions (see
         :func:`~repro.core.cholesky.modified_cholesky_inverse`).
 
-    The band of ``A = Lᵀ D⁻¹ L + Hᵀ R⁻¹ H`` is assembled straight from the
-    regression coefficients (:func:`~repro.core.cholesky.precision_band`)
-    and factorised as what it is, a symmetric positive-definite band:
-    the pieces of a stack are the diagonal blocks of one system with the
-    bandwidth of one piece, solved for all ``N`` right-hand sides by one
-    ``pbsv``.  Returns the ``(B, n, N)`` analysis stack.
+    Two banded ``pbsv`` calls make the whole stack: every regression of
+    every piece is one diagonal block of one SPD band
+    (:func:`~repro.core.cholesky._regress_rows`), and the band of
+    ``A = Lᵀ D⁻¹ L + Hᵀ R⁻¹ H`` — assembled from the coefficients by one
+    ordered scatter-add (:func:`~repro.core.cholesky.precision_band`) —
+    has the pieces as its diagonal blocks and the bandwidth of one piece,
+    solved for all ``N`` right-hand sides at once.  Returns the
+    ``(B, n, N)`` analysis stack.
     """
     xb = np.asarray(backgrounds, dtype=float)
     if xb.ndim != 3:
@@ -287,13 +287,19 @@ def analysis_modified_cholesky(
         raise ValueError(
             f"predecessors has {stencil.n} entries for n={n}"
         )
+    terms = (
+        h_operator if isinstance(h_operator, ObservationTerms)
+        else ObservationTerms.build(h_operator, r_diag)
+    )
     u = xb - xb.mean(axis=2, keepdims=True)
-    betas, d = _regress_rows(u, stencil.groups, ridge, MIN_VARIANCE)
-    band = precision_band(stencil, betas, d)
+    lower, d = _regress_rows(u, stencil, ridge, MIN_VARIANCE)
+    band = precision_band(
+        stencil, lower, d, max(stencil.bandwidth, terms.reach)
+    )
     stacked = xb.reshape(n_batch * n, n_members)
-    gram, rhs = _observation_terms(stacked, h_operator, r_diag, y_perturbed)
-    band = _add_lower_band(band.reshape(band.shape[0], n_batch * n), gram)
-    return (stacked + _solve_band(band, rhs)).reshape(n_batch, n, n_members)
+    return (stacked + terms.close(band, stacked, y_perturbed)).reshape(
+        n_batch, n, n_members
+    )
 
 
 def local_analysis(

@@ -42,12 +42,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.cholesky import Stencil, neighbour_predecessors
+from repro.core.analysis import ObservationTerms
+from repro.core.cholesky import KernelTables, Stencil, neighbour_predecessors
 from repro.core.domain import SubDomain
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
@@ -60,8 +61,13 @@ _NETWORKS_KEPT = 2
 
 
 def _value_nbytes(value) -> int:
-    """Array bytes of one field value: ndarray, CSR matrix, or a
-    list/tuple of either; everything else counts zero."""
+    """Array bytes of one field value: ndarray, CSR matrix, a list/tuple
+    or dict of them, :class:`ObservationTerms` or :class:`KernelTables`;
+    everything else counts zero."""
+    if isinstance(value, (ObservationTerms, KernelTables)):
+        return _geometry_nbytes(value)
+    if isinstance(value, dict):
+        return sum(_value_nbytes(item) for item in value.values())
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if hasattr(value, "data") and hasattr(value, "indices") and hasattr(
@@ -147,7 +153,8 @@ class BucketGeometry:
     ``vectorized.pad_waste`` metric.
 
     The local operators are held as the one block-diagonal CSR over the
-    stacked state that the closing takes.
+    stacked state; each run's slice of it, with ``R``, is turned into
+    :class:`~repro.core.analysis.ObservationTerms` once and kept here.
     """
 
     #: piece indices (into the originating plan) in stack order
@@ -172,10 +179,28 @@ class BucketGeometry:
     stencil: Stencil
     #: padded-out slots (sum over pieces of m_max − m̄_b)
     pad_slots: int
+    #: ``(lo, hi)`` -> the :class:`~repro.core.analysis.ObservationTerms`
+    #: of pieces ``[lo, hi)`` (see :meth:`observation_terms`)
+    run_terms: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_batch(self) -> int:
         return len(self.plan_indices)
+
+    def observation_terms(self, lo: int, hi: int) -> ObservationTerms:
+        """The observation terms of pieces ``[lo, hi)``, built from their
+        block of ``h_block`` and ``r_diag`` on first use and kept: a run
+        of a cached bucket builds no sparse matrix.  Build them on the
+        calling thread (the engine does, before its runs fan out)."""
+        terms = self.run_terms.get((lo, hi))
+        if terms is None:
+            n_exp, m_max = self.exp_index.shape[1], self.r_diag.shape[1]
+            terms = ObservationTerms.build(
+                self.h_block[lo * m_max:hi * m_max, lo * n_exp:hi * n_exp],
+                self.r_diag[lo:hi].ravel(),
+            )
+            self.run_terms[(lo, hi)] = terms
+        return terms
 
     @property
     def total_slots(self) -> int:
@@ -227,6 +252,9 @@ class GeometryCache:
         self._recent_networks: list[int] = []
         #: shape key -> :class:`PieceStructure`; untouched by networks
         self._structures: dict[tuple, PieceStructure] = {}
+        #: stencil digest -> the one :class:`Stencil` (and kernel tables)
+        #: every structure with that stencil shares
+        self._stencils: dict[str, Stencil] = {}
         #: the last :meth:`observed` answer as (key, answer, (network,
         #: grid)) — one slot outside the LRU, pinned the same way
         self._observed: tuple | None = None
@@ -334,22 +362,27 @@ class GeometryCache:
                 self.structure_hits += 1
                 return structure
         predecessors = neighbour_predecessors(grid, rel_ix, rel_iy, radius)
+        stencil_sig = _digest(
+            np.concatenate(predecessors).astype(np.int64).tobytes(),
+            np.asarray([p.size for p in predecessors], dtype=np.int64).tobytes(),
+        )
+        with self._lock:
+            stencil = self._stencils.get(stencil_sig)
+        if stencil is None:
+            stencil = Stencil.from_predecessors(predecessors, piece.exp_size)
         structure = PieceStructure(
             interior_positions=interior,
-            stencil=Stencil.from_predecessors(predecessors, piece.exp_size),
+            stencil=stencil,
             interior_sig=_digest(
                 np.asarray([piece.exp_size], dtype=np.int64).tobytes(),
                 np.ascontiguousarray(interior, dtype=np.int64).tobytes(),
             ),
-            stencil_sig=_digest(
-                np.concatenate(predecessors).astype(np.int64).tobytes(),
-                np.asarray([p.size for p in predecessors],
-                           dtype=np.int64).tobytes(),
-            ),
+            stencil_sig=stencil_sig,
         )
         with self._lock:
             self.structure_misses += 1
             self._structures[key] = structure
+            self._stencils.setdefault(stencil_sig, stencil)
         return structure
 
     def observed(self, network, pieces) -> tuple[int, ...]:
@@ -477,14 +510,18 @@ class GeometryCache:
         resource observatory exports as the ``geometry_cache_bytes``
         gauge and the footprint model counts as a measured component.
         Sums every ndarray field of every network-keyed entry — CSR
-        matrices (data/indices/indptr) included — and of every structure
-        and its stencil once, however many entries share it; scalars and
+        matrices (data/indices/indptr) and each bucket's per-run
+        observation terms included — of every structure, and of every
+        distinct stencil with its kernel tables (once a kernel has built
+        them) once, however many entries share it; scalars and
         signatures are noise next to the arrays and are ignored.
         """
         with self._lock:
             entries = [entry for entry, _ in self._entries.values()]
             structures = list(self._structures.values())
-        owned = entries + structures + [s.stencil for s in structures]
+            stencils = list(self._stencils.values())
+        built = [s.built_tables for s in stencils if s.built_tables]
+        owned = entries + structures + stencils + built
         return sum(_geometry_nbytes(entry) for entry in owned)
 
     @property
@@ -507,6 +544,7 @@ class GeometryCache:
             self._entries.clear()
             self._recent_networks.clear()
             self._structures.clear()
+            self._stencils.clear()
             self._observed = None
             self.hits = 0
             self.misses = 0

@@ -6,10 +6,12 @@ same expansion size, same interior projection and the same
 modified-Cholesky stencil, compared by digest, never assumed from
 translation symmetry — are stacked into ``(B, ...)`` operands and
 updated as one stack by the same function a single piece runs with
-``B = 1``, :func:`~repro.core.analysis.analysis_modified_cholesky`: the
-stack's regressions are one LAPACK call per distinct stencil size and
-its systems the diagonal blocks of one banded system.  The runs of a
-plan (below) fan out over the executor's pool.
+``B = 1``, :func:`~repro.core.analysis.analysis_modified_cholesky`: a
+run is two banded LAPACK ``pbsv`` calls whatever its size — every
+regression of every piece is one diagonal block of one band, and the
+pieces' systems the diagonal blocks of another — plus a handful of
+large NumPy calls.  The runs of a plan (below) fan out over the
+executor's pool.
 
 Bucketing policy: pieces first group by structural signature; within a
 group, observation counts may differ, so the group is *padded* to the
@@ -22,15 +24,19 @@ exceed :data:`MAX_PAD_WASTE`.  The realised waste is recorded
 
 A bucket is one cached :class:`~repro.parallel.geometry.BucketGeometry`,
 analysed in *runs* of consecutive pieces, each a slice of that geometry.
-A run holds as many pieces as keep the regressions' largest temporary,
-the ``(B, G, s, N)`` predecessor gather (``n̄ · s_max · N`` doubles a
-piece), within :data:`_RUN_BYTES`.  The kernels' working set is then
-bounded per run, not by the number of structurally equal pieces the
-decomposition produces; ``w`` workers hold at most ``w`` runs' worth.
+A run holds as many pieces as keep the kernel's largest per-piece
+temporary — on the benchmark's shapes the banded covariance's row tiles
+(:class:`~repro.core.cholesky.KernelTables`) — within
+:data:`_RUN_BYTES`.  The kernels' working set is then bounded per run,
+not by the number of structurally equal pieces the decomposition
+produces; ``w`` workers hold at most ``w`` runs' worth.  A run's
+observation terms (``H``, ``Hᵀ R⁻¹`` and ``Hᵀ R⁻¹ H``'s band entries)
+are built once, on the calling thread, and kept on the bucket.
 
 Runs are independent and write disjoint interior rows of ``plan.out``,
 so every run of every bucket is one task for the executor's fan-out
-(both LAPACK halves of a run release the GIL).  Only the calling thread
+(both ``pbsv`` calls, the covariance ``matmul`` and the gathers release
+the GIL).  Only the calling thread
 prepares pieces, groups them and looks up bucket geometry; each run
 opens its own ``vectorized.bucket`` span, with its ``lo``/``hi`` and its
 bucket's ``runs`` count, on the thread that computes it.
@@ -39,8 +45,8 @@ Pieces with no observations are never prepared or batched: their
 "analysis" is the inflated background, written for all of them at
 once by :meth:`~repro.parallel.executor.AnalysisPlan.fill_unobserved`.
 
-Numerics: stacking reorders reductions (and each run's band is its own
-``pbsv``), so results match the per-piece reference
+Numerics: stacking reorders reductions (and each run's bands are its
+own ``pbsv`` calls), so results match the per-piece reference
 (:func:`~repro.parallel.worker.compute_piece`) to rtol ≤ 1e-10, not
 bit-for-bit — ``tests/test_vectorized.py`` pins this contract for every
 filter × localization combination and for split runs.  Run boundaries
@@ -65,10 +71,11 @@ __all__ = ["run_vectorized"]
 #: a piece that would exceed it starts a new sub-batch instead.
 MAX_PAD_WASTE = 0.25
 
-#: Bytes one run may spend on its largest regression temporary, the
-#: predecessor gather (see :func:`_pieces_per_run`).  Fixed, so that the
-#: runs — and the results — do not depend on the pool width.
-_RUN_BYTES = 4 * 2**20
+#: Bytes one run may spend on its largest per-piece kernel temporary, the
+#: banded covariance's tiles (see :func:`_pieces_per_run`): nine 120-point
+#: pieces, one 880-point piece (swept in docs/PERFORMANCE.md §2).  Fixed,
+#: so that the runs — and the results — do not depend on the pool width.
+_RUN_BYTES = 768 * 2**10
 
 
 def _structural_groups(prepared: list[tuple]) -> list[list[tuple]]:
@@ -120,13 +127,22 @@ def _split_by_waste(
 
 def _pieces_per_run(plan, bucket) -> int:
     """How many of ``bucket``'s pieces one run holds: as many as keep the
-    largest regression temporary, the ``(b, G, s, N)`` predecessor gather
-    (``G <= n̄``, ``s <= s_max``), within :data:`_RUN_BYTES`."""
-    s_max = 1
-    if bucket.stencil.groups:
-        s_max = bucket.stencil.groups[-1][1].shape[1]  # counts ascend
-    n_exp = bucket.exp_index.shape[1]
-    return max(1, _RUN_BYTES // (n_exp * s_max * plan.states.shape[1] * 8))
+    largest per-piece temporary of the kernel within :data:`_RUN_BYTES`.
+
+    The candidates, in doubles a piece: the banded covariance's tiles
+    (``tiles_size``), the regression band (``M · s_max``), the products
+    of ``Lᵀ D⁻¹ L`` (one a term) and an anomaly copy (``n̄ · N``).  On the
+    benchmark's shapes the tiles are the largest.  Asking builds the
+    stencil's kernel tables, here on the calling thread.
+    """
+    tables = bucket.stencil.tables
+    largest = max(
+        tables.tiles_size,
+        tables.gram_index.size,
+        tables.term_left.size,
+        bucket.stencil.n * plan.states.shape[1],
+    )
+    return max(1, _RUN_BYTES // (8 * largest))
 
 
 def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
@@ -135,13 +151,11 @@ def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
     opened on the thread that computes them.
 
     A run is a slice of the bucket's cached geometry — pieces ``[lo, hi)``
-    are rows ``[lo·m_max, hi·m_max)`` × columns ``[lo·n̄, hi·n̄)`` of the
-    block-diagonal ``h_block`` — so no run rebuilds geometry, the kernels'
+    and their :meth:`~repro.parallel.geometry.BucketGeometry.observation_terms`
+    — so no run rebuilds geometry or builds a sparse matrix, the kernels'
     temporaries are bounded by the run, not by the bucket, and runs share
-    nothing they write.
+    nothing they write.  The gathered background is inflated in place.
     """
-    n_exp = bucket.exp_index.shape[1]
-    m_max = bucket.r_diag.shape[1]
     n_int = bucket.interior_positions.size
     n_members = plan.states.shape[1]
     with get_tracer().span(
@@ -151,11 +165,10 @@ def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
         if plan.inflation != 1.0:
             rows = xb.reshape(-1, n_members)
             inflate(rows, plan.inflation, out=rows)
-        h_block = bucket.h_block[lo * m_max:hi * m_max, lo * n_exp:hi * n_exp]
         obs_mask = bucket.obs_mask[lo:hi, :, None]
         ys = plan.obs[bucket.obs_index[lo:hi]] * obs_mask
         analysed = analysis_modified_cholesky(
-            xb, bucket.stencil, h_block, bucket.r_diag[lo:hi],
+            xb, bucket.stencil, bucket.observation_terms(lo, hi), None,
             ys.reshape(-1, n_members), ridge=plan.params["ridge"],
         )
         interior = analysed[:, bucket.interior_positions, :]
@@ -209,13 +222,12 @@ def run_vectorized(plan, fan_out=None) -> dict:
                 cached=cached,
                 runs=-(-n_batch // per_run),
             )
-            runs += [
-                partial(
-                    _compute_run, plan, bucket, lo,
-                    min(lo + per_run, n_batch), span_attrs,
+            for lo in range(0, n_batch, per_run):
+                hi = min(lo + per_run, n_batch)
+                bucket.observation_terms(lo, hi)  # built here, not on the pool
+                runs.append(
+                    partial(_compute_run, plan, bucket, lo, hi, span_attrs)
                 )
-                for lo in range(0, n_batch, per_run)
-            ]
     if fan_out is not None:
         width = fan_out(runs)
     else:

@@ -17,6 +17,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.analysis as core_analysis
+import repro.core.cholesky as cholesky
+from repro.core import Decomposition, ObservationNetwork
 from repro.core.analysis import analysis_modified_cholesky
 from repro.core.cholesky import (
     MIN_VARIANCE,
@@ -27,6 +30,9 @@ from repro.core.cholesky import (
     precision_band,
 )
 from repro.core.grid import Grid
+from repro.parallel import AnalysisPlan, KIND_ENKF, run_vectorized
+from repro.parallel import vectorized
+from tests.reference import dense_lower, group_regressions, pair_loop_band
 
 RTOL, ATOL = 1e-10, 1e-11
 
@@ -87,13 +93,14 @@ def stacked_inverse(stack, preds, ridge=1e-8):
     n_batch, n, _ = stack.shape
     stencil = Stencil.from_predecessors(preds, n)
     u = stack - stack.mean(axis=2, keepdims=True)
-    betas, d = _regress_rows(u, stencil.groups, ridge, MIN_VARIANCE)
-    band = precision_band(stencil, betas, d)
-    assert band.shape == (stencil.bandwidth + 1, n_batch, n)
+    lower, d = _regress_rows(u, stencil, ridge, MIN_VARIANCE)
+    band = precision_band(stencil, lower, d)
+    assert band.shape == (n_batch * n, stencil.bandwidth + 1)
+    band = band.reshape(n_batch, n, -1)
     dense = np.zeros((n_batch, n, n))
-    for k in range(band.shape[0]):
+    for k in range(band.shape[2]):
         j = np.arange(n - k)
-        dense[:, j + k, j] = dense[:, j, j + k] = band[k, :, : n - k]
+        dense[:, j + k, j] = dense[:, j, j + k] = band[:, : n - k, k]
     return dense
 
 
@@ -326,53 +333,163 @@ class TestStencilValidation:
 
 
 # ---------------------------------------------------------------------------
+# The regressions as one band, against the per-group dense solves
+# ---------------------------------------------------------------------------
+@st.composite
+def regression_problems(draw):
+    """A random valid stencil over ``n`` rows and a ``(B, n, N)`` anomaly
+    stack; predecessor counts reach past ``N − 1``."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_members = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(seed)
+    preds = random_stencil(rng, n, max_size=n_members + 4)
+    u = rng.standard_normal((draw(st.sampled_from([1, 3])), n, n_members))
+    return preds, u - u.mean(axis=2, keepdims=True)
+
+
+class TestBandRegressions:
+    """``_regress_rows`` closes every regression of a stack as one diagonal
+    block of one SPD band (one ``pbsv``); ``tests.reference`` keeps the
+    per-group ``np.linalg.solve`` formula it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=regression_problems(), ridge=st.sampled_from([1e-8, 1e-2]))
+    def test_matches_the_per_group_solves(self, problem, ridge):
+        """Variances and residuals ``L u`` at rtol 1e-10 on every row.
+        Coefficients too, on every row at ``ridge = 1e-2`` and on the rows
+        with ``s < N − 1`` at ``1e-8``: a row with ``s >= N − 1``
+        predecessors has a rank-deficient Gram, and at that ridge its
+        coefficients are fixed only up to the Gram's null space (both
+        solves drift there, ~1e-8 apart), which ``L u`` does not see."""
+        preds, u = problem
+        stencil = Stencil.from_predecessors(preds, u.shape[1])
+        lower, d = _regress_rows(u, stencil, ridge, MIN_VARIANCE)
+        want_lower, want_d = group_regressions(u, preds, ridge, MIN_VARIANCE)
+        got_lower = dense_lower(stencil, lower)
+        assert np.allclose(d, want_d, rtol=1e-10, atol=1e-10 * want_d.max())
+        assert np.allclose(
+            got_lower @ u, want_lower @ u,
+            rtol=1e-10, atol=1e-10 * np.abs(u).max(),
+        )
+        n_members = u.shape[2]
+        sizes = np.array([len(p) for p in preds], dtype=int)
+        rows = sizes < n_members - 1 if ridge == 1e-8 else sizes >= 0
+        assert np.allclose(
+            got_lower[:, rows], want_lower[:, rows], rtol=1e-10, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("case", ["small_20x6", "large_40x22", "io_34x34"])
+    def test_benchmark_stencils(self, case):
+        grid, (ix, iy) = STENCIL_CASES[case]
+        preds = neighbour_predecessors(grid, ix, iy, 60.0)
+        stencil = Stencil.from_predecessors(preds, ix.size)
+        u = np.random.default_rng(18).standard_normal((2, ix.size, 24))
+        u -= u.mean(axis=2, keepdims=True)
+        lower, d = _regress_rows(u, stencil, 1e-2, MIN_VARIANCE)
+        want_lower, want_d = group_regressions(u, preds, 1e-2, MIN_VARIANCE)
+        assert np.allclose(d, want_d, rtol=1e-10, atol=0)
+        assert np.allclose(
+            dense_lower(stencil, lower), want_lower, rtol=1e-10, atol=1e-12
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=regression_problems())
+    def test_precision_band_adds_as_the_pair_loop(self, problem):
+        """One ordered ``bincount`` adds every entry's products in the
+        order of a loop over pairs of sub-diagonals: the same bits."""
+        preds, u = problem
+        stencil = Stencil.from_predecessors(preds, u.shape[1])
+        lower, d = _regress_rows(u, stencil, 1e-2, MIN_VARIANCE)
+        assert np.array_equal(
+            precision_band(stencil, lower, d),
+            pair_loop_band(stencil, lower, d),
+        )
+
+    def test_rank_deficient_gram_at_zero_ridge_raises(self):
+        """A predecessor with no spread (its members all equal) makes its
+        Gram block singular; with no ridge the band solve refuses it —
+        ``ValueError``, from the engine too, and no NaN reaches ``out``."""
+        grid = Grid(n_x=16, n_y=8, dx_km=1.0, dy_km=1.0)
+        rng = np.random.default_rng(19)
+        states = rng.standard_normal((grid.n, 6))
+        states[::7] = 1.0  # exactly representable: the anomaly is exactly 0
+        net = ObservationNetwork.random(grid, m=30, obs_error_std=0.3, rng=rng)
+        plan = AnalysisPlan(
+            kind=KIND_ENKF,
+            pieces=list(Decomposition(grid, n_sdx=4, n_sdy=2, xi=1, eta=1)),
+            states=states, obs=rng.standard_normal((net.m, 6)),
+            out=np.zeros_like(states), network=net,
+            params={"radius_km": 1.5, "ridge": 0.0},
+        )
+        with pytest.raises(ValueError, match="regression system .* not positive"):
+            run_vectorized(plan)
+        assert np.isfinite(plan.out).all()
+        with pytest.raises(ValueError, match="not positive definite"):
+            _regress_rows(
+                states[None, :40] - states[None, :40].mean(axis=2, keepdims=True),
+                Stencil.from_predecessors(
+                    [np.arange(max(0, i - 3), i) for i in range(40)], 40
+                ),
+                0.0, MIN_VARIANCE,
+            )
+
+
+# ---------------------------------------------------------------------------
 # Perf guard: call counts, not wall-clock
 # ---------------------------------------------------------------------------
-def spy_numpy(monkeypatch):
-    """Record every ``np.linalg.solve`` and ``np.einsum`` call."""
-    calls = []
-    solve, einsum = np.linalg.solve, np.einsum
-
-    def spy_solve(a, b):
-        calls.append(("solve", a.shape))
-        return solve(a, b)
-
-    def spy_einsum(spec, *operands, **kwargs):
-        calls.append(("einsum", len(operands)))
-        return einsum(spec, *operands, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", spy_solve)
-    monkeypatch.setattr(np, "einsum", spy_einsum)
-    return calls
-
-
 class TestCallCounts:
-    """One 880-point piece: ≤ one ``solve`` per distinct stencil size."""
+    """A run of the engine is two banded ``pbsv`` calls — the regressions
+    and the closing — whatever its piece count or stencil sizes, and no
+    dense ``np.linalg.solve``."""
 
-    def setup_method(self):
-        self.grid, (self.ix, self.iy) = STENCIL_CASES["large_40x22"]
-        self.preds = neighbour_predecessors(self.grid, self.ix, self.iy, 60.0)
-        self.n_sizes = len({p.size for p in self.preds if p.size})
-        self.states = np.random.default_rng(17).standard_normal((880, 24))
+    def test_one_engine_run_is_two_band_solves(self, monkeypatch):
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
 
-    def check(self, calls):
-        solves = [c for c in calls if c[0] == "solve"]
-        assert 0 < len(solves) <= self.n_sizes
-        assert not [c for c in calls if c[0] == "einsum" and c[1] >= 3]
-        return len(solves)
+        solves, runs = [], []
+        real_solve = cholesky._solve_band
+        real_compute = vectorized._compute_run
 
-    def test_batched_and_per_piece_issue_the_same_solves(self, monkeypatch):
-        stencil = Stencil.from_predecessors(self.preds, 880)
-        calls = spy_numpy(monkeypatch)
-        analysis_modified_cholesky(
-            self.states[None], stencil,
-            np.eye(1, 880), np.ones(1), np.zeros((1, 24)), ridge=1e-2,
+        def spy_solve(band, rhs, *args, **kwargs):
+            solves.append((len(runs), band.shape, rhs.shape))
+            return real_solve(band, rhs, *args, **kwargs)
+
+        def spy_compute(plan, bucket, lo, hi, span_attrs):
+            runs.append((hi - lo, bucket.stencil.s_max))
+            real_compute(plan, bucket, lo, hi, span_attrs)
+
+        monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+        monkeypatch.setattr(cholesky, "_solve_band", spy_solve)
+        monkeypatch.setattr(core_analysis, "_solve_band", spy_solve)
+        monkeypatch.setattr(vectorized, "_compute_run", spy_compute)
+        grid = Grid(n_x=64, n_y=16, dx_km=25.0, dy_km=25.0)
+        rng = np.random.default_rng(20)
+        states = rng.standard_normal((grid.n, 12))
+        net = ObservationNetwork.random(grid, m=80, obs_error_std=0.5, rng=rng)
+        plan = AnalysisPlan(
+            kind=KIND_ENKF,
+            pieces=list(Decomposition(grid, n_sdx=4, n_sdy=2, xi=2, eta=2)),
+            states=states, obs=rng.standard_normal((net.m, 12)),
+            out=np.zeros_like(states), network=net,
+            params={"radius_km": 60.0, "ridge": 1e-2},
         )
-        batched_solves = self.check(calls)
+        run_vectorized(plan)
+        assert runs and any(n_pieces > 1 for n_pieces, _ in runs)
+        assert [r for r, _, _ in solves] == [
+            r for r in range(1, len(runs) + 1) for _ in range(2)
+        ]
+        for (_, s_max), regression, closing in zip(
+            runs, solves[::2], solves[1::2]
+        ):
+            assert regression[1][0] == s_max and regression[2][1] == 1
+            assert closing[2][1] == 12
 
-        calls.clear()
-        modified_cholesky_inverse(
-            self.states, self.grid, self.ix, self.iy, 60.0, ridge=1e-2,
-            predecessors=self.preds,
-        )
-        assert self.check(calls) == batched_solves
+    def test_per_piece_estimate_makes_no_dense_solve(self, monkeypatch):
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+        grid, (ix, iy) = STENCIL_CASES["large_40x22"]
+        states = np.random.default_rng(17).standard_normal((880, 24))
+        modified_cholesky_inverse(states, grid, ix, iy, 60.0, ridge=1e-2)

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.analysis as core_analysis
+import repro.core.cholesky as core_cholesky
 from repro.core import (
     Decomposition,
     Grid,
@@ -368,20 +369,26 @@ def test_vectorized_enkf_factorises_bands_not_dense_stacks(monkeypatch):
     """Shape spy on an S-EnKF cycle (64 pieces of 20 × 6 and
     20 × 4 points): every run of a bucket's pieces is closed by one banded
     solve over its ``B · n̄`` stacked points at the stencil's bandwidth,
-    and the only dense solves are the regressions' ``s × s`` Gram
-    systems — no ``(B, n̄, n̄)`` operand reaches LAPACK."""
-    banded, dense = [], []
+    its regressions are one banded solve at the largest predecessor
+    count, and there is no dense solve — no ``(B, n̄, n̄)`` operand, and
+    no Gram stack, reaches LAPACK."""
+    banded, regressions, dense = [], [], []
     real_banded, real_solve = core_analysis._solve_band, np.linalg.solve
 
-    def spy_banded(band, rhs):
+    def spy_banded(band, rhs, *args, **kwargs):
         banded.append((band.shape, rhs.shape))
-        return real_banded(band, rhs)
+        return real_banded(band, rhs, *args, **kwargs)
+
+    def spy_regressions(band, rhs, *args, **kwargs):
+        regressions.append((band.shape, rhs.shape))
+        return real_banded(band, rhs, *args, **kwargs)
 
     def spy_solve(a, b):
         dense.append(a.shape)
         return real_solve(a, b)
 
     monkeypatch.setattr(core_analysis, "_solve_band", spy_banded)
+    monkeypatch.setattr(core_cholesky, "_solve_band", spy_regressions)
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     grid = Grid(n_x=128, n_y=16, dx_km=25.0, dy_km=25.0)
     decomp = Decomposition(grid, n_sdx=8, n_sdy=2, xi=HALO, eta=HALO)
@@ -397,7 +404,10 @@ def test_vectorized_enkf_factorises_bands_not_dense_stacks(monkeypatch):
     assert banded and sum(b[0] for _, b in banded) == 48 * 120 + 16 * 80
     for (rows, points), rhs in banded:
         assert rows == 2 * width + 1 + 1 and rhs == (points, N_MEMBERS)
-    assert dense and max(shape[-1] for shape in dense) <= 10
+    assert len(regressions) == len(banded)
+    for (rows, unknowns), rhs in regressions:
+        assert rows <= 10 and rhs == (unknowns, 1)
+    assert not dense
 
 
 class TestInputBoundary:
@@ -523,9 +533,9 @@ def captured_bands(monkeypatch, workload):
     )
     captured, real = [], core_analysis._solve_band
 
-    def spy(band, rhs):
+    def spy(band, rhs, *args, **kwargs):
         captured.append((band.copy(), rhs.copy()))
-        return real(band, rhs)
+        return real(band, rhs, *args, **kwargs)
 
     monkeypatch.setattr(core_analysis, "_solve_band", spy)
     common = dict(radius_km=RADIUS_KM, inflation=1.05, ridge=1e-2, workers=2)

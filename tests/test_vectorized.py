@@ -103,10 +103,14 @@ def observed_groups(plan):
 
 
 def piece_bytes(bucket, n_members):
-    """One piece's charge against the run budget: its share of the
-    largest regression temporary, ``n̄ · s_max · N`` doubles."""
-    s_max = max([1] + [len(p) for p in bucket.stencil.predecessors])
-    return bucket.exp_index.shape[1] * s_max * n_members * 8
+    """One piece's charge against the run budget: its largest kernel
+    temporary — covariance tiles, regression band, ``Lᵀ D⁻¹ L`` products
+    or an anomaly copy — in doubles."""
+    tables = bucket.stencil.tables
+    return 8 * max(
+        tables.tiles_size, tables.gram_index.size, tables.term_left.size,
+        bucket.exp_index.shape[1] * n_members,
+    )
 
 
 # ---------------------------------------------------------------------------
