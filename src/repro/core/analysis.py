@@ -171,10 +171,11 @@ class ObservationTerms:
         """Sub-diagonals of ``Hᵀ R⁻¹ H`` that hold a non-zero."""
         return int(self.gram_diagonal.max(initial=0))
 
-    def close(self, band: np.ndarray, xb: np.ndarray, y_perturbed) -> np.ndarray:
+    def close(self, band: np.ndarray, xb: np.ndarray, y_perturbed):
         """Add ``Hᵀ R⁻¹ H`` onto ``band`` (``(n, kd + 1)``, as
         :func:`~repro.core.cholesky.precision_band` lays it out, ``kd >=
-        reach``) and solve for ``δXᵃ`` of the ``(n, N)`` background."""
+        reach``) and solve for ``δXᵃ`` of the ``(n, N)`` background.
+        ``band`` is the caller's temporary: it is factorised in place."""
         if self.h.shape[1] != xb.shape[0]:
             raise ValueError(
                 f"H has {self.h.shape[1]} columns for {xb.shape[0]} points"

@@ -96,8 +96,9 @@ def _solve_band(
             f"non-finite values in the {system} "
             f"(background, observations, H or B̂⁻¹)"
         )
-    ab = np.array(band, dtype=float, order="F", copy=None if overwrite else True)
-    x = np.array(rhs, dtype=float, order="F", copy=None if overwrite else True)
+    copy = None if overwrite else True
+    ab = np.array(band, dtype=float, order="F", copy=copy)
+    x = np.array(rhs, dtype=float, order="F", copy=copy)
     if ab.ndim != 2 or x.ndim != 2 or x.shape[0] != ab.shape[1]:
         raise ValueError(
             f"band {ab.shape} and right-hand sides {x.shape} do not match"
@@ -283,10 +284,8 @@ class KernelTables:
 
     @classmethod
     def build(cls, stencil: "Stencil") -> "KernelTables":
-        n, sizes, offsets = stencil.n, stencil.sizes, stencil.offsets
-        flat = np.concatenate(
-            [np.zeros(0, np.intp)] + list(stencil.predecessors)
-        ).astype(np.intp, copy=False)
+        n, offsets = stencil.n, stencil.offsets
+        sizes, flat = _row_sizes(stencil.predecessors, n)
         row_of = np.repeat(np.arange(n), sizes)
         reach = stencil.bandwidth
         tile = min(max(reach, _MIN_TILE), max(n, 1))
@@ -406,7 +405,7 @@ def _covariance_tiles(u: np.ndarray, stencil: Stencil) -> np.ndarray:
     Returns ``(B, tiles_size + 1)``: each piece's row tiles
     ``u[r0:r0+T] @ u[r0−K:r0+T]ᵀ`` laid end to end (one stacked
     ``matmul`` over windows of a zero-padded copy, so no tile is
-    gathered), then a zero that :attr:`Stencil.gram_index` points the
+    gathered), then a zero that :attr:`KernelTables.gram_index` points the
     entries outside a regression block at.  Only ``n · (T + K)`` products
     a piece are formed, never ``n²``.
     """

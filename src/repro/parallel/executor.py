@@ -21,8 +21,9 @@ before anything is written.
 
 Only observed pieces are work.  A piece whose expansion holds no
 observation has its inflated background as its analysis, so
-:meth:`AnalysisPlan.fill_unobserved` writes all of them in one bulk pass and the engine prepares, batches and counts the observed
-pieces alone — by their plan indices, never re-numbered.
+:meth:`AnalysisPlan.fill_unobserved` writes all of them in one bulk
+pass and the engine prepares, batches and counts the observed pieces
+alone — by their plan indices, never re-numbered.
 
 Determinism: a run is sized from a fixed byte budget, never from the
 pool width, so the runs — and with them every reduction order — are the

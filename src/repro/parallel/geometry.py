@@ -364,7 +364,8 @@ class GeometryCache:
         predecessors = neighbour_predecessors(grid, rel_ix, rel_iy, radius)
         stencil_sig = _digest(
             np.concatenate(predecessors).astype(np.int64).tobytes(),
-            np.asarray([p.size for p in predecessors], dtype=np.int64).tobytes(),
+            np.asarray([p.size for p in predecessors],
+                       dtype=np.int64).tobytes(),
         )
         with self._lock:
             stencil = self._stencils.get(stencil_sig)

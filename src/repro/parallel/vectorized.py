@@ -59,6 +59,8 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
+
 from repro.core.analysis import analysis_modified_cholesky
 from repro.core.inflation import inflate
 from repro.parallel.worker import KIND_ENKF
@@ -171,7 +173,7 @@ def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
             xb, bucket.stencil, bucket.observation_terms(lo, hi), None,
             ys.reshape(-1, n_members), ridge=plan.params["ridge"],
         )
-        interior = analysed[:, bucket.interior_positions, :]
+        interior = np.take(analysed, bucket.interior_positions, axis=1)
         plan.out[bucket.interior_flat_cat[lo * n_int:hi * n_int]] = (
             interior.reshape(-1, n_members)
         )

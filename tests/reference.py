@@ -7,6 +7,10 @@ order.  Passed as a filter's ``executor``, the filter's prologue
 (inflation, perturbation) is unchanged, so the result is the per-piece
 analysis of exactly the inputs the engine sees — the reference the
 equivalence tests compare the engine against at rtol 1e-10.
+
+Below it, the modified-Cholesky kernel as it was computed before the
+regressions became one band — per-group dense solves, and a loop over
+pairs of sub-diagonals — for ``tests/test_cholesky_kernel.py``.
 """
 
 import numpy as np

@@ -1,14 +1,16 @@
 """The modified-Cholesky kernel against an independent naive reference.
 
-:mod:`repro.core.cholesky` solves every regression with the same
-predecessor count as one batched call and assembles ``Lᵀ D⁻¹ L`` as a
-band, by stencil offset; the reference below is the plain definition —
-one row at a time, one small solve each, a dense product, a pairwise
-radius test for the stencil — and lives only here.  Both forms of the
-estimate (``modified_cholesky_inverse``: one piece, as CSR; the
-``(bandwidth + 1, B, n)`` band of a stack that
+:mod:`repro.core.cholesky` solves every regression of a stack as one
+block of one banded ``pbsv`` and assembles ``Lᵀ D⁻¹ L`` as a band by one
+ordered scatter-add; the reference below is the plain definition — one
+row at a time, one small solve each, a dense product, a pairwise radius
+test for the stencil — and lives only here.  Both forms of the estimate
+(``modified_cholesky_inverse``: one piece, as CSR; the
+``(B · n, bandwidth + 1)`` band of a stack that
 ``analysis_modified_cholesky`` factorises) must agree with it to the
-repo's equivalence contract, rtol 1e-10 / atol 1e-11.
+repo's equivalence contract, rtol 1e-10 / atol 1e-11.  The per-group
+dense solves and the pair loop the kernel replaced are held as oracles
+in ``tests.reference``.
 """
 
 import numpy as np
@@ -422,12 +424,15 @@ class TestBandRegressions:
             out=np.zeros_like(states), network=net,
             params={"radius_km": 1.5, "ridge": 0.0},
         )
-        with pytest.raises(ValueError, match="regression system .* not positive"):
+        with pytest.raises(
+            ValueError, match="regression system .* not positive"
+        ):
             run_vectorized(plan)
         assert np.isfinite(plan.out).all()
+        u = states[None, :40] - states[None, :40].mean(axis=2, keepdims=True)
         with pytest.raises(ValueError, match="not positive definite"):
             _regress_rows(
-                states[None, :40] - states[None, :40].mean(axis=2, keepdims=True),
+                u,
                 Stencil.from_predecessors(
                     [np.arange(max(0, i - 3), i) for i in range(40)], 40
                 ),
