@@ -18,7 +18,7 @@ from repro.core import (
     local_analysis,
     perturb_observations,
 )
-from repro.core.analysis import analysis_modified_cholesky
+from repro.core.analysis import ObservationTerms, analysis_modified_cholesky
 from repro.core.cholesky import (
     Stencil,
     modified_cholesky_inverse,
@@ -82,10 +82,13 @@ def test_modified_cholesky_batched(benchmark):
         (np.ones(sites.size), (np.arange(sites.size), sites)),
         shape=(n_batch * m, n_batch * n),
     )
+    stencil = Stencil.from_predecessors(preds, n)
+    r_diag = np.full(n_batch * m, 0.25)
+    ys = rng.standard_normal((n_batch * m, n_members))
     benchmark(
-        analysis_modified_cholesky, stack, Stencil.from_predecessors(preds, n),
-        h_block, np.full(n_batch * m, 0.25),
-        rng.standard_normal((n_batch * m, n_members)), 1e-2,
+        lambda: analysis_modified_cholesky(
+            stack, stencil, ObservationTerms.build(h_block, r_diag), ys, 1e-2
+        )
     )
 
 

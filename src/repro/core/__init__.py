@@ -29,6 +29,7 @@ from repro.core.covariance import (
 )
 from repro.core.cholesky import modified_cholesky_inverse
 from repro.core.analysis import (
+    ObservationTerms,
     analysis_gain_form,
     analysis_modified_cholesky,
     analysis_precision_form,
@@ -47,6 +48,7 @@ __all__ = [
     "InterpolatingObservationNetwork",
     "LocalBox",
     "ObservationNetwork",
+    "ObservationTerms",
     "SubDomain",
     "analysis_gain_form",
     "analysis_modified_cholesky",

@@ -184,9 +184,7 @@ class ObservationTerms:
         innovations = _innovations(
             self.h @ xb, np.asarray(y_perturbed, dtype=float)
         )
-        return _solve_band(
-            band.T, self.ht_rinv @ innovations, overwrite=True
-        )
+        return _solve_band(band.T, self.ht_rinv @ innovations)
 
 
 def _lower_band(matrix, bandwidth: int) -> np.ndarray:
@@ -243,8 +241,7 @@ def analysis_precision_form(
 def analysis_modified_cholesky(
     backgrounds,
     stencil: Stencil,
-    h_operator,
-    r_diag: np.ndarray | None,
+    terms: ObservationTerms,
     y_perturbed: np.ndarray,
     ridge: float = 1e-8,
 ) -> np.ndarray:
@@ -257,14 +254,14 @@ def analysis_modified_cholesky(
         ``(B, n, N)`` stack of local ensembles.
     stencil:
         Their shared :class:`~repro.core.cholesky.Stencil`.
-    h_operator:
-        ``(m, B·n)`` observation operator over the stacked state (dense
-        or sparse): block-diagonal, each row observing one piece.  All-zero
-        rows (a bucket's padding) contribute exactly nothing.  Or the
-        :class:`ObservationTerms` already built from it and ``R``, with
-        ``r_diag`` then ``None``.
-    r_diag, y_perturbed:
-        ``(m,)`` diagonal of ``R`` and ``(m, N)`` perturbed observations.
+    terms:
+        The :class:`ObservationTerms` of the ``(m, B·n)`` observation
+        operator over the stacked state and the ``(m,)`` diagonal of
+        ``R`` (``ObservationTerms.build(H, r_diag)``).  ``H`` is
+        block-diagonal, each row observing one piece; all-zero rows (a
+        bucket's padding) contribute exactly nothing.
+    y_perturbed:
+        ``(m, N)`` perturbed observations.
     ridge:
         Regularisation of the regressions (see
         :func:`~repro.core.cholesky.modified_cholesky_inverse`).
@@ -288,10 +285,6 @@ def analysis_modified_cholesky(
         raise ValueError(
             f"predecessors has {stencil.n} entries for n={n}"
         )
-    terms = (
-        h_operator if isinstance(h_operator, ObservationTerms)
-        else ObservationTerms.build(h_operator, r_diag)
-    )
     u = xb - xb.mean(axis=2, keepdims=True)
     lower, d = _regress_rows(u, stencil, ridge, MIN_VARIANCE)
     band = precision_band(
@@ -374,6 +367,7 @@ def local_analysis(
             subdomain.exp_size,
         )
     analysed = analysis_modified_cholesky(
-        xb[None], stencil, h_local, r_diag, y_local, ridge=ridge
+        xb[None], stencil, ObservationTerms.build(h_local, r_diag), y_local,
+        ridge=ridge,
     )[0]
     return analysed[interior, :]

@@ -75,30 +75,27 @@ _DPBSV = ctypes.CFUNCTYPE(
 
 
 def _solve_band(
-    band: np.ndarray,
-    rhs: np.ndarray,
-    system: str = "precision-form system",
-    overwrite: bool = False,
+    band: np.ndarray, rhs: np.ndarray, system: str = "precision-form system"
 ) -> np.ndarray:
     """Solve the SPD system held in lower band storage (LAPACK ``pbsv``),
     all ``(n, N)`` right-hand sides at once; returns the ``(n, N)``
     solution.  ``system`` names it in the errors.
 
     LAPACK checks nothing, so the checks are here: it would carry NaN/inf
-    through to the analysis silently.  ``band`` and ``rhs`` are read, not
-    written: LAPACK works on Fortran-ordered copies (as SciPy's wrapper
-    does) — unless ``overwrite``, when a caller's own Fortran-ordered
-    temporaries are factorised and solved in place.  Every argument is
-    built per call, so concurrent calls share no mutable state.
+    through to the analysis silently.  LAPACK factorises and solves in
+    place, in Fortran order: ``band`` and ``rhs`` are handed to it as they
+    are when they are Fortran-ordered float arrays (the callers pass their
+    own temporaries, which are overwritten) and copied otherwise (the
+    input is then left as given).  Every argument is built per call, so
+    concurrent calls share no mutable state.
     """
     if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
         raise ValueError(
             f"non-finite values in the {system} "
             f"(background, observations, H or B̂⁻¹)"
         )
-    copy = None if overwrite else True
-    ab = np.array(band, dtype=float, order="F", copy=copy)
-    x = np.array(rhs, dtype=float, order="F", copy=copy)
+    ab = np.asfortranarray(band, dtype=float)
+    x = np.asfortranarray(rhs, dtype=float)
     if ab.ndim != 2 or x.ndim != 2 or x.shape[0] != ab.shape[1]:
         raise ValueError(
             f"band {ab.shape} and right-hand sides {x.shape} do not match"
@@ -467,7 +464,7 @@ def _regress_rows(u, stencil: Stencil, ridge: float, min_variance: float):
         beta = _solve_band(
             gram.reshape(-1, width).T,
             np.take(covariance, tables.rhs_index, axis=1).reshape(-1, 1),
-            "regression system", overwrite=True,
+            "regression system",
         )
         lower.reshape(n_batch, -1)[:, tables.lower_index] = (
             -beta.reshape(n_batch, -1)

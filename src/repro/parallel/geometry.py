@@ -190,8 +190,9 @@ class BucketGeometry:
     def observation_terms(self, lo: int, hi: int) -> ObservationTerms:
         """The observation terms of pieces ``[lo, hi)``, built from their
         block of ``h_block`` and ``r_diag`` on first use and kept: a run
-        of a cached bucket builds no sparse matrix.  Build them on the
-        calling thread (the engine does, before its runs fan out)."""
+        of a cached bucket builds no sparse matrix.  Each run owns its own
+        ``(lo, hi)`` entry, so the runs of one bucket may ask at once, each
+        on its own pool thread."""
         terms = self.run_terms.get((lo, hi))
         if terms is None:
             n_exp, m_max = self.exp_index.shape[1], self.r_diag.shape[1]

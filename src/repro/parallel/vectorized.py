@@ -31,7 +31,7 @@ temporary — on the benchmark's shapes the banded covariance's row tiles
 not by the number of structurally equal pieces the decomposition
 produces; ``w`` workers hold at most ``w`` runs' worth.  A run's
 observation terms (``H``, ``Hᵀ R⁻¹`` and ``Hᵀ R⁻¹ H``'s band entries)
-are built once, on the calling thread, and kept on the bucket.
+are built by the run itself on first use and kept on the bucket.
 
 Runs are independent and write disjoint interior rows of ``plan.out``,
 so every run of every bucket is one task for the executor's fan-out
@@ -154,9 +154,11 @@ def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
 
     A run is a slice of the bucket's cached geometry — pieces ``[lo, hi)``
     and their :meth:`~repro.parallel.geometry.BucketGeometry.observation_terms`
-    — so no run rebuilds geometry or builds a sparse matrix, the kernels'
-    temporaries are bounded by the run, not by the bucket, and runs share
-    nothing they write.  The gathered background is inflated in place.
+    — so a run of a cached bucket rebuilds no geometry and builds no
+    sparse matrix (a new bucket's runs build their own terms, each on its
+    thread), the kernels' temporaries are bounded by the run, not by the
+    bucket, and runs share nothing they write.  The gathered background
+    is inflated in place.
     """
     n_int = bucket.interior_positions.size
     n_members = plan.states.shape[1]
@@ -170,7 +172,7 @@ def _compute_run(plan, bucket, lo: int, hi: int, span_attrs: dict) -> None:
         obs_mask = bucket.obs_mask[lo:hi, :, None]
         ys = plan.obs[bucket.obs_index[lo:hi]] * obs_mask
         analysed = analysis_modified_cholesky(
-            xb, bucket.stencil, bucket.observation_terms(lo, hi), None,
+            xb, bucket.stencil, bucket.observation_terms(lo, hi),
             ys.reshape(-1, n_members), ridge=plan.params["ridge"],
         )
         interior = np.take(analysed, bucket.interior_positions, axis=1)
@@ -226,7 +228,6 @@ def run_vectorized(plan, fan_out=None) -> dict:
             )
             for lo in range(0, n_batch, per_run):
                 hi = min(lo + per_run, n_batch)
-                bucket.observation_terms(lo, hi)  # built here, not on the pool
                 runs.append(
                     partial(_compute_run, plan, bucket, lo, hi, span_attrs)
                 )

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import repro.core.analysis as core_analysis
 import repro.core.cholesky as cholesky
 from repro.core import Decomposition, ObservationNetwork
-from repro.core.analysis import analysis_modified_cholesky
+from repro.core.analysis import ObservationTerms, analysis_modified_cholesky
 from repro.core.cholesky import (
     MIN_VARIANCE,
     Stencil,
@@ -330,7 +330,7 @@ class TestStencilValidation:
         with pytest.raises(ValueError, match="2 entries for n=3"):
             analysis_modified_cholesky(
                 self.states[None], Stencil.from_predecessors(preds, 2),
-                np.eye(3), np.ones(3), np.zeros((3, 5)),
+                ObservationTerms.build(np.eye(3), np.ones(3)), np.zeros((3, 5)),
             )
 
 
@@ -443,15 +443,38 @@ class TestBandRegressions:
 # ---------------------------------------------------------------------------
 # Perf guard: call counts, not wall-clock
 # ---------------------------------------------------------------------------
+def spy_numpy(monkeypatch):
+    """Make ``np.linalg.solve`` raise and record the operand count of every
+    ``np.einsum`` call."""
+    einsum_operands = []
+    einsum = np.einsum
+
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    def spy_einsum(spec, *operands, **kwargs):
+        einsum_operands.append(len(operands))
+        return einsum(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    monkeypatch.setattr(np, "einsum", spy_einsum)
+    return einsum_operands
+
+
+def assert_no_triple_products(einsum_operands):
+    """The spy saw the kernel's einsum calls, and none multiplies three or
+    more operands (a ``B · n³`` product)."""
+    assert einsum_operands
+    assert max(einsum_operands) < 3
+
+
 class TestCallCounts:
     """A run of the engine is two banded ``pbsv`` calls — the regressions
-    and the closing — whatever its piece count or stencil sizes, and no
-    dense ``np.linalg.solve``."""
+    and the closing — whatever its piece count or stencil sizes, with no
+    dense ``np.linalg.solve`` and no three-operand ``np.einsum``."""
 
     def test_one_engine_run_is_two_band_solves(self, monkeypatch):
-        def no_dense_solve(*args, **kwargs):
-            raise AssertionError("np.linalg.solve called")
-
+        einsum_operands = spy_numpy(monkeypatch)
         solves, runs = [], []
         real_solve = cholesky._solve_band
         real_compute = vectorized._compute_run
@@ -464,7 +487,6 @@ class TestCallCounts:
             runs.append((hi - lo, bucket.stencil.s_max))
             real_compute(plan, bucket, lo, hi, span_attrs)
 
-        monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
         monkeypatch.setattr(cholesky, "_solve_band", spy_solve)
         monkeypatch.setattr(core_analysis, "_solve_band", spy_solve)
         monkeypatch.setattr(vectorized, "_compute_run", spy_compute)
@@ -489,12 +511,11 @@ class TestCallCounts:
         ):
             assert regression[1][0] == s_max and regression[2][1] == 1
             assert closing[2][1] == 12
+        assert_no_triple_products(einsum_operands)
 
     def test_per_piece_estimate_makes_no_dense_solve(self, monkeypatch):
-        def no_dense_solve(*args, **kwargs):
-            raise AssertionError("np.linalg.solve called")
-
-        monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+        einsum_operands = spy_numpy(monkeypatch)
         grid, (ix, iy) = STENCIL_CASES["large_40x22"]
         states = np.random.default_rng(17).standard_normal((880, 24))
         modified_cholesky_inverse(states, grid, ix, iy, 60.0, ridge=1e-2)
+        assert_no_triple_products(einsum_operands)

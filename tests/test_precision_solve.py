@@ -35,6 +35,7 @@ from repro.core import (
     Grid,
     InterpolatingObservationNetwork,
     ObservationNetwork,
+    ObservationTerms,
     analysis_modified_cholesky,
     analysis_precision_form,
     local_analysis,
@@ -183,12 +184,16 @@ class TestDenseOracle:
             for member in stack
         ]
         one = analysis_modified_cholesky(
-            stack[:1], stencil, h, r_diag, y_local, ridge=ridge
+            stack[:1], stencil, ObservationTerms.build(h, r_diag), y_local,
+            ridge=ridge,
         )
         np.testing.assert_allclose(one[0], want[0], rtol=RTOL, atol=ATOL)
         three = analysis_modified_cholesky(
-            stack, stencil, sp.block_diag([h] * 3, format="csr"),
-            np.tile(r_diag, 3), np.tile(y_local, (3, 1)), ridge=ridge,
+            stack, stencil,
+            ObservationTerms.build(
+                sp.block_diag([h] * 3, format="csr"), np.tile(r_diag, 3)
+            ),
+            np.tile(y_local, (3, 1)), ridge=ridge,
         )
         np.testing.assert_allclose(three, want, rtol=RTOL, atol=ATOL)
 
@@ -226,10 +231,15 @@ class TestClosingShapes:
                 ),
             )
 
-        unpadded = analysis_modified_cholesky(stack, stencil, *blocks(0), ridge=1e-2)
-        padded = analysis_modified_cholesky(
-            stack, stencil, *blocks(m - short), ridge=1e-2
-        )
+        def analyse(pad):
+            h_block, r_block, y_block = blocks(pad)
+            return analysis_modified_cholesky(
+                stack, stencil, ObservationTerms.build(h_block, r_block),
+                y_block, ridge=1e-2,
+            )
+
+        unpadded = analyse(0)
+        padded = analyse(m - short)
         np.testing.assert_allclose(padded, unpadded, rtol=1e-13, atol=1e-14)
         want = dense_oracle(
             stack[1], h[:short], r_diag[:short], y_local[:short],
@@ -257,7 +267,8 @@ class TestClosingShapes:
         r_diag = np.full(m, 0.25)
         ys = rng.standard_normal((m, N_MEMBERS))
         got = analysis_modified_cholesky(
-            xb[None], stencil, h, r_diag, ys, ridge=1e-2
+            xb[None], stencil, ObservationTerms.build(h, r_diag), ys,
+            ridge=1e-2,
         )[0]
         b_inv = modified_cholesky_inverse(
             xb, grid, ix, iy, RADIUS_KM, ridge=1e-2
@@ -305,8 +316,9 @@ class TestClosingShapes:
         r_diag = 0.1 + rng.random(n_batch * m)
         ys = rng.standard_normal((n_batch * m, n_members))
         got = analysis_modified_cholesky(
-            stack, stencil, sp.block_diag(hs, format="csr"), r_diag, ys,
-            ridge=1e-2,
+            stack, stencil,
+            ObservationTerms.build(sp.block_diag(hs, format="csr"), r_diag),
+            ys, ridge=1e-2,
         )
         for b in range(n_batch):
             rows = slice(b * m, (b + 1) * m)
@@ -441,7 +453,8 @@ class TestInputBoundary:
             analysis_precision_form(xb, h, r_diag, y_local, b_inv)
         with pytest.raises(ValueError, match="non-finite"):
             analysis_modified_cholesky(
-                xb[None], piece_stencil(sd), h, r_diag, y_local, ridge=1e-2
+                xb[None], piece_stencil(sd),
+                ObservationTerms.build(h, r_diag), y_local, ridge=1e-2,
             )
 
     @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf])
@@ -453,7 +466,8 @@ class TestInputBoundary:
             analysis_precision_form(xb, h, r_diag, y_local, b_inv)
         with pytest.raises(ValueError, match="r_diag"):
             analysis_modified_cholesky(
-                xb[None], piece_stencil(sd), h, r_diag, y_local, ridge=1e-2
+                xb[None], piece_stencil(sd),
+                ObservationTerms.build(h, r_diag), y_local, ridge=1e-2,
             )
 
     @pytest.mark.parametrize("fmt", ["dense", "csr"])
@@ -595,3 +609,15 @@ class TestLapackCall:
         core_analysis._solve_band(band, rhs)
         assert np.array_equal(band, before[0])
         assert np.array_equal(rhs, before[1])
+
+    def test_fortran_ordered_temporaries_are_solved_in_place(self):
+        """LAPACK's own layout is not copied: a caller's Fortran-ordered
+        band is factorised and its right-hand sides become the solution."""
+        n = 30
+        band = np.vstack([np.full(n, 4.0), np.full(n, -1.0)])
+        rhs = np.ones((n, 3))
+        want = core_analysis._solve_band(band, rhs)
+        band_f, rhs_f = np.asfortranarray(band), np.asfortranarray(rhs)
+        got = core_analysis._solve_band(band_f, rhs_f)
+        assert np.shares_memory(got, rhs_f) and np.array_equal(got, want)
+        assert not np.array_equal(band_f, band)

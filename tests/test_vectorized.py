@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import Decomposition, Grid, ObservationNetwork
 from repro.core.analysis import (
+    ObservationTerms,
     analysis_modified_cholesky,
     analysis_precision_form,
 )
@@ -143,8 +144,8 @@ class TestBatchedKernels:
         the public precision form."""
         sd, geo, xb, h, r, ys, block = self._enkf_stack()
         out = analysis_modified_cholesky(
-            xb, geo.stencil, block, r.ravel(), ys.reshape(-1, ys.shape[2]),
-            ridge=1e-3,
+            xb, geo.stencil, ObservationTerms.build(block, r.ravel()),
+            ys.reshape(-1, ys.shape[2]), ridge=1e-3,
         )
         ix, iy = sd.expansion_coords
         for b in range(xb.shape[0]):
@@ -159,12 +160,13 @@ class TestBatchedKernels:
         """A piece is the ``B = 1`` stack of the same function."""
         sd, geo, xb, h, r, ys, block = self._enkf_stack()
         out = analysis_modified_cholesky(
-            xb, geo.stencil, block, r.ravel(), ys.reshape(-1, ys.shape[2]),
-            ridge=1e-3,
+            xb, geo.stencil, ObservationTerms.build(block, r.ravel()),
+            ys.reshape(-1, ys.shape[2]), ridge=1e-3,
         )
         for b in range(xb.shape[0]):
             one = analysis_modified_cholesky(
-                xb[b:b + 1], geo.stencil, h[b], r[b], ys[b], ridge=1e-3
+                xb[b:b + 1], geo.stencil, ObservationTerms.build(h[b], r[b]),
+                ys[b], ridge=1e-3,
             )
             assert np.allclose(out[b], one[0], rtol=RTOL, atol=ATOL)
 
@@ -184,10 +186,12 @@ class TestBatchedKernels:
             xb.shape[1],
         )
         unpadded = analysis_modified_cholesky(
-            xb, stencil, h[0], r[0], ys[0], ridge=1e-3
+            xb, stencil, ObservationTerms.build(h[0], r[0]), ys[0],
+            ridge=1e-3,
         )
         padded = analysis_modified_cholesky(
-            xb, stencil, sp.csr_matrix(h_p[0]), r_p[0], ys_p[0], ridge=1e-3
+            xb, stencil, ObservationTerms.build(sp.csr_matrix(h_p[0]), r_p[0]),
+            ys_p[0], ridge=1e-3,
         )
         assert np.allclose(unpadded, padded, rtol=1e-12, atol=1e-13)
 
@@ -196,16 +200,19 @@ class TestBatchedKernels:
         flat_ys = ys.reshape(-1, ys.shape[2])
         with pytest.raises(ValueError):  # H over fewer pieces than stacked
             analysis_modified_cholesky(
-                xb, geo.stencil, sp.block_diag(list(h[:-1])), r.ravel(),
+                xb, geo.stencil,
+                ObservationTerms.build(sp.block_diag(list(h[:-1])), r.ravel()),
                 flat_ys,
             )
         with pytest.raises(ValueError):  # a row of Yˢ missing
             analysis_modified_cholesky(
-                xb, geo.stencil, block, r.ravel(), flat_ys[:-1]
+                xb, geo.stencil, ObservationTerms.build(block, r.ravel()),
+                flat_ys[:-1],
             )
         with pytest.raises(ValueError):  # the stencil of another shape
             analysis_modified_cholesky(
-                xb[:, :-1], geo.stencil, block, r.ravel(), flat_ys
+                xb[:, :-1], geo.stencil,
+                ObservationTerms.build(block, r.ravel()), flat_ys,
             )
 
 
