@@ -1,19 +1,12 @@
-"""Telemetry overhead bounds: what leaving the instruments on costs.
+"""Telemetry overhead bound: what leaving the instruments on costs.
 
-Two timing checks, kept out of tier-1 because they measure wall time on
-whatever box runs them (CI's ``overhead`` job runs this module):
+One timing check, kept out of tier-1 because it measures wall time on
+whatever box runs it (CI's ``profile-smoke`` job runs this module): a
+serial P-EnKF analysis with the full observatory on (ambient tracer +
+sampling profiler) must stay within **1.10x** the bare analysis *and*
+bit-identical to it.
 
-* **flight-recorder append** — a
-  :class:`~repro.telemetry.flightrec.FlightRecorder` replaces the plain
-  :class:`~repro.telemetry.tracer.Tracer`'s unbounded span list with a
-  fixed ring.  Per-span append cost must stay **<= 2x** the plain
-  tracer's (best of K rounds; in practice the ring sits near 1x — one
-  length check and a deque append);
-* **sampling profiler** — a serial P-EnKF analysis with the full
-  observatory on (ambient tracer + sampling profiler) must stay within
-  **1.10x** the bare analysis *and* bit-identical to it.
-
-Run with ``-s`` to see the measured ratios::
+Run with ``-s`` to see the measured ratio::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_telemetry.py -s
 """
@@ -26,50 +19,15 @@ import numpy as np
 from repro.core import Decomposition, Grid, ObservationNetwork, radius_to_halo
 from repro.filters import PEnKF
 from repro.telemetry import (
-    FlightRecorder,
     SamplingProfiler,
     Tracer,
     use_profiler,
     use_tracer,
 )
 
-#: ring append vs. plain list append.
-MAX_FLIGHT_OVERHEAD_RATIO = 2.0
-
 #: profiled vs. bare analysis wall time.  The sampler runs on its own
 #: thread, so the analysis pays only GIL handoffs — measured ~2 %.
 MAX_PROFILE_OVERHEAD_RATIO = 1.10
-
-
-def _seconds_per_span(tracer, n_spans: int) -> float:
-    t0 = time.perf_counter()
-    for _ in range(n_spans):
-        with tracer.span("cycle", category="cycle"):
-            pass
-    return (time.perf_counter() - t0) / n_spans
-
-
-def test_flight_recorder_append_overhead():
-    """Per-span cost of the ring against the recording tracer it replaces.
-
-    The best of ``rounds`` on each side guards the steady-state cost, not
-    scheduler noise.  The recorder's capacity is far below ``n_spans``,
-    so every append pays the eviction path (the worst case).  The
-    baseline is a recording :class:`Tracer`, not ``NULL_TRACER``: any
-    tracer that materialises spans is ~14x the disabled no-op, so the
-    bound pins what the ring *adds*.
-    """
-    n_spans, rounds = 5_000, 3
-    tracer = min(_seconds_per_span(Tracer(), n_spans) for _ in range(rounds))
-    flight = min(
-        _seconds_per_span(FlightRecorder(capacity=1024), n_spans)
-        for _ in range(rounds)
-    )
-    ratio = flight / tracer
-    print(f"\n  flight recorder {flight * 1e6:.2f} us/span vs tracer "
-          f"{tracer * 1e6:.2f} us/span -> ratio {ratio:.2f} "
-          f"(bound {MAX_FLIGHT_OVERHEAD_RATIO})")
-    assert ratio <= MAX_FLIGHT_OVERHEAD_RATIO
 
 
 def test_sampling_profiler_overhead_and_bit_identity():

@@ -6,23 +6,26 @@ block reading (P-EnKF) parallelises but pays O(n_y * n_sdx) seeks into
 one disk at a time; bar reading makes every access a single seek; and
 concurrent groups multiply bandwidth until the disks saturate.
 
-Also verifies — with real data — that block reading delivers each rank
-exactly its expansion values (the strategies move the same numbers, at
-very different costs).
+Also verifies — with real files — that every strategy's plan, staged
+from a temporary ensemble store, delivers exactly the members that were
+written (the strategies move the same numbers, at very different costs).
 
 Run:  python examples/reading_strategies.py
 """
+
+import tempfile
+from functools import partial
 
 import numpy as np
 
 from repro.cluster import Machine, MachineSpec
 from repro.core import Decomposition, Grid
+from repro.data import EnsembleStore, stage_plan_from_disk
 from repro.io import (
     FileLayout,
     bar_read_plan,
     block_read_plan,
     concurrent_access_plan,
-    execute_read_plan_inline,
     simulate_read_plan,
     single_reader_plan,
 )
@@ -57,23 +60,25 @@ def main() -> None:
             f"{plan.total_bytes_read() / 1e9:8.2f} {makespan:13.3f} s"
         )
 
-    # Data equivalence on a miniature problem with real arrays.
+    # Data equivalence on a miniature problem with real files.
     small_grid = Grid(n_x=24, n_y=12)
     small_decomp = Decomposition(small_grid, n_sdx=4, n_sdy=3, xi=2, eta=1)
-    small_layout = FileLayout(grid=small_grid, h_bytes=8)
-    rng = np.random.default_rng(0)
-    members = {f: rng.normal(size=small_grid.n) for f in range(4)}
-    plan = block_read_plan(small_decomp, small_layout, n_files=4)
-    staged = execute_read_plan_inline(plan, members)
-    for sd in small_decomp:
-        rank = small_decomp.rank_of(sd.i, sd.j)
-        for f in range(4):
-            got = np.sort(staged[rank][f])
-            want = np.sort(members[f][sd.expansion_flat])
-            assert np.allclose(got, want)
-    print("\nblock plan delivered every rank exactly its expansion values "
-          "(data equivalence verified on a miniature problem)")
-
+    members = np.random.default_rng(0).normal(size=(small_grid.n, 4))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = EnsembleStore(tmp, small_grid)
+        store.write_ensemble(members)
+        for name, planner in {
+            "single-reader": single_reader_plan,
+            "block": block_read_plan,
+            "bar": bar_read_plan,
+            "concurrent (2 groups)": partial(concurrent_access_plan, n_cg=2),
+        }.items():
+            plan = planner(small_decomp, store.layout, 4)
+            staged, dropped = stage_plan_from_disk(plan, store)
+            assert dropped == [] and np.array_equal(staged, members), name
+    print("\nevery strategy's plan, staged from real files, delivered exactly "
+          "the written members (data equivalence verified on a miniature "
+          "problem)")
 
 if __name__ == "__main__":
     main()

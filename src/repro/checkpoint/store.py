@@ -50,7 +50,7 @@ from repro.faults.errors import (
     CorruptMemberError,
     MemberUnrecoverableError,
 )
-from repro.faults.policy import RetryPolicy
+from repro.faults.policy import RetryPolicy, run_with_retry
 from repro.telemetry.metrics import get_metrics
 from repro.telemetry.tracer import get_tracer
 from repro.util.validation import check_positive
@@ -183,28 +183,6 @@ class CheckpointStore:
         return cycles[-1] if cycles else None
 
     # -- writing ------------------------------------------------------------
-    def _retrying(self, operation):
-        """Run ``operation()`` under the store's transient-fault policy."""
-        tracer = get_tracer()
-        attempt = 0
-        while True:
-            t0 = tracer.now()
-            try:
-                return operation()
-            except CorruptMemberError:
-                raise  # permanent: same bad bytes on every retry
-            except OSError as exc:
-                if not self.retry.should_retry(attempt):
-                    raise
-                attempt += 1
-                if tracer.enabled:
-                    tracer.record(
-                        "fault.retry", t0, tracer.now(), category="fault",
-                        site="checkpoint", attempt=attempt,
-                        error=type(exc).__name__,
-                    )
-                    get_metrics().counter("fault.retries").inc()
-
     def save(
         self,
         cycle: int,
@@ -245,8 +223,9 @@ class CheckpointStore:
             member_sha: dict[str, str] = {}
             with tracer.span("checkpoint.stage", category="checkpoint"):
                 for k in range(n_members):
-                    self._retrying(
-                        lambda k=k: members.write_member(k, ensemble[:, k])
+                    run_with_retry(
+                        lambda k=k: members.write_member(k, ensemble[:, k]),
+                        self.retry, site="checkpoint",
                     )
                     member_sha[f"{k:05d}"] = sha256_file(members.member_path(k))
                 aux_sha: dict[str, str] = {}
@@ -313,11 +292,10 @@ class CheckpointStore:
             ):
                 for k in range(manifest.n_members):
                     try:
-                        columns.append(
-                            self._retrying(lambda k=k: members.read_member(k))
-                        )
-                    except CorruptMemberError:
-                        raise
+                        columns.append(run_with_retry(
+                            lambda k=k: members.read_member(k),
+                            self.retry, site="checkpoint",
+                        ))
                     except OSError as exc:
                         raise MemberUnrecoverableError(k, cause=exc) from exc
                     recorded = manifest.member_sha256.get(f"{k:05d}")

@@ -17,13 +17,15 @@ import errno
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.grid import Grid
 from repro.faults.errors import CorruptMemberError
+from repro.faults.policy import RetryPolicy, run_with_retry
+from repro.faults.report import ResilienceReport
 from repro.io.layout import FileLayout
 from repro.io.plan import ReadOp, ReadPlan
 from repro.telemetry.metrics import get_metrics, use_thread_metrics
@@ -145,23 +147,6 @@ class EnsembleStore:
         (how :class:`~repro.faults.store.FaultyStore` injects its faults).
         """
         return ExtentReader(self, before_read)
-
-    def read_extents(
-        self, k: int, extents: list[tuple[int, int]]
-    ) -> np.ndarray:
-        """Read a list of (start_elem, n_elems) extents with real seeks.
-
-        One positional read per extent — the exact disk-addressing pattern
-        the simulator charges for.  No extents give an empty array.
-
-        Extent bounds are validated against both the logical grid size and
-        the *actual* file size, and every read is checked for shortness, so
-        an undersized member file raises a typed
-        :class:`~repro.faults.errors.CorruptMemberError` instead of
-        yielding a silently wrong-shaped array.
-        """
-        with self.extent_reader() as reader:
-            return reader.read(k, tuple(map(tuple, extents)))
 
 
 class _Extents:
@@ -440,10 +425,9 @@ def read_plan_from_disk(
 ) -> dict[int, dict[int, np.ndarray]]:
     """Execute a strategy's :class:`ReadPlan` against real files.
 
-    Returns ``rank -> file_id -> values`` exactly like
-    :func:`repro.io.execute.execute_read_plan_inline`, but with one genuine
-    positional read per extent against the store — end-to-end proof that
-    the plans' extents are valid on the real layout.
+    Returns ``rank -> file_id -> values``, each op's extents back to back,
+    with one genuine positional read per extent against the store —
+    end-to-end proof that the plans' extents are valid on the real layout.
     """
     tracer = get_tracer()
     out: dict[int, dict[int, np.ndarray]] = {}
@@ -462,22 +446,73 @@ def read_plan_from_disk(
     return out
 
 
-def stage_plan_from_disk(plan: ReadPlan, store: EnsembleStore) -> np.ndarray:
-    """Execute a :class:`ReadPlan` straight into the ``(n, N)`` background.
+def stage_plan_from_disk(
+    plan: ReadPlan,
+    store: EnsembleStore,
+    retry: RetryPolicy | None = None,
+    report: ResilienceReport | None = None,
+) -> tuple[np.ndarray, list[int]]:
+    """Execute a :class:`ReadPlan` straight into the ``(n, N)`` background:
+    the one body that reads a plan into the program.
 
     Every extent of every op is read to its own place in a member-major
     ``(N, n)`` buffer (overlapping halos rewrite equal values), which is
     transposed once at the end.  A plan that leaves any element of any
-    file unread raises ``ValueError`` before anything is read.
+    file unread raises ``ValueError`` before anything is read.  Returns
+    ``(background, dropped)``.
+
+    With ``retry=None`` every op is one attempt and every error propagates
+    as itself, so ``dropped`` is ``[]``.  With a
+    :class:`~repro.faults.policy.RetryPolicy` each op runs under
+    :func:`~repro.faults.policy.run_with_retry`; a member whose op is
+    corrupt or outlasts the policy is dropped once (``report.drop_member``,
+    ``report.failed_ops``, a ``fault.unrecoverable`` span), its later ops
+    are skipped and its column is left NaN, for
+    :meth:`~repro.filters.distributed.DistributedEnKF.assimilate_degraded`
+    to leave out.
     """
     n, n_files = store.grid.n, plan.n_files
     ops = [op for rank_plan in plan.per_rank.values() for op in rank_plan.reads]
+    if retry is not None and report is None:
+        report = ResilienceReport()
+    lost: set[int] = set()
     with store.extent_reader() as reader:
         _check_covers(ops, reader, n_files, "unread")
         mirror = np.empty((n_files, n), dtype=_DTYPE)
         for op in ops:
-            reader.read_into(op.file_id, op.extents, mirror[op.file_id])
-    return np.ascontiguousarray(mirror.T).astype(float, copy=False)
+            k = op.file_id
+            if retry is None:
+                reader.read_into(k, op.extents, mirror[k])
+            elif k not in lost:
+                t0, retries = get_tracer().now(), report.retries
+                try:
+                    run_with_retry(
+                        partial(reader.read_into, k, op.extents, mirror[k]),
+                        retry, report, member=k,
+                    )
+                except (CorruptMemberError, OSError) as exc:
+                    lost.add(k)
+                    _drop(k, exc, report, t0, 1 + report.retries - retries)
+    dropped = sorted(lost)
+    mirror[dropped] = np.nan
+    return np.ascontiguousarray(mirror.T).astype(float, copy=False), dropped
+
+
+def _drop(
+    k: int, exc: BaseException, report: ResilienceReport, t0: float,
+    attempts: int,
+) -> None:
+    """Account for member ``k``, dropped by ``exc`` after ``attempts``
+    attempts at the op that started at ``t0``."""
+    report.failed_ops += 1
+    report.drop_member(k)
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.record(
+            "fault.unrecoverable", t0, tracer.now(), category="fault",
+            member=k, error=type(exc).__name__, attempts=attempts,
+        )
+        get_metrics().counter("fault.members_unrecoverable").inc()
 
 
 def write_plan_to_disk(

@@ -338,7 +338,7 @@ def _render_report(path, threshold: float = 0.15) -> int:
         if critical:
             tripped.append(
                 f"{critical} critical alert(s) fired; "
-                "inspect the filter configuration or the flight dump"
+                "inspect the filter configuration or the run's trace"
             )
     for message in tripped:
         print(message, file=sys.stderr)

@@ -9,15 +9,18 @@ first-class, *replayable* input:
   faults/slowdowns, storage-node outages, stragglers, message delay/drop,
   rank kills, corrupted member files).  Same seed ⇒ byte-identical faults.
 - :class:`RetryPolicy` — bounded exponential backoff with deadlines,
-  shared by the simulated executors and the real-file readers.
+  shared by the simulated executors and the real-file path, where
+  :func:`run_with_retry` is the one retry loop (staging a read plan,
+  saving and loading a checkpoint).
 - :class:`FaultInjector` — binds a schedule to one run and records into a
   :class:`ResilienceReport` (faults injected, retries, failovers, members
   dropped, slowdown vs clean).
 - :class:`DegradedResult` — the record filters return when they proceed
   with ``N - k`` surviving members instead of crashing.
-- ``repro.faults.store`` — the real-file side: :class:`FaultyStore` plus
-  resilient plan/ensemble readers (imported lazily to keep this package a
-  light dependency for the machine layers).
+- ``repro.faults.store`` — the real-file side: :class:`FaultyStore`
+  (imported lazily to keep this package a light dependency for the
+  machine layers).  Degrading on a lost member file is
+  :func:`repro.data.stage_plan_from_disk` with a :class:`RetryPolicy`.
 
 See ``docs/RESILIENCE.md`` for the fault model and guarantees.
 """
@@ -31,7 +34,7 @@ from repro.faults.errors import (
     TransientIOError,
 )
 from repro.faults.inject import FaultInjector
-from repro.faults.policy import RetryPolicy
+from repro.faults.policy import RetryPolicy, run_with_retry
 from repro.faults.report import DegradedResult, ResilienceReport
 from repro.faults.schedule import DiskFault, DiskOutage, FaultSchedule
 
@@ -50,23 +53,16 @@ __all__ = [
     "ResilienceReport",
     "RetryPolicy",
     "TransientIOError",
-    "read_ensemble_resilient",
-    "read_plan_from_disk_resilient",
+    "run_with_retry",
 ]
-
-_LAZY_STORE = (
-    "FaultyStore",
-    "read_ensemble_resilient",
-    "read_plan_from_disk_resilient",
-)
 
 
 def __getattr__(name):
-    # The store helpers pull in numpy + repro.data; loading them lazily keeps
+    # FaultyStore pulls in numpy + repro.data; loading it lazily keeps
     # `repro.faults` importable from the low-level machine layers
-    # (cluster.disk, mpisim) without creating import cycles.
-    if name in _LAZY_STORE:
-        from repro.faults import store as _store
+    # (cluster.disk, mpisim) and from repro.data without import cycles.
+    if name == "FaultyStore":
+        from repro.faults.store import FaultyStore
 
-        return getattr(_store, name)
+        return FaultyStore
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

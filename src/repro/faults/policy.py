@@ -1,10 +1,12 @@
 """Retry policies: bounded exponential backoff with per-op deadlines.
 
 One :class:`RetryPolicy` is shared by the simulated I/O executors (backoff
-delays are *simulated* time) and the real-file readers (attempts retried
-immediately — sleeping a wall clock inside a reproduction run buys
-nothing).  Deterministic by construction: no jitter, so a retried run under
-a fixed :class:`~repro.faults.schedule.FaultSchedule` replays exactly.
+delays are *simulated* time) and the real-file path, where
+:func:`run_with_retry` is the one retry loop: staging a read plan and
+saving or loading a checkpoint both call it, and it retries immediately —
+sleeping a wall clock inside a reproduction run buys nothing.
+Deterministic by construction: no jitter, so a retried run under a fixed
+:class:`~repro.faults.schedule.FaultSchedule` replays exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from repro.util.validation import check_nonnegative
 
-__all__ = ["RetryPolicy"]
+__all__ = ["RetryPolicy", "run_with_retry"]
 
 
 @dataclass(frozen=True)
@@ -62,3 +64,40 @@ class RetryPolicy:
     def none(cls) -> "RetryPolicy":
         """Fail on the first error (max_retries=0)."""
         return cls(max_retries=0)
+
+
+def run_with_retry(operation, retry: RetryPolicy, report=None, **attrs):
+    """Return ``operation()``, retrying a transient ``OSError`` under
+    ``retry``: the one real-file retry loop.
+
+    Each retry is a ``fault.retry`` span carrying ``attrs`` (the caller's
+    ``member=`` or ``site=``), ``attempt`` and ``error``, and bumps the
+    ``fault.retries`` counter and ``report.retries``.  A
+    :class:`~repro.faults.errors.CorruptMemberError` is a ``ValueError``,
+    so it is never retried (the same bad bytes would come back).  Once the
+    policy is spent the last error is re-raised: what exhaustion means is
+    the caller's policy.
+    """
+    # Imported here: repro.telemetry reaches repro.cluster, which imports
+    # this package.
+    from repro.telemetry.metrics import get_metrics
+    from repro.telemetry.tracer import get_tracer
+
+    tracer = get_tracer()
+    attempt = 0
+    while True:
+        t0 = tracer.now()
+        try:
+            return operation()
+        except OSError as exc:
+            if not retry.should_retry(attempt):
+                raise
+            attempt += 1
+            if report is not None:
+                report.retries += 1
+            if tracer.enabled:
+                tracer.record(
+                    "fault.retry", t0, tracer.now(), category="fault",
+                    attempt=attempt, error=type(exc).__name__, **attrs,
+                )
+                get_metrics().counter("fault.retries").inc()

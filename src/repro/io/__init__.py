@@ -12,18 +12,14 @@ From that layout:
   (Fig. 3, Fig. 5's linear growth).
 
 Strategies are pure planners: they emit :class:`ReadOp`/:class:`SendOp`
-structures that (a) the inline backend executes against real numpy arrays
-and (b) the simulated backend executes against the DES machine.  One plan,
-two substrates (DESIGN.md §6.1).
+structures that (a) :func:`repro.data.stage_plan_from_disk` executes
+against real member files and (b) the simulated backend executes against
+the DES machine.  One plan, two substrates (DESIGN.md §6.1).
 """
 
 from repro.io.layout import FileLayout, contiguous_runs
 from repro.io.plan import ReadOp, SendOp, RankReadPlan, ReadPlan
-from repro.io.execute import (
-    execute_read_plan_inline,
-    simulate_op_read,
-    simulate_read_plan,
-)
+from repro.io.execute import simulate_op_read, simulate_read_plan
 from repro.io.writers import (
     bar_gather_write_plan,
     block_write_plan,
@@ -48,7 +44,6 @@ __all__ = [
     "block_write_plan",
     "concurrent_access_plan",
     "contiguous_runs",
-    "execute_read_plan_inline",
     "simulate_op_read",
     "simulate_read_plan",
     "simulate_write_plan",

@@ -1,18 +1,13 @@
-"""Executors for read plans: simulated (timing) and inline (real data).
+"""The simulated executor for read plans (timing).
 
 ``simulate_read_plan`` spawns one DES process per reader rank, issuing its
 :class:`~repro.io.plan.ReadOp` list in order against the machine's parallel
 file system, and returns the phase timeline (wait vs read per rank) plus
-the makespan.  This is the engine behind Figs. 5 and 10.
-
-``execute_read_plan_inline`` performs the same plan against in-memory
-member vectors and returns exactly the elements each rank read — used to
-prove the strategies are data-equivalent (they differ only in cost).
+the makespan.  This is the engine behind Figs. 5 and 10.  The same plan is
+executed on real files by :func:`repro.data.stage_plan_from_disk`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.faults.errors import DiskFaultError, MemberUnrecoverableError
@@ -20,8 +15,6 @@ from repro.faults.policy import RetryPolicy
 from repro.io.plan import ReadPlan
 from repro.sim import Timeline
 from repro.sim.trace import PHASE_FAILED, PHASE_READ, PHASE_RETRY, PHASE_WAIT
-from repro.telemetry.metrics import get_metrics
-from repro.telemetry.tracer import get_tracer
 
 
 def simulate_op_read(machine, timeline, rank, file_id, seeks, nbytes,
@@ -99,44 +92,3 @@ def simulate_read_plan(
             env.process(reader(rank, rank_plan), name=f"reader[{rank}]")
     env.run()
     return timeline, env.now - start_time
-
-
-def execute_read_plan_inline(
-    plan: ReadPlan, members: dict[int, np.ndarray]
-) -> dict[int, dict[int, np.ndarray]]:
-    """Gather each rank's extents from real member vectors.
-
-    Parameters
-    ----------
-    plan:
-        The strategy output.
-    members:
-        ``file_id -> flat member vector`` (length ``grid.n``).
-
-    Returns
-    -------
-    ``rank -> file_id -> element values`` (in extent order).  Ranks reading
-    the same file twice would get concatenated values; strategies never do.
-    """
-    tracer = get_tracer()
-    out: dict[int, dict[int, np.ndarray]] = {}
-    with tracer.span(
-        "io.execute_inline", category="io", n_ranks=len(plan.per_rank)
-    ):
-        n_elements = 0
-        for rank, rank_plan in plan.per_rank.items():
-            per_file: dict[int, np.ndarray] = {}
-            for op in rank_plan.reads:
-                if op.file_id not in members:
-                    raise KeyError(f"plan reads file {op.file_id} not provided")
-                vec = np.asarray(members[op.file_id])
-                if op.indices().max(initial=-1) >= vec.size:
-                    raise ValueError(
-                        f"extent beyond file end for file {op.file_id}"
-                    )
-                per_file[op.file_id] = vec[op.indices()]
-                n_elements += per_file[op.file_id].size
-            out[rank] = per_file
-        if tracer.enabled:
-            get_metrics().counter("io.inline_elements_read").inc(n_elements)
-    return out

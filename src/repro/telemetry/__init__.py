@@ -42,7 +42,6 @@ from repro.telemetry.chrome import (
     spans_from_timeline,
     write_chrome_trace,
 )
-from repro.telemetry.flightrec import FlightRecorder, SpanRing
 from repro.telemetry.health import (
     HEALTH_SCHEMA,
     Alert,
@@ -112,7 +111,6 @@ __all__ = [
     "Counter",
     "CycleAttribution",
     "DEFAULT_TIME_BUCKETS",
-    "FlightRecorder",
     "Gauge",
     "HEALTH_SCHEMA",
     "HealthProbe",
@@ -131,7 +129,6 @@ __all__ = [
     "RunReport",
     "SamplingProfiler",
     "Span",
-    "SpanRing",
     "TraceEvent",
     "Tracer",
     "attribute_sim_reports",

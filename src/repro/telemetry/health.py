@@ -20,8 +20,8 @@ ensembles, streams them as ``health.*`` gauges through the ambient
 :class:`~repro.telemetry.metrics.MetricsRegistry`, and evaluates a set
 of declarative :class:`AlertRule`\\ s (threshold + sustained-for-N-cycles,
 burn-style).  Newly fired alerts bump ``health.alerts_fired`` and invoke
-the probe's ``on_alert`` hook — which is how a
-:class:`~repro.telemetry.flightrec.FlightRecorder` dump gets triggered
+the probe's ``on_alert`` hook — which is how a trace of the run so far
+(:func:`~repro.telemetry.chrome.write_chrome_trace`) gets written
 automatically at the moment of failure, not minutes later.
 
 The rollup is a versioned :class:`HealthReport` (``senkf-health/1``)
@@ -266,7 +266,7 @@ class HealthProbe:
     Each call publishes the stats as ``health.*`` gauges into the
     ambient registry, evaluates the rules and, for newly fired alerts,
     bumps ``health.alerts_fired`` and calls ``on_alert(alerts, stats)``
-    — the flight-recorder dump hook.
+    — the hook that writes a trace at the moment of failure.
     """
 
     def __init__(

@@ -19,7 +19,7 @@ from repro.data import (
     stage_plan_from_disk,
     write_plan_to_disk,
 )
-from repro.faults import CorruptMemberError
+from repro.faults import CorruptMemberError, RetryPolicy
 from repro.io import (
     FileLayout,
     ReadOp,
@@ -29,7 +29,6 @@ from repro.io import (
     block_read_plan,
     block_write_plan,
     concurrent_access_plan,
-    execute_read_plan_inline,
     single_reader_plan,
 )
 from repro.telemetry import (
@@ -40,6 +39,12 @@ from repro.telemetry import (
     use_thread_tracer,
     use_tracer,
 )
+
+
+def read_extents(store, k, extents):
+    """Member ``k``'s values over ``extents``, through a one-read reader."""
+    with store.extent_reader() as reader:
+        return reader.read(k, tuple(map(tuple, extents)))
 
 
 @pytest.fixture()
@@ -111,7 +116,7 @@ class TestEnsembleStore:
     def test_read_extents_with_real_seeks(self, filled):
         store, states = filled
         extents = [(0, 3), (30, 5), (100, 2)]
-        got = store.read_extents(1, extents)
+        got = read_extents(store, 1, extents)
         want = np.concatenate(
             [states[s : s + l, 1] for s, l in extents]
         )
@@ -120,16 +125,16 @@ class TestEnsembleStore:
     def test_read_extents_out_of_range(self, filled):
         store, _ = filled
         with pytest.raises(ValueError):
-            store.read_extents(0, [(store.grid.n - 1, 5)])
+            read_extents(store, 0, [(store.grid.n - 1, 5)])
 
     def test_read_no_extents_is_empty(self, filled):
         """``ReadOp(f, ())`` is a valid op: it reads nothing."""
         store, _ = filled
         op = ReadOp(file_id=1, extents=())
-        got = store.read_extents(op.file_id, list(op.extents))
+        got = read_extents(store, op.file_id, list(op.extents))
         assert got.shape == (0,) and got.dtype == np.float64
         with pytest.raises(FileNotFoundError):
-            store.read_extents(9, [])
+            read_extents(store, 9, [])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -146,7 +151,7 @@ class TestEnsembleStore:
             max_size=12,
         ))
         k = data.draw(st.integers(0, states.shape[1] - 1))
-        got = store.read_extents(k, extents)
+        got = read_extents(store, k, extents)
         assert np.array_equal(
             got, states[FileLayout.extent_indices(extents), k]
         )
@@ -175,8 +180,8 @@ class TestExtentErrorBoundary:
     @staticmethod
     def readers(store, plan):
         return {
-            "read_extents": lambda: store.read_extents(
-                2, [(0, 3), (40, 8), (200, 24)]
+            "read_extents": lambda: read_extents(
+                store, 2, [(0, 3), (40, 8), (200, 24)]
             ),
             "read_plan_from_disk": lambda: read_plan_from_disk(plan, store),
             "stage_plan_from_disk": lambda: stage_plan_from_disk(plan, store),
@@ -223,7 +228,7 @@ class TestExtentErrorBoundary:
         store, _ = filled
         before = open_descriptors()
         with pytest.raises(ValueError) as err:
-            store.read_extents(0, extents)
+            read_extents(store, 0, extents)
         assert open_descriptors() == before
         assert not isinstance(err.value, CorruptMemberError)
         assert str(err.value) == f"extent {named} out of range"
@@ -247,14 +252,14 @@ class TestReadPlanFromDisk:
         store, states = filled
         decomp = Decomposition(store.grid, n_sdx=4, n_sdy=3, xi=2, eta=1)
         plan = plan_fn(decomp, store.layout, n_files=5)
-        members = {k: states[:, k] for k in range(5)}
         from_disk = read_plan_from_disk(plan, store)
-        inline = execute_read_plan_inline(plan, members)
-        assert from_disk.keys() == inline.keys()
-        for rank in inline:
-            assert from_disk[rank].keys() == inline[rank].keys()
-            for f in inline[rank]:
-                assert np.allclose(from_disk[rank][f], inline[rank][f])
+        assert from_disk.keys() == plan.per_rank.keys()
+        for rank, rank_plan in plan.per_rank.items():
+            files = {op.file_id for op in rank_plan.reads}
+            assert from_disk[rank].keys() == files
+            for op in rank_plan.reads:
+                want = states[op.indices(), op.file_id]
+                assert np.array_equal(from_disk[rank][op.file_id], want)
 
     def test_block_plan_delivers_expansions_from_disk(self, filled):
         store, states = filled
@@ -289,7 +294,8 @@ class TestStagePlanFromDisk:
         states = np.random.default_rng(1).normal(size=(store.grid.n, 6))
         store.write_ensemble(states)
         plan = PLANS[name](decomp, store.layout, n_files=6)
-        staged = stage_plan_from_disk(plan, store)
+        staged, dropped = stage_plan_from_disk(plan, store)
+        assert dropped == []
         assert staged.shape == states.shape and staged.dtype == np.float64
         assert staged.flags.c_contiguous
         assert np.array_equal(staged, states)
@@ -300,6 +306,9 @@ class TestStagePlanFromDisk:
             for op in plan.per_rank[rank].reads:
                 scattered[op.indices(), op.file_id] = per_file[op.file_id]
         assert np.array_equal(staged, scattered)
+        # a retry policy on a clean store changes nothing
+        retried, dropped = stage_plan_from_disk(plan, store, retry=RetryPolicy())
+        assert dropped == [] and np.array_equal(retried, staged)
 
     def test_hole_is_an_error_not_uninitialised_memory(self, filled, decomp):
         store, _ = filled
@@ -357,7 +366,8 @@ class TestStagePlanFromDisk:
             ):
                 stage_plan_from_disk(plan, store)
         else:
-            assert np.array_equal(stage_plan_from_disk(plan, store), states[:, :2])
+            staged, dropped = stage_plan_from_disk(plan, store)
+            assert dropped == [] and np.array_equal(staged, states[:, :2])
 
 
 class TestReadTelemetry:

@@ -1,11 +1,10 @@
-"""The live health plane: probes, alert rules, flight recorder.
+"""The live health plane: probes, alert rules, health reports.
 
 Fast tier: everything here runs on tiny ensembles or synthetic stats.
 """
 
 import json
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -22,12 +21,10 @@ from repro.telemetry import (
     Alert,
     AlertEngine,
     AlertRule,
-    FlightRecorder,
     HealthProbe,
     HealthReport,
     MetricsRegistry,
     RunReport,
-    SpanRing,
     Tracer,
     default_filter_rules,
     render_health,
@@ -319,78 +316,3 @@ class TestHealthReport:
         assert "1 alert(s) fired" in text
         assert "!! violated now" in text
         assert "ALERT critical: low at cycle 1" in text
-
-
-class TestSpanRing:
-    def test_capacity_bounds_and_counts_drops(self):
-        ring = SpanRing(3)
-        for i in range(7):
-            ring.append(i)
-        assert len(ring) == 3
-        assert ring.dropped == 4
-        assert list(ring) == [4, 5, 6]  # oldest evicted first
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            SpanRing(0)
-
-
-class TestFlightRecorder:
-    def test_memory_bounded_under_span_load(self):
-        rec = FlightRecorder(capacity=16, metrics=MetricsRegistry())
-        for i in range(100):
-            with rec.span("cycle", category="cycle", i=i):
-                pass
-        assert len(rec.spans) == 16
-        assert rec.dropped_spans == 84
-        held = [s.attrs["i"] for s in rec.spans]
-        assert held == list(range(84, 100))  # the newest window
-
-    def test_aggregation_still_works_over_the_ring(self):
-        rec = FlightRecorder(capacity=8)
-        for _ in range(20):
-            with rec.span("cycle", category="cycle"):
-                pass
-        totals = rec.phase_totals()
-        assert set(totals) == {"cycle"}
-
-    def test_dump_writes_trace_and_validating_report(self, tmp_path):
-        rec = FlightRecorder(capacity=8, metrics=MetricsRegistry())
-        for i in range(12):
-            with rec.span("cycle", category="cycle"):
-                rec.event("tick", category="cycle", i=i)
-        paths = rec.dump(tmp_path, reason="unit-test", notes=["n1"])
-        trace = json.loads(paths["trace"].read_text())
-        window = trace["metadata"]["flight_recorder"]
-        assert window["reason"] == "unit-test"
-        assert window["spans_dropped"] == 4
-        payload = json.loads(paths["report"].read_text())
-        validate_run_report(payload)
-        assert payload["kind"] == "flight-dump"
-        assert payload["config"]["reason"] == "unit-test"
-
-    def test_sequential_dumps_get_distinct_names(self, tmp_path):
-        rec = FlightRecorder(capacity=8)
-        with rec.span("cycle", category="cycle"):
-            pass
-        first = rec.dump(tmp_path, reason="one")
-        second = rec.dump(tmp_path, reason="two")
-        assert first["trace"] != second["trace"]
-        assert rec.window()["dumps"] == 2
-
-    def test_concurrent_dumps_are_serialized(self, tmp_path):
-        rec = FlightRecorder(capacity=32)
-        with rec.span("cycle", category="cycle"):
-            pass
-        results = []
-
-        def dump():
-            results.append(rec.dump(tmp_path, reason="race"))
-
-        threads = [threading.Thread(target=dump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        traces = {r["trace"] for r in results}
-        assert len(traces) == 4  # no clobbered sequence numbers

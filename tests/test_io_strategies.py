@@ -5,6 +5,8 @@ import pytest
 
 from repro.cluster import Machine, MachineSpec
 from repro.core import Decomposition, Grid
+from repro.data import EnsembleStore, stage_plan_from_disk
+from repro.faults import RetryPolicy
 from repro.io import (
     FileLayout,
     ReadOp,
@@ -13,7 +15,6 @@ from repro.io import (
     bar_read_plan,
     block_read_plan,
     concurrent_access_plan,
-    execute_read_plan_inline,
     simulate_read_plan,
     single_reader_plan,
 )
@@ -29,6 +30,15 @@ def setup(n_x=24, n_y=12, n_sdx=4, n_sdy=3, xi=2, eta=1, h=8):
 def make_members(grid, n_files, seed=0):
     rng = np.random.default_rng(seed)
     return {f: rng.normal(size=grid.n) for f in range(n_files)}
+
+
+def gather(plan, members):
+    """``rank -> file -> values``: each op's elements from ``members``."""
+    return {
+        rank: {op.file_id: members[op.file_id][op.indices()]
+               for op in rank_plan.reads}
+        for rank, rank_plan in plan.per_rank.items()
+    }
 
 
 class TestSingleReader:
@@ -190,8 +200,8 @@ class TestDataEquivalence:
         members = make_members(grid, n_files=2)
         block = block_read_plan(decomp, layout, n_files=2)
         bars = bar_read_plan(decomp, layout, n_files=2)
-        got_block = execute_read_plan_inline(block, members)
-        got_bars = execute_read_plan_inline(bars, members)
+        got_block = gather(block, members)
+        got_bars = gather(bars, members)
 
         # Bar j's reader holds a superset of every band-j block, for each file.
         io_base = decomp.n_subdomains
@@ -207,7 +217,7 @@ class TestDataEquivalence:
         grid, decomp, layout = setup()
         members = make_members(grid, n_files=1)
         plan = block_read_plan(decomp, layout, n_files=1)
-        got = execute_read_plan_inline(plan, members)
+        got = gather(plan, members)
         for sd in decomp:
             rank = decomp.rank_of(sd.i, sd.j)
             expected = np.sort(members[0][sd.expansion_flat])
@@ -222,11 +232,20 @@ class TestDataEquivalence:
                 covered.update(op.indices())
         assert covered == set(range(grid.n))
 
-    def test_missing_member_raises(self):
-        grid, decomp, layout = setup()
-        plan = block_read_plan(decomp, layout, n_files=2)
-        with pytest.raises(KeyError):
-            execute_read_plan_inline(plan, {0: np.zeros(grid.n)})
+    def test_missing_member_raises(self, tmp_path):
+        """Staged from a store that lacks member 1, a plan fails on it;
+        under a retry policy member 1 alone is dropped."""
+        grid, decomp, _ = setup()
+        store = EnsembleStore(tmp_path, grid)
+        store.write_member(0, make_members(grid, n_files=1)[0])
+        plan = block_read_plan(decomp, store.layout, n_files=2)
+        with pytest.raises(FileNotFoundError):
+            stage_plan_from_disk(plan, store)
+        staged, dropped = stage_plan_from_disk(
+            plan, store, retry=RetryPolicy.none()
+        )
+        assert dropped == [1] and np.isnan(staged[:, 1]).all()
+        assert np.array_equal(staged[:, 0], store.read_member(0))
 
 
 class TestSimulatedReading:

@@ -11,14 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core import Decomposition, Grid, ObservationNetwork
-from repro.data import EnsembleStore
-from repro.faults import (
-    FaultSchedule,
-    FaultyStore,
-    RetryPolicy,
-    read_ensemble_resilient,
-)
+from repro.data import EnsembleStore, stage_plan_from_disk
+from repro.faults import FaultSchedule, FaultyStore, RetryPolicy
 from repro.filters.distributed import DistributedEnKF
+from repro.io import single_reader_plan
 from repro.models import correlated_ensemble
 from repro.parallel import AnalysisExecutor
 
@@ -41,18 +37,21 @@ def chaos_problem(tmp_path):
 
 @pytest.mark.parametrize("where", ["thread"])
 def test_chaos_run_through_parallel_engine(chaos_problem, where):
-    """FaultyStore read -> degraded analysis, fanned out over a pool of
-    two (``thread``): bit-identical to one worker and the filter's state
-    untouched."""
+    """FaultyStore staging -> degraded analysis, fanned out over a pool
+    of two (``thread``): bit-identical to one worker on the written
+    states and the filter's state untouched."""
     store, states, net, y, decomp = chaos_problem
     sched = FaultSchedule(seed=7, member_fault_rate=0.4,
                           member_fault_attempts=5)
     faulty = FaultyStore(store, sched)
-    got, surviving, dropped = read_ensemble_resilient(
-        faulty, retry=RetryPolicy(max_retries=2), report=faulty.report
+    whole = Decomposition(store.grid, n_sdx=1, n_sdy=1, xi=0, eta=0)
+    got, dropped = stage_plan_from_disk(
+        single_reader_plan(whole, store.layout, states.shape[1]), faulty,
+        retry=RetryPolicy(max_retries=2), report=faulty.report,
     )
     assert dropped, "schedule must actually drop members for this test"
-    assert np.array_equal(got, states[:, surviving])
+    surviving = [k for k in range(states.shape[1]) if k not in dropped]
+    assert np.array_equal(got[:, surviving], states[:, surviving])
 
     serial = DistributedEnKF(radius_km=2.0, inflation=1.05)
     ref, ref_result = serial.assimilate_degraded(
@@ -61,7 +60,7 @@ def test_chaos_run_through_parallel_engine(chaos_problem, where):
     with AnalysisExecutor(workers=2) as ex:
         filt = DistributedEnKF(radius_km=2.0, inflation=1.05, executor=ex)
         out, result = filt.assimilate_degraded(
-            decomp, states, net, y, dropped=dropped, rng=13
+            decomp, got, net, y, dropped=dropped, rng=13
         )
         assert filt.inflation == 1.05  # no mutation, pool-safe
     assert result.surviving == ref_result.surviving
